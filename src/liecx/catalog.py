@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .exact import (
     GQ, ONE, ZERO, I, Matrix, Subspace, ExactError,
-    vec, vunit, vzero, solve, realify_vector,
+    vec, vunit, vzero, rref, inverse, realify_vector,
 )
 from .liealg import LieAlgebra, Subalgebra, center, full_subalgebra
 
@@ -124,12 +124,14 @@ def _so_basis(n):
 def _commutator(a, b):
     n = len(a)
     out = [[ZERO] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            s = ZERO
+    for x, y, sign in ((a, b, ONE), (b, a, -ONE)):
+        for r in range(n):
             for m in range(n):
-                s = s + a[r][m] * b[m][c] - b[r][m] * a[m][c]
-            out[r][c] = s
+                if x[r][m]:
+                    f = sign * x[r][m]
+                    for c in range(n):
+                        if y[m][c]:
+                            out[r][c] = out[r][c] + f * y[m][c]
     return out
 
 
@@ -137,15 +139,33 @@ def _flatten_real(mat):
     return realify_vector(tuple(x for row in mat for x in row))
 
 
+def _coordinates(basis):
+    """Coordinates in a linearly independent matrix basis.
+
+    The returned function maps a matrix to its coefficient tuple, or to None
+    if the matrix is not in the real span.  The basis is factored once: d
+    independent real coordinates of the expansion matrix are located and
+    that d x d block inverted, so each call is one matvec plus an exact
+    re-expansion check."""
+    expand = Matrix.from_columns([_flatten_real(m) for m in basis])
+    _, rows, _ = rref(expand.transpose())
+    block_inv = inverse(Matrix([expand.rows[r] for r in rows]))
+
+    def coords(mat):
+        target = _flatten_real(mat)
+        c = block_inv.matvec(tuple(target[r] for r in rows))
+        return c if expand.matvec(c) == target else None
+    return coords
+
+
 def _structure_from_matrices(basis):
     """Expand commutators of a matrix basis exactly in that basis."""
-    dim = len(basis)
-    expand = Matrix.from_columns([_flatten_real(m) for m in basis])
+    coords = _coordinates(basis)
     table = []
     for a in basis:
         row = []
         for b in basis:
-            coeffs = solve(expand, _flatten_real(_commutator(a, b)))
+            coeffs = coords(_commutator(a, b))
             if coeffs is None:  # pragma: no cover
                 raise InvalidSpec("matrix basis is not bracket-closed")
             row.append(coeffs)
@@ -252,8 +272,7 @@ def _block_u_space(spec, g, k):
     n = spec.n
     if not 1 <= k < n:
         raise InvalidSpec(f"block_u({k}) needs 1 <= k < {n}")
-    basis_mats = _su_basis(n)
-    expand = Matrix.from_columns([_flatten_real(m) for m in basis_mats])
+    coords = _coordinates(_su_basis(n))
     vectors = []
     # su(k)-block plus its compensated center, expanded in catalog coordinates
     block = []
@@ -271,7 +290,7 @@ def _block_u_space(spec, g, k):
         if bm is scalar_k:
             for j in range(k, n):
                 full[j][j] = -I * GQ(k)
-        coeffs = solve(expand, _flatten_real(full))
+        coeffs = coords(full)
         if coeffs is None:  # pragma: no cover
             raise InvalidSpec("block_u generator is not in su(n)")
         vectors.append(coeffs)

@@ -64,6 +64,7 @@ class ComplexStructure:
         self.quotient = quot
         self.j = j
         self._invariant = None
+        self._integrable = None
         self._plus = None
 
     def __eq__(self, o):
@@ -201,15 +202,17 @@ def _closed(g: LieAlgebra, s: Subspace) -> bool:
 
 def is_integrable(J: ComplexStructure) -> bool:
     """Dual method: N = 0 on all basis pairs, and l bracket-closed.  The two
-    are computed independently and must agree."""
+    are computed independently, once per J, and must agree."""
     _require_invariant(J)
-    by_nijenhuis = nijenhuis_vanishes(J) is None
-    by_closure = _closed(J.quotient.algebra, plus_space(J))
-    if by_nijenhuis != by_closure:
-        raise TheoremViolation(
-            f"integrability methods disagree: N==0 is {by_nijenhuis}, "
-            f"closure is {by_closure}")
-    return by_nijenhuis
+    if J._integrable is None:
+        by_nijenhuis = nijenhuis_vanishes(J) is None
+        by_closure = _closed(J.quotient.algebra, plus_space(J))
+        if by_nijenhuis != by_closure:
+            raise TheoremViolation(
+                f"integrability methods disagree: N==0 is {by_nijenhuis}, "
+                f"closure is {by_closure}")
+        J._integrable = by_nijenhuis
+    return J._integrable
 
 
 # ---------------------------------------------------------------------------

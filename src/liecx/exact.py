@@ -44,8 +44,9 @@ class GQ:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # Fractions are immutable: share them instead of copying
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def coerce(x):
@@ -73,6 +74,8 @@ class GQ:
 
     def __mul__(self, o):
         o = GQ.coerce(o)
+        if not (self.im or o.im):  # skip the products with a zero factor
+            return GQ(self.re * o.re)
         return GQ(self.re * o.re - self.im * o.im,
                   self.re * o.im + self.im * o.re)
 
@@ -93,7 +96,7 @@ class GQ:
         return GQ(self.re, -self.im)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def is_rational(self):
         return self.im == 0
@@ -111,7 +114,7 @@ class GQ:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __repr__(self):
         if self.im == 0:
@@ -145,11 +148,11 @@ def vunit(n, i):
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vneg(a):
@@ -158,7 +161,7 @@ def vneg(a):
 
 def vscale(c, a):
     c = GQ.coerce(c)
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else x for x in a)
 
 
 def vconj(a):
@@ -168,7 +171,8 @@ def vconj(a):
 def vdot(a, b):
     s = ZERO
     for x, y in zip(a, b, strict=True):
-        s = s + x * y
+        if x and y:
+            s = s + x * y
     return s
 
 
@@ -293,11 +297,12 @@ def rref(m: Matrix):
             continue
         rows[pr], rows[pr_row] = rows[pr_row], rows[pr]
         inv = ONE / rows[pr][pc]
-        rows[pr] = [inv * x for x in rows[pr]]
+        rows[pr] = [inv * x if x else x for x in rows[pr]]
         for r in range(nr):
             if r != pr and not rows[r][pc].is_zero():
                 f = rows[r][pc]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
+                rows[r] = [x - f * y if y else x
+                           for x, y in zip(rows[r], rows[pr])]
         pivots.append(pc)
         pr += 1
         if pr == nr:
@@ -387,12 +392,14 @@ class Subspace:
         """Residual of v after eliminating the pivot coordinates; zero iff v is a member."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"{len(v)} != {self.ambient_dim}")
-        v = tuple(v)
+        v = list(v)
         for row, p in zip(self.basis.rows, self.pivots):
             c = v[p]
-            if not c.is_zero():
-                v = vsub(v, vscale(c, row))
-        return v
+            if c:
+                for k, r in enumerate(row):
+                    if r:
+                        v[k] = v[k] - c * r
+        return tuple(v)
 
     def contains(self, v):
         return is_zero_vec(self.reduce(v))

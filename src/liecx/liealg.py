@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact import (
-    GQ, ONE, ZERO, I, Matrix, Subspace, ExactError, DimensionMismatch,
-    kernel, inverse, vec, vunit, vzero, vadd, vsub, vscale, vconj,
-    is_zero_vec, relative_complement, span_sum,
+    GQ, ONE, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
+    kernel, vec, vunit, vzero, vadd, vscale, vconj, vdot, is_zero_vec,
 )
 
 
@@ -48,7 +47,8 @@ class LieAlgebra:
 
     The same structure tensor serves the real algebra and its
     complexification; `complexified` only switches which scalars a vector may
-    carry and enables the conjugation tau.
+    carry and enables the conjugation tau.  `terms[i][j]` lists the nonzero
+    (k, c) of table[i][j], so brackets and traces skip the zeros.
     """
 
     def __init__(self, table, inner_product=None, name="", complexified=False):
@@ -57,11 +57,14 @@ class LieAlgebra:
         for row in self.table:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
                 raise DimensionMismatch("structure table must be dim x dim x dim")
+        self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c)
+                                 for v in row) for row in self.table)
         self.inner_product = inner_product if inner_product is not None \
             else Matrix.identity(self.dim)
         self.name = name
         self.complexified = complexified
         self._killing_gram = None
+        self._derived_span = None
         self._complexification = None
 
     @classmethod
@@ -77,17 +80,19 @@ class LieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket operands must have ambient length")
-        out = vzero(self.dim)
+        out = [ZERO] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi.is_zero():
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                tv = self.table[i][j]
-                if any(tv):
-                    out = vadd(out, vscale(xi * yj, tv))
-        return out
+            row = self.terms[i]
+            for j, yj in ys:
+                terms = row[j]
+                if terms:
+                    c = xi * yj
+                    for k, t in terms:
+                        out[k] = out[k] + c * t
+        return tuple(out)
 
     def ad(self, x) -> Matrix:
         """Matrix of ad(x): columns are [x, e_j]."""
@@ -95,7 +100,7 @@ class LieAlgebra:
         return Matrix.from_columns(cols)
 
     def inner(self, x, y):
-        return sum_entries(x, self.inner_product.matvec(y))
+        return vdot(x, self.inner_product.matvec(y))
 
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form kappa(e_i, e_j) = tr(ad e_i ad e_j)."""
@@ -103,18 +108,22 @@ class LieAlgebra:
             n = self.dim
             g = [[ZERO] * n for _ in range(n)]
             for i in range(n):
+                # kappa(e_i, e_j) = sum over the nonzero c_ik^l of c_ik^l c_jl^k
+                nonzero = [(k, l, c) for k, terms in enumerate(self.terms[i])
+                           for l, c in terms]
                 for j in range(i, n):
                     s = ZERO
-                    for k in range(n):
-                        for l in range(n):
-                            s = s + self.table[i][k][l] * self.table[j][l][k]
+                    for k, l, c in nonzero:
+                        t = self.table[j][l][k]
+                        if t:
+                            s = s + c * t
                     g[i][j] = s
                     g[j][i] = s
             self._killing_gram = Matrix(g)
         return self._killing_gram
 
     def killing(self, x, y):
-        return sum_entries(x, self.killing_gram().matvec(y))
+        return vdot(x, self.killing_gram().matvec(y))
 
     # -- complexification ---------------------------------------------------
 
@@ -160,30 +169,22 @@ class LieAlgebra:
             failures.append("inner product not symmetric")
         if not self.complexified and not _positive_definite(ip):
             failures.append("inner product not positive definite")
+        if n and ip.ncols != n:  # an inner product of the wrong size
+            raise DimensionMismatch(f"matvec: {n} != {ip.ncols}")
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    # <[e_i,e_j], e_k> + <e_j, [e_i,e_k]> = 0
-                    a = sum_entries(self.table[i][j], ip.matvec(vunit(n, k)))
-                    b = sum_entries(vunit(n, j), ip.matvec(self.table[i][k]))
-                    if not (a + b).is_zero():
-                        failures.append(
-                            f"inner product not ad-invariant on (e{i}, e{j}, e{k})")
-                        break
-                else:
-                    continue
-                break
+            # <[e_i,e_j], e_k> + <e_j, [e_i,e_k]> is entry (j, k) of
+            # ad(e_i)^T P + P ad(e_i); the rows of ad(e_i)^T are table[i]
+            ad_t = Matrix(self.table[i])
+            defect = ad_t * ip + ip * ad_t.transpose()
+            bad = next(((j, k) for j, row in enumerate(defect.rows)
+                        for k, x in enumerate(row) if x), None)
+            if bad is not None:
+                failures.append(
+                    f"inner product not ad-invariant on (e{i}, e{bad[0]}, e{bad[1]})")
         return ValidationResult(not failures, failures)
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'anon'}, dim {self.dim})"
-
-
-def sum_entries(x, y):
-    s = ZERO
-    for a, b in zip(x, y, strict=True):
-        s = s + a * b
-    return s
 
 
 def _positive_definite(m: Matrix) -> bool:
@@ -404,23 +405,33 @@ def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
 @dataclass
 class Quotient:
     """g / h with a deterministic section: the complement is the pivot
-    complement of h, projection o section = id, kernel(projection) = h."""
+    complement of h, projection o section = id, kernel(projection) = h.
+
+    Quotient coordinates are the non-pivot axes of h's RREF basis, in order:
+    project reduces x by h and reads the residual there, lift scatters u
+    onto those axes."""
 
     algebra: LieAlgebra
     h: Subalgebra
     complement: Subspace
-    projection: Matrix
-    section: Matrix
 
     @property
     def dim(self):
         return self.algebra.dim - self.h.dim
 
     def project(self, x):
-        return self.projection.matvec(x)
+        if len(x) != self.algebra.dim:
+            raise DimensionMismatch(f"project: {len(x)} != {self.algebra.dim}")
+        r = self.h.space.reduce(x)
+        return tuple(r[c] for c in self.complement.pivots)
 
     def lift(self, u):
-        return self.section.matvec(u)
+        if len(u) != self.dim:
+            raise DimensionMismatch(f"lift: {len(u)} != {self.dim}")
+        x = [ZERO] * self.algebra.dim
+        for c, uc in zip(self.complement.pivots, u):
+            x[c] = GQ.coerce(uc)
+        return tuple(x)
 
     def induced_map(self, x) -> Matrix:
         """The action of ad(x) on g/h (x must normalize h for this to be
@@ -431,12 +442,4 @@ class Quotient:
 
 
 def quotient(g: LieAlgebra, h: Subalgebra) -> Quotient:
-    comp = h.space.complement()
-    n, q = g.dim, comp.dim
-    cols = list(h.space.basis_vectors()) + list(comp.basis_vectors())
-    b = Matrix.from_columns(cols)
-    binv = inverse(b)
-    projection = Matrix(binv.rows[h.dim:]) if q else Matrix.zeros(0, n)
-    section = Matrix.from_columns(list(comp.basis_vectors())) if q \
-        else Matrix.zeros(n, 0)
-    return Quotient(g, h, comp, projection, section)
+    return Quotient(g, h, h.space.complement())

@@ -166,8 +166,7 @@ def _validate_root_datum(rd: RootDatum):
     total = rd.zero_space.dim + sum(r.space.dim for r in rd.roots)
     if total != n:
         raise RootError("root spaces do not fill g_C")  # pragma: no cover
-    if rd.zero_space != rd.cartan.space.add(Subspace.zero(n)) and \
-            not rd.zero_space.contains_subspace(rd.cartan.space):
+    if not rd.zero_space.contains_subspace(rd.cartan.space):
         raise RootError("zero space does not contain the Cartan")  # pragma: no cover
     for i, r in enumerate(rd.roots):
         if all(v.is_zero() for v in r.values):
@@ -227,7 +226,7 @@ def _levi_root_split(rd: RootDatum, m: Subalgebra):
             q.append(i)
     # m must be zero_space plus exactly the vanishing root spaces
     expect = span_sum(g.dim, [rd.zero_space] + [rd.roots[i].space for i in m_roots])
-    if expect != m.space.add(Subspace.zero(g.dim)) and expect != m.space:
+    if expect != m.space:
         raise LeviMismatch(
             "m is not the span of the zero space and full root spaces")
     return m_roots, q
@@ -282,9 +281,12 @@ def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
 
 
 def derived_complex_span(g: LieAlgebra) -> Subspace:
-    bs = [vunit(g.dim, i) for i in range(g.dim)]
-    return Subspace.from_vectors(
-        g.dim, [g.bracket(a, b) for i, a in enumerate(bs) for b in bs[i + 1:]])
+    """[g, g], computed once per algebra."""
+    if g._derived_span is None:
+        bs = [vunit(g.dim, i) for i in range(g.dim)]
+        g._derived_span = Subspace.from_vectors(
+            g.dim, [g.bracket(a, b) for i, a in enumerate(bs) for b in bs[i + 1:]])
+    return g._derived_span
 
 
 def killing_perp_nilradical(g: LieAlgebra, p_space: Subspace) -> Subspace:

@@ -1,0 +1,108 @@
+"""Write the golden CLI reports that tests/test_golden.py compares against.
+
+    PYTHONPATH=src python3 tests/golden/make_golden.py
+
+Stdlib only. For each small instance it runs every CLI command once through
+liecx.cli.main and writes the report, byte for byte, to
+tests/golden/<instance>__<case>.json. The spec, command line and exit code
+of every case go to tests/golden/manifest.json. The J of the construct
+report is fed back into decompose, check, verify, m and symmetric, so those
+reports pin the construct/decompose round trip too.
+
+Run it only to record a deliberate change of report; the test never
+regenerates these files.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))
+
+from liecx import cli  # noqa: E402
+
+
+def rotation_j(q, pairs):
+    """J e_a = e_b, J e_b = -e_a for each (a, b), as rational strings."""
+    m = [["0"] * q for _ in range(q)]
+    for a, b in pairs:
+        m[b][a], m[a][b] = "1", "-1"
+    return m
+
+
+SU2 = {"kind": "su", "n": 2}
+SU3 = {"kind": "su", "n": 3}
+
+# instance name -> (spec without j, a J that is not integrable there)
+INSTANCES = {
+    "su2_u1": (
+        {"algebra": SU2,
+         "subalgebra": {"name": "span", "vectors": [["0", "0", "1"]]}},
+        # J^2 = -I but not invariant under u(1)
+        [["1", "-2"], ["1", "-1"]]),
+    "su3_t": (
+        {"algebra": SU3, "subalgebra": {"name": "maximal_torus"}},
+        # sign pattern (+, -, +) on the three root planes: a cyclic
+        # tournament, invariant and not integrable
+        rotation_j(6, [(0, 1), (3, 2), (4, 5)])),
+    "su3_u2": (
+        {"algebra": SU3, "subalgebra": {"name": "block_u", "k": 2}},
+        # J^2 = -I but not invariant under u(2)
+        rotation_j(4, [(0, 2), (1, 3)])),
+    "su2su2_0": (
+        {"algebra": {"kind": "sum", "parts": [SU2, SU2]},
+         "subalgebra": {"name": "zero"}},
+        # the swap J(x, y) = (-y, x): invariant and not integrable
+        rotation_j(6, [(0, 3), (1, 4), (2, 5)])),
+}
+
+
+def run_case(spec, command, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        out_path = Path(tmp) / "report.json"
+        spec_path.write_text(json.dumps(spec))
+        code = cli.main(["--spec", str(spec_path), "--command", command,
+                         "--out", str(out_path), *extra])
+        return code, out_path.read_bytes()
+
+
+def cases_for(base, bad_j, j):
+    """(case name, spec, command, extra args) for one instance; j is the J
+    of its construct report."""
+    with_j = dict(base, j=j)
+    return [
+        ("catalog", base, "catalog", []),
+        ("validate", base, "validate", []),
+        ("classify", base, "classify", []),
+        ("construct_k0", base, "construct", ["--parabolic-index", "0"]),
+        ("decompose", with_j, "decompose", []),
+        ("check_integrable", with_j, "check", []),
+        ("check_not_integrable", dict(base, j=bad_j), "check", []),
+        ("verify_seed0", with_j, "verify", ["--seed", "0"]),
+        ("m", with_j, "m", []),
+        ("symmetric", with_j, "symmetric", []),
+    ]
+
+
+def main():
+    manifest = []
+    for inst, (base, bad_j) in INSTANCES.items():
+        _, construct = run_case(base, "construct", ["--parabolic-index", "0"])
+        j = json.loads(construct)["j"]
+        for name, spec, command, extra in cases_for(base, bad_j, j):
+            code, report = run_case(spec, command, extra)
+            fname = f"{inst}__{name}.json"
+            (HERE / fname).write_bytes(report)
+            manifest.append({"file": fname, "spec": spec, "command": command,
+                             "args": extra, "exit_code": code})
+            print(f"{fname}: exit {code}")
+    (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,31 @@
+"""Golden CLI reports: every command on the small instances must reproduce
+its committed report byte for byte, with the same exit code.
+
+The reports and tests/golden/manifest.json are written by
+tests/golden/make_golden.py; this test only reads them.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from liecx import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("case", MANIFEST, ids=[c["file"] for c in MANIFEST])
+def test_golden_report(tmp_path, case):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(case["spec"]))
+    out = tmp_path / "report.json"
+    code = cli.main(["--spec", str(spec), "--command", case["command"],
+                     "--out", str(out), *case["args"]])
+    assert code == case["exit_code"]
+    assert out.read_bytes() == (GOLDEN / case["file"]).read_bytes()
+
+
+def test_golden_covers_every_command():
+    assert {c["command"] for c in MANIFEST} == set(cli.COMMANDS)
