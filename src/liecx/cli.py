@@ -416,8 +416,7 @@ def cmd_decompose(ps, args):
     if not cx.is_integrable(J):
         raise ValidationError("j is not integrable; nothing to decompose")
     p, j1 = cx.decompose_J(J)
-    report = cx.classify(g, h)
-    index = next((i for i, q in enumerate(report.parabolics) if q == p), None)
+    index = cx.parabolic_index(g, h, p)
     rep = _base_report("decompose", g, h)
     rep["parabolic_index"] = index
     rep["parabolic"] = _ser_parabolic(index, p)

@@ -365,47 +365,67 @@ def decompose_J(J: ComplexStructure):
 # ---------------------------------------------------------------------------
 # classification
 
-def classify(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
-    """Existence and parametrization of invariant integrable structures on
-    g/h: canonical m = t + h for a maximal abelian t in C_g(h), then all
-    parabolics with Levi m relative to one fixed Cartan."""
-    ledger = []
+def _levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
+    """classify's canonical m = t + h, with t maximal abelian in C_g(h), its
+    root datum and its positive systems; or the reason no structure exists.
+    Each certificate checked on the way is appended to the ledger."""
     n, hd = g.dim, h.dim
     if (n - hd) % 2:
         ledger.append(LedgerEntry("even_codimension", False,
                                   f"dim g/h = {n - hd} is odd"))
-        return ClassificationReport(False, "odd_dimension", None, [], 0,
-                                    "", ledger)
+        return "odd_dimension"
     ledger.append(LedgerEntry("even_codimension", True, f"dim g/h = {n - hd}"))
     ch = centralizer(g, h.space)
     t = extend_to_maximal_abelian(g, zero_subalgebra(g), within=ch.space)
-    m_space = t.space.add(h.space)
-    m = Subalgebra(g, m_space, check=True)
+    m = Subalgebra(g, t.space.add(h.space), check=True)
     ok_derived = derived(g, m).space == derived(g, h).space
     ledger.append(LedgerEntry("derived_match", ok_derived, "[m,m] = [h,h]"))
     cm = center(g, m)
-    ok_centralizer = centralizer(g, cm.space).space == m_space
+    ok_centralizer = centralizer(g, cm.space).space == m.space
     ledger.append(LedgerEntry("m_is_centralizer_of_its_center", ok_centralizer,
                               f"dim m = {m.dim}, dim center(m) = {cm.dim}"))
     fiber = m.dim - hd
     ok_fiber = fiber % 2 == 0
     ledger.append(LedgerEntry("even_fiber", ok_fiber, f"dim m/h = {fiber}"))
     if not (ok_derived and ok_centralizer and ok_fiber):
-        reason = "m_not_centralizer_of_its_center" if not ok_centralizer \
+        return "m_not_centralizer_of_its_center" if not ok_centralizer \
             else ("derived_mismatch" if not ok_derived else "odd_fiber")
-        return ClassificationReport(False, reason, None, [], 0, "", ledger)
-    a = extend_to_maximal_abelian(g, cm)
-    rd = root_decomposition(g, a)
-    systems = enumerate_positive_systems(rd, m)
+    rd = root_decomposition(g, extend_to_maximal_abelian(g, cm))
+    return m, cm, rd, enumerate_positive_systems(rd, m)
+
+
+def classify(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
+    """Existence and parametrization of invariant integrable structures on
+    g/h: canonical m = t + h for a maximal abelian t in C_g(h), then all
+    parabolics with Levi m relative to one fixed Cartan."""
+    ledger = []
+    found = _levi_systems(g, h, ledger)
+    if isinstance(found, str):
+        return ClassificationReport(False, found, None, [], 0, "", ledger)
+    m, cm, rd, systems = found
     parabolics = [build_parabolic(rd, m, qp) for qp in systems]
     ledger.append(LedgerEntry("parabolic_enumeration", True,
                               f"{len(parabolics)} parabolics with Levi m, "
                               "relative to the chosen Cartan"))
-    u = relative_complement(m_space, h.space)
+    fiber = m.dim - h.dim
+    u = relative_complement(m.space, h.space)
     note = (f"{len(parabolics)} parabolics (relative to one fixed Cartan) x "
             f"continuous moduli of torus structures on a fiber of dim {fiber}")
     return ClassificationReport(True, "", MData(m, u, cm), parabolics,
                                 fiber, note, ledger)
+
+
+def parabolic_index(g: LieAlgebra, h: Subalgebra, p: Parabolic):
+    """The index of p among classify(g, h).parabolics, or None: the positive
+    system whose root spaces span p together with classify's m_C.  A
+    parabolic is determined by its space, so no parabolic is built."""
+    found = _levi_systems(g, h, [])
+    if isinstance(found, str):
+        return None
+    m, _, rd, systems = found
+    return next((i for i, qp in enumerate(systems) if span_sum(
+        g.dim, [m.space] + [rd.roots[j].space for j in qp]) == p.space.space),
+        None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ deterministic: re-running any operation yields bit-identical output.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ExactError(Exception):
@@ -545,17 +546,101 @@ def charpoly(m: Matrix):
     return coeffs
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _primitive(coeffs):
+    """The primitive integer polynomial that is a positive multiple of coeffs
+    (rationals, highest degree first, not all zero)."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _remainder(a, b):
+    """A positive multiple of the remainder of a by b, both integer
+    polynomials, as a primitive integer polynomial ([] when b divides a)."""
+    lead = abs(b[0])
+    sign = 1 if b[0] > 0 else -1
+    a = list(a)
+    while len(a) >= len(b):
+        f = sign * a[0]
+        a = [lead * x - f * y for x, y in
+             zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+        while a and not a[0]:
+            a.pop(0)
+    return _primitive(a) if a else []
+
+
+def _quotient(a, b):
+    """a / b for integer polynomials where b divides a, made primitive."""
+    a = [Fraction(x) for x in a]
+    out = []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        out.append(f)
+        a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    return _primitive(out)
+
+
+def _derivative(p):
+    n = len(p) - 1
+    return [c * (n - k) for k, c in enumerate(p[:-1])]
+
+
+def _sturm_chain(p):
+    """Sturm sequence p, p', -rem(p, p'), ... of a square-free integer
+    polynomial, each term a primitive integer polynomial."""
+    chain = [p, _primitive(_derivative(p))]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    return chain
+
+
+def _variations(chain, x):
+    """Sign changes along the chain evaluated at the integer x, zeros dropped."""
+    count, last = 0, 0
+    for p in chain:
+        v = 0
+        for c in p:
+            v = v * x + c
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _integer_root_candidates(p):
+    """Every integer root of the monic integer polynomial p, and possibly
+    more: the right end hi of each interval (hi - 1, hi] that holds a real
+    root.  Sturm's theorem counts the distinct real roots in (lo, hi] as
+    V(lo) - V(hi) for the chain of the square-free part, so intervals are
+    bisected from a root bound down to width 1 without factoring any
+    coefficient (Collins and Loos, "Real zeros of polynomials", 1982)."""
+    sqf = p
+    if len(p) > 2:
+        d, r = p, _primitive(_derivative(p))
+        while r:
+            d, r = r, _remainder(d, r)
+        if len(d) > 1:
+            sqf = _quotient(p, d)
+    chain = _sturm_chain(sqf)
+    # Fujiwara: every root has |y| <= 2 max_k |c_k|^(1/k) < bound
+    bound = 2 ** (1 + max(-(-abs(c).bit_length() // k)
+                          for k, c in enumerate(p[1:], 1)))
+    out = []
+    stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            out.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = _variations(chain, mid)
+        stack.append((lo, vlo, mid, vmid))
+        stack.append((mid, vmid, hi, vhi))
+    return out
 
 
 def _poly_eval(coeffs, x):
@@ -591,14 +676,12 @@ def rational_eigenvalues(m: Matrix):
         coeffs = coeffs[:-1]
         roots.append(Fraction(0))
     if len(coeffs) > 1:
-        from math import lcm
-        den = lcm(*[c.denominator for c in coeffs])
-        ints = [int(c * den) for c in coeffs]
-        cands = set()
-        for p in _divisors(ints[-1]):
-            for q in _divisors(ints[0]):
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
+        # a root p/q of a0 x^n + ... + an has q | a0, so y = a0 x turns it
+        # into an integer root of the monic y^n + a1 y^(n-1) + ... + an a0^(n-1)
+        ints = _primitive(coeffs)
+        a0 = ints[0]
+        monic = [1] + [c * a0 ** k for k, c in enumerate(ints[1:])]
+        cands = {Fraction(y, a0) for y in _integer_root_candidates(monic)}
         fr = [Fraction(c) for c in coeffs]
         for cand in sorted(cands):
             while len(fr) > 1 and _poly_eval(fr, cand) == 0:

@@ -10,9 +10,11 @@ theorem check relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .exact import (
-    GQ, ONE, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
+    GQ, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
     kernel, vec, vunit, vzero, vadd, vscale, vconj, vdot, is_zero_vec,
 )
 
@@ -48,7 +50,9 @@ class LieAlgebra:
     The same structure tensor serves the real algebra and its
     complexification; `complexified` only switches which scalars a vector may
     carry and enables the conjugation tau.  `terms[i][j]` lists the nonzero
-    (k, c) of table[i][j], so brackets and traces skip the zeros.
+    (k, c) of table[i][j], so brackets and traces skip the zeros;
+    `int_terms[i][j]` lists the same terms as (k, re, im) integers over the
+    common denominator `table_den`, for the bracket to accumulate in ints.
     """
 
     def __init__(self, table, inner_product=None, name="", complexified=False):
@@ -59,6 +63,7 @@ class LieAlgebra:
                 raise DimensionMismatch("structure table must be dim x dim x dim")
         self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c)
                                  for v in row) for row in self.table)
+        self.table_den, self.int_terms = _integer_terms(self.terms)
         self.inner_product = inner_product if inner_product is not None \
             else Matrix.identity(self.dim)
         self.name = name
@@ -80,19 +85,31 @@ class LieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket operands must have ambient length")
-        out = [ZERO] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.terms[i]
-            for j, yj in ys:
+        xd, xs = _integer_entries(x)
+        yd, ys = _integer_entries(y)
+        re = [0] * self.dim
+        im = [0] * self.dim
+        for i, xr, xi in xs:
+            row = self.int_terms[i]
+            for j, yr, yi in ys:
                 terms = row[j]
-                if terms:
-                    c = xi * yj
-                    for k, t in terms:
-                        out[k] = out[k] + c * t
-        return tuple(out)
+                if not terms:
+                    continue
+                cr = xr * yr - xi * yi
+                ci = xr * yi + xi * yr
+                for k, tr, ti in terms:
+                    if ti:
+                        re[k] += cr * tr - ci * ti
+                        im[k] += cr * ti + ci * tr
+                    else:
+                        re[k] += cr * tr
+                        if ci:
+                            im[k] += ci * tr
+        den = xd * yd * self.table_den
+        if den == 1:
+            return tuple(GQ(r, m) if r or m else ZERO for r, m in zip(re, im))
+        return tuple(GQ(Fraction(r, den), Fraction(m, den)) if r or m else ZERO
+                     for r, m in zip(re, im))
 
     def ad(self, x) -> Matrix:
         """Matrix of ad(x): columns are [x, e_j]."""
@@ -187,37 +204,49 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'anon'}, dim {self.dim})"
 
 
+def _integer_entries(v):
+    """(D, [(i, D re v_i, D im v_i) for the nonzero v_i]) with D the least
+    common denominator of v's entries."""
+    nonzero = [(i, x.re, x.im) for i, x in enumerate(v) if x is not ZERO and x]
+    den = 1
+    for _, a, b in nonzero:
+        if a.denominator != 1 or b.denominator != 1:
+            den = lcm(den, a.denominator, b.denominator)
+    if den == 1:
+        return 1, [(i, a.numerator, b.numerator) for i, a, b in nonzero]
+    return den, [(i, a.numerator * (den // a.denominator),
+                  b.numerator * (den // b.denominator)) for i, a, b in nonzero]
+
+
+def _integer_terms(terms):
+    """The structure constants as (k, re, im) integers over one common
+    denominator: (D, int_terms) with int_terms shaped like terms."""
+    den = lcm(*(q.denominator for row in terms for ts in row
+                for _, c in ts for q in (c.re, c.im)))
+    return den, tuple(tuple(tuple(
+        (k, c.re.numerator * (den // c.re.denominator),
+         c.im.numerator * (den // c.im.denominator)) for k, c in ts)
+        for ts in row) for row in terms)
+
+
 def _positive_definite(m: Matrix) -> bool:
-    # Sylvester: all leading principal minors positive (entries must be real).
+    # Sylvester: all leading principal minors positive (entries must be
+    # real).  Elimination without row swaps makes the k-th minor the product
+    # of the first k pivots, so every minor is positive exactly when every
+    # pivot is.
     if not m.is_real():
         return False
-    n = m.nrows
-    for k in range(1, n + 1):
-        sub = Matrix([r[:k] for r in m.rows[:k]])
-        d = _det(sub)
-        if d.im != 0 or d.re <= 0:
+    rows = [[x.re for x in r] for r in m.rows]
+    for c, pivot_row in enumerate(rows):
+        pivot = pivot_row[c]
+        if pivot <= 0:
             return False
+        for r in rows[c + 1:]:
+            f = r[c] / pivot
+            if f:
+                for k in range(c + 1, len(r)):
+                    r[k] -= f * pivot_row[k]
     return True
-
-
-def _det(m: Matrix):
-    rows = [list(r) for r in m.rows]
-    n = m.nrows
-    d = ONE
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not rows[r][c].is_zero()), None)
-        if piv is None:
-            return ZERO
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            d = -d
-        d = d * rows[c][c]
-        inv = ONE / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if not f.is_zero():
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return d
 
 
 class Subalgebra:

@@ -9,6 +9,9 @@ of every case go to tests/golden/manifest.json. The J of the construct
 report is fed back into decompose, check, verify, m and symmetric, so those
 reports pin the construct/decompose round trip too.
 
+Cases already in the manifest that this script does not write, the dense
+instances of make_dense_golden.py, are kept.
+
 Run it only to record a deliberate change of report; the test never
 regenerates these files.
 """
@@ -101,7 +104,11 @@ def main():
             manifest.append({"file": fname, "spec": spec, "command": command,
                              "args": extra, "exit_code": code})
             print(f"{fname}: exit {code}")
-    (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    written = {c["file"] for c in manifest}
+    path = HERE / "manifest.json"
+    old = json.loads(path.read_text()) if path.exists() else []
+    manifest += [c for c in old if c["file"] not in written]
+    path.write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,18 +1,25 @@
-"""Oracles for the zero-skipping fast paths.
+"""Oracles for the fast paths.
 
-Each test compares a fast path with the dense formula it replaced; the
-dense formula is kept here, and only here, as the reference.
+Each test compares a fast path with the formula it replaced: the dense
+loops, the divisor-based candidate roots, the d leading determinants and
+classify followed by a search.  The old formula is kept here, and only
+here, as the reference.
 """
 
+import json
 import random
 from fractions import Fraction
+from math import isqrt, lcm
+from pathlib import Path
 
 import pytest
 
+from liecx import cli, cx
 from liecx.exact import (
-    GQ, ZERO, I, Matrix, inverse, solve, vunit, realify_vector,
+    GQ, ZERO, I, Matrix, IrrationalSpectrum, charpoly, inverse, solve, vunit,
+    realify_vector, rational_eigenvalues,
 )
-from liecx.liealg import LieAlgebra, quotient
+from liecx.liealg import LieAlgebra, quotient, _positive_definite
 from liecx.catalog import (
     build, build_subalgebra, su, so, u, _coordinates, _su_basis, _so_basis,
 )
@@ -144,13 +151,17 @@ def dense_killing_gram(g):
                     for j in range(n)] for i in range(n)])
 
 
-def rotated(g, seed):
+def rotated(g, seed, gaussian=False):
     """g's table rewritten in the basis f_a = sum_r P[r][a] e_r for a random
-    invertible integer P; the new table is dense."""
+    invertible integer P (Gaussian-integer P when gaussian is set, which
+    makes the structure constants complex); the new table is dense."""
     rng = random.Random(seed)
     n = g.dim
+
+    def entry():
+        return GQ(rng.randint(-3, 3), rng.randint(-2, 2) if gaussian else 0)
     while True:
-        p = Matrix([[GQ(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+        p = Matrix([[entry() for _ in range(n)] for _ in range(n)])
         try:
             pinv = inverse(p)
             break
@@ -160,11 +171,28 @@ def rotated(g, seed):
     return LieAlgebra([[pinv.matvec(dense_bracket(g, a, b)) for b in f] for a in f])
 
 
-@pytest.fixture(scope="module", params=["su3", "so4_rotated"])
+@pytest.fixture(scope="module", params=["su3", "so4_rotated", "su2_gaussian"])
 def algebra(request):
     if request.param == "su3":
         return build(su(3))
+    if request.param == "su2_gaussian":
+        return rotated(build(su(2)), seed=5, gaussian=True)
     return rotated(build(so(4)), seed=3)
+
+
+def test_gaussian_rotation_has_complex_constants():
+    g = rotated(build(su(2)), seed=5, gaussian=True)
+    assert any(c.im for row in g.table for v in row for c in v)
+    assert g.table_den > 1
+
+
+def mixed_vec(rng, n):
+    """Entries whose real and imaginary parts have unrelated denominators,
+    with some zeros and some integers."""
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7, 12)))
+    return tuple(ZERO if rng.random() < 0.2 else GQ(part(), part())
+                 for _ in range(n))
 
 
 def test_rotated_table_is_dense():
@@ -180,6 +208,10 @@ def test_bracket_matches_dense_loop(algebra):
              for i in range(g.dim) for j in range(g.dim)]
     pairs += [(rand_vec(rng, g.dim, d), rand_vec(rng, g.dim, e))
               for d in (0.2, 1.0) for e in (0.3, 1.0) for _ in range(3)]
+    integer = [tuple(GQ(rng.randint(-4, 4), rng.randint(-4, 4) * (k % 2))
+                     for _ in range(g.dim)) for k in range(3)]
+    mixed = [mixed_vec(rng, g.dim) for _ in range(4)]
+    pairs += [(x, y) for x in integer + mixed for y in integer + mixed]
     for x, y in pairs:
         assert g.bracket(x, y) == dense_bracket(g, x, y)
 
@@ -229,3 +261,229 @@ def test_invariance_failures_match_dense_loop(seed):
     got = [f for f in bad.validate().failures if "ad-invariant" in f]
     assert got == expected
     assert not [f for f in g.validate().failures if "ad-invariant" in f]
+
+
+# ---------------------------------------------------------------------------
+# rational eigenvalues against the divisor-based candidate roots
+
+def divisors(n):
+    small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+    return small + [abs(n) // d for d in small]
+
+
+def divisor_eigenvalues(m):
+    """Rational eigenvalues by trying every p/q with p dividing the constant
+    and q the leading coefficient of the cleared characteristic polynomial;
+    the same roots, multiplicities and IrrationalSpectrum message."""
+    coeffs = [c.re for c in charpoly(m)]
+    roots = []
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+        roots.append(Fraction(0))
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    cands = sorted({Fraction(s * p, q) for p in divisors(ints[-1])
+                    for q in divisors(ints[0]) for s in (1, -1)})
+    for cand in cands:
+        while len(coeffs) > 1:
+            # synthetic division by x - cand; the last entry is p(cand)
+            out = [coeffs[0]]
+            for c in coeffs[1:]:
+                out.append(c + out[-1] * cand)
+            if out[-1]:
+                break
+            roots.append(cand)
+            coeffs = out[:-1]
+    if len(coeffs) > 1:
+        raise IrrationalSpectrum(
+            f"only {len(roots)} of {m.nrows} eigenvalues are rational")
+    return sorted(roots)
+
+
+def polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def companion(p):
+    """A matrix whose characteristic polynomial is p / p[0]."""
+    n = len(p) - 1
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = GQ(1)
+    for i in range(n):
+        rows[i][n - 1] = GQ(Fraction(-p[n - i], p[0]))
+    return Matrix(rows)
+
+
+def random_polynomial(rng):
+    """A product of rational linear factors qx - p (some repeated, p = 0
+    allowed), sometimes times x^2 + c (no real roots) or x^2 - 2 (irrational
+    real roots), with every integer coefficient below 2^30."""
+    while True:
+        p = [rng.randint(1, 3)]
+        for _ in range(rng.randint(1, 4)):
+            f = [rng.randint(1, 9), rng.randint(-12, 12)]
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                p = polymul(p, f)
+        extra = rng.random()
+        if extra < 0.2:
+            p = polymul(p, [1, 0, rng.randint(1, 7)])
+        elif extra < 0.35:
+            p = polymul(p, [1, 0, -2])
+        if len(p) <= 9 and max(abs(c) for c in p) < 2 ** 30:
+            return p
+
+
+def eigenvalues_or_error(f, m):
+    try:
+        return f(m)
+    except IrrationalSpectrum as e:
+        return str(e)
+
+
+def test_rational_eigenvalues_match_divisor_candidates():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(300):
+        m = companion(random_polynomial(rng))
+        got = eigenvalues_or_error(rational_eigenvalues, m)
+        assert got == eigenvalues_or_error(divisor_eigenvalues, m)
+        outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}
+
+
+def test_rational_eigenvalues_with_a_constant_term_over_60_bits():
+    """Eigenvalues known in advance, hidden by an integer change of basis;
+    trial division up to the square root of the constant term would need
+    more than 2^30 steps."""
+    eigs = [Fraction(1009), Fraction(-1013, 3), Fraction(1019, 7),
+            Fraction(1019, 7), Fraction(-1021), Fraction(1031, 2),
+            Fraction(0), Fraction(-3, 5)]
+    n = len(eigs)
+    rng = random.Random(7)
+    while True:
+        p = Matrix([[GQ(rng.randint(-2, 2)) for _ in range(n)]
+                    for _ in range(n)])
+        try:
+            pinv = inverse(p)
+            break
+        except Exception:
+            continue
+    d = Matrix([[GQ(eigs[i]) if i == j else ZERO for j in range(n)]
+                for i in range(n)])
+    m = p * d * pinv
+    assert sum(1 for r in m.rows for x in r if x) > n * n // 2
+    coeffs = [c.re for c in charpoly(m)]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    den = lcm(*(c.denominator for c in coeffs))
+    assert int(abs(coeffs[-1]) * den).bit_length() > 60
+    assert rational_eigenvalues(m) == sorted(eigs)
+
+
+# ---------------------------------------------------------------------------
+# Sylvester's test in one elimination against d leading determinants
+
+def det(rows):
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            d = -d
+        d *= rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return d
+
+
+def sylvester(rows):
+    return all(det([r[:k] for r in rows[:k]]) > 0
+               for k in range(1, len(rows) + 1))
+
+
+def ldlt(rng, diag):
+    """L D L^T for a random unit lower-triangular rational L."""
+    n = len(diag)
+    low = [[Fraction(int(i == j)) if j >= i else
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for j in range(n)] for i in range(n)]
+    return [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def symmetric_cases(rng):
+    for n in range(1, 7):
+        for _ in range(6):
+            pos = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                   for _ in range(n)]
+            yield "definite", ldlt(rng, pos)
+            mixed = [x * rng.choice((1, -1)) for x in pos]
+            yield "indefinite", ldlt(rng, mixed)
+            # a zero pivot makes the leading (k+1)-block singular
+            zero = list(pos)
+            zero[rng.randrange(n)] = Fraction(0)
+            yield "singular", ldlt(rng, zero)
+            a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(n)] for _ in range(n)]
+            yield "random", [[a[i][j] + a[j][i] for j in range(n)]
+                             for i in range(n)]
+
+
+def test_positive_definite_matches_leading_determinants():
+    kinds = {}
+    for kind, rows in symmetric_cases(random.Random(11)):
+        want = sylvester(rows)
+        assert _positive_definite(Matrix([[GQ(x) for x in r] for r in rows])) \
+            == want, (kind, rows)
+        kinds.setdefault(kind, set()).add(want)
+    assert kinds["definite"] == {True}
+    assert kinds["singular"] == {False}
+    assert False in kinds["indefinite"] and False in kinds["random"]
+
+
+# ---------------------------------------------------------------------------
+# the decompose index against classify followed by a search
+
+def classify_then_search(g, h, p):
+    report = cx.classify(g, h)
+    return next((i for i, q in enumerate(report.parabolics) if q == p), None)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DECOMPOSE_CASES = [c for c in json.loads((GOLDEN / "manifest.json").read_text())
+                   if c["command"] == "decompose"]
+
+
+@pytest.mark.parametrize("case", DECOMPOSE_CASES,
+                         ids=[c["file"] for c in DECOMPOSE_CASES])
+def test_parabolic_index_matches_classify_on_golden_cases(tmp_path, case):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(case["spec"]))
+    ps = cli.parse(path)
+    g, h, quot = cli._resolve_problem(ps)
+    p, _ = cx.decompose_J(cli._structure(ps, quot))
+    index = cx.parabolic_index(g, h, p)
+    assert index is not None
+    assert index == classify_then_search(g, h, p)
+
+
+def test_parabolic_index_matches_classify_on_su4_t():
+    g = build(su(4))
+    h = build_subalgebra(g, su(4), "maximal_torus")
+    quot = quotient(g, h)
+    report = cx.classify(g, h)
+    assert len(report.parabolics) == 24
+    for k in (0, 5, 23):
+        p, _ = cx.decompose_J(cx.construct_J(quot, report.parabolics[k]))
+        assert cx.parabolic_index(g, h, p) == k
+        assert next(i for i, q in enumerate(report.parabolics) if q == p) == k
