@@ -11,7 +11,7 @@ from .liealg import (
     LieAlgebra, Subalgebra, Quotient, quotient,
     centralizer, normalizer, derived, center, radical,
     is_solvable, is_nilpotent, extend_to_maximal_abelian,
-    LieAlgebraError, NotClosed, NotAbelian, AlreadyComplex,
+    LieAlgebraError, NotClosed, NotAbelian,
 )
 from .catalog import (
     AlgebraSpec, su, so, u, torus, direct_sum, build, build_subalgebra,

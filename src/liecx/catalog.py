@@ -18,7 +18,7 @@ identity on central factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import (
     GQ, ONE, ZERO, I, Matrix, Subspace, ExactError,

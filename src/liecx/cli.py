@@ -2,7 +2,7 @@
 the library, emit a deterministic JSON report.
 
 Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error,
-3 = internal theorem violation.
+3 = internal theorem violation, 4 = any other unexpected error (a bug).
 
 Problem spec format (strict; unknown fields rejected):
 
@@ -31,11 +31,13 @@ import sys
 
 from .exact import (
     GQ, Matrix, Subspace, ExactError, parse_rational, format_rational, vec,
+    relative_complement,
 )
-from .liealg import LieAlgebra, Subalgebra, quotient as make_quotient
+from .liealg import LieAlgebra, quotient as make_quotient
 from .catalog import (
     AlgebraSpec, build, build_subalgebra, InvalidSpec,
 )
+from .roots import build_parabolic
 from . import cx
 from .cx import (
     ComplexStructure, TorusComplexStructure, TheoremViolation, NotInvariant,
@@ -54,6 +56,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,16 @@ def _require_keys(obj, allowed, required, where):
             raise ParseError(f"{where}: missing field {k!r}")
 
 
+def _lists(x):
+    return isinstance(x, list) and all(isinstance(r, list) for r in x)
+
+
+def _require_int(x, what):
+    if type(x) is not int:  # a JSON true/false is not an integer here
+        raise ParseError(f"{what} must be an integer")
+    return x
+
+
 def _parse_rat(s, where):
     try:
         return parse_rational(s)
@@ -78,7 +91,7 @@ def _parse_rat(s, where):
 
 
 def _parse_matrix(rows, where):
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+    if not _lists(rows):
         raise ParseError(f"{where}: expected a list of rows")
     out = []
     for i, r in enumerate(rows):
@@ -89,13 +102,15 @@ def _parse_matrix(rows, where):
 
 
 def _parse_algebra_spec(obj, where="algebra"):
-    if "table" in obj:
+    if isinstance(obj, dict) and "table" in obj:
         _require_keys(obj, {"table", "inner_product"}, {"table"}, where)
         table = obj["table"]
+        if not _lists(table):
+            raise ParseError(f"{where}.table: expected a list of rows")
         n = len(table)
         parsed = []
         for i, row in enumerate(table):
-            if len(row) != n:
+            if len(row) != n or not _lists(row):
                 raise ParseError(f"{where}.table: expected {n}x{n} of vectors")
             parsed.append([vec(_parse_rat(x, f"{where}.table[{i}][{j}]")
                                for x in v)
@@ -115,9 +130,8 @@ def _parse_algebra_spec(obj, where="algebra"):
             for p in parts)), None)
     if "n" not in obj:
         raise ParseError(f"{where}: {kind} needs n")
-    if not isinstance(obj["n"], int):
-        raise ParseError(f"{where}: n must be an integer")
-    return ("spec", AlgebraSpec(kind, obj["n"]), None)
+    return ("spec", AlgebraSpec(kind, _require_int(obj["n"], f"{where}: n")),
+            None)
 
 
 def _resolve_spec(parsed):
@@ -156,9 +170,13 @@ def parse_obj(raw) -> ProblemSpec:
     mode, payload, inner = _parse_algebra_spec(raw["algebra"])
     sub = raw.get("subalgebra", {"name": "zero"})
     _require_keys(sub, {"name", "k", "vectors"}, {"name"}, "subalgebra")
+    if "k" in sub:
+        _require_int(sub["k"], "subalgebra: k")
     if sub["name"] == "span":
         if "vectors" not in sub:
             raise ParseError("subalgebra: span needs vectors")
+        if not _lists(sub["vectors"]):
+            raise ParseError("subalgebra: vectors must be a list of vectors")
         sub = dict(sub, vectors=[
             [_parse_rat(x, "subalgebra.vectors") for x in v]
             for v in sub["vectors"]])
@@ -169,8 +187,8 @@ def parse_obj(raw) -> ProblemSpec:
     if j1 is not None and j1 != "default":
         j1 = _parse_matrix(j1, "j1")
     pk = raw.get("parabolic_index")
-    if pk is not None and not isinstance(pk, int):
-        raise ParseError("parabolic_index must be an integer")
+    if pk is not None:
+        _require_int(pk, "parabolic_index")
     return ProblemSpec(mode, payload, inner, sub, j, pk, j1)
 
 
@@ -230,17 +248,13 @@ def _structure(ps, quot) -> ComplexStructure:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _rat(x):
-    return format_rational(x)
-
-
 def _gq(x: GQ):
-    return {"re": _rat(x.re), "im": _rat(x.im)}
+    return {"re": format_rational(x.re), "im": format_rational(x.im)}
 
 
 def _ser_vec(v):
     if all(x.im == 0 for x in v):
-        return [_rat(x.re) for x in v]
+        return [format_rational(x.re) for x in v]
     return [_gq(x) for x in v]
 
 
@@ -366,20 +380,21 @@ def cmd_classify(ps, args):
 
 
 def _select_parabolic(ps, g, h):
-    report = cx.classify(g, h)
-    if not report.exists:
-        raise ValidationError(f"no structures exist: {report.reason}")
+    """classify(g, h).parabolics[k], building only that parabolic."""
+    found = cx.levi_systems(g, h, [])
+    if isinstance(found, str):
+        raise ValidationError(f"no structures exist: {found}")
     k = ps.parabolic_index
     if k is None:
         raise ValidationError("construct needs parabolic_index")
-    if not 0 <= k < len(report.parabolics):
+    m, _, rd, systems = found
+    if not 0 <= k < len(systems):
         raise ValidationError(
-            f"parabolic_index {k} out of range 0..{len(report.parabolics) - 1}")
-    return report, report.parabolics[k]
+            f"parabolic_index {k} out of range 0..{len(systems) - 1}")
+    return build_parabolic(rd, m, systems[k])
 
 
 def _torus_structure(ps, p, quot):
-    from .exact import relative_complement
     u = relative_complement(p.levi_real.space, quot.h.space)
     if ps.j1 is None or ps.j1 == "default":
         return None
@@ -395,7 +410,7 @@ def _torus_structure(ps, p, quot):
 
 def cmd_construct(ps, args):
     g, h, quot = _resolve_problem(ps)
-    report, p = _select_parabolic(ps, g, h)
+    p = _select_parabolic(ps, g, h)
     j1 = _torus_structure(ps, p, quot)
     J = cx.construct_J(quot, p, j1)
     _, j1_out = cx.decompose_J(J)
@@ -449,7 +464,7 @@ def cmd_symmetric(ps, args):
     if ps.j is not None:
         J = _structure(ps, quot)
     else:
-        report, p = _select_parabolic(ps, g, h)
+        p = _select_parabolic(ps, g, h)
         J = cx.construct_J(quot, p, _torus_structure(ps, p, quot))
     if not cx.is_invariant(J):
         raise ValidationError("j is not invariant under the isotropy action")
@@ -472,10 +487,6 @@ COMMANDS = {
     "verify": cmd_verify,
     "symmetric": cmd_symmetric,
 }
-
-
-def run(command, ps: ProblemSpec, args):
-    return COMMANDS[command](ps, args)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +533,7 @@ def main(argv=None):
                         ps.j1 = _parse_matrix(json.load(fh), "j1")
                 except (OSError, json.JSONDecodeError) as e:
                     raise ParseError(f"cannot read j1 file: {e}") from None
-        report, code = run(args.command, ps, args)
+        report, code = COMMANDS[args.command](ps, args)
     except (ParseError, ValidationError) as e:
         _emit({"command": args.command, "error": type(e).__name__,
                "message": str(e)}, args.out)
@@ -535,6 +546,10 @@ def main(argv=None):
         _emit({"command": args.command, "error": type(e).__name__,
                "message": str(e)}, args.out)
         return EXIT_INPUT
+    except Exception as e:  # a bug; SIGTERM-style BaseExceptions pass through
+        _emit({"command": args.command, "error": "InternalError",
+               "message": f"{type(e).__name__}: {e}"}, args.out)
+        return EXIT_INTERNAL
     _emit(report, args.out)
     return code
 

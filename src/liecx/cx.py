@@ -15,18 +15,19 @@ from dataclasses import dataclass, field
 
 from .exact import (
     GQ, ONE, ZERO, I, Matrix, Subspace, ExactError,
-    kernel, inverse, solve, vunit, vzero, vadd, vsub, vneg, vscale, vconj,
-    is_zero_vec, relative_complement, span_sum, real_points,
+    kernel, inverse, solve, lincomb, vunit, vzero, vadd, vsub, vneg, vscale,
+    vconj, is_zero_vec, relative_complement, span_sum, real_points,
+    realify_vector, realify_subspace,
 )
 from .liealg import (
     LieAlgebra, Subalgebra, Quotient,
-    centralizer, derived, center, radical, is_solvable,
+    centralizer, normalizer, derived, center, radical, is_solvable, is_closed,
     extend_to_maximal_abelian, reduction_matrix, zero_subalgebra,
     full_subalgebra,
 )
 from .roots import (
     Parabolic, root_decomposition, enumerate_positive_systems,
-    build_parabolic, killing_perp_nilradical, LeviMismatch,
+    build_parabolic, LeviMismatch,
 )
 
 
@@ -90,11 +91,6 @@ class TorusComplexStructure:
         if f and self.j1 * self.j1 != Matrix.identity(f).scale(GQ(-1)):
             raise ExactError("J1^2 != -id")
 
-    def __eq__(self, o):
-        if not isinstance(o, TorusComplexStructure):
-            return NotImplemented
-        return self.u == o.u and self.j1 == o.j1
-
 
 def default_torus_structure(u: Subspace) -> TorusComplexStructure:
     """Pair consecutive fiber coordinates: J1 e_{2k} = e_{2k+1}."""
@@ -105,8 +101,7 @@ def default_torus_structure(u: Subspace) -> TorusComplexStructure:
     for k in range(0, f, 2):
         cols.append(vunit(f, k + 1))
         cols.append(vscale(GQ(-1), vunit(f, k)))
-    return TorusComplexStructure(u, Matrix.from_columns(cols) if cols
-                                 else Matrix.zeros(0, 0))
+    return TorusComplexStructure(u, Matrix.from_columns(cols))
 
 
 @dataclass
@@ -194,19 +189,13 @@ def plus_space(J: ComplexStructure) -> Subspace:
     return l
 
 
-def _closed(g: LieAlgebra, s: Subspace) -> bool:
-    bs = s.basis_vectors()
-    return all(s.contains(g.bracket(a, b))
-               for i, a in enumerate(bs) for b in bs[i + 1:])
-
-
 def is_integrable(J: ComplexStructure) -> bool:
     """Dual method: N = 0 on all basis pairs, and l bracket-closed.  The two
     are computed independently, once per J, and must agree."""
     _require_invariant(J)
     if J._integrable is None:
         by_nijenhuis = nijenhuis_vanishes(J) is None
-        by_closure = _closed(J.quotient.algebra, plus_space(J))
+        by_closure = is_closed(J.quotient.algebra, plus_space(J))
         if by_nijenhuis != by_closure:
             raise TheoremViolation(
                 f"integrability methods disagree: N==0 is {by_nijenhuis}, "
@@ -226,18 +215,13 @@ def compute_m(J: ComplexStructure) -> MData:
         raise ExactError("m is canonical only for integrable J")
     q = J.quotient
     g = q.algebra
-    n, qd = g.dim, q.dim
-    rows = []
-    rh = reduction_matrix(q.h.space)
-    for v in q.h.basis_vectors():
-        rows.extend((rh * g.ad(v)).rows)
-    # columns of x -> vec(J ad-bar(x) - ad-bar(x) J)
-    comm_cols = []
-    for i in range(n):
-        a = q.induced_map(vunit(n, i))
-        comm_cols.append((J.j * a - a * J.j).flatten())
-    rows.extend(Matrix.from_columns(comm_cols).rows)
-    m_space = kernel(Matrix(rows))
+    # the x in N_g(h) with [ad-bar(x), J] = 0; column k is that commutator
+    # for the k-th basis vector of N_g(h)
+    nb = normalizer(g, q.h).basis_vectors()
+    comm = Matrix.from_columns([(J.j * a - a * J.j).flatten()
+                                for a in map(q.induced_map, nb)])
+    m_space = Subspace.from_vectors(g.dim, [
+        lincomb(g.dim, c, nb) for c in kernel(comm).basis_vectors()])
     m = Subalgebra(g, m_space, check=True)
     if not m_space.contains_subspace(q.h.space):
         raise TheoremViolation("h is not contained in m")
@@ -271,15 +255,8 @@ def construct_J(quot: Quotient, p: Parabolic,
     if j1.u != u:
         raise LeviMismatch("J1 lives on a different fiber complement")
     # lift the +i eigenspace of J1 from u-coordinates into g_C, add h_C and n
-    f = u.dim
-    lifted = []
-    if f:
-        vplus1 = kernel(j1.j1 - Matrix.identity(f).scale(I))
-        for c in vplus1.basis_vectors():
-            w = vzero(g.dim)
-            for ci, ub in zip(c, u.basis_vectors()):
-                w = vadd(w, vscale(ci, ub))
-            lifted.append(w)
+    lifted = [lincomb(g.dim, c, u.basis_vectors()) for c in
+              kernel(j1.j1 - Matrix.identity(u.dim).scale(I)).basis_vectors()]
     e_space = span_sum(g.dim, [
         Subspace.from_vectors(g.dim, list(h.basis_vectors()) + lifted),
         p.nilradical.space])
@@ -299,9 +276,8 @@ def construct_J(quot: Quotient, p: Parabolic,
     fdim = len(vb)
     for k in range(quot.dim):
         c = mix_inv.matvec(vunit(quot.dim, k))
-        w = vzero(quot.dim)
-        for a in range(fdim):
-            w = vadd(w, vscale(c[a] + I * c[fdim + a], vb[a]))
+        w = lincomb(quot.dim,
+                    [c[a] + I * c[fdim + a] for a in range(fdim)], vb)
         jcols.append(vscale(I, vsub(w, vconj(w))))
     J = ComplexStructure(quot, Matrix.from_columns(jcols))
     if not is_invariant(J):
@@ -313,26 +289,18 @@ def construct_J(quot: Quotient, p: Parabolic,
 
 def decompose_J(J: ComplexStructure):
     """Recover (p, J1) with J = J(p, J1): p is the normalizer of l in g_C,
-    the nilradical is cross-checked by two independent methods, J1 is the
-    restriction of J to the fiber m/h."""
+    rebuilt from root spaces (build_parabolic cross-checks the nilradical
+    with the Killing-perpendicular one), J1 is the restriction of J to the
+    fiber m/h."""
     _require_invariant(J)
     if not is_integrable(J):
         raise ExactError("decomposition requires an integrable J")
     quot = J.quotient
     g = quot.algebra
-    gc = g.complexify()
-    l = plus_space(J)
-    rl = reduction_matrix(l)
-    rows = []
-    for b in l.basis_vectors():
-        rows.extend((rl * g.ad(b)).rows)
-    p_space = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
-    m_space = real_points(p_space)
+    p_space = normalizer(g, Subalgebra(g, plus_space(J), check=False)).space
     md = compute_m(J)
-    if m_space != md.m.space:
+    if real_points(p_space) != md.m.space:
         raise TheoremViolation("p n g disagrees with the canonical m")
-    n_space = killing_perp_nilradical(gc, p_space)
-    # independent root-space construction of the nilradical
     a = extend_to_maximal_abelian(g, md.center_m)
     rd = root_decomposition(g, a)
     q_plus = tuple(sorted(
@@ -340,32 +308,24 @@ def decompose_J(J: ComplexStructure):
         if p_space.contains_subspace(r.space)
         and not p_space.contains_subspace(rd.roots[rd.negative_of(i)].space)))
     parabolic = build_parabolic(rd, md.m, q_plus)
-    if parabolic.nilradical.space != n_space:
-        raise TheoremViolation("nilradical methods disagree")
     if parabolic.space.space != p_space:
         raise TheoremViolation("rebuilt parabolic differs from the normalizer")
     # J1: restriction of J to m/h, in the canonical fiber coordinates
     u = md.u
-    if u.dim:
-        ucols = [quot.project(ub) for ub in u.basis_vectors()]
-        umat = Matrix.from_columns(ucols)
-        j1cols = []
-        for ub in u.basis_vectors():
-            img = J.j.matvec(quot.project(ub))
-            c = solve(umat, img)
-            if c is None:
-                raise TheoremViolation("J does not preserve m/h")
-            j1cols.append(c)
-        j1 = Matrix.from_columns(j1cols)
-    else:
-        j1 = Matrix.zeros(0, 0)
-    return parabolic, TorusComplexStructure(u, j1)
+    umat = Matrix.from_columns([quot.project(ub) for ub in u.basis_vectors()])
+    j1cols = []
+    for ub in u.basis_vectors():
+        c = solve(umat, J.j.matvec(quot.project(ub)))
+        if c is None:
+            raise TheoremViolation("J does not preserve m/h")
+        j1cols.append(c)
+    return parabolic, TorusComplexStructure(u, Matrix.from_columns(j1cols))
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-def _levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
+def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
     """classify's canonical m = t + h, with t maximal abelian in C_g(h), its
     root datum and its positive systems; or the reason no structure exists.
     Each certificate checked on the way is appended to the ledger."""
@@ -399,7 +359,7 @@ def classify(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
     g/h: canonical m = t + h for a maximal abelian t in C_g(h), then all
     parabolics with Levi m relative to one fixed Cartan."""
     ledger = []
-    found = _levi_systems(g, h, ledger)
+    found = levi_systems(g, h, ledger)
     if isinstance(found, str):
         return ClassificationReport(False, found, None, [], 0, "", ledger)
     m, cm, rd, systems = found
@@ -419,7 +379,7 @@ def parabolic_index(g: LieAlgebra, h: Subalgebra, p: Parabolic):
     """The index of p among classify(g, h).parabolics, or None: the positive
     system whose root spaces span p together with classify's m_C.  A
     parabolic is determined by its space, so no parabolic is built."""
-    found = _levi_systems(g, h, [])
+    found = levi_systems(g, h, [])
     if isinstance(found, str):
         return None
     m, _, rd, systems = found
@@ -439,7 +399,6 @@ def verify_structure(J: ComplexStructure):
         raise ExactError("verification ledger requires an integrable J")
     quot = J.quotient
     g = quot.algebra
-    gc = g.complexify()
     n, hd = g.dim, quot.h.dim
     l = plus_space(J)
     tau_l = l.conjugate()
@@ -449,8 +408,8 @@ def verify_structure(J: ComplexStructure):
         out.append(LedgerEntry(name, ok, detail))
 
     real_axes = Subspace.from_vectors(
-        2 * n, [_realify(vunit(n, j)) for j in range(n)])
-    lr = _realify_space(l)
+        2 * n, [realify_vector(vunit(n, j)) for j in range(n)])
+    lr = realify_subspace(l)
     entry("gc_equals_g_plus_l", real_axes.add(lr).dim == 2 * n,
           "g + l spans g_C over R")
     entry("gc_equals_l_plus_tau_l", l.add(tau_l).dim == n,
@@ -460,7 +419,7 @@ def verify_structure(J: ComplexStructure):
     entry("l_cap_g_equals_h", real_points(l) == quot.h.space,
           "l n g = h")
     entry("dim_l", 2 * l.dim == n + hd, f"dim_C l = {l.dim}")
-    lsub = Subalgebra(gc, l, check=False)
+    lsub = Subalgebra(g, l, check=False)
     r = radical(lsub)
     ch = center(g, quot.h)
     entry("dim_r_prime", 2 * (r.dim - ch.dim) == n - hd,
@@ -480,16 +439,6 @@ def verify_structure(J: ComplexStructure):
     return out
 
 
-def _realify(v):
-    from .exact import realify_vector
-    return realify_vector(v)
-
-
-def _realify_space(s):
-    from .exact import realify_subspace
-    return realify_subspace(s)
-
-
 def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
     """Perturb every lift by random h elements and require bit-identical
     Nijenhuis values; also checks the antisymmetry and J-twist symmetries."""
@@ -502,11 +451,8 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
     hb = quot.h.basis_vectors()
 
     def rand_h():
-        v = vzero(g.dim)
-        for b in hb:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            v = vadd(v, vscale(GQ(c), b))
-        return v
+        return lincomb(g.dim, [GQ(Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 9))) for _ in hb], hb)
 
     failures = []
     evaluations = 0
@@ -551,32 +497,31 @@ def largest_ideal_inside(g: LieAlgebra, h: Subalgebra) -> Subspace:
     """The maximal ad(g)-stable subspace of h."""
     cur = h.space
     while True:
-        rows = list(reduction_matrix(cur).rows)
+        rc = reduction_matrix(cur)
+        rows = list(rc.rows)
         for j in range(g.dim):
-            rows.extend((reduction_matrix(cur) * g.ad(vunit(g.dim, j))).rows)
+            rows.extend((rc * g.ad(vunit(g.dim, j))).rows)
         nxt = kernel(Matrix(rows))
         if nxt == cur:
             return cur
         cur = nxt
 
 
+def commutant(q, gens):
+    """A basis of the q x q matrices X with M X = X M for every M in gens."""
+    units = [Matrix.from_columns([vunit(q, a) if j == b else vzero(q)
+                                  for j in range(q)])
+             for a in range(q) for b in range(q)]
+    # column k: vec(M E_k - E_k M) for every M in gens, stacked
+    cols = [sum(((m * e - e * m).flatten() for m in gens), ()) for e in units]
+    return [Matrix([v[i * q:(i + 1) * q] for i in range(q)])
+            for v in kernel(Matrix.from_columns(cols)).basis_vectors()]
+
+
 def commutant_dimension(J: ComplexStructure):
     """Dimension over C of the algebra of endomorphisms of g/h commuting
     with both the isotropy action and J."""
-    q = J.quotient.dim
-    gens = induced_actions(J) + [J.j]
-    rows = []
-    # unknown X as q*q entries; constraints vec(M X - X M) = 0
-    basis_mats = []
-    for a in range(q):
-        for b in range(q):
-            e = Matrix.from_columns(
-                [vunit(q, a) if j == b else vzero(q) for j in range(q)])
-            basis_mats.append(e)
-    for m in gens:
-        cols = [(m * e - e * m).flatten() for e in basis_mats]
-        rows.extend(Matrix.from_columns(cols).rows)
-    dim_real = kernel(Matrix(rows)).dim
+    dim_real = len(commutant(J.quotient.dim, induced_actions(J) + [J.j]))
     if dim_real % 2:
         raise TheoremViolation("commutant is not J-stable")  # pragma: no cover
     return dim_real // 2
@@ -611,7 +556,7 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra,
     m_eq = p.levi_real.space == h.space
     checks.append(LedgerEntry("m_equals_h", m_eq, ""))
     nsp = p.nilradical.space
-    n_ab = _abelian_space(g, nsp)
+    n_ab = p.nilradical.is_abelian()
     checks.append(LedgerEntry("nilradical_abelian", n_ab, ""))
     tau_n = nsp.conjugate()
     bracket_ok = all(h.space.contains(g.bracket(a, b))
@@ -642,9 +587,3 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra,
     ok = m_eq and n_ab and bracket_ok and split_ok and theta_ok
     return SymmetricVerdict("symmetric" if ok else "not_symmetric",
                             "" if ok else "certificate_failed", checks)
-
-
-def _abelian_space(g, s: Subspace):
-    bs = s.basis_vectors()
-    return all(is_zero_vec(g.bracket(a, b))
-               for i, a in enumerate(bs) for b in bs[i + 1:])

@@ -169,6 +169,15 @@ def vconj(a):
     return tuple(x.conjugate() for x in a)
 
 
+def lincomb(n, coeffs, vectors):
+    """sum_k coeffs[k] * vectors[k], a vector of length n."""
+    v = vzero(n)
+    for c, b in zip(coeffs, vectors):
+        if c:
+            v = vadd(v, vscale(c, b))
+    return v
+
+
 def vdot(a, b):
     s = ZERO
     for x, y in zip(a, b, strict=True):
@@ -222,7 +231,9 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self):
-        return Matrix([self.column(j) for j in range(self.ncols)])
+        t = Matrix([self.column(j) for j in range(self.ncols)])
+        t.ncols = self.nrows  # an n x 0 matrix turns into a 0 x n one
+        return t
 
     def __add__(self, o):
         return Matrix([vadd(a, b) for a, b in zip(self.rows, o.rows, strict=True)])
@@ -419,8 +430,6 @@ class Subspace:
         return Subspace.from_vectors(
             self.ambient_dim, list(self.basis.rows) + list(other.basis.rows))
 
-    __or__ = add
-
     def intersect(self, other):
         self._check(other)
         if self.dim == 0 or other.dim == 0:
@@ -430,17 +439,9 @@ class Subspace:
         bt = other.basis.transpose()
         stacked = Matrix([list(ar) + list(vneg(br))
                           for ar, br in zip(at.rows, bt.rows)])
-        ker = kernel(stacked)
-        vecs = []
-        for k in ker.basis_vectors():
-            a = k[:self.dim]
-            v = vzero(self.ambient_dim)
-            for c, row in zip(a, self.basis.rows):
-                v = vadd(v, vscale(c, row))
-            vecs.append(v)
-        return Subspace.from_vectors(self.ambient_dim, vecs)
-
-    __and__ = intersect
+        return Subspace.from_vectors(self.ambient_dim, [
+            lincomb(self.ambient_dim, k[:self.dim], self.basis.rows)
+            for k in kernel(stacked).basis_vectors()])
 
     def complement(self):
         """The coordinate subspace spanned by the non-pivot axes."""
@@ -484,7 +485,6 @@ def relative_complement(outer: Subspace, inner: Subspace) -> Subspace:
     if not outer.contains_subspace(inner):
         raise ExactError("inner is not contained in outer")
     chosen = []
-    cur = [list(b) for b in inner.basis_vectors()]
     cur_space = inner
     for row in outer.basis_vectors():
         if not cur_space.contains(row):

@@ -1,6 +1,6 @@
 """Lie algebras given by rational structure constants, with the standard
 constructions: centralizer, normalizer, derived algebra, center, quotients,
-complexification, Killing form, radical and Cartan extension.
+Killing form, radical and Cartan extension.
 
 A compact Lie algebra here means one carrying a validated ad-invariant
 positive definite inner product; that hypothesis is what every downstream
@@ -15,7 +15,7 @@ from math import lcm
 
 from .exact import (
     GQ, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
-    kernel, vec, vunit, vzero, vadd, vscale, vconj, vdot, is_zero_vec,
+    kernel, lincomb, vec, vunit, vadd, vscale, vdot, is_zero_vec,
 )
 
 
@@ -28,10 +28,6 @@ class NotClosed(LieAlgebraError):
 
 
 class NotAbelian(LieAlgebraError):
-    pass
-
-
-class AlreadyComplex(LieAlgebraError):
     pass
 
 
@@ -48,14 +44,15 @@ class LieAlgebra:
     """A Lie algebra by its bracket table [e_i, e_j] = table[i][j].
 
     The same structure tensor serves the real algebra and its
-    complexification; `complexified` only switches which scalars a vector may
-    carry and enables the conjugation tau.  `terms[i][j]` lists the nonzero
-    (k, c) of table[i][j], so brackets and traces skip the zeros;
+    complexification: a vector with Gaussian-rational entries is a point of
+    g_C, and tau is coordinate-wise conjugation (`vconj`).  `terms[i][j]`
+    lists the nonzero (k, c) of table[i][j], so brackets and traces skip
+    the zeros;
     `int_terms[i][j]` lists the same terms as (k, re, im) integers over the
     common denominator `table_den`, for the bracket to accumulate in ints.
     """
 
-    def __init__(self, table, inner_product=None, name="", complexified=False):
+    def __init__(self, table, inner_product=None, name=""):
         self.table = tuple(tuple(vec(v) for v in row) for row in table)
         self.dim = len(self.table)
         for row in self.table:
@@ -67,18 +64,8 @@ class LieAlgebra:
         self.inner_product = inner_product if inner_product is not None \
             else Matrix.identity(self.dim)
         self.name = name
-        self.complexified = complexified
         self._killing_gram = None
         self._derived_span = None
-        self._complexification = None
-
-    @classmethod
-    def from_structure_constants(cls, c, **kw):
-        """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
-        return cls([[vec(ck) for ck in row] for row in c], **kw)
-
-    def structure_constants(self):
-        return self.table
 
     # -- basic algebra ------------------------------------------------------
 
@@ -142,24 +129,6 @@ class LieAlgebra:
     def killing(self, x, y):
         return vdot(x, self.killing_gram().matvec(y))
 
-    # -- complexification ---------------------------------------------------
-
-    def complexify(self) -> "LieAlgebra":
-        if self.complexified:
-            raise AlreadyComplex(self.name)
-        if self._complexification is None:
-            gc = LieAlgebra(self.table, inner_product=self.inner_product,
-                            name=self.name + "_C", complexified=True)
-            gc._killing_gram = self._killing_gram
-            self._complexification = gc
-        return self._complexification
-
-    def conjugate(self, x):
-        """tau: coordinate-wise conjugation, fixing exactly the real points."""
-        if not self.complexified:
-            raise LieAlgebraError("conjugation lives on the complexification")
-        return vconj(x)
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationResult:
@@ -184,7 +153,7 @@ class LieAlgebra:
         ip = self.inner_product
         if ip != ip.transpose():
             failures.append("inner product not symmetric")
-        if not self.complexified and not _positive_definite(ip):
+        if not _positive_definite(ip):
             failures.append("inner product not positive definite")
         if n and ip.ncols != n:  # an inner product of the wrong size
             raise DimensionMismatch(f"matvec: {n} != {ip.ncols}")
@@ -257,7 +226,7 @@ class Subalgebra:
             raise DimensionMismatch("subalgebra ambient mismatch")
         self.algebra = algebra
         self.space = space
-        if check and not _closed_under_bracket(algebra, space):
+        if check and not is_closed(algebra, space):
             raise NotClosed("subspace is not closed under the bracket")
         self.closed = True
 
@@ -273,9 +242,8 @@ class Subalgebra:
         return self.space.basis_vectors()
 
     def is_abelian(self):
-        bs = self.basis_vectors()
-        return all(is_zero_vec(self.algebra.bracket(a, b))
-                   for i, a in enumerate(bs) for b in bs[i + 1:])
+        return all(is_zero_vec(b)
+                   for b in pair_brackets(self.algebra, self.basis_vectors()))
 
     def __eq__(self, o):
         if not isinstance(o, Subalgebra):
@@ -289,13 +257,15 @@ class Subalgebra:
         return f"Subalgebra(dim {self.dim} of {self.algebra.name or 'anon'})"
 
 
-def _closed_under_bracket(g, space):
-    bs = space.basis_vectors()
-    for i, a in enumerate(bs):
-        for b in bs[i + 1:]:
-            if not space.contains(g.bracket(a, b)):
-                return False
-    return True
+def pair_brackets(g, vectors):
+    """[a, b] for every pair a before b of vectors, lazily and in order."""
+    return (g.bracket(a, b) for i, a in enumerate(vectors)
+            for b in vectors[i + 1:])
+
+
+def is_closed(g, space: Subspace) -> bool:
+    return all(space.contains(b)
+               for b in pair_brackets(g, space.basis_vectors()))
 
 
 def zero_subalgebra(g):
@@ -324,7 +294,7 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
-    """{x : [x, h] subset of h}; contains h."""
+    """{x : [x, h] subset of h}; contains h.  h may be a subalgebra of g_C."""
     if h.dim == 0:
         return full_subalgebra(g)
     rh = reduction_matrix(h.space)
@@ -336,9 +306,8 @@ def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
 
 def derived(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
     """[s, s], canonicalized."""
-    bs = s.basis_vectors()
-    brackets = [g.bracket(a, b) for i, a in enumerate(bs) for b in bs[i + 1:]]
-    return Subalgebra(g, Subspace.from_vectors(g.dim, brackets), check=False)
+    return Subalgebra(g, Subspace.from_vectors(
+        g.dim, pair_brackets(g, s.basis_vectors())), check=False)
 
 
 def center(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
@@ -347,20 +316,13 @@ def center(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
                       check=False)
 
 
-def derived_series_reaches_zero(g, space: Subspace):
-    cur = space
-    while cur.dim > 0:
-        bs = cur.basis_vectors()
-        nxt = Subspace.from_vectors(
-            g.dim, [g.bracket(a, b) for i, a in enumerate(bs) for b in bs[i + 1:]])
-        if nxt.dim == cur.dim:
-            return False
-        cur = nxt
-    return True
-
-
 def is_solvable(s: Subalgebra) -> bool:
-    return derived_series_reaches_zero(s.algebra, s.space)
+    while s.dim > 0:
+        nxt = derived(s.algebra, s)
+        if nxt.dim == s.dim:
+            return False
+        s = nxt
+    return True
 
 
 def is_nilpotent(s: Subalgebra) -> bool:
@@ -391,19 +353,13 @@ def radical(l: Subalgebra) -> Subalgebra:
         ad_l.append(Matrix.from_columns(cols))
     gram = Matrix([[(ad_l[i] * ad_l[j]).trace() for j in range(d)] for i in range(d)])
     der = Subspace.from_vectors(
-        d, [l.space.coords(g.bracket(a, b))
-            for i, a in enumerate(bs) for b in bs[i + 1:]])
+        d, [l.space.coords(b) for b in pair_brackets(g, bs)])
     if der.dim == 0:
         return l
     rows = [gram.matvec(dv) for dv in der.basis_vectors()]  # symmetric gram
-    ker = kernel(Matrix(rows))
-    vecs = []
-    for c in ker.basis_vectors():
-        v = vzero(g.dim)
-        for ci, b in zip(c, bs):
-            v = vadd(v, vscale(ci, b))
-        vecs.append(v)
-    return Subalgebra(g, Subspace.from_vectors(g.dim, vecs), check=False)
+    return Subalgebra(g, Subspace.from_vectors(g.dim, [
+        lincomb(g.dim, c, bs) for c in kernel(Matrix(rows)).basis_vectors()]),
+        check=False)
 
 
 def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
@@ -465,9 +421,9 @@ class Quotient:
     def induced_map(self, x) -> Matrix:
         """The action of ad(x) on g/h (x must normalize h for this to be
         well defined; callers check)."""
-        cols = [self.project(self.algebra.bracket(x, self.lift(u)))
-                for u in (Matrix.identity(self.dim).rows if self.dim else [])]
-        return Matrix.from_columns(cols) if cols else Matrix.zeros(0, 0)
+        return Matrix.from_columns(
+            [self.project(self.algebra.bracket(x, self.lift(u)))
+             for u in Matrix.identity(self.dim).rows])
 
 
 def quotient(g: LieAlgebra, h: Subalgebra) -> Quotient:

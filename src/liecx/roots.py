@@ -13,13 +13,12 @@ import itertools
 from dataclasses import dataclass
 
 from .exact import (
-    GQ, ONE, ZERO, I, Matrix, Subspace, ExactError, IrrationalSpectrum,
-    kernel, vunit, vzero, vadd, vscale, is_zero_vec, rational_eigenvalues,
-    real_points, span_sum,
+    GQ, ONE, ZERO, I, Matrix, Subspace, ExactError,
+    kernel, lincomb, vscale, rational_eigenvalues, real_points, span_sum,
 )
 from .liealg import (
-    LieAlgebra, Subalgebra, centralizer, center, extend_to_maximal_abelian,
-    is_nilpotent, reduction_matrix,
+    LieAlgebra, Subalgebra, centralizer, center, derived,
+    extend_to_maximal_abelian, full_subalgebra, is_nilpotent,
 )
 
 
@@ -79,23 +78,22 @@ class RootDatum:
         return self.root_index(self.roots[i].negate_values())
 
 
+def _power_combinations(n, basis):
+    """The elements sum_j k^j basis[j] for k = 1, 2, 3, ..., in that order."""
+    k = 1
+    while True:
+        yield lincomb(n, [GQ(k ** j) for j in range(len(basis))], basis)
+        k += 1
+
+
 def find_regular(g: LieAlgebra, a: Subalgebra):
     """First element of a with coefficient pattern (1, k, k^2, ...) whose
     centralizer is exactly a."""
     if centralizer(g, a.space).space != a.space:
         raise NotCartan("subalgebra is not self-centralizing")
-    basis = a.basis_vectors()
-    r = len(basis)
-    k = 1
-    while True:
-        h0 = vzero(g.dim)
-        c = 1
-        for b in basis:
-            h0 = vadd(h0, vscale(GQ(c), b))
-            c *= k
-        if centralizer(g, Subspace.from_vectors(g.dim, [h0])).space == a.space:
-            return h0
-        k += 1
+    return next(h0 for h0 in _power_combinations(g.dim, a.basis_vectors())
+                if centralizer(g, Subspace.from_vectors(g.dim, [h0])).space
+                == a.space)
 
 
 def _restrict(g: LieAlgebra, op_vec, space: Subspace, scale=ONE) -> Matrix:
@@ -107,7 +105,7 @@ def _restrict(g: LieAlgebra, op_vec, space: Subspace, scale=ONE) -> Matrix:
         if not space.contains(img):
             raise NonSemisimpleAction("subspace is not ad-invariant")
         cols.append(space.coords(img))
-    return Matrix.from_columns(cols) if cols else Matrix.zeros(0, 0)
+    return Matrix.from_columns(cols)
 
 
 def _eigenspaces(g, op_vec, space, scale):
@@ -119,14 +117,9 @@ def _eigenspaces(g, op_vec, space, scale):
     total = 0
     for lam in sorted(set(eigs)):
         shifted = b - Matrix.identity(b.nrows).scale(GQ(lam))
-        ker = kernel(shifted)
-        vecs = []
-        for c in ker.basis_vectors():
-            v = vzero(space.ambient_dim)
-            for ci, bas in zip(c, space.basis_vectors()):
-                v = vadd(v, vscale(ci, bas))
-            vecs.append(v)
-        sub = Subspace.from_vectors(space.ambient_dim, vecs)
+        sub = Subspace.from_vectors(space.ambient_dim, [
+            lincomb(space.ambient_dim, c, space.basis_vectors())
+            for c in kernel(shifted).basis_vectors()])
         pieces.append((lam, sub))
         total += sub.dim
     if total != space.dim:
@@ -283,9 +276,7 @@ def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
 def derived_complex_span(g: LieAlgebra) -> Subspace:
     """[g, g], computed once per algebra."""
     if g._derived_span is None:
-        bs = [vunit(g.dim, i) for i in range(g.dim)]
-        g._derived_span = Subspace.from_vectors(
-            g.dim, [g.bracket(a, b) for i, a in enumerate(bs) for b in bs[i + 1:]])
+        g._derived_span = derived(g, full_subalgebra(g)).space
     return g._derived_span
 
 
@@ -301,13 +292,12 @@ def killing_perp_nilradical(g: LieAlgebra, p_space: Subspace) -> Subspace:
 def build_parabolic(rd: RootDatum, m: Subalgebra, q_plus) -> Parabolic:
     """p = m_C (+) (direct sum of the Q+ root spaces), fully validated."""
     g = rd.algebra
-    gc = g.complexify()
     n_space = span_sum(g.dim, [rd.roots[i].space for i in q_plus]) \
         if q_plus else Subspace.zero(g.dim)
     p_space = m.space.add(n_space)
     try:
-        p = Subalgebra(gc, p_space, check=True)
-        n = Subalgebra(gc, n_space, check=True)
+        p = Subalgebra(g, p_space, check=True)
+        n = Subalgebra(g, n_space, check=True)
     except Exception as e:
         raise ClosureFailure(f"p or n is not bracket-closed: {e}") from None
     # contains a Borel: the zero space plus one root space from each pair
@@ -331,7 +321,7 @@ def build_parabolic(rd: RootDatum, m: Subalgebra, q_plus) -> Parabolic:
     if n.dim and not is_nilpotent(n):
         raise ClosureFailure("n is not nilpotent")
     # independent oracle for the nilradical
-    if killing_perp_nilradical(gc, p_space) != n_space:
+    if killing_perp_nilradical(g, p_space) != n_space:
         raise ClosureFailure("Killing-perpendicular nilradical disagrees")
     return Parabolic(m, tuple(sorted(q_plus)), n, p, rd)
 
@@ -348,23 +338,9 @@ def parabolic_from_abelian(g: LieAlgebra, t: Subalgebra) -> Parabolic:
     if not q:
         return build_parabolic(rd, m, ())
     # deterministic search for h0 in i*t with alpha(h0) real nonzero on Q
-    basis = [vscale(I, b) for b in t.basis_vectors()]
-    k = 1
-    while True:
-        h0 = vzero(g.dim)
-        c = 1
-        for b in basis:
-            h0 = vadd(h0, vscale(GQ(c), b))
-            c *= k
-        vals = {}
-        ok = True
-        for i in q:
-            v = rd.roots[i].value_at(rd.cartan, h0)
-            if v.im != 0 or v.re == 0:
-                ok = False
-                break
-            vals[i] = v.re
-        if ok:
-            q_plus = tuple(sorted(i for i in q if vals[i] > 0))
-            return build_parabolic(rd, m, q_plus)
-        k += 1
+    for h0 in _power_combinations(
+            g.dim, [vscale(I, b) for b in t.basis_vectors()]):
+        vals = {i: rd.roots[i].value_at(rd.cartan, h0) for i in q}
+        if all(v.im == 0 and v.re != 0 for v in vals.values()):
+            return build_parabolic(
+                rd, m, tuple(sorted(i for i in q if vals[i].re > 0)))

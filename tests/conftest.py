@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liecx.exact import (
-    GQ, ZERO, ONE, Matrix, kernel, inverse, vunit, vzero,
+    GQ, ZERO, ONE, Matrix, inverse,
 )
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx.liealg import quotient as make_quotient
@@ -83,27 +83,6 @@ def acceptance_pairs():
 # ---------------------------------------------------------------------------
 # randomized invariant structures
 
-def isotropy_commutant_basis(quot):
-    """Basis of {S : [S, ad-bar(x)] = 0 for all x in h} on the quotient."""
-    q = quot.dim
-    gens = [quot.induced_map(x) for x in quot.h.basis_vectors()]
-    basis_mats = []
-    for a in range(q):
-        for b in range(q):
-            basis_mats.append(Matrix.from_columns(
-                [vunit(q, a) if j == b else vzero(q) for j in range(q)]))
-    rows = []
-    for m in gens:
-        cols = [(m * e - e * m).flatten() for e in basis_mats]
-        rows.extend(Matrix.from_columns(cols).rows)
-    if not rows:
-        return basis_mats
-    out = []
-    for v in kernel(Matrix(rows)).basis_vectors():
-        out.append(Matrix([list(v[i * q:(i + 1) * q]) for i in range(q)]))
-    return out
-
-
 def random_torus_structure(u, rng):
     """A random rational complex structure on an even-dim fiber, built from
     2x2 blocks [[a, b], [c, -a]] with a^2 + bc = -1."""
@@ -123,7 +102,9 @@ def random_torus_structure(u, rng):
 def random_invariant_structures(quot, j0, rng, count):
     """Invariant J candidates: conjugates S j0 S^-1 of a known invariant j0
     by random invertible elements of the isotropy commutant."""
-    basis = isotropy_commutant_basis(quot)
+    # the S with [S, ad-bar(x)] = 0 for all x in h
+    basis = cx.commutant(
+        quot.dim, [quot.induced_map(x) for x in quot.h.basis_vectors()])
     q = quot.dim
     out = []
     while len(out) < count:

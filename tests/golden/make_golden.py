@@ -39,6 +39,7 @@ def rotation_j(q, pairs):
 
 SU2 = {"kind": "su", "n": 2}
 SU3 = {"kind": "su", "n": 3}
+SU3_T = {"algebra": SU3, "subalgebra": {"name": "maximal_torus"}}
 
 # instance name -> (spec without j, a J that is not integrable there)
 INSTANCES = {
@@ -48,7 +49,7 @@ INSTANCES = {
         # J^2 = -I but not invariant under u(1)
         [["1", "-2"], ["1", "-1"]]),
     "su3_t": (
-        {"algebra": SU3, "subalgebra": {"name": "maximal_torus"}},
+        SU3_T,
         # sign pattern (+, -, +) on the three root planes: a cyclic
         # tournament, invariant and not integrable
         rotation_j(6, [(0, 1), (3, 2), (4, 5)])),
@@ -61,7 +62,28 @@ INSTANCES = {
          "subalgebra": {"name": "zero"}},
         # the swap J(x, y) = (-y, x): invariant and not integrable
         rotation_j(6, [(0, 3), (1, 4), (2, 5)])),
+    "u2_0": (
+        # a nontrivial torus fiber: m = u(2)'s center plus a Cartan of su(2)
+        {"algebra": {"kind": "u", "n": 2}, "subalgebra": {"name": "zero"}},
+        # a conjugate of an integrable J by an integer matrix; not integrable
+        [["1", "-3", "-1", "0"], ["0", "0", "0", "-1"],
+         ["2", "-3", "-1", "3"], ["0", "1", "0", "0"]]),
+    "so5_t": (
+        # 8 parabolics, one per Weyl chamber
+        {"algebra": {"kind": "so", "n": 5},
+         "subalgebra": {"name": "maximal_torus"}},
+        # a sign pattern on the root planes that is invariant, not integrable
+        rotation_j(8, [(0, 3), (1, 4), (5, 2), (6, 7)])),
 }
+
+# construct's input errors: (case name, spec, extra args)
+CONSTRUCT_ERRORS = [
+    ("su3_t__construct_out_of_range", SU3_T, ["--parabolic-index", "6"]),
+    ("su3_t__construct_no_index", SU3_T, []),
+    # "no structures exist: odd_dimension"
+    ("su2_0__construct", {"algebra": SU2, "subalgebra": {"name": "zero"}},
+     ["--parabolic-index", "0"]),
+]
 
 
 def run_case(spec, command, extra):
@@ -93,17 +115,22 @@ def cases_for(base, bad_j, j):
 
 
 def main():
-    manifest = []
+    cases = []
     for inst, (base, bad_j) in INSTANCES.items():
         _, construct = run_case(base, "construct", ["--parabolic-index", "0"])
         j = json.loads(construct)["j"]
-        for name, spec, command, extra in cases_for(base, bad_j, j):
-            code, report = run_case(spec, command, extra)
-            fname = f"{inst}__{name}.json"
-            (HERE / fname).write_bytes(report)
-            manifest.append({"file": fname, "spec": spec, "command": command,
-                             "args": extra, "exit_code": code})
-            print(f"{fname}: exit {code}")
+        cases += [(f"{inst}__{name}", spec, command, extra)
+                  for name, spec, command, extra in cases_for(base, bad_j, j)]
+    cases += [(name, spec, "construct", extra)
+              for name, spec, extra in CONSTRUCT_ERRORS]
+    manifest = []
+    for name, spec, command, extra in cases:
+        code, report = run_case(spec, command, extra)
+        fname = f"{name}.json"
+        (HERE / fname).write_bytes(report)
+        manifest.append({"file": fname, "spec": spec, "command": command,
+                         "args": extra, "exit_code": code})
+        print(f"{fname}: exit {code}")
     written = {c["file"] for c in manifest}
     path = HERE / "manifest.json"
     old = json.loads(path.read_text()) if path.exists() else []

@@ -141,7 +141,7 @@ def test_criterion_5_canonical_m():
         if h.dim == 0:
             if not md.m.is_abelian():
                 failures.append(f"{name}: m not abelian for h = 0")
-            l = Subalgebra(g.complexify(), cx.plus_space(J), check=False)
+            l = Subalgebra(g, cx.plus_space(J), check=False)
             if not is_solvable(l):
                 failures.append(f"{name}: l not solvable for h = 0")
     ok = not failures
@@ -205,10 +205,9 @@ def test_criterion_8_independent_oracles():
     failures = []
     parabolic_count = 0
     for name, g, h, quot, rep, js in corpus():
-        gc = g.complexify()
         for p in rep.parabolics:
             parabolic_count += 1
-            if killing_perp_nilradical(gc, p.space.space) != p.nilradical.space:
+            if killing_perp_nilradical(g, p.space.space) != p.nilradical.space:
                 failures.append(f"{name}: nilradical oracles disagree")
     rng = random.Random(2024)
     candidates = 0

@@ -177,3 +177,46 @@ def test_missing_spec_file(tmp_path):
     code = cli.main(["--spec", str(tmp_path / "nope.json"),
                      "--command", "classify", "--out", str(out)])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed shapes are input errors (exit 2), never a crash into exit 1
+
+def test_table_that_is_not_a_list_is_input_error(tmp_path):
+    code, rep = run(tmp_path, {"algebra": {"table": 5}}, "validate")
+    assert code == 2 and rep["error"] == "ParseError"
+
+
+def test_block_u_k_must_be_an_integer(tmp_path):
+    spec = {"algebra": {"kind": "su", "n": 3},
+            "subalgebra": {"name": "block_u", "k": "2"}}
+    code, rep = run(tmp_path, spec, "catalog")
+    assert code == 2 and rep["error"] == "ParseError"
+    assert rep["message"] == "subalgebra: k must be an integer"
+
+
+def test_span_vectors_must_be_a_list_of_vectors(tmp_path):
+    spec = {"algebra": {"kind": "su", "n": 2},
+            "subalgebra": {"name": "span", "vectors": 5}}
+    code, rep = run(tmp_path, spec, "catalog")
+    assert code == 2 and rep["error"] == "ParseError"
+
+
+def test_boolean_is_not_an_integer(tmp_path):
+    code, rep = run(tmp_path, {"algebra": {"kind": "su", "n": True}},
+                    "validate")
+    assert code == 2 and rep["message"] == "algebra: n must be an integer"
+    with pytest.raises(cli.ParseError):
+        cli.parse_obj(dict(SU3_T, parabolic_index=False))
+
+
+def test_unexpected_error_exits_4_with_a_report(tmp_path, monkeypatch,
+                                                capsys):
+    def broken(ps, args):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli.COMMANDS, "classify", broken)
+    code, rep = run(tmp_path, SU3_T, "classify")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert rep == {"command": "classify", "error": "InternalError",
+                   "message": "RuntimeError: boom"}
+    assert "Traceback" not in capsys.readouterr().err

@@ -132,7 +132,6 @@ def test_parabolic_structure(su3_datum):
     g, rd = su3_datum
     t = rd.cartan
     systems = enumerate_positive_systems(rd, t)
-    gc = g.complexify()
     for qp in systems:
         p = build_parabolic(rd, t, qp)
         # Borel: dim (8+2)/2 = 5, nilradical 3
@@ -141,7 +140,7 @@ def test_parabolic_structure(su3_datum):
         assert is_nilpotent(p.nilradical)
         assert real_points(p.space.space) == t.space
         # independent oracle: Killing-perpendicular nilradical
-        assert killing_perp_nilradical(gc, p.space.space) \
+        assert killing_perp_nilradical(g, p.space.space) \
             == p.nilradical.space
         # [p, n] stays in n
         for a in p.space.space.basis_vectors():
