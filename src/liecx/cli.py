@@ -19,7 +19,10 @@ Problem spec format (strict; unknown fields rejected):
       "j1": "default" | [[rat, ...], ...]?
     }
 
-Rationals are strings "p/q" or "p"; complex entries in reports are objects
+A rational is a string fractions.Fraction parses ("p/q", "-3/4", "1.5e0",
+"1_000", " 3 ") or a bare JSON number, read through str; "1/0", "1/-2",
+"inf", "nan", true, null and lists are input errors.  Reports write
+rationals as "p/q" or "p", complex entries as objects
 {"re": "p/q", "im": "p/q"}.  All matrices row-major.
 """
 
@@ -39,9 +42,7 @@ from .catalog import (
 )
 from .roots import build_parabolic
 from . import cx
-from .cx import (
-    ComplexStructure, TorusComplexStructure, TheoremViolation, NotInvariant,
-)
+from .cx import ComplexStructure, TorusComplexStructure, TheoremViolation
 
 
 class ParseError(Exception):
@@ -397,7 +398,7 @@ def _select_parabolic(ps, g, h):
 def _torus_structure(ps, p, quot):
     u = relative_complement(p.levi_real.space, quot.h.space)
     if ps.j1 is None or ps.j1 == "default":
-        return None
+        return cx.default_torus_structure(u)
     if ps.j1.nrows != u.dim or ps.j1.ncols != u.dim:
         raise ValidationError(
             f"j1 has shape {ps.j1.nrows}x{ps.j1.ncols}, expected "
@@ -413,7 +414,7 @@ def cmd_construct(ps, args):
     p = _select_parabolic(ps, g, h)
     j1 = _torus_structure(ps, p, quot)
     J = cx.construct_J(quot, p, j1)
-    _, j1_out = cx.decompose_J(J)
+    j1_out = cx.fiber_structure(J, j1.u)
     rep = _base_report("construct", g, h)
     rep["parabolic_index"] = ps.parabolic_index
     rep["parabolic"] = _ser_parabolic(ps.parabolic_index, p)
@@ -534,15 +535,11 @@ def main(argv=None):
                 except (OSError, json.JSONDecodeError) as e:
                     raise ParseError(f"cannot read j1 file: {e}") from None
         report, code = COMMANDS[args.command](ps, args)
-    except (ParseError, ValidationError) as e:
-        _emit({"command": args.command, "error": type(e).__name__,
-               "message": str(e)}, args.out)
-        return EXIT_INPUT
     except TheoremViolation as e:
         _emit({"command": args.command, "error": "TheoremViolation",
                "message": str(e)}, args.out)
         return EXIT_VIOLATION
-    except (NotInvariant, ExactError) as e:
+    except (ParseError, ValidationError, ExactError) as e:
         _emit({"command": args.command, "error": type(e).__name__,
                "message": str(e)}, args.out)
         return EXIT_INPUT

@@ -284,6 +284,10 @@ def construct_J(quot: Quotient, p: Parabolic,
         raise TheoremViolation("constructed J is not h-invariant")
     if not is_integrable(J):
         raise TheoremViolation("constructed J is not integrable")
+    # p = N(l): the relation decompose_J recovers p by
+    if normalizer(g, Subalgebra(g, plus_space(J), check=False)).space \
+            != p.space.space:
+        raise TheoremViolation("p is not the normalizer of l")
     return J
 
 
@@ -310,8 +314,13 @@ def decompose_J(J: ComplexStructure):
     parabolic = build_parabolic(rd, md.m, q_plus)
     if parabolic.space.space != p_space:
         raise TheoremViolation("rebuilt parabolic differs from the normalizer")
-    # J1: restriction of J to m/h, in the canonical fiber coordinates
-    u = md.u
+    return parabolic, fiber_structure(J, md.u)
+
+
+def fiber_structure(J: ComplexStructure, u: Subspace) -> TorusComplexStructure:
+    """J1: the restriction of J to the fiber m/h, in the coordinates of u,
+    the canonical complement of h in m."""
+    quot = J.quotient
     umat = Matrix.from_columns([quot.project(ub) for ub in u.basis_vectors()])
     j1cols = []
     for ub in u.basis_vectors():
@@ -319,11 +328,19 @@ def decompose_J(J: ComplexStructure):
         if c is None:
             raise TheoremViolation("J does not preserve m/h")
         j1cols.append(c)
-    return parabolic, TorusComplexStructure(u, Matrix.from_columns(j1cols))
+    return TorusComplexStructure(u, Matrix.from_columns(j1cols))
 
 
 # ---------------------------------------------------------------------------
 # classification
+
+def canonical_levi(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
+    """classify's m = t + h, with t maximal abelian in C_g(h); the greedy
+    extension is deterministic, so equal inputs give the same t."""
+    ch = centralizer(g, h.space)
+    t = extend_to_maximal_abelian(g, zero_subalgebra(g), within=ch.space)
+    return Subalgebra(g, t.space.add(h.space), check=True)
+
 
 def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
     """classify's canonical m = t + h, with t maximal abelian in C_g(h), its
@@ -335,9 +352,7 @@ def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
                                   f"dim g/h = {n - hd} is odd"))
         return "odd_dimension"
     ledger.append(LedgerEntry("even_codimension", True, f"dim g/h = {n - hd}"))
-    ch = centralizer(g, h.space)
-    t = extend_to_maximal_abelian(g, zero_subalgebra(g), within=ch.space)
-    m = Subalgebra(g, t.space.add(h.space), check=True)
+    m = canonical_levi(g, h)
     ok_derived = derived(g, m).space == derived(g, h).space
     ledger.append(LedgerEntry("derived_match", ok_derived, "[m,m] = [h,h]"))
     cm = center(g, m)
@@ -376,16 +391,18 @@ def classify(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
 
 
 def parabolic_index(g: LieAlgebra, h: Subalgebra, p: Parabolic):
-    """The index of p among classify(g, h).parabolics, or None: the positive
-    system whose root spaces span p together with classify's m_C.  A
-    parabolic is determined by its space, so no parabolic is built."""
-    found = levi_systems(g, h, [])
-    if isinstance(found, str):
+    """The index of p among classify(g, h).parabolics, or None when p's Levi
+    is not classify's m.  With the same m, center(m), its Cartan, the root
+    datum and the order of the positive systems are classify's too, so the
+    index is a lookup of p's positive set."""
+    if p.levi_real.space != canonical_levi(g, h).space:
         return None
-    m, _, rd, systems = found
-    return next((i for i, qp in enumerate(systems) if span_sum(
-        g.dim, [m.space] + [rd.roots[j].space for j in qp]) == p.space.space),
-        None)
+    try:
+        return enumerate_positive_systems(p.datum, p.levi_real).index(
+            p.positive_set)
+    except ValueError:
+        raise TheoremViolation(
+            "p's positive set is not a positive system of its Levi") from None
 
 
 # ---------------------------------------------------------------------------

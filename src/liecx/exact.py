@@ -28,7 +28,8 @@ class IrrationalSpectrum(ExactError):
 
 
 def parse_rational(s):
-    """Parse "p/q" or "p" into a Fraction; the denominator must be nonzero."""
+    """Parse what fractions.Fraction parses, given as str(s), into a
+    Fraction; "1/0" and other malformed literals raise ExactError."""
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
@@ -98,9 +99,6 @@ class GQ:
 
     def is_zero(self):
         return not (self.re or self.im)
-
-    def is_rational(self):
-        return self.im == 0
 
     def __eq__(self, o):
         if isinstance(o, (int, Fraction)):

@@ -250,25 +250,11 @@ def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
     systems = []
     for signs in itertools.product((0, 1), repeat=len(pairs)):
         qp = {p[s] for p, s in zip(pairs, signs)}
-        ok = True
-        for a in qp:
-            for b in qp:
-                s = value_index.get(vsum(rd.roots[a].values, rd.roots[b].values))
-                if s is not None and s in q_set and s not in qp:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for a in qp:
-                for b in m_roots:
-                    s = value_index.get(vsum(rd.roots[a].values, rd.roots[b].values))
-                    if s is not None and s in q_set and s not in qp:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        # closed: no a + b with a in Q+ and b in Q+ or a Levi root lies in -Q+
+        outside = q_set - qp
+        if not any(value_index.get(vsum(rd.roots[a].values,
+                                        rd.roots[b].values)) in outside
+                   for a in qp for b in itertools.chain(qp, m_roots)):
             systems.append(tuple(sorted(qp)))
     return systems
 

@@ -1,10 +1,14 @@
 """CLI: strict parsing, exit-code contract, deterministic reports."""
 
+import cProfile
 import json
+import pstats
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from liecx import cli
+from liecx import cli, cx, roots
 
 
 SU3_T = {"algebra": {"kind": "su", "n": 3},
@@ -56,6 +60,32 @@ def test_parse_rejects_unknown_field():
 def test_parse_rejects_bad_rational():
     with pytest.raises(cli.ParseError):
         cli.parse_obj(dict(SU3_T, j=[["1/0"]]))
+
+
+def su2_span(x):
+    return {"algebra": {"kind": "su", "n": 2},
+            "subalgebra": {"name": "span", "vectors": [[x, "0", "0"]]}}
+
+
+# what fractions.Fraction parses, and bare JSON numbers read through str
+ACCEPTED_RATIONALS = [("1.5e0", Fraction(3, 2)), ("0.5", Fraction(1, 2)),
+                      ("1_000", Fraction(1000)), (" 3 ", Fraction(3)),
+                      (0.5, Fraction(1, 2)), ("-3/4", Fraction(-3, 4))]
+REJECTED_RATIONALS = ["1/0", "1/-2", "inf", "nan", True, None, [1]]
+
+
+@pytest.mark.parametrize("x,value", ACCEPTED_RATIONALS,
+                         ids=[repr(x) for x, _ in ACCEPTED_RATIONALS])
+def test_rational_literals_accepted(tmp_path, x, value):
+    assert cli.parse_obj(su2_span(x)).sub["vectors"][0][0] == value
+    code, rep = run(tmp_path, su2_span(x), "catalog")
+    assert code == 0 and rep["dim_h"] == 1
+
+
+@pytest.mark.parametrize("x", REJECTED_RATIONALS, ids=repr)
+def test_rational_literals_rejected(tmp_path, x):
+    code, rep = run(tmp_path, su2_span(x), "catalog")
+    assert code == 2 and rep["error"] == "ParseError"
 
 
 def test_wrong_j_dimension_is_input_error(tmp_path):
@@ -220,3 +250,51 @@ def test_unexpected_error_exits_4_with_a_report(tmp_path, monkeypatch,
     assert rep == {"command": "classify", "error": "InternalError",
                    "message": "RuntimeError: boom"}
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# each command builds its root datum and parabolic once
+
+def profiled_calls(tmp_path, spec, command, *extra):
+    """Run one command under cProfile; returns a count of calls by function."""
+    path = write_spec(tmp_path, spec)
+    prof = cProfile.Profile()
+    code = prof.runcall(cli.main, ["--spec", path, "--command", command,
+                                   "--out", str(tmp_path / "report.json"),
+                                   *extra])
+    assert code == 0
+    stats = pstats.Stats(prof).stats
+
+    def calls(f):
+        c = f.__code__
+        return sum(v[1] for (file, line, name), v in stats.items()
+                   if (file, line, name)
+                   == (c.co_filename, c.co_firstlineno, c.co_name))
+    return calls
+
+
+SO5_T = {"algebra": {"kind": "so", "n": 5},
+         "subalgebra": {"name": "maximal_torus"}}
+
+
+@pytest.mark.parametrize("spec,k", [(SU3_T, 0), (SO5_T, 5)],
+                         ids=["su3_t", "so5_t"])
+def test_construct_builds_one_parabolic(tmp_path, spec, k):
+    calls = profiled_calls(tmp_path, spec, "construct",
+                           "--parabolic-index", str(k))
+    assert [calls(cx.decompose_J), calls(cx.compute_m)] == [0, 0]
+    assert [calls(roots.root_decomposition), calls(roots.build_parabolic),
+            calls(roots.killing_perp_nilradical)] == [1, 1, 1]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DECOMPOSE_SPECS = {c["file"]: c["spec"] for c in json.loads(
+    (GOLDEN / "manifest.json").read_text()) if c["command"] == "decompose"}
+
+
+@pytest.mark.parametrize("name", ["su3_t__decompose.json",
+                                  "so5_t__decompose.json"])
+def test_decompose_builds_one_root_datum(tmp_path, name):
+    calls = profiled_calls(tmp_path, DECOMPOSE_SPECS[name], "decompose")
+    assert calls(roots.root_decomposition) == 1
+    assert calls(cx.levi_systems) == 0

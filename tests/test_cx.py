@@ -1,6 +1,7 @@
 """Core operations: Nijenhuis map, integrability, canonical m, construction,
 decomposition, classification, verification ledger, symmetric detection."""
 
+import dataclasses
 import random
 
 import pytest
@@ -214,6 +215,34 @@ def test_roundtrip_decompose_construct():
         assert J2.j == J.j
         p2, j12 = cx.decompose_J(J2)
         assert p2 == p and j12 == j1
+
+
+def test_fiber_structure_is_the_given_j1():
+    g, h, quot, Jce = calabi_eckmann_instance()
+    p, j1 = cx.decompose_J(Jce)
+    for j1mat in (rot(2), rot(2).scale(GQ(-1))):
+        given = TorusComplexStructure(j1.u, j1mat)
+        J = cx.construct_J(quot, p, given)
+        assert cx.fiber_structure(J, j1.u) == given
+
+
+def test_construct_certifies_p_is_the_normalizer_of_l(monkeypatch):
+    g, h, quot, J = s2_instance()
+    p, _ = cx.decompose_J(J)
+    monkeypatch.setattr(cx, "normalizer",
+                        lambda g, l: Subalgebra(g, Subspace.full(g.dim)))
+    with pytest.raises(cx.TheoremViolation, match="normalizer of l"):
+        cx.construct_J(quot, p)
+
+
+def test_parabolic_index_rejects_an_unknown_positive_set():
+    g = build(su(3))
+    h = build_subalgebra(g, su(3), "maximal_torus")
+    p, _ = cx.decompose_J(cx.construct_J(make_quotient(g, h),
+                                         cx.classify(g, h).parabolics[1]))
+    assert cx.parabolic_index(g, h, p) == 1
+    with pytest.raises(cx.TheoremViolation, match="positive system"):
+        cx.parabolic_index(g, h, dataclasses.replace(p, positive_set=()))
 
 
 def test_decompose_p_properties():

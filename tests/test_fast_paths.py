@@ -19,10 +19,12 @@ from liecx.exact import (
     GQ, ZERO, I, Matrix, IrrationalSpectrum, charpoly, inverse, solve, vunit,
     realify_vector, rational_eigenvalues,
 )
-from liecx.liealg import LieAlgebra, quotient, _positive_definite
+from liecx.liealg import LieAlgebra, Subalgebra, quotient, _positive_definite
 from liecx.catalog import (
-    build, build_subalgebra, su, so, u, _coordinates, _su_basis, _so_basis,
+    build, build_subalgebra, direct_sum, su, so, u, _coordinates, _su_basis,
+    _so_basis,
 )
+from liecx.roots import parabolic_from_abelian
 
 
 def rand_gq(rng, density=1.0):
@@ -487,3 +489,16 @@ def test_parabolic_index_matches_classify_on_su4_t():
         p, _ = cx.decompose_J(cx.construct_J(quot, report.parabolics[k]))
         assert cx.parabolic_index(g, h, p) == k
         assert next(i for i, q in enumerate(report.parabolics) if q == p) == k
+
+
+def test_parabolic_index_is_none_off_classify_levi():
+    """On su(2)+su(2)/0, the Cartan span(e1, e4) is not classify's m."""
+    spec = direct_sum(su(2), su(2))
+    g = build(spec)
+    h = build_subalgebra(g, spec, "zero")
+    t = Subalgebra.span(g, [vunit(6, 1), vunit(6, 4)])
+    J = cx.construct_J(quotient(g, h), parabolic_from_abelian(g, t))
+    p, _ = cx.decompose_J(J)
+    assert p.levi_real.space == t.space
+    assert cx.parabolic_index(g, h, p) is None
+    assert classify_then_search(g, h, p) is None
