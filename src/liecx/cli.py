@@ -462,6 +462,7 @@ def cmd_verify(ps, args):
 
 def cmd_symmetric(ps, args):
     g, h, quot = _resolve_problem(ps)
+    p = None
     if ps.j is not None:
         J = _structure(ps, quot)
     else:
@@ -469,7 +470,7 @@ def cmd_symmetric(ps, args):
         J = cx.construct_J(quot, p, _torus_structure(ps, p, quot))
     if not cx.is_invariant(J):
         raise ValidationError("j is not invariant under the isotropy action")
-    verdict = cx.is_symmetric_pair(g, h, J)
+    verdict = cx.is_symmetric_pair(g, h, J, p)
     rep = _base_report("symmetric", g, h)
     rep["status"] = verdict.status
     rep["reason"] = verdict.reason

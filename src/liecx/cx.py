@@ -544,11 +544,13 @@ def commutant_dimension(J: ComplexStructure):
     return dim_real // 2
 
 
-def is_symmetric_pair(g: LieAlgebra, h: Subalgebra,
-                      J: ComplexStructure) -> SymmetricVerdict:
+def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, J: ComplexStructure,
+                      p: Parabolic | None = None) -> SymmetricVerdict:
     """Detect whether (g, h, J) is an irreducible Hermitian symmetric pair:
     effective irreducible isotropy forces m = h, an abelian nilradical with
-    [tau(n), n] in h_C, and the +/-1 involution is an automorphism."""
+    [tau(n), n] in h_C, and the +/-1 involution is an automorphism.  p is
+    the parabolic of J when the caller has it (construct_J certifies
+    p = N(l)); otherwise decompose_J recovers it."""
     _require_invariant(J)
     if not is_integrable(J):
         return SymmetricVerdict("not_applicable", "not_integrable")
@@ -569,7 +571,8 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra,
         "action of the compact h is semisimple)"))
     if not irreducible:
         return SymmetricVerdict("not_applicable", "reducible_isotropy", checks)
-    p, _ = decompose_J(J)
+    if p is None:
+        p, _ = decompose_J(J)
     m_eq = p.levi_real.space == h.space
     checks.append(LedgerEntry("m_equals_h", m_eq, ""))
     nsp = p.nilradical.space

@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-Scalars are Gaussian rationals a + b*i with a, b exact rationals kept in
-lowest terms by fractions.Fraction.  Everything here is pure and
-deterministic: re-running any operation yields bit-identical output.
+`GQ`, a Gaussian rational a + b*i with a, b in lowest terms as
+fractions.Fraction, is the type of every scalar that crosses a function
+boundary.  Inside, elimination (`rref`, and through it `kernel`, `solve`
+and `inverse`), `Subspace.reduce` and matrix products run on rows of
+Gaussian integers over a common denominator (`int_entries` and
+`int_vectors` convert; `from_ints` converts back, one Fraction per nonzero
+part).  Everything here is pure and deterministic: re-running any operation
+yields bit-identical output.
 """
 
 from __future__ import annotations
@@ -129,6 +134,76 @@ class GQ:
 ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)
+_F0 = ZERO.re
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-integer rows: the one conversion from GQ vectors and back
+
+def int_entries(v):
+    """(D, [(i, D re v_i, D im v_i) for the nonzero v_i]) with D the least
+    common denominator of v's entries."""
+    nonzero = [(i, x.re, x.im) for i, x in enumerate(v) if x is not ZERO and x]
+    den = 1
+    for _, a, b in nonzero:
+        if a.denominator != 1 or b.denominator != 1:
+            den = lcm(den, a.denominator, b.denominator)
+    if den == 1:
+        return 1, [(i, a.numerator, b.numerator) for i, a, b in nonzero]
+    return den, [(i, a.numerator * (den // a.denominator),
+                  b.numerator * (den // b.denominator)) for i, a, b in nonzero]
+
+
+def int_vectors(vectors):
+    """(D, entries): int_entries of every vector over one common
+    denominator D, the least common multiple of theirs."""
+    conv = [int_entries(v) for v in vectors]
+    den = lcm(*(d for d, _ in conv))
+    return den, [e if d == den else
+                 [(i, a * (den // d), b * (den // d)) for i, a, b in e]
+                 for d, e in conv]
+
+
+def _dense(n, entries):
+    """Sparse (i, re, im) rows as dense integer rows (re, im); im is None
+    when every entry is real."""
+    re, im = [], []
+    for e in entries:
+        r, m = [0] * n, [0] * n
+        for i, a, b in e:
+            r[i], m[i] = a, b
+        re.append(r)
+        im.append(m)
+    return re, (im if any(b for e in entries for _, _, b in e) else None)
+
+
+def from_ints(re, im, den):
+    """The GQ vector (re + i*im) / den of integer lists (im may be None);
+    zeros are the shared ZERO."""
+    if im is None:
+        im = (0,) * len(re)
+    if den == 1:
+        return tuple(GQ(r, m) if r or m else ZERO for r, m in zip(re, im))
+    return tuple(GQ(Fraction(r, den), Fraction(m, den) if m else _F0)
+                 if r or m else ZERO for r, m in zip(re, im))
+
+
+def _combine(n, coeffs, re_rows, im_rows):
+    """sum (a + b i)(re_k + i im_k) over the coefficients (k, a, b), as
+    integer lists (re, im); im_rows is None for real rows."""
+    re, im = [0] * n, [0] * n
+    for k, a, b in coeffs:
+        xr = re_rows[k]
+        xi = im_rows[k] if im_rows else None
+        if a:
+            re = [s + a * x for s, x in zip(re, xr)]
+            if xi:
+                im = [s + a * x for s, x in zip(im, xi)]
+        if b:
+            im = [s + b * x for s, x in zip(im, xr)]
+            if xi:
+                re = [s - b * x for s, x in zip(re, xi)]
+    return re, im
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +244,11 @@ def vconj(a):
 
 def lincomb(n, coeffs, vectors):
     """sum_k coeffs[k] * vectors[k], a vector of length n."""
-    v = vzero(n)
-    for c, b in zip(coeffs, vectors):
-        if c:
-            v = vadd(v, vscale(c, b))
-    return v
+    dc, cs = int_entries(coeffs)
+    den, entries = int_vectors([vectors[k] for k, _, _ in cs])
+    re, im = _dense(n, entries)
+    return from_ints(*_combine(
+        n, [(j, a, b) for j, (_, a, b) in enumerate(cs)], re, im), dc * den)
 
 
 def vdot(a, b):
@@ -195,9 +270,10 @@ def is_real_vec(a):
 class Matrix:
     """Dense matrix of Gaussian rationals; dimensions fixed at construction."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_ints", "_columns")
 
     def __init__(self, rows):
+        self._ints = self._columns = None
         self.rows = tuple(vec(r) for r in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
@@ -245,18 +321,38 @@ class Matrix:
     def scale(self, c):
         return Matrix([vscale(c, r) for r in self.rows])
 
+    def _integer_rows(self):
+        """(D, re, im): the rows as dense integer lists over their least
+        common denominator D (im is None for a real matrix); built once."""
+        if self._ints is None:
+            den, entries = int_vectors(self.rows)
+            self._ints = (den, *_dense(self.ncols, entries))
+        return self._ints
+
     def __mul__(self, o):
         if isinstance(o, Matrix):
             if self.ncols != o.nrows:
                 raise DimensionMismatch(f"{self.ncols} != {o.nrows}")
-            ot = o.transpose()
-            return Matrix([[vdot(r, c) for c in ot.rows] for r in self.rows])
+            # row i of the product combines o's rows with row i's entries
+            den, re, im = o._integer_rows()
+            out = []
+            for r in self.rows:
+                d, cs = int_entries(r)
+                out.append(from_ints(*_combine(o.ncols, cs, re, im), d * den))
+            product = Matrix(out)
+            product.ncols = o.ncols
+            return product
         return NotImplemented
 
     def matvec(self, v):
         if len(v) != self.ncols:
             raise DimensionMismatch(f"matvec: {len(v)} != {self.ncols}")
-        return tuple(vdot(r, v) for r in self.rows)
+        # m v combines m's columns with v's entries
+        if self._columns is None:
+            self._columns = self.transpose()
+        den, re, im = self._columns._integer_rows()
+        d, cs = int_entries(v)
+        return from_ints(*_combine(self.nrows, cs, re, im), d * den)
 
     def trace(self):
         if self.nrows != self.ncols:
@@ -292,32 +388,73 @@ class Matrix:
 
 def rref(m: Matrix):
     """Reduced row-echelon form.  Returns (rref matrix with zero rows dropped,
-    pivot column tuple, rank)."""
-    rows = [list(r) for r in m.rows]
+    pivot column tuple, rank).
+
+    Each row is eliminated as a row of Gaussian integers (its scale does not
+    matter): the pivot p is removed from another row by cross-multiplication,
+    row <- p row - c pivot_row, and a changed row is divided by the gcd of
+    its entries.  Each pivot row is divided by its pivot at the end."""
     nr, nc = m.nrows, m.ncols
+    re, im = _dense(nc, [int_entries(r)[1] for r in m.rows])
     pivots = []
     pr = 0
     for pc in range(nc):
-        pr_row = None
-        for r in range(pr, nr):
-            if not rows[r][pc].is_zero():
-                pr_row = r
-                break
+        pr_row = next((r for r in range(pr, nr)
+                       if re[r][pc] or (im and im[r][pc])), None)
         if pr_row is None:
             continue
-        rows[pr], rows[pr_row] = rows[pr_row], rows[pr]
-        inv = ONE / rows[pr][pc]
-        rows[pr] = [inv * x if x else x for x in rows[pr]]
-        for r in range(nr):
-            if r != pr and not rows[r][pc].is_zero():
-                f = rows[r][pc]
-                rows[r] = [x - f * y if y else x
-                           for x, y in zip(rows[r], rows[pr])]
+        re[pr], re[pr_row] = re[pr_row], re[pr]
+        if im:
+            im[pr], im[pr_row] = im[pr_row], im[pr]
+        _eliminate(re, im, pr, pc)
         pivots.append(pc)
         pr += 1
         if pr == nr:
             break
-    return Matrix(rows[:pr]) if pr else Matrix.zeros(0, nc), tuple(pivots), pr
+    rows = []
+    for r, pc in enumerate(pivots):
+        # (x + y i) / (a + b i) = ((x a + y b) + (y a - x b) i) / (a^2 + b^2)
+        a, b = re[r][pc], (im[r][pc] if im else 0)
+        if not b:
+            rows.append(from_ints(re[r], im[r] if im else None, a))
+            continue
+        rows.append(from_ints([x * a + y * b for x, y in zip(re[r], im[r])],
+                              [y * a - x * b for x, y in zip(re[r], im[r])],
+                              a * a + b * b))
+    return Matrix(rows) if pr else Matrix.zeros(0, nc), tuple(pivots), pr
+
+
+def _eliminate(re, im, pr, pc):
+    """Clear column pc of every row but pr by cross-multiplication with the
+    pivot row pr, in place; im is None when every row is real."""
+    a = re[pr][pc]
+    b = im[pr][pc] if im else 0
+    pre = re[pr]
+    pim = im[pr] if im else None
+    for r in range(len(re)):
+        if r == pr:
+            continue
+        cr = re[r][pc]
+        ci = im[r][pc] if im else 0
+        if not (cr or ci):
+            continue
+        xr = re[r]
+        if pim is None:  # real rows
+            row = [a * x - cr * y for x, y in zip(xr, pre)]
+            g = gcd(*row)
+            re[r] = [x // g for x in row] if g > 1 else row
+            continue
+        xi = im[r]
+        # (a + b i)(xr + xi i) - (cr + ci i)(pre + pim i)
+        nre = [a * x - b * y - cr * u + ci * w
+               for x, y, u, w in zip(xr, xi, pre, pim)]
+        nim = [a * y + b * x - cr * w - ci * u
+               for x, y, u, w in zip(xr, xi, pre, pim)]
+        g = gcd(*nre, *nim)
+        if g > 1:
+            nre = [x // g for x in nre]
+            nim = [x // g for x in nim]
+        re[r], im[r] = nre, nim
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -402,14 +539,19 @@ class Subspace:
         """Residual of v after eliminating the pivot coordinates; zero iff v is a member."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"{len(v)} != {self.ambient_dim}")
-        v = list(v)
-        for row, p in zip(self.basis.rows, self.pivots):
-            c = v[p]
-            if c:
-                for k, r in enumerate(row):
-                    if r:
-                        v[k] = v[k] - c * r
-        return tuple(v)
+        # the basis is in RREF, so the residual is v - sum_k v[p_k] b_k
+        dv, vs = int_entries(v)
+        at = {i: (a, b) for i, a, b in vs}
+        cs = [(k, -at[p][0], -at[p][1])
+              for k, p in enumerate(self.pivots) if p in at]
+        if not cs:
+            return tuple(v)
+        den, re, im = self.basis._integer_rows()
+        sr, si = _combine(self.ambient_dim, cs, re, im)
+        for i, a, b in vs:
+            sr[i] += den * a
+            si[i] += den * b
+        return from_ints(sr, si, dv * den)
 
     def contains(self, v):
         return is_zero_vec(self.reduce(v))

@@ -10,12 +10,11 @@ theorem check relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 
 from .exact import (
     GQ, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
-    kernel, lincomb, vec, vunit, vadd, vscale, vdot, is_zero_vec,
+    kernel, lincomb, vec, vunit, vdot, is_zero_vec, int_entries,
+    int_vectors, from_ints,
 )
 
 
@@ -45,11 +44,10 @@ class LieAlgebra:
 
     The same structure tensor serves the real algebra and its
     complexification: a vector with Gaussian-rational entries is a point of
-    g_C, and tau is coordinate-wise conjugation (`vconj`).  `terms[i][j]`
-    lists the nonzero (k, c) of table[i][j], so brackets and traces skip
-    the zeros;
-    `int_terms[i][j]` lists the same terms as (k, re, im) integers over the
-    common denominator `table_den`, for the bracket to accumulate in ints.
+    g_C, and tau is coordinate-wise conjugation (`vconj`).
+    `int_terms[i][j]` lists the nonzero entries of table[i][j] as
+    (k, re, im) integers over the common denominator `table_den`, so
+    brackets, traces and the Jacobi sums accumulate in ints and skip zeros.
     """
 
     def __init__(self, table, inner_product=None, name=""):
@@ -58,9 +56,9 @@ class LieAlgebra:
         for row in self.table:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
                 raise DimensionMismatch("structure table must be dim x dim x dim")
-        self.terms = tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c)
-                                 for v in row) for row in self.table)
-        self.table_den, self.int_terms = _integer_terms(self.terms)
+        self.table_den, flat = int_vectors(v for row in self.table for v in row)
+        self.int_terms = tuple(tuple(flat[i * self.dim:(i + 1) * self.dim])
+                               for i in range(self.dim))
         self.inner_product = inner_product if inner_product is not None \
             else Matrix.identity(self.dim)
         self.name = name
@@ -72,8 +70,8 @@ class LieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket operands must have ambient length")
-        xd, xs = _integer_entries(x)
-        yd, ys = _integer_entries(y)
+        xd, xs = int_entries(x)
+        yd, ys = int_entries(y)
         re = [0] * self.dim
         im = [0] * self.dim
         for i, xr, xi in xs:
@@ -92,11 +90,7 @@ class LieAlgebra:
                         re[k] += cr * tr
                         if ci:
                             im[k] += ci * tr
-        den = xd * yd * self.table_den
-        if den == 1:
-            return tuple(GQ(r, m) if r or m else ZERO for r, m in zip(re, im))
-        return tuple(GQ(Fraction(r, den), Fraction(m, den)) if r or m else ZERO
-                     for r, m in zip(re, im))
+        return from_ints(re, im, xd * yd * self.table_den)
 
     def ad(self, x) -> Matrix:
         """Matrix of ad(x): columns are [x, e_j]."""
@@ -110,20 +104,26 @@ class LieAlgebra:
         """Gram matrix of the Killing form kappa(e_i, e_j) = tr(ad e_i ad e_j)."""
         if self._killing_gram is None:
             n = self.dim
-            g = [[ZERO] * n for _ in range(n)]
+            entry = [[{k: (a, b) for k, a, b in ts} for ts in row]
+                     for row in self.int_terms]
+            re = [[0] * n for _ in range(n)]
+            im = [[0] * n for _ in range(n)]
             for i in range(n):
                 # kappa(e_i, e_j) = sum over the nonzero c_ik^l of c_ik^l c_jl^k
-                nonzero = [(k, l, c) for k, terms in enumerate(self.terms[i])
-                           for l, c in terms]
+                nonzero = [(k, l, a, b) for k, ts in enumerate(self.int_terms[i])
+                           for l, a, b in ts]
                 for j in range(i, n):
-                    s = ZERO
-                    for k, l, c in nonzero:
-                        t = self.table[j][l][k]
+                    sr = si = 0
+                    for k, l, a, b in nonzero:
+                        t = entry[j][l].get(k)
                         if t:
-                            s = s + c * t
-                    g[i][j] = s
-                    g[j][i] = s
-            self._killing_gram = Matrix(g)
+                            sr += a * t[0] - b * t[1]
+                            si += a * t[1] + b * t[0]
+                    re[i][j] = re[j][i] = sr
+                    im[i][j] = im[j][i] = si
+            den = self.table_den ** 2
+            self._killing_gram = Matrix(
+                [from_ints(r, m, den) for r, m in zip(re, im)])
         return self._killing_gram
 
     def killing(self, x, y):
@@ -134,21 +134,22 @@ class LieAlgebra:
     def validate(self) -> ValidationResult:
         failures = []
         n = self.dim
+        terms = self.int_terms
         for i in range(n):
             for j in range(i, n):
-                lhs = self.table[i][j]
-                rhs = vscale(GQ(-1), self.table[j][i])
-                if lhs != rhs:
+                if terms[i][j] != [(k, -a, -b) for k, a, b in terms[j][i]]:
                     failures.append(f"antisymmetry fails on (e{i}, e{j})")
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    ei, ej, ek = vunit(n, i), vunit(n, j), vunit(n, k)
-                    s = vadd(vadd(
-                        self.bracket(self.bracket(ei, ej), ek),
-                        self.bracket(self.bracket(ej, ek), ei)),
-                        self.bracket(self.bracket(ek, ei), ej))
-                    if not is_zero_vec(s):
+                    # [[e_a, e_b], e_c] = sum over l, m of c_ab^l c_lc^m e_m
+                    re, im = [0] * n, [0] * n
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l, tr, ti in terms[a][b]:
+                            for m, ur, ui in terms[l][c]:
+                                re[m] += tr * ur - ti * ui
+                                im[m] += tr * ui + ti * ur
+                    if any(re) or any(im):
                         failures.append(f"Jacobi fails on (e{i}, e{j}, e{k})")
         ip = self.inner_product
         if ip != ip.transpose():
@@ -171,31 +172,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'anon'}, dim {self.dim})"
-
-
-def _integer_entries(v):
-    """(D, [(i, D re v_i, D im v_i) for the nonzero v_i]) with D the least
-    common denominator of v's entries."""
-    nonzero = [(i, x.re, x.im) for i, x in enumerate(v) if x is not ZERO and x]
-    den = 1
-    for _, a, b in nonzero:
-        if a.denominator != 1 or b.denominator != 1:
-            den = lcm(den, a.denominator, b.denominator)
-    if den == 1:
-        return 1, [(i, a.numerator, b.numerator) for i, a, b in nonzero]
-    return den, [(i, a.numerator * (den // a.denominator),
-                  b.numerator * (den // b.denominator)) for i, a, b in nonzero]
-
-
-def _integer_terms(terms):
-    """The structure constants as (k, re, im) integers over one common
-    denominator: (D, int_terms) with int_terms shaped like terms."""
-    den = lcm(*(q.denominator for row in terms for ts in row
-                for _, c in ts for q in (c.re, c.im)))
-    return den, tuple(tuple(tuple(
-        (k, c.re.numerator * (den // c.re.denominator),
-         c.im.numerator * (den // c.im.denominator)) for k, c in ts)
-        for ts in row) for row in terms)
 
 
 def _positive_definite(m: Matrix) -> bool:

@@ -7,10 +7,13 @@ liecx.cli.main and writes the report, byte for byte, to
 tests/golden/<instance>__<case>.json. The spec, command line and exit code
 of every case go to tests/golden/manifest.json. The J of the construct
 report is fed back into decompose, check, verify, m and symmetric, so those
-reports pin the construct/decompose round trip too.
+reports pin the construct/decompose round trip too. symmetric also runs
+without a j on a few instances, where it constructs J from the k-th
+parabolic itself. validate, catalog and classify run on perfbench's dense
+instances (catalog algebras in a random integer basis) where they finish.
 
 Cases already in the manifest that this script does not write, the dense
-instances of make_dense_golden.py, are kept.
+classify of su(3)/t and so(5)/t by make_dense_golden.py, are kept.
 
 Run it only to record a deliberate change of report; the test never
 regenerates these files.
@@ -24,8 +27,9 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parents[1] / "src"))
+sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parents[1] / "perfbench")]
 
+import workloads  # noqa: E402
 from liecx import cli  # noqa: E402
 
 
@@ -86,6 +90,16 @@ CONSTRUCT_ERRORS = [
 ]
 
 
+# symmetric without a j: (instance, parabolic index)
+SYMMETRIC_CONSTRUCTED = [("su3_u2", 0), ("su3_u2", 1), ("su2_u1", 0),
+                         ("so5_t", 3)]
+
+# perfbench's dense-table jobs other than make_dense_golden.py's: (instance,
+# command)
+DENSE_JOBS = [("dense_su3_t", "validate"), ("dense_su2su2_t", "validate"),
+              ("dense_su2su2_t", "catalog"), ("dense_su2su2_t", "classify")]
+
+
 def run_case(spec, command, extra):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = Path(tmp) / "spec.json"
@@ -123,6 +137,12 @@ def main():
                   for name, spec, command, extra in cases_for(base, bad_j, j)]
     cases += [(name, spec, "construct", extra)
               for name, spec, extra in CONSTRUCT_ERRORS]
+    cases += [(f"{inst}__symmetric_k{k}", INSTANCES[inst][0], "symmetric",
+               ["--parabolic-index", str(k)])
+              for inst, k in SYMMETRIC_CONSTRUCTED]
+    dense = {inst.name: inst.spec for inst in workloads.dense_instances()}
+    cases += [(f"{inst}__{command}", dense[inst], command, [])
+              for inst, command in DENSE_JOBS]
     manifest = []
     for name, spec, command, extra in cases:
         code, report = run_case(spec, command, extra)

@@ -298,3 +298,19 @@ def test_decompose_builds_one_root_datum(tmp_path, name):
     calls = profiled_calls(tmp_path, DECOMPOSE_SPECS[name], "decompose")
     assert calls(roots.root_decomposition) == 1
     assert calls(cx.levi_systems) == 0
+
+
+SYMMETRIC_SPECS = {c["file"]: (c["spec"], c["args"]) for c in json.loads(
+    (GOLDEN / "manifest.json").read_text()) if c["command"] == "symmetric"
+    and "j" not in c["spec"]}
+
+
+@pytest.mark.parametrize("name", ["su3_u2__symmetric_k0.json",
+                                  "su2_u1__symmetric_k0.json"])
+def test_symmetric_without_j_builds_one_parabolic(tmp_path, name):
+    # symmetric pairs: the verdict needs p, which the command already has
+    spec, args = SYMMETRIC_SPECS[name]
+    calls = profiled_calls(tmp_path, spec, "symmetric", *args)
+    assert [calls(cx.decompose_J), calls(cx.compute_m)] == [0, 0]
+    assert [calls(roots.root_decomposition), calls(roots.build_parabolic),
+            calls(roots.killing_perp_nilradical)] == [1, 1, 1]

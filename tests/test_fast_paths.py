@@ -16,8 +16,9 @@ import pytest
 
 from liecx import cli, cx
 from liecx.exact import (
-    GQ, ZERO, I, Matrix, IrrationalSpectrum, charpoly, inverse, solve, vunit,
-    realify_vector, rational_eigenvalues,
+    GQ, ZERO, ONE, I, Matrix, Subspace, IrrationalSpectrum, charpoly, inverse,
+    lincomb, rref, solve, vunit, vscale, vzero, realify_vector,
+    rational_eigenvalues,
 )
 from liecx.liealg import LieAlgebra, Subalgebra, quotient, _positive_definite
 from liecx.catalog import (
@@ -502,3 +503,206 @@ def test_parabolic_index_is_none_off_classify_levi():
     assert p.levi_real.space == t.space
     assert cx.parabolic_index(g, h, p) is None
     assert classify_then_search(g, h, p) is None
+
+
+# ---------------------------------------------------------------------------
+# the integer-row kernels against the GQ loops they replaced
+
+def gq_rref(m):
+    rows = [list(r) for r in m.rows]
+    nr, nc = m.nrows, m.ncols
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        pr_row = next((r for r in range(pr, nr) if rows[r][pc]), None)
+        if pr_row is None:
+            continue
+        rows[pr], rows[pr_row] = rows[pr_row], rows[pr]
+        inv = ONE / rows[pr][pc]
+        rows[pr] = [inv * x for x in rows[pr]]
+        for r in range(nr):
+            if r != pr and rows[r][pc]:
+                f = rows[r][pc]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return tuple(tuple(r) for r in rows[:pr]), tuple(pivots), pr
+
+
+def gq_reduce(space, v):
+    v = list(v)
+    for row, p in zip(space.basis.rows, space.pivots):
+        c = v[p]
+        v = [x - c * r for x, r in zip(v, row)]
+    return tuple(v)
+
+
+def gq_dot(a, b):
+    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+
+
+def gq_mul(a, b):
+    cols = [b.column(j) for j in range(b.ncols)]
+    return [tuple(gq_dot(r, c) for c in cols) for r in a.rows]
+
+
+def gq_lincomb(n, coeffs, vectors):
+    out = (ZERO,) * n
+    for c, v in zip(coeffs, vectors):
+        out = tuple(x + c * y for x, y in zip(out, v))
+    return out
+
+
+KINDS = ("real", "gaussian", "imaginary")
+
+
+def kernel_entry(rng, kind, bits=8):
+    """A random entry of the given kind: denominators mixed across 1-12
+    and numerators of up to `bits` bits, zero one time in four."""
+    if rng.random() < 0.25:
+        return ZERO
+
+    def part():
+        return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 12))
+    return GQ(0 if kind == "imaginary" else part(),
+              0 if kind == "real" else part())
+
+
+def kernel_entry_vec(rng, kind, n, bits=8):
+    return tuple(kernel_entry(rng, kind, bits) for _ in range(n))
+
+
+def kernel_matrix(rng, kind, nr, nc, rank=None, bits=8):
+    """An nr x nc matrix; with rank set, its rows are integer combinations
+    of `rank` random rows, so elimination cancels the others to zero."""
+    if rank is None:
+        return Matrix([[kernel_entry(rng, kind, bits) for _ in range(nc)]
+                       for _ in range(nr)]) if nr else Matrix.zeros(0, nc)
+    base = [[kernel_entry(rng, kind, bits) for _ in range(nc)]
+            for _ in range(rank)]
+    rows = [gq_lincomb(nc, [GQ(rng.randint(-3, 3)) for _ in base], base)
+            for _ in range(nr)]
+    return Matrix(rows)
+
+
+def kernel_cases():
+    """(label, matrix) pairs: every kind at full rank, rank-deficient,
+    with 60-bit entries, and the empty shapes."""
+    rng = random.Random(1968)
+    cases = []
+    for kind in KINDS:
+        for k in range(12):
+            nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+            cases.append((f"{kind}{k}", kernel_matrix(rng, kind, nr, nc)))
+            rank = rng.randint(0, min(nr, nc))
+            cases.append((f"{kind}{k}_rank{rank}",
+                          kernel_matrix(rng, kind, nr, nc, rank=rank)))
+        for k in range(3):
+            n = rng.randint(2, 8)
+            cases.append((f"{kind}{k}_60bit",
+                          kernel_matrix(rng, kind, n, n + k, bits=60)))
+            cases.append((f"{kind}{k}_60bit_rank1",
+                          kernel_matrix(rng, kind, n, n, rank=1, bits=60)))
+    # a row equal to another, a multiple of another, and a zero row
+    a = kernel_matrix(rng, "gaussian", 3, 6)
+    cases.append(("repeated_rows", Matrix(
+        list(a.rows) + [a.rows[0], vscale(GQ(2, -3), a.rows[1]), vzero(6)])))
+    for n in (0, 1, 5):
+        cases.append((f"0x{n}", Matrix.zeros(0, n)))
+        cases.append((f"{n}x0", Matrix([()] * n) if n else Matrix.zeros(0, 0)))
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+
+
+def test_kernel_cases_cancel_rows_to_zero():
+    # the rank-deficient cases are what gcd(0, ..., 0) = 0 would break on
+    deficient = [m for label, m in KERNEL_CASES if "rank" in label
+                 and rref(m)[2] < m.nrows]
+    assert len(deficient) > 20
+    assert any(rref(m)[2] == 0 and m.nrows for m in deficient)
+
+
+@pytest.mark.parametrize("label,m", KERNEL_CASES,
+                         ids=[label for label, _ in KERNEL_CASES])
+def test_rref_matches_gq_loop(label, m):
+    red, pivots, rank = rref(m)
+    assert (red.rows, pivots, rank) == gq_rref(m)
+    assert (red.nrows, red.ncols) == (rank, m.ncols)
+
+
+@pytest.mark.parametrize("label,m", KERNEL_CASES,
+                         ids=[label for label, _ in KERNEL_CASES])
+def test_reduce_matches_gq_loop(label, m):
+    space = Subspace.from_vectors(m.ncols, m.rows)
+    rng = random.Random(label)
+    vs = [kernel_entry_vec(rng, kind, m.ncols) for kind in KINDS]
+    vs += [gq_lincomb(m.ncols, [kernel_entry(rng, "gaussian") for _ in m.rows],
+                      m.rows)]
+    vs += list(m.rows)
+    for v in vs:
+        assert space.reduce(v) == gq_reduce(space, v)
+    # a member reduces to zero: the combination and the rows above
+    assert all(space.contains(v) for v in vs[len(KINDS):])
+
+
+@pytest.mark.parametrize("label,m", KERNEL_CASES,
+                         ids=[label for label, _ in KERNEL_CASES])
+def test_products_match_gq_loop(label, m):
+    rng = random.Random(label)
+    bits = 60 if "60bit" in label else 8
+    for kind in KINDS:
+        b = kernel_matrix(rng, kind, m.ncols, rng.randint(0, 12), bits=bits)
+        prod = m * b
+        assert prod.rows == tuple(gq_mul(m, b))
+        assert (prod.nrows, prod.ncols) == (m.nrows, b.ncols)
+        v = kernel_entry_vec(rng, kind, m.ncols, bits)
+        assert m.matvec(v) == tuple(gq_dot(r, v) for r in m.rows)
+        coeffs = kernel_entry_vec(rng, kind, m.nrows, bits)
+        assert lincomb(m.ncols, coeffs, m.rows) \
+            == gq_lincomb(m.ncols, coeffs, m.rows)
+
+
+def gq_validate_failures(g):
+    """The antisymmetry and Jacobi failures by brackets of GQ vectors."""
+    n = g.dim
+    failures = []
+    for i in range(n):
+        for j in range(i, n):
+            if g.table[i][j] != tuple(-x for x in g.table[j][i]):
+                failures.append(f"antisymmetry fails on (e{i}, e{j})")
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                # [[e_a, e_b], e_c] = sum_l table[a][b][l] [e_l, e_c]
+                s = (ZERO,) * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for x, row in zip(g.table[a][b], g.table):
+                        s = tuple(t + x * y for t, y in zip(s, row[c]))
+                if any(s):
+                    failures.append(f"Jacobi fails on (e{i}, e{j}, e{k})")
+    return failures
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jacobi_and_antisymmetry_failures_match_gq_loop(seed):
+    g = rotated(build(so(4)), seed=3, gaussian=True)
+    rng = random.Random(seed)
+    table = [[list(v) for v in row] for row in g.table]
+    for _ in range(seed + 1):
+        i, j, k = (rng.randrange(g.dim) for _ in range(3))
+        table[i][j][k] = table[i][j][k] + GQ(rng.randint(1, 3), seed)
+    bad = LieAlgebra(table)
+    expected = gq_validate_failures(bad)
+    assert expected
+    assert table_failures(bad) == expected
+    assert gq_validate_failures(g) == [] == table_failures(g)
+
+
+def table_failures(g):
+    # the rotated table's identity inner product is not invariant
+    return [f for f in g.validate().failures
+            if "antisymmetry" in f or "Jacobi" in f]

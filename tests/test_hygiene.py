@@ -47,3 +47,14 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert {name: line for name, line in imported.items()
             if name not in used} == {}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_exact_reads_numerators(path):
+    # exact converts GQ scalars to integer rows and back; every other module
+    # goes through it
+    tree = ast.parse(path.read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("numerator", "denominator")]
+    assert reads == [] or path.name == "exact.py"
