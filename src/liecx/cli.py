@@ -246,6 +246,16 @@ def _structure(ps, quot) -> ComplexStructure:
         raise ValidationError(str(e)) from None
 
 
+def _integrable_structure(ps, quot, why) -> ComplexStructure:
+    """The spec's J, required invariant and then integrable."""
+    J = _structure(ps, quot)
+    if not cx.is_invariant(J):
+        raise ValidationError("j is not invariant under the isotropy action")
+    if not cx.is_integrable(J):
+        raise ValidationError(f"j is not integrable; {why}")
+    return J
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -329,12 +339,9 @@ def cmd_check(ps, args):
     inv = cx.is_invariant(J)
     rep["invariant"] = inv
     if not inv:
-        for i, a in enumerate(cx.induced_actions(J)):
-            res = a * J.j - J.j * a
-            if not res.is_zero():
-                rep["invariance_witness"] = {
-                    "h_basis_index": i, "commutator": _ser_matrix(res)}
-                break
+        i, res = cx.invariance_witness(J)
+        rep["invariance_witness"] = {
+            "h_basis_index": i, "commutator": _ser_matrix(res)}
         return rep, EXIT_NO
     integ = cx.is_integrable(J)
     rep["integrable"] = integ
@@ -348,11 +355,7 @@ def cmd_check(ps, args):
 
 def cmd_m(ps, args):
     g, h, quot = _resolve_problem(ps)
-    J = _structure(ps, quot)
-    if not cx.is_invariant(J):
-        raise ValidationError("j is not invariant under the isotropy action")
-    if not cx.is_integrable(J):
-        raise ValidationError("j is not integrable; m is canonical only then")
+    J = _integrable_structure(ps, quot, "m is canonical only then")
     md = cx.compute_m(J)
     rep = _base_report("m", g, h)
     rep["dim_m"] = md.m.dim
@@ -426,11 +429,7 @@ def cmd_construct(ps, args):
 
 def cmd_decompose(ps, args):
     g, h, quot = _resolve_problem(ps)
-    J = _structure(ps, quot)
-    if not cx.is_invariant(J):
-        raise ValidationError("j is not invariant under the isotropy action")
-    if not cx.is_integrable(J):
-        raise ValidationError("j is not integrable; nothing to decompose")
+    J = _integrable_structure(ps, quot, "nothing to decompose")
     p, j1 = cx.decompose_J(J)
     index = cx.parabolic_index(g, h, p)
     rep = _base_report("decompose", g, h)
@@ -443,11 +442,7 @@ def cmd_decompose(ps, args):
 
 def cmd_verify(ps, args):
     g, h, quot = _resolve_problem(ps)
-    J = _structure(ps, quot)
-    if not cx.is_invariant(J):
-        raise ValidationError("j is not invariant under the isotropy action")
-    if not cx.is_integrable(J):
-        raise ValidationError("j is not integrable; ledger undefined")
+    J = _integrable_structure(ps, quot, "ledger undefined")
     ledger = cx.verify_structure(J)
     trials, evaluations = cx.nijenhuis_perturbation_trials(J, seed=args.seed)
     ledger.append(trials)

@@ -14,16 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact import (
-    GQ, ONE, ZERO, I, Matrix, Subspace, ExactError,
+    GQ, I, Matrix, Subspace, ExactError,
     kernel, inverse, solve, lincomb, vunit, vzero, vadd, vsub, vneg, vscale,
     vconj, is_zero_vec, relative_complement, span_sum, real_points,
-    realify_vector, realify_subspace,
 )
 from .liealg import (
     LieAlgebra, Subalgebra, Quotient,
     centralizer, normalizer, derived, center, radical, is_solvable, is_closed,
     extend_to_maximal_abelian, reduction_matrix, zero_subalgebra,
-    full_subalgebra,
+    full_subalgebra, pair_brackets,
 )
 from .roots import (
     Parabolic, root_decomposition, enumerate_positive_systems,
@@ -64,7 +63,7 @@ class ComplexStructure:
             raise ExactError("J^2 != -id")
         self.quotient = quot
         self.j = j
-        self._invariant = None
+        self._witness = None   # (invariance_witness's answer,) once known
         self._integrable = None
         self._plus = None
 
@@ -130,12 +129,19 @@ def induced_actions(J: ComplexStructure):
     return [q.induced_map(x) for x in q.h.basis_vectors()]
 
 
+def invariance_witness(J: ComplexStructure):
+    """(i, [ad-bar(x_i), J]) for the first basis vector x_i of h whose
+    commutator with J is nonzero, or None when J is invariant."""
+    if J._witness is None:
+        commutators = (a * J.j - J.j * a for a in induced_actions(J))
+        J._witness = (next(((i, c) for i, c in enumerate(commutators)
+                            if not c.is_zero()), None),)
+    return J._witness[0]
+
+
 def is_invariant(J: ComplexStructure) -> bool:
     """[J, ad-bar(x)] = 0 for every x in h."""
-    if J._invariant is None:
-        J._invariant = all((a * J.j - J.j * a).is_zero()
-                           for a in induced_actions(J))
-    return J._invariant
+    return invariance_witness(J) is None
 
 
 def _require_invariant(J):
@@ -266,20 +272,7 @@ def construct_J(quot: Quotient, p: Parabolic,
         raise TheoremViolation("the +i candidate has the wrong dimension")
     if real_points(vplus).dim != 0:
         raise TheoremViolation("the +i candidate meets the real quotient")
-    # recover the real J: e_k = w + tau(w), J e_k = i (w - tau(w))
-    vb = vplus.basis_vectors()
-    cols = [vadd(v, vconj(v)) for v in vb] \
-        + [vadd(vscale(I, v), vconj(vscale(I, v))) for v in vb]
-    mix = Matrix.from_columns(cols)
-    mix_inv = inverse(mix)
-    jcols = []
-    fdim = len(vb)
-    for k in range(quot.dim):
-        c = mix_inv.matvec(vunit(quot.dim, k))
-        w = lincomb(quot.dim,
-                    [c[a] + I * c[fdim + a] for a in range(fdim)], vb)
-        jcols.append(vscale(I, vsub(w, vconj(w))))
-    J = ComplexStructure(quot, Matrix.from_columns(jcols))
+    J = ComplexStructure(quot, structure_with_plus_space(vplus))
     if not is_invariant(J):
         raise TheoremViolation("constructed J is not h-invariant")
     if not is_integrable(J):
@@ -291,11 +284,22 @@ def construct_J(quot: Quotient, p: Parabolic,
     return J
 
 
+def structure_with_plus_space(vplus: Subspace) -> Matrix:
+    """The J with +i eigenspace V+ and -i eigenspace tau(V+), for V+ of half
+    the dimension and meeting tau(V+) in 0: J = P diag(iI, -iI) P^-1 with
+    P = [V+ | tau(V+)].  J is real because tau swaps the two eigenspaces."""
+    vb = vplus.basis_vectors()
+    p = Matrix.from_columns(list(vb) + [vconj(v) for v in vb])
+    pd = Matrix.from_columns([vscale(I, v) for v in vb]
+                             + [vconj(vscale(I, v)) for v in vb])
+    return pd * inverse(p)
+
+
 def decompose_J(J: ComplexStructure):
     """Recover (p, J1) with J = J(p, J1): p is the normalizer of l in g_C,
     rebuilt from root spaces (build_parabolic cross-checks the nilradical
-    with the Killing-perpendicular one), J1 is the restriction of J to the
-    fiber m/h."""
+    with the Killing-perpendicular one and p n tau(p) with m_C, so p n g = m
+    with the canonical m), J1 is the restriction of J to the fiber m/h."""
     _require_invariant(J)
     if not is_integrable(J):
         raise ExactError("decomposition requires an integrable J")
@@ -303,8 +307,6 @@ def decompose_J(J: ComplexStructure):
     g = quot.algebra
     p_space = normalizer(g, Subalgebra(g, plus_space(J), check=False)).space
     md = compute_m(J)
-    if real_points(p_space) != md.m.space:
-        raise TheoremViolation("p n g disagrees with the canonical m")
     a = extend_to_maximal_abelian(g, md.center_m)
     rd = root_decomposition(g, a)
     q_plus = tuple(sorted(
@@ -424,12 +426,11 @@ def verify_structure(J: ComplexStructure):
     def entry(name, ok, detail=""):
         out.append(LedgerEntry(name, ok, detail))
 
-    real_axes = Subspace.from_vectors(
-        2 * n, [realify_vector(vunit(n, j)) for j in range(n)])
-    lr = realify_subspace(l)
-    entry("gc_equals_g_plus_l", real_axes.add(lr).dim == 2 * n,
+    l_plus_tau_l = l.add(tau_l)
+    # g + l = g_C exactly when the real and imaginary parts of l span g
+    entry("gc_equals_g_plus_l", real_points(l_plus_tau_l).dim == n,
           "g + l spans g_C over R")
-    entry("gc_equals_l_plus_tau_l", l.add(tau_l).dim == n,
+    entry("gc_equals_l_plus_tau_l", l_plus_tau_l.dim == n,
           "l + tau(l) = g_C")
     entry("hc_equals_l_cap_tau_l", l.intersect(tau_l) == quot.h.space,
           "l n tau(l) = h_C")
@@ -445,10 +446,10 @@ def verify_structure(J: ComplexStructure):
     levi_ok = (r.space.add(kc) == l and r.space.intersect(kc).dim == 0)
     entry("levi_split", levi_ok, "l = radical(l) (+) [h,h]_C")
     entry("radical_solvable", is_solvable(r), "")
-    p, _ = decompose_J(J)
+    # p = N(l), as decompose_J finds it, against the canonical m
+    p = normalizer(g, lsub).space
     entry("p_cap_tau_p_is_mc",
-          p.space.space.intersect(p.space.space.conjugate())
-          == p.levi_real.space,
+          p.intersect(p.conjugate()) == compute_m(J).m.space,
           "p n tau(p) = m_C")
     if hd == 0:
         entry("l_solvable", is_solvable(lsub),
@@ -544,6 +545,16 @@ def commutant_dimension(J: ComplexStructure):
     return dim_real // 2
 
 
+def involution_is_automorphism(g: LieAlgebra, h: Subspace, v: Subspace):
+    """Whether theta = id on h, -id on V is an automorphism of g = h (+) V:
+    on basis pairs, [h,h] in h, [h,V] in V and [V,V] in h."""
+    vb = v.basis_vectors()
+    return (is_closed(g, h)
+            and all(v.contains(g.bracket(a, b))
+                    for a in h.basis_vectors() for b in vb)
+            and all(h.contains(c) for c in pair_brackets(g, vb)))
+
+
 def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, J: ComplexStructure,
                       p: Parabolic | None = None) -> SymmetricVerdict:
     """Detect whether (g, h, J) is an irreducible Hermitian symmetric pair:
@@ -588,20 +599,7 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, J: ComplexStructure,
     split_ok = (v.intersect(h.space).dim == 0
                 and v.add(h.space).dim == g.dim)
     checks.append(LedgerEntry("cartan_split", split_ok, "g = h (+) V"))
-    theta_ok = False
-    if split_ok:
-        b = Matrix.from_columns(
-            list(h.space.basis_vectors()) + list(v.basis_vectors()))
-        binv = inverse(b)
-        d = [[ZERO] * g.dim for _ in range(g.dim)]
-        for i in range(g.dim):
-            d[i][i] = ONE if i < h.dim else -ONE
-        theta = b * Matrix(d) * binv
-        theta_ok = all(
-            theta.matvec(g.bracket(vunit(g.dim, i), vunit(g.dim, j)))
-            == g.bracket(theta.matvec(vunit(g.dim, i)),
-                         theta.matvec(vunit(g.dim, j)))
-            for i in range(g.dim) for j in range(i + 1, g.dim))
+    theta_ok = split_ok and involution_is_automorphism(g, h.space, v)
     checks.append(LedgerEntry("theta_automorphism", theta_ok,
                               "id on h, -id on V"))
     ok = m_eq and n_ab and bracket_ok and split_ok and theta_ok

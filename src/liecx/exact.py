@@ -634,8 +634,8 @@ def relative_complement(outer: Subspace, inner: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# realification: a complex ambient of dim n viewed as a rational space of
-# dim 2n with coordinates (re0, im0, re1, im1, ...)
+# real forms: a complex vector of length n as a rational one of length 2n
+# with coordinates (re0, im0, re1, im1, ...), and the real points of a span
 
 def realify_vector(v):
     out = []
@@ -643,14 +643,6 @@ def realify_vector(v):
         out.append(GQ(x.re))
         out.append(GQ(x.im))
     return tuple(out)
-
-
-def realify_subspace(s: Subspace) -> Subspace:
-    vecs = []
-    for b in s.basis_vectors():
-        vecs.append(realify_vector(b))
-        vecs.append(realify_vector(vscale(I, b)))
-    return Subspace.from_vectors(2 * s.ambient_dim, vecs)
 
 
 def real_points(s: Subspace) -> Subspace:

@@ -126,9 +126,6 @@ class LieAlgebra:
                 [from_ints(r, m, den) for r, m in zip(re, im)])
         return self._killing_gram
 
-    def killing(self, x, y):
-        return vdot(x, self.killing_gram().matvec(y))
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationResult:
@@ -204,7 +201,6 @@ class Subalgebra:
         self.space = space
         if check and not is_closed(algebra, space):
             raise NotClosed("subspace is not closed under the bracket")
-        self.closed = True
 
     @classmethod
     def span(cls, algebra, vectors, check=True):
@@ -314,6 +310,12 @@ def is_nilpotent(s: Subalgebra) -> bool:
     return True
 
 
+def restricted_ad(g: LieAlgebra, x, space: Subspace) -> Matrix:
+    """Matrix of ad(x) on an ad(x)-stable subspace, in its coordinates."""
+    return Matrix.from_columns([space.coords(g.bracket(x, b))
+                                for b in space.basis_vectors()])
+
+
 def radical(l: Subalgebra) -> Subalgebra:
     """Radical of l by the Killing-perpendicularity criterion: the set of
     x in l with kappa_l(x, [l, l]) = 0, kappa_l computed inside l."""
@@ -322,11 +324,7 @@ def radical(l: Subalgebra) -> Subalgebra:
     d = len(bs)
     if d == 0:
         return l
-    # ad of l on itself, in l-coordinates
-    ad_l = []
-    for u in bs:
-        cols = [l.space.coords(g.bracket(u, v)) for v in bs]
-        ad_l.append(Matrix.from_columns(cols))
+    ad_l = [restricted_ad(g, u, l.space) for u in bs]
     gram = Matrix([[(ad_l[i] * ad_l[j]).trace() for j in range(d)] for i in range(d)])
     der = Subspace.from_vectors(
         d, [l.space.coords(b) for b in pair_brackets(g, bs)])

@@ -9,8 +9,10 @@ of every case go to tests/golden/manifest.json. The J of the construct
 report is fed back into decompose, check, verify, m and symmetric, so those
 reports pin the construct/decompose round trip too. symmetric also runs
 without a j on a few instances, where it constructs J from the k-th
-parabolic itself. validate, catalog and classify run on perfbench's dense
-instances (catalog algebras in a random integer basis) where they finish.
+parabolic itself. On su(4)/u(3) (d = 15) only symmetric and verify run,
+with and without the J of construct. validate, catalog and classify run on
+perfbench's dense instances (catalog algebras in a random integer basis)
+where they finish.
 
 Cases already in the manifest that this script does not write, the dense
 classify of su(3)/t and so(5)/t by make_dense_golden.py, are kept.
@@ -90,9 +92,15 @@ CONSTRUCT_ERRORS = [
 ]
 
 
+# su(4)/u(3), the Hermitian symmetric CP^3 at d = 15: only symmetric and
+# verify run here, the commands whose certificates (theta, the real J of an
+# eigenspace, g + l = g_C) grow with d
+SU4_U3 = {"algebra": {"kind": "su", "n": 4},
+          "subalgebra": {"name": "block_u", "k": 3}}
+
 # symmetric without a j: (instance, parabolic index)
 SYMMETRIC_CONSTRUCTED = [("su3_u2", 0), ("su3_u2", 1), ("su2_u1", 0),
-                         ("so5_t", 3)]
+                         ("so5_t", 3), ("su4_u3", 0)]
 
 # perfbench's dense-table jobs other than make_dense_golden.py's: (instance,
 # command)
@@ -128,16 +136,26 @@ def cases_for(base, bad_j, j):
     ]
 
 
+def construct_k0(base):
+    """The J of construct with parabolic index 0."""
+    _, construct = run_case(base, "construct", ["--parabolic-index", "0"])
+    return json.loads(construct)["j"]
+
+
 def main():
     cases = []
     for inst, (base, bad_j) in INSTANCES.items():
-        _, construct = run_case(base, "construct", ["--parabolic-index", "0"])
-        j = json.loads(construct)["j"]
+        j = construct_k0(base)
         cases += [(f"{inst}__{name}", spec, command, extra)
                   for name, spec, command, extra in cases_for(base, bad_j, j)]
+    su4_u3_j = dict(SU4_U3, j=construct_k0(SU4_U3))
+    cases += [("su4_u3__symmetric", su4_u3_j, "symmetric", []),
+              ("su4_u3__verify_seed0", su4_u3_j, "verify", ["--seed", "0"])]
     cases += [(name, spec, "construct", extra)
               for name, spec, extra in CONSTRUCT_ERRORS]
-    cases += [(f"{inst}__symmetric_k{k}", INSTANCES[inst][0], "symmetric",
+    specs = {inst: base for inst, (base, _) in INSTANCES.items()}
+    specs["su4_u3"] = SU4_U3
+    cases += [(f"{inst}__symmetric_k{k}", specs[inst], "symmetric",
                ["--parabolic-index", str(k)])
               for inst, k in SYMMETRIC_CONSTRUCTED]
     dense = {inst.name: inst.spec for inst in workloads.dense_instances()}

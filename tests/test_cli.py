@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from liecx import cli, cx, roots
+from liecx import cli, cx, exact, liealg, roots
 
 
 SU3_T = {"algebra": {"kind": "su", "n": 3},
@@ -314,3 +314,53 @@ def test_symmetric_without_j_builds_one_parabolic(tmp_path, name):
     assert [calls(cx.decompose_J), calls(cx.compute_m)] == [0, 0]
     assert [calls(roots.root_decomposition), calls(roots.build_parabolic),
             calls(roots.killing_perp_nilradical)] == [1, 1, 1]
+
+
+VERIFY_SPECS = {c["file"]: c["spec"] for c in json.loads(
+    (GOLDEN / "manifest.json").read_text()) if c["command"] == "verify"}
+
+
+@pytest.mark.parametrize("name", ["su3_t__verify_seed0.json",
+                                  "so5_t__verify_seed0.json"])
+def test_verify_rebuilds_no_parabolic(tmp_path, name):
+    # p n tau(p) = m_C is read off p = N(l) and compute_m's m
+    calls = profiled_calls(tmp_path, VERIFY_SPECS[name], "verify",
+                           "--seed", "0")
+    assert [calls(cx.decompose_J), calls(roots.root_decomposition),
+            calls(roots.build_parabolic),
+            calls(roots.killing_perp_nilradical)] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("spec,count", [(SU3_T, 6), (SO5_T, 8)],
+                         ids=["su3_t", "so5_t"])
+def test_classify_checks_each_closure_once(tmp_path, spec, count):
+    # m once, then p once per parabolic; n and p n g follow from p's checks
+    calls = profiled_calls(tmp_path, spec, "classify")
+    assert calls(exact.real_points) == 0
+    assert calls(liealg.is_closed) == 1 + count
+
+
+def test_verify_needs_no_root_decomposition(tmp_path):
+    """g = su(2)' + su(2) + su(2), with [f0, f1] = 2 f2, [f1, f2] = f0,
+    [f2, f0] = f1 on su(2)' (ad f0 has eigenvalues +-i sqrt 2), h = su(2)'
+    and the integrable J of the su(2) + su(2) golden.  A Cartan through
+    center(m) picks up f0, so no rational root decomposition exists; the
+    ledger is complete without one."""
+    n = 9
+    table = [[["0"] * n for _ in range(n)] for _ in range(n)]
+    brackets = [(0, 1, 2, 2), (1, 2, 0, 1), (2, 0, 1, 1)]
+    brackets += [(o + a, o + b, o + c, 1) for o in (3, 6)
+                 for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    for i, j, k, c in brackets:
+        table[i][j][k], table[j][i][k] = str(c), str(-c)
+    inner = [[str(d if i == j else 0) for j in range(n)]
+             for i, d in enumerate([2, 2, 1] + [2] * 6)]
+    j = json.loads((GOLDEN / "su2su2_0__construct_k0.json").read_text())["j"]
+    spec = {"algebra": {"table": table, "inner_product": inner},
+            "subalgebra": {"name": "span", "vectors": [
+                [str(int(i == k)) for i in range(n)] for k in range(3)]},
+            "j": j}
+    code, rep = run(tmp_path, spec, "verify")
+    assert code == 0 and rep["all_ok"]
+    assert {"name": "p_cap_tau_p_is_mc", "ok": True,
+            "detail": "p n tau(p) = m_C"} in rep["ledger"]

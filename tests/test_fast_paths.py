@@ -1,8 +1,9 @@
 """Oracles for the fast paths.
 
 Each test compares a fast path with the formula it replaced: the dense
-loops, the divisor-based candidate roots, the d leading determinants and
-classify followed by a search.  The old formula is kept here, and only
+loops, the divisor-based candidate roots, the d leading determinants,
+classify followed by a search, the matrix of theta, the real J mixed from
+e_k = w + tau(w), and g + l realified.  The old formula is kept here, and only
 here, as the reference.
 """
 
@@ -16,9 +17,9 @@ import pytest
 
 from liecx import cli, cx
 from liecx.exact import (
-    GQ, ZERO, ONE, I, Matrix, Subspace, IrrationalSpectrum, charpoly, inverse,
-    lincomb, rref, solve, vunit, vscale, vzero, realify_vector,
-    rational_eigenvalues,
+    GQ, ZERO, ONE, I, Matrix, Subspace, ExactError, IrrationalSpectrum,
+    charpoly, inverse, kernel, lincomb, rref, solve, vunit, vadd, vsub, vconj,
+    vec, vscale, vzero, realify_vector, real_points, rational_eigenvalues,
 )
 from liecx.liealg import LieAlgebra, Subalgebra, quotient, _positive_definite
 from liecx.catalog import (
@@ -706,3 +707,213 @@ def table_failures(g):
     # the rotated table's identity inner product is not invariant
     return [f for f in g.validate().failures
             if "antisymmetry" in f or "Jacobi" in f]
+
+
+# ---------------------------------------------------------------------------
+# theta, the real J of an eigenspace and g + l against the formulas they
+# replaced
+
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def golden_structure(tmp_path, case):
+    """g, h and the J a golden symmetric or verify case works with: the
+    spec's j, or the J construct builds from the k-th parabolic."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(case["spec"]))
+    ps = cli.parse(path)
+    if case["args"][:1] == ["--parabolic-index"]:
+        ps.parabolic_index = int(case["args"][1])
+    g, h, quot = cli._resolve_problem(ps)
+    if ps.j is not None:
+        return g, h, cli._structure(ps, quot)
+    return g, h, cx.construct_J(quot, cli._select_parabolic(ps, g, h))
+
+
+def theta_by_matrix(g, h, v):
+    """theta = B D B^-1, B = (h basis | V basis), D = diag(1, .., -1, ..),
+    an automorphism when it commutes with the bracket on every unit pair."""
+    b = Matrix.from_columns(list(h.basis_vectors()) + list(v.basis_vectors()))
+    d = [[ZERO] * g.dim for _ in range(g.dim)]
+    for i in range(g.dim):
+        d[i][i] = ONE if i < h.dim else -ONE
+    theta = b * Matrix(d) * inverse(b)
+    return all(
+        theta.matvec(g.bracket(vunit(g.dim, i), vunit(g.dim, j)))
+        == g.bracket(theta.matvec(vunit(g.dim, i)),
+                     theta.matvec(vunit(g.dim, j)))
+        for i in range(g.dim) for j in range(i + 1, g.dim))
+
+
+SYMMETRIC_CASES = [c for c in MANIFEST if c["command"] == "symmetric"]
+
+
+def test_theta_criterion_matches_matrix_on_golden_splits(tmp_path):
+    """The split g = h (+) V of every golden symmetric case where V is a
+    complement of h: su(3)/t and so(5)/t fail, the symmetric pairs pass."""
+    verdicts = {}
+    for case in SYMMETRIC_CASES:
+        g, h, J = golden_structure(tmp_path, case)
+        n = cx.decompose_J(J)[0].nilradical.space
+        v = real_points(n.add(n.conjugate()))
+        if v.intersect(h.space).dim or v.add(h.space).dim != g.dim:
+            continue
+        ok = cx.involution_is_automorphism(g, h.space, v)
+        assert ok == theta_by_matrix(g, h.space, v), case["file"]
+        verdicts[case["file"]] = ok
+    assert verdicts["su4_u3__symmetric.json"] is True
+    assert verdicts["su3_t__symmetric.json"] is False
+    assert verdicts["so5_t__symmetric_k3.json"] is False
+
+
+def test_theta_criterion_matches_matrix_on_splits_that_are_not_cartan():
+    """su(3) = u(2) (+) V with V the Killing complement (a symmetric pair),
+    then V sheared by elements of u(2), and coordinate complements of
+    subspaces that are not subalgebras."""
+    g = build(su(3))
+    h = build_subalgebra(g, su(3), "block_u", k=2).space
+    v0 = kernel(Matrix([g.killing_gram().matvec(b)
+                        for b in h.basis_vectors()]))
+    assert cx.involution_is_automorphism(g, h, v0) is True
+    assert theta_by_matrix(g, h, v0) is True
+    vb = v0.basis_vectors()
+    for x in h.basis_vectors():
+        for k in range(len(vb)):
+            sheared = Subspace.from_vectors(
+                g.dim, vb[:k] + (vadd(vb[k], x),) + vb[k + 1:])
+            assert cx.involution_is_automorphism(g, h, sheared) is False
+            assert theta_by_matrix(g, h, sheared) is False
+    rng = random.Random(5)
+    for dim in (2, 3, 4):
+        s = Subspace.from_vectors(g.dim, [
+            rand_vec(rng, g.dim, 0.5) for _ in range(dim)])
+        s = Subspace.from_vectors(g.dim, [tuple(GQ(x.re) for x in b)
+                                          for b in s.basis_vectors()])
+        ok = cx.involution_is_automorphism(g, s, s.complement())
+        assert ok == theta_by_matrix(g, s, s.complement()) is False
+
+
+def test_theta_criterion_matches_matrix_when_one_bracket_rule_fails():
+    """u(2) = center e0 (+) su(2) with [e1, e2] = e3 cyclically: h and V
+    with theta an automorphism, then three splits that each break only one
+    of [h,h] in h, [h,V] in V and [V,V] in h."""
+    g = build(u(2))
+
+    def span(*rows):
+        return Subspace.from_vectors(4, [vec(r) for r in rows])
+    e0, e1, e2, e3 = ([int(i == k) for i in range(4)] for k in range(4))
+    e0e3 = [1, 0, 0, 1]
+    splits = [(span(e0, e3), span(e1, e2), True),
+              (span(e1, e2, e0e3), span(e0), False),
+              (span(e1, e2, e3), span([1, 0, 1, 0]), False),
+              (span(e0e3), span(e1, e2, e3), False)]
+    for h, v, expected in splits:
+        assert cx.involution_is_automorphism(g, h, v) is expected
+        assert theta_by_matrix(g, h, v) is expected
+
+
+def j_by_mixing(vplus):
+    """The real J with +i eigenspace V+: e_k = w + tau(w), J e_k =
+    i (w - tau(w)), with w solved from the mixing matrix of the real and
+    imaginary parts of V+."""
+    q = vplus.ambient_dim
+    vb = vplus.basis_vectors()
+    f = len(vb)
+    mix_inv = inverse(Matrix.from_columns(
+        [vadd(v, vconj(v)) for v in vb]
+        + [vadd(vscale(I, v), vconj(vscale(I, v))) for v in vb]))
+    jcols = []
+    for k in range(q):
+        c = mix_inv.matvec(vunit(q, k))
+        w = lincomb(q, [c[a] + I * c[f + a] for a in range(f)], vb)
+        jcols.append(vscale(I, vsub(w, vconj(w))))
+    return Matrix.from_columns(jcols)
+
+
+GOLDEN_JS = sorted({json.dumps(c["spec"]["j"]) for c in MANIFEST
+                    if "j" in c["spec"]})
+
+
+@pytest.mark.parametrize("j", GOLDEN_JS, ids=range(len(GOLDEN_JS)))
+def test_real_structure_matches_mixing_on_golden_js(j):
+    jm = cli._parse_matrix(json.loads(j), "j")
+    vplus = kernel(jm - Matrix.identity(jm.nrows).scale(I))
+    assert cx.structure_with_plus_space(vplus) == j_by_mixing(vplus) == jm
+
+
+def test_real_structure_matches_mixing_on_random_eigenspaces():
+    rng = random.Random(11)
+    tried = 0
+    for f in (1, 2, 3, 4):
+        for _ in range(4):
+            vplus = Subspace.from_vectors(2 * f, [
+                rand_vec(rng, 2 * f, 0.7) for _ in range(f)])
+            if vplus.dim != f or vplus.intersect(vplus.conjugate()).dim:
+                continue
+            j = cx.structure_with_plus_space(vplus)
+            assert j == j_by_mixing(vplus)
+            assert j.is_real()
+            assert j * j == Matrix.identity(2 * f).scale(GQ(-1))
+            assert kernel(j - Matrix.identity(2 * f).scale(I)) == vplus
+            tried += 1
+    assert tried >= 10
+    # a V+ holding a real vector meets tau(V+): no J, by either formula
+    real_line = Subspace.from_vectors(2, [(ONE, GQ(2))])
+    with pytest.raises(ExactError):
+        cx.structure_with_plus_space(real_line)
+    with pytest.raises(ExactError):
+        j_by_mixing(real_line)
+
+
+def realify_subspace(s):
+    """s as a rational subspace of dim 2 dim s in coordinates (re, im)."""
+    vecs = []
+    for b in s.basis_vectors():
+        vecs.append(realify_vector(b))
+        vecs.append(realify_vector(vscale(I, b)))
+    return Subspace.from_vectors(2 * s.ambient_dim, vecs)
+
+
+def g_plus_l_by_realification(l):
+    n = l.ambient_dim
+    real_axes = Subspace.from_vectors(
+        2 * n, [realify_vector(vunit(n, j)) for j in range(n)])
+    return real_axes.add(realify_subspace(l)).dim == 2 * n
+
+
+VERIFY_CASES = [c for c in MANIFEST if c["command"] == "verify"]
+
+
+@pytest.mark.parametrize("case", VERIFY_CASES,
+                         ids=[c["file"] for c in VERIFY_CASES])
+def test_verify_certificates_match_the_formulas_they_replaced(tmp_path,
+                                                              case):
+    """g + l realified, and p n tau(p) on decompose_J's rebuilt p."""
+    g, h, J = golden_structure(tmp_path, case)
+    ledger = {e.name: e.ok for e in cx.verify_structure(J)}
+    assert ledger["gc_equals_g_plus_l"] is g_plus_l_by_realification(
+        cx.plus_space(J)) is True
+    p = cx.decompose_J(J)[0]
+    assert ledger["p_cap_tau_p_is_mc"] is (
+        p.space.space.intersect(p.space.space.conjugate())
+        == p.levi_real.space) is True
+
+
+def test_g_plus_l_criterion_matches_realification_where_it_fails():
+    """verify's criterion, the real points of l + tau(l) span g, on h_C of
+    su(3)/u(2) (real, fails), on (1, i) in C^2 (its real and imaginary
+    parts span R^2) and on random complex subspaces."""
+    assert realify_subspace(Subspace.from_vectors(2, [(ONE, I)])).dim == 2
+    g = build(su(3))
+    rng = random.Random(3)
+    spaces = [build_subalgebra(g, su(3), "block_u", k=2).space,
+              Subspace.from_vectors(2, [(ONE, I)])]
+    spaces += [Subspace.from_vectors(g.dim, [rand_vec(rng, g.dim, 0.4)
+                                             for _ in range(k)])
+               for k in (1, 2, 3, 4, 4, 5, 6)]
+    verdicts = []
+    for l in spaces:
+        ok = real_points(l.add(l.conjugate())).dim == l.ambient_dim
+        assert ok == g_plus_l_by_realification(l)
+        verdicts.append(ok)
+    assert verdicts[:2] == [False, True] and verdicts.count(False) > 2

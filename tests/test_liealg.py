@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from liecx.exact import (
-    GQ, ZERO, ONE, I, Matrix, Subspace, vec, vunit, vadd, vscale, vconj,
+    GQ, ZERO, ONE, I, Matrix, Subspace, vec, vunit, vadd, vscale, vconj, vdot,
 )
 from liecx.liealg import (
     LieAlgebra, Subalgebra, NotClosed,
@@ -96,7 +96,9 @@ def test_su2_jacobi_and_invariance(x, y, z):
     rhs = vadd(g.bracket(g.bracket(x, y), z), g.bracket(y, g.bracket(x, z)))
     assert lhs == rhs
     assert g.inner(g.bracket(x, y), z) + g.inner(y, g.bracket(x, z)) == 0
-    assert g.killing(g.bracket(x, y), z) + g.killing(y, g.bracket(x, z)) == 0
+    def killing(a, b):
+        return vdot(a, g.killing_gram().matvec(b))
+    assert killing(g.bracket(x, y), z) + killing(y, g.bracket(x, z)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,14 @@ def test_build_parabolic_rejects_bad_system(su3_datum):
         build_parabolic(rd, rd.cartan, bad)
 
 
+def test_build_parabolic_rejects_all_of_g(su3_datum):
+    # p = g_C is closed and holds every root space; only p n tau(p) = m_C,
+    # the check p n g = m now rests on, rejects it
+    g, rd = su3_datum
+    with pytest.raises(ClosureFailure, match=r"p n tau\(p\) != m_C"):
+        build_parabolic(rd, rd.cartan, tuple(range(len(rd.roots))))
+
+
 def test_parabolic_from_abelian():
     g = build(su(2))
     t = Subalgebra.span(g, [vunit(3, 2)])
