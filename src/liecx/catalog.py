@@ -18,11 +18,9 @@ identity on central factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import (
     GQ, ONE, ZERO, I, Matrix, Subspace, ExactError,
-    vec, vunit, vzero, rref, inverse, realify_vector,
+    vec, vunit, vzero, rref, inverse, int_vectors, from_ints,
 )
 from .liealg import LieAlgebra, Subalgebra, center, full_subalgebra
 
@@ -31,11 +29,11 @@ class InvalidSpec(ExactError):
     pass
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
-    kind: str                      # su | so | u | torus | sum
-    n: int = 0                     # for su/so/u: matrix size; for torus: rank
-    parts: tuple = ()              # for sum
+    def __init__(self, kind: str, n: int = 0, parts: tuple = ()):
+        self.kind = kind           # su | so | u | torus | sum
+        self.n = n                 # for su/so/u: matrix size; for torus: rank
+        self.parts = parts         # for sum
 
     def validate(self):
         if self.kind in ("su", "so", "u"):
@@ -121,51 +119,93 @@ def _so_basis(n):
             for j in range(n) for k in range(j + 1, n)]
 
 
-def _commutator(a, b):
-    n = len(a)
-    out = [[ZERO] * n for _ in range(n)]
-    for x, y, sign in ((a, b, ONE), (b, a, -ONE)):
-        for r in range(n):
-            for m in range(n):
-                if x[r][m]:
-                    f = sign * x[r][m]
-                    for c in range(n):
-                        if y[m][c]:
-                            out[r][c] = out[r][c] + f * y[m][c]
-    return out
+def _real_ints(mats):
+    """(D, coordinates): each n x n matrix read row by row and realified,
+    re and im of entry (r, c) at positions 2(rn + c) and 2(rn + c) + 1, as
+    a dict of its nonzero positions to D times their value, with D the
+    least common denominator of all the matrices."""
+    den, entries = int_vectors([tuple(x for row in m for x in row)
+                                for m in mats])
+    out = []
+    for e in entries:
+        t = {}
+        for i, a, b in e:
+            if a:
+                t[2 * i] = a
+            if b:
+                t[2 * i + 1] = b
+        out.append(t)
+    return den, out
 
 
-def _flatten_real(mat):
-    return realify_vector(tuple(x for row in mat for x in row))
+def _commutator(n, x, y):
+    """XY - YX for n x n matrices given as realified integer coordinates
+    (see _real_ints), in the same form over the product of the scales."""
+    out = {}
+    for p, q, sign in ((x, y, 1), (y, x, -1)):
+        for i, a in p.items():
+            r, m = divmod(i >> 1, n)
+            for j, b in q.items():
+                m2, c = divmod(j >> 1, n)
+                if m == m2:
+                    # a i^(i&1) * b i^(j&1), and i^2 = -1
+                    s = (i & 1) + (j & 1)
+                    pos = 2 * (r * n + c) + (s & 1)
+                    out[pos] = out.get(pos, 0) + (sign if s < 2 else -sign) * a * b
+    return {pos: v for pos, v in out.items() if v}
 
 
-def _coordinates(basis):
-    """Coordinates in a linearly independent matrix basis.
+def _coordinates(den, basis):
+    """Coordinates in a linearly independent matrix basis, given as
+    _real_ints over den.
 
-    The returned function maps a matrix to its coefficient tuple, or to None
-    if the matrix is not in the real span.  The basis is factored once: d
-    independent real coordinates of the expansion matrix are located and
-    that d x d block inverted, so each call is one matvec plus an exact
-    re-expansion check."""
-    expand = Matrix.from_columns([_flatten_real(m) for m in basis])
-    _, rows, _ = rref(expand.transpose())
-    block_inv = inverse(Matrix([expand.rows[r] for r in rows]))
+    The returned function maps a matrix given the same way, t over t_den,
+    to its coefficient tuple, or to None if the matrix is not in the real
+    span.  The basis is factored once: d independent real coordinates (the
+    pivots) are located and the inverse of that d x d block held as A / D
+    with A an integer matrix, so each call is one integer matvec on the
+    pivots plus an exact re-expansion check in integers."""
+    used = sorted(set().union(*basis))
+    _, cols, _ = rref(Matrix([from_ints([b.get(pos, 0) for pos in used],
+                                        None, 1) for b in basis]))
+    pivots = [used[c] for c in cols]
+    block = Matrix([from_ints([b.get(pos, 0) for b in basis], None, 1)
+                    for pos in pivots])
+    big_d, a_rows = int_vectors(inverse(block).rows)
+    # column r of A, for the pivot pivots[r]
+    a_cols = {pos: [] for pos in pivots}
+    for k, row in enumerate(a_rows):
+        for r, a, _ in row:
+            a_cols[pivots[r]].append((k, a))
 
-    def coords(mat):
-        target = _flatten_real(mat)
-        c = block_inv.matvec(tuple(target[r] for r in rows))
-        return c if expand.matvec(c) == target else None
+    def coords(t_den, t):
+        c = [0] * len(basis)
+        for pos, x in t.items():
+            for k, a in a_cols.get(pos, ()):
+                c[k] += a * x
+        # sum_k c_k b_k == t, both sides times D t_den
+        expanded = {}
+        for ck, b in zip(c, basis):
+            if ck:
+                for pos, x in b.items():
+                    expanded[pos] = expanded.get(pos, 0) + ck * x
+        if {pos: v for pos, v in expanded.items() if v} != \
+                {pos: big_d * x for pos, x in t.items()}:
+            return None
+        return from_ints([den * x for x in c], None, big_d * t_den)
     return coords
 
 
 def _structure_from_matrices(basis):
     """Expand commutators of a matrix basis exactly in that basis."""
-    coords = _coordinates(basis)
+    n = len(basis[0])
+    den, ints = _real_ints(basis)
+    coords = _coordinates(den, ints)
     table = []
-    for a in basis:
+    for a in ints:
         row = []
-        for b in basis:
-            coeffs = coords(_commutator(a, b))
+        for b in ints:
+            coeffs = coords(den * den, _commutator(n, a, b))
             if coeffs is None:  # pragma: no cover
                 raise InvalidSpec("matrix basis is not bracket-closed")
             row.append(coeffs)
@@ -272,8 +312,7 @@ def _block_u_space(spec, g, k):
     n = spec.n
     if not 1 <= k < n:
         raise InvalidSpec(f"block_u({k}) needs 1 <= k < {n}")
-    coords = _coordinates(_su_basis(n))
-    vectors = []
+    coords = _coordinates(*_real_ints(_su_basis(n)))
     # su(k)-block plus its compensated center, expanded in catalog coordinates
     block = []
     if k >= 2:
@@ -282,6 +321,7 @@ def _block_u_space(spec, g, k):
     for j in range(k):
         scalar_k[j][j] = I * GQ(n - k)
     block.append(scalar_k)
+    fulls = []
     for bm in block:
         full = [[ZERO] * n for _ in range(n)]
         for r in range(k):
@@ -290,7 +330,11 @@ def _block_u_space(spec, g, k):
         if bm is scalar_k:
             for j in range(k, n):
                 full[j][j] = -I * GQ(k)
-        coeffs = coords(full)
+        fulls.append(full)
+    den, ints = _real_ints(fulls)
+    vectors = []
+    for t in ints:
+        coeffs = coords(den, t)
         if coeffs is None:  # pragma: no cover
             raise InvalidSpec("block_u generator is not in su(n)")
         vectors.append(coeffs)

@@ -11,8 +11,6 @@ l are equivalent, and both are always computed and compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exact import (
     GQ, I, Matrix, Subspace, ExactError,
     kernel, inverse, solve, lincomb, vunit, vzero, vadd, vsub, vneg, vscale,
@@ -43,11 +41,11 @@ class TheoremViolation(ExactError):
     an artifact bug or invalid input that slipped past validation."""
 
 
-@dataclass
 class LedgerEntry:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 class ComplexStructure:
@@ -76,19 +74,23 @@ class ComplexStructure:
         return f"ComplexStructure(on quotient of dim {self.quotient.dim})"
 
 
-@dataclass
 class TorusComplexStructure:
     """A structure on the fiber m/h, held on the canonical complement u of h
     in m; automatically integrable since m/h is abelian."""
-    u: Subspace            # complement of h inside m, ambient g coordinates
-    j1: Matrix             # on u-coordinates, j1^2 = -id
 
-    def __post_init__(self):
-        f = self.u.dim
-        if self.j1.nrows != f or self.j1.ncols != f:
+    def __init__(self, u: Subspace, j1: Matrix):
+        f = u.dim
+        if j1.nrows != f or j1.ncols != f:
             raise ExactError(f"J1 must be {f}x{f}")
-        if f and self.j1 * self.j1 != Matrix.identity(f).scale(GQ(-1)):
+        if f and j1 * j1 != Matrix.identity(f).scale(GQ(-1)):
             raise ExactError("J1^2 != -id")
+        self.u = u             # complement of h inside m, ambient g coordinates
+        self.j1 = j1           # on u-coordinates, j1^2 = -id
+
+    def __eq__(self, o):
+        if not isinstance(o, TorusComplexStructure):
+            return NotImplemented
+        return self.u == o.u and self.j1 == o.j1
 
 
 def default_torus_structure(u: Subspace) -> TorusComplexStructure:
@@ -103,22 +105,24 @@ def default_torus_structure(u: Subspace) -> TorusComplexStructure:
     return TorusComplexStructure(u, Matrix.from_columns(cols))
 
 
-@dataclass
 class MData:
-    m: Subalgebra
-    u: Subspace
-    center_m: Subalgebra
+    def __init__(self, m: Subalgebra, u: Subspace, center_m: Subalgebra):
+        self.m = m
+        self.u = u
+        self.center_m = center_m
 
 
-@dataclass
 class ClassificationReport:
-    exists: bool
-    reason: str
-    m: MData | None
-    parabolics: list
-    fiber_dim: int
-    structure_count_note: str
-    ledger: list = field(default_factory=list)
+    def __init__(self, exists: bool, reason: str, m: MData | None,
+                 parabolics: list, fiber_dim: int, structure_count_note: str,
+                 ledger: list):
+        self.exists = exists
+        self.reason = reason
+        self.m = m
+        self.parabolics = parabolics
+        self.fiber_dim = fiber_dim
+        self.structure_count_note = structure_count_note
+        self.ledger = ledger
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +508,11 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
 # ---------------------------------------------------------------------------
 # Hermitian symmetric detection
 
-@dataclass
 class SymmetricVerdict:
-    status: str            # symmetric | not_symmetric | not_applicable
-    reason: str
-    checks: list = field(default_factory=list)
+    def __init__(self, status: str, reason: str, checks: list | None = None):
+        self.status = status   # symmetric | not_symmetric | not_applicable
+        self.reason = reason
+        self.checks = [] if checks is None else checks
 
 
 def largest_ideal_inside(g: LieAlgebra, h: Subalgebra) -> Subspace:

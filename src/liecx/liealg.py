@@ -9,8 +9,6 @@ theorem check relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exact import (
     GQ, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
     kernel, lincomb, vec, vunit, vdot, is_zero_vec, int_entries,
@@ -30,10 +28,10 @@ class NotAbelian(LieAlgebraError):
     pass
 
 
-@dataclass
 class ValidationResult:
-    ok: bool
-    failures: list = field(default_factory=list)
+    def __init__(self, ok: bool, failures: list):
+        self.ok = ok
+        self.failures = failures
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
@@ -361,7 +359,6 @@ def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
     return Subalgebra(g, a, check=False)
 
 
-@dataclass
 class Quotient:
     """g / h with a deterministic section: the complement is the pivot
     complement of h, projection o section = id, kernel(projection) = h.
@@ -370,9 +367,11 @@ class Quotient:
     project reduces x by h and reads the residual there, lift scatters u
     onto those axes."""
 
-    algebra: LieAlgebra
-    h: Subalgebra
-    complement: Subspace
+    def __init__(self, algebra: LieAlgebra, h: Subalgebra,
+                 complement: Subspace):
+        self.algebra = algebra
+        self.h = h
+        self.complement = complement
 
     @property
     def dim(self):

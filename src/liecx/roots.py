@@ -10,7 +10,6 @@ Gaussian rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .exact import (
     GQ, ZERO, I, Matrix, Subspace, ExactError,
@@ -43,12 +42,13 @@ class ClosureFailure(RootError):
     pass
 
 
-@dataclass(frozen=True)
 class Root:
     """A root alpha, by its values alpha(a_j) on the Cartan basis, plus the
     root space g_alpha inside g_C."""
-    values: tuple          # GQ, purely imaginary on the real Cartan basis
-    space: Subspace
+
+    def __init__(self, values: tuple, space: Subspace):
+        self.values = values   # GQ, purely imaginary on the real Cartan basis
+        self.space = space
 
     def negate_values(self):
         return tuple(-v for v in self.values)
@@ -62,12 +62,13 @@ class Root:
         return s
 
 
-@dataclass
 class RootDatum:
-    algebra: LieAlgebra            # the real compact algebra g
-    cartan: Subalgebra             # a, abelian and self-centralizing in g
-    roots: list                    # Root, sorted deterministically
-    zero_space: Subspace           # a_C (includes all central directions)
+    def __init__(self, algebra: LieAlgebra, cartan: Subalgebra, roots: list,
+                 zero_space: Subspace):
+        self.algebra = algebra         # the real compact algebra g
+        self.cartan = cartan           # a, abelian and self-centralizing in g
+        self.roots = roots             # Root, sorted deterministically
+        self.zero_space = zero_space   # a_C (includes all central directions)
 
     def root_index(self, values):
         for i, r in enumerate(self.roots):
@@ -168,14 +169,16 @@ def _validate_root_datum(rd: RootDatum):
                         "ad does not act by the recorded scalar")
 
 
-@dataclass
 class Parabolic:
     """p = m_C (+) n inside g_C, with real Levi m and nilradical n."""
-    levi_real: Subalgebra          # m, subalgebra of the real g
-    positive_set: tuple            # indices into the ambient RootDatum
-    nilradical: Subalgebra         # n, subalgebra of g_C
-    space: Subalgebra              # p, subalgebra of g_C
-    datum: RootDatum
+
+    def __init__(self, levi_real: Subalgebra, positive_set: tuple,
+                 nilradical: Subalgebra, space: Subalgebra, datum: RootDatum):
+        self.levi_real = levi_real         # m, subalgebra of the real g
+        self.positive_set = positive_set   # indices into the ambient RootDatum
+        self.nilradical = nilradical       # n, subalgebra of g_C
+        self.space = space                 # p, subalgebra of g_C
+        self.datum = datum
 
     def __eq__(self, o):
         if not isinstance(o, Parabolic):

@@ -1,7 +1,6 @@
 """Core operations: Nijenhuis map, integrability, canonical m, construction,
 decomposition, classification, verification ledger, symmetric detection."""
 
-import dataclasses
 import random
 
 import pytest
@@ -17,6 +16,7 @@ from liecx.cx import (
     ComplexStructure, TorusComplexStructure, NotInvariant, OddFiber,
     default_torus_structure,
 )
+from liecx.roots import Parabolic
 
 from conftest import (
     s2_instance, calabi_eckmann_instance, swap_structure,
@@ -241,8 +241,44 @@ def test_parabolic_index_rejects_an_unknown_positive_set():
     p, _ = cx.decompose_J(cx.construct_J(make_quotient(g, h),
                                          cx.classify(g, h).parabolics[1]))
     assert cx.parabolic_index(g, h, p) == 1
+    unknown = Parabolic(p.levi_real, (), p.nilradical, p.space, p.datum)
     with pytest.raises(cx.TheoremViolation, match="positive system"):
-        cx.parabolic_index(g, h, dataclasses.replace(p, positive_set=()))
+        cx.parabolic_index(g, h, unknown)
+
+
+def test_parabolic_equality_compares_p_m_and_n():
+    g = build(su(3))
+    h = build_subalgebra(g, su(3), "maximal_torus")
+    first, second = cx.classify(g, h).parabolics[:2]
+    again = cx.classify(g, h).parabolics[0]
+    assert first is not again and first == again
+    assert first != second
+    # the positive set and the datum are labels, not part of the equality
+    relabelled = Parabolic(first.levi_real, (), first.nilradical, first.space,
+                           second.datum)
+    assert relabelled == first
+    assert (first == "p") is False
+    with pytest.raises(TypeError):
+        hash(first)
+
+
+def test_torus_structure_equality_compares_u_and_j1():
+    u = Subspace.full(2)
+    j1 = TorusComplexStructure(u, rot(2))
+    assert j1 == TorusComplexStructure(Subspace.full(2), rot(2))
+    assert j1 != TorusComplexStructure(u, rot(2).scale(GQ(-1)))
+    other_u = Subspace.from_vectors(3, [vunit(3, 0), vunit(3, 2)])
+    assert j1 != TorusComplexStructure(other_u, rot(2))
+    assert (j1 == "j1") is False
+    with pytest.raises(TypeError):
+        hash(j1)
+
+
+def test_torus_structure_checks_j1():
+    with pytest.raises(cx.ExactError, match="J1 must be 2x2"):
+        TorusComplexStructure(Subspace.full(2), rot(4))
+    with pytest.raises(cx.ExactError, match="J1\\^2 != -id"):
+        TorusComplexStructure(Subspace.full(2), Matrix.identity(2))
 
 
 def test_decompose_p_properties():

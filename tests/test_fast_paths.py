@@ -3,7 +3,8 @@
 Each test compares a fast path with the formula it replaced: the dense
 loops, the divisor-based candidate roots, the d leading determinants,
 classify followed by a search, the matrix of theta, the real J mixed from
-e_k = w + tau(w), and g + l realified.  The old formula is kept here, and only
+e_k = w + tau(w), g + l realified, and catalog coordinates from the
+inverse of a GQ block.  The old formula is kept here, and only
 here, as the reference.
 """
 
@@ -23,8 +24,8 @@ from liecx.exact import (
 )
 from liecx.liealg import LieAlgebra, Subalgebra, quotient, _positive_definite
 from liecx.catalog import (
-    build, build_subalgebra, direct_sum, su, so, u, _coordinates, _su_basis,
-    _so_basis,
+    build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
+    _coordinates, _real_ints, _so_basis, _structure_from_matrices, _su_basis,
 )
 from liecx.roots import parabolic_from_abelian
 
@@ -87,7 +88,8 @@ def test_project_and_lift_match_dense_maps(name, kw):
 
 
 # ---------------------------------------------------------------------------
-# catalog structure tables against one exact solve per pair
+# catalog structure tables against one exact solve per pair, and catalog
+# coordinates against the inverse of a dense GQ block
 
 def dense_commutator(a, b):
     n = len(a)
@@ -111,10 +113,63 @@ def per_pair_table(basis):
                        for b in basis) for a in basis)
 
 
+def dense_coordinates(basis):
+    """The GQ form of catalog._coordinates: d independent real coordinates
+    of the expansion matrix, that d x d block inverted, and the
+    re-expansion compared as GQ vectors."""
+    expand = Matrix.from_columns([flatten_real(m) for m in basis])
+    _, rows, _ = rref(expand.transpose())
+    block_inv = inverse(Matrix([expand.rows[r] for r in rows]))
+
+    def coords(mat):
+        target = flatten_real(mat)
+        c = block_inv.matvec(tuple(target[r] for r in rows))
+        return c if expand.matvec(c) == target else None
+    return coords
+
+
+def fast_coordinates(basis):
+    """catalog._coordinates as a map from GQ matrices."""
+    coords = _coordinates(*_real_ints(basis))
+
+    def at(mat):
+        den, (t,) = _real_ints([mat])
+        return coords(den, t)
+    return at
+
+
 def u_basis(n):
     """i * identity followed by the su(n) basis: the u(n) catalog order."""
     scalar = [[I if r == c else ZERO for c in range(n)] for r in range(n)]
     return [scalar] + _su_basis(n)
+
+
+def block_diagonal(a, b):
+    n, m = len(a), len(b)
+    return ([list(r) + [ZERO] * m for r in a]
+            + [[ZERO] * n + list(r) for r in b])
+
+
+def su2_plus_su2_basis():
+    """The su(2)+su(2) catalog order as block-diagonal 4 x 4 matrices."""
+    zero = [[ZERO] * 2 for _ in range(2)]
+    return ([block_diagonal(m, zero) for m in _su_basis(2)]
+            + [block_diagonal(zero, m) for m in _su_basis(2)])
+
+
+def rotated_basis(basis, seed):
+    """An invertible combination of basis with rational coefficients, so
+    that neither the basis denominator nor the pivot-block inverse is 1."""
+    rng = random.Random(seed)
+    d = len(basis)
+    n = len(basis[0])
+    while True:
+        rows = [[GQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                 for _ in range(d)] for _ in range(d)]
+        if rref(Matrix(rows))[2] == d:
+            break
+    return [[[sum((c * m[r][col] for c, m in zip(row, basis)), ZERO)
+              for col in range(n)] for r in range(n)] for row in rows]
 
 
 @pytest.mark.parametrize("spec,basis", [
@@ -123,16 +178,83 @@ def u_basis(n):
     (so(4), _so_basis(4)),
     (so(5), _so_basis(5)),
     (u(2), u_basis(2)),
-], ids=["su2", "su3", "so4", "so5", "u2"])
+    (su(4), _su_basis(4)),
+    (so(6), _so_basis(6)),
+    (u(3), u_basis(3)),
+    (direct_sum(su(2), su(2)), su2_plus_su2_basis()),
+], ids=["su2", "su3", "so4", "so5", "u2", "su4", "so6", "u3", "su2+su2"])
 def test_catalog_table_matches_per_pair_solve(spec, basis):
     assert build(spec).table == per_pair_table(basis)
 
 
+@pytest.mark.parametrize("basis", [
+    rotated_basis(_su_basis(2), 1), rotated_basis(_su_basis(3), 2),
+    rotated_basis(_so_basis(4), 3),
+], ids=["su2", "su3", "so4"])
+def test_rotated_basis_table_matches_per_pair_solve(basis):
+    assert _structure_from_matrices(basis) == [
+        list(row) for row in per_pair_table(basis)]
+
+
+@pytest.mark.parametrize("basis", [
+    _su_basis(2), _su_basis(3), _su_basis(4), rotated_basis(_su_basis(3), 4),
+], ids=["su2", "su3", "su4", "su3-rotated"])
+def test_coordinates_match_the_dense_inverse(basis):
+    fast, dense = fast_coordinates(basis), dense_coordinates(basis)
+    n = len(basis[0])
+    rng = random.Random(n)
+    mats = list(basis) + [dense_commutator(a, b) for a in basis for b in basis]
+    mats += [u_basis(n)[0]]
+    mats += [[[rand_gq(rng, 0.5) for _ in range(n)] for _ in range(n)]
+             for _ in range(5)]
+    # random rational combinations: inside the span
+    for _ in range(5):
+        cs = [GQ(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+              for _ in basis]
+        mats.append([[sum((c * m[r][col] for c, m in zip(cs, basis)), ZERO)
+                      for col in range(n)] for r in range(n)])
+    seen_none = 0
+    for m in mats:
+        assert fast(m) == dense(m)
+        seen_none += dense(m) is None
+    assert 0 < seen_none < len(mats)
+
+
+def block_u_generators(n, k):
+    """block_u(k) of su(n): the su(k) basis in the leading block, then
+    diag(i (n - k) I_k, -i k I_(n-k))."""
+    out = []
+    for bm in (_su_basis(k) if k >= 2 else []):
+        full = [[ZERO] * n for _ in range(n)]
+        for r in range(k):
+            for c in range(k):
+                full[r][c] = bm[r][c]
+        out.append(full)
+    out.append([[(I * GQ(n - k) if r < k else -I * GQ(k)) if r == c else ZERO
+                 for c in range(n)] for r in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_u_vectors_match_the_dense_inverse(k):
+    dense = dense_coordinates(_su_basis(4))
+    assert _block_u_space(su(4), build(su(4)), k) == [
+        dense(m) for m in block_u_generators(4, k)]
+
+
 def test_coordinates_reject_matrices_outside_the_span():
-    coords = _coordinates(_su_basis(3))
+    coords = fast_coordinates(_su_basis(3))
     assert coords(u_basis(3)[0]) is None  # i * identity is not traceless
     for k, m in enumerate(_su_basis(3)):
         assert coords(m) == vunit(8, k)
+        # An upper entry comes before its lower mirror when read row by row,
+        # and im(0,0), im(1,1) before im(2,2), so neither the entry (2, 0) nor
+        # im(2,2) is a pivot: these agree with m on every pivot coordinate
+        # and only the re-expansion check can reject them.
+        for r, c, x in ((2, 0, ONE), (2, 0, I), (2, 2, I)):
+            off = [list(row) for row in m]
+            off[r][c] = off[r][c] + x
+            assert coords(off) is None
 
 
 # ---------------------------------------------------------------------------

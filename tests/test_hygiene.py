@@ -1,9 +1,13 @@
-"""Repository hygiene: the benchmark's traced names still resolve, and no
-library module imports a name it never uses."""
+"""Repository hygiene: the benchmark's traced names still resolve, no
+library module imports a name it never uses, and importing the CLI stays
+cheap."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,19 @@ def test_only_exact_reads_numerators(path):
              if isinstance(node, ast.Attribute)
              and node.attr in ("numerator", "denominator")]
     assert reads == [] or path.name == "exact.py"
+
+
+def test_cli_import_pulls_in_no_introspection_modules():
+    # every CLI process pays for its imports; dataclasses alone brings in
+    # inspect, ast, dis and tokenize
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import liecx.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    added = set(out.split())
+    assert "liecx.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
