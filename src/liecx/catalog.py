@@ -12,14 +12,17 @@ refers to coordinates in these bases:
 * torus(k): k commuting generators.
 * u(n) = torus(1) (+) su(n); sums are block diagonal in general.
 
-The invariant inner product is -kappa on each semisimple factor and the
+Each basis is held as realified integer matrices over one denominator.  A
+build flattens the spec into its su, so and torus factors, places their
+tables block-diagonally into one table and makes one LieAlgebra of it.  The
+invariant inner product is -kappa on each semisimple factor and the
 identity on central factors.
 """
 
 from __future__ import annotations
 
 from .exact import (
-    GQ, ONE, ZERO, I, Matrix, Subspace, ExactError,
+    Matrix, Subspace, ExactError,
     vec, vunit, vzero, rref, inverse, int_vectors, from_ints,
 )
 from .liealg import LieAlgebra, Subalgebra, center, full_subalgebra
@@ -79,68 +82,42 @@ def direct_sum(*parts):
 
 
 # ---------------------------------------------------------------------------
-# matrix realizations
+# matrix realizations: an n x n matrix read row by row and realified, the re
+# and im parts of entry (r, c) at positions 2(rn + c) and 2(rn + c) + 1, held
+# as a dict of its nonzero positions to integers; a basis is (D, dicts) over
+# one denominator D
 
-def _elem(n, j, k, val):
-    m = [[ZERO] * n for _ in range(n)]
-    m[j][k] = GQ.coerce(val)
-    return m
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _pos(size, r, c, im=0):
+    return 2 * (r * size + c) + im
 
 
-def _su2_basis():
-    half = GQ(1, 0) / GQ(2)
-    ihalf = I / GQ(2)
-    # e_k = -i sigma_k / 2 gives [e_i, e_j] = eps_ijk e_k
-    e1 = [[ZERO, -ihalf], [-ihalf, ZERO]]
-    e2 = [[ZERO, -half], [half, ZERO]]
-    e3 = [[-ihalf, ZERO], [ZERO, ihalf]]
-    return [e1, e2, e3]
-
-
-def _su_basis(n):
+def _su_basis(n, size=None):
+    """(D, basis) of su(n) in the documented order, each matrix placed in
+    the top-left block of a size x size one (size defaults to n)."""
+    size = size or n
     if n == 2:
-        return _su2_basis()
+        # e_k = -i sigma_k / 2 gives [e_i, e_j] = eps_ijk e_k
+        return 2, [{_pos(size, 0, 1, 1): -1, _pos(size, 1, 0, 1): -1},
+                   {_pos(size, 0, 1): -1, _pos(size, 1, 0): 1},
+                   {_pos(size, 0, 0, 1): -1, _pos(size, 1, 1, 1): 1}]
     basis = []
     for j in range(n):
         for k in range(j + 1, n):
-            basis.append(_mat_add(_elem(n, j, k, ONE), _elem(n, k, j, -ONE)))
-            basis.append(_mat_add(_elem(n, j, k, I), _elem(n, k, j, I)))
-    for j in range(n - 1):
-        basis.append(_mat_add(_elem(n, j, j, I), _elem(n, j + 1, j + 1, -I)))
-    return basis
+            basis.append({_pos(size, j, k): 1, _pos(size, k, j): -1})
+            basis.append({_pos(size, j, k, 1): 1, _pos(size, k, j, 1): 1})
+    basis.extend({_pos(size, j, j, 1): 1, _pos(size, j + 1, j + 1, 1): -1}
+                 for j in range(n - 1))
+    return 1, basis
 
 
 def _so_basis(n):
-    return [_mat_add(_elem(n, j, k, ONE), _elem(n, k, j, -ONE))
-            for j in range(n) for k in range(j + 1, n)]
-
-
-def _real_ints(mats):
-    """(D, coordinates): each n x n matrix read row by row and realified,
-    re and im of entry (r, c) at positions 2(rn + c) and 2(rn + c) + 1, as
-    a dict of its nonzero positions to D times their value, with D the
-    least common denominator of all the matrices."""
-    den, entries = int_vectors([tuple(x for row in m for x in row)
-                                for m in mats])
-    out = []
-    for e in entries:
-        t = {}
-        for i, a, b in e:
-            if a:
-                t[2 * i] = a
-            if b:
-                t[2 * i + 1] = b
-        out.append(t)
-    return den, out
+    return 1, [{_pos(n, j, k): 1, _pos(n, k, j): -1}
+               for j in range(n) for k in range(j + 1, n)]
 
 
 def _commutator(n, x, y):
-    """XY - YX for n x n matrices given as realified integer coordinates
-    (see _real_ints), in the same form over the product of the scales."""
+    """XY - YX for n x n matrices given as realified integer coordinates,
+    in the same form over the product of the scales."""
     out = {}
     for p, q, sign in ((x, y, 1), (y, x, -1)):
         for i, a in p.items():
@@ -156,8 +133,8 @@ def _commutator(n, x, y):
 
 
 def _coordinates(den, basis):
-    """Coordinates in a linearly independent matrix basis, given as
-    _real_ints over den.
+    """Coordinates in a linearly independent matrix basis, realified
+    integer matrices over den.
 
     The returned function maps a matrix given the same way, t over t_den,
     to its coefficient tuple, or to None if the matrix is not in the real
@@ -196,15 +173,14 @@ def _coordinates(den, basis):
     return coords
 
 
-def _structure_from_matrices(basis):
-    """Expand commutators of a matrix basis exactly in that basis."""
-    n = len(basis[0])
-    den, ints = _real_ints(basis)
-    coords = _coordinates(den, ints)
+def _structure_from_matrices(n, den, basis):
+    """Expand commutators of a basis of n x n matrices, realified integer
+    matrices over den, exactly in that basis."""
+    coords = _coordinates(den, basis)
     table = []
-    for a in ints:
+    for a in basis:
         row = []
-        for b in ints:
+        for b in basis:
             coeffs = coords(den * den, _commutator(n, a, b))
             if coeffs is None:  # pragma: no cover
                 raise InvalidSpec("matrix basis is not bracket-closed")
@@ -213,98 +189,74 @@ def _structure_from_matrices(basis):
     return table
 
 
-def _from_matrices(basis, name):
-    g = LieAlgebra(_structure_from_matrices(basis), name=name)
-    g.inner_product = -g.killing_gram()
-    return g
+def _flatten(spec):
+    if spec.kind == "sum":
+        return [f for p in spec.parts for f in _flatten(p)]
+    if spec.kind == "u":
+        return [torus(1), su(spec.n)]
+    return [spec]
 
 
-def _torus_algebra(k):
-    table = [[vzero(k) for _ in range(k)] for _ in range(k)]
-    return LieAlgebra(table, inner_product=Matrix.identity(k), name=f"torus({k})")
-
-
-def _block_sum(algebras, name):
-    dims = [g.dim for g in algebras]
-    n = sum(dims)
-    offs = [sum(dims[:i]) for i in range(len(dims))]
-    table = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    ip = [[ZERO] * n for _ in range(n)]
-    for g, off in zip(algebras, offs):
-        for i in range(g.dim):
-            for j in range(g.dim):
-                for k in range(g.dim):
-                    table[off + i][off + j][off + k] = g.table[i][j][k]
-                ip[off + i][off + j] = g.inner_product[i, j]
-    return LieAlgebra(table, inner_product=Matrix(ip), name=name)
+def _factors(spec):
+    """(factors, dim): each su, so and torus factor of spec in basis order
+    as (offset, factor, basis), basis None for a torus; u(n) is
+    torus(1) + su(n), and sums flatten."""
+    factors, dim = [], 0
+    for f in _flatten(spec):
+        basis = None if f.kind == "torus" else \
+            (_su_basis if f.kind == "su" else _so_basis)(f.n)
+        factors.append((dim, f, basis))
+        dim += f.n if basis is None else len(basis[1])
+    return factors, dim
 
 
 def build(spec: AlgebraSpec) -> LieAlgebra:
+    """One block-diagonal table of the factors and one LieAlgebra; the inner
+    product is -kappa with identity rows on the torus coordinates (kappa of
+    the sum restricts to each simple factor's own and vanishes on the
+    center)."""
     spec.validate()
-    if spec.kind == "su":
-        return _from_matrices(_su_basis(spec.n), spec.label())
-    if spec.kind == "so":
-        return _from_matrices(_so_basis(spec.n), spec.label())
-    if spec.kind == "torus":
-        return _torus_algebra(spec.n)
-    if spec.kind == "u":
-        g = _block_sum([_torus_algebra(1),
-                        _from_matrices(_su_basis(spec.n), f"su({spec.n})")],
-                       spec.label())
-        return g
-    if spec.kind == "sum":
-        return _block_sum([build(p) for p in spec.parts], spec.label())
-    raise InvalidSpec(spec.kind)  # pragma: no cover
+    factors, d = _factors(spec)
+    zero = vzero(d)
+    table = [[zero] * d for _ in range(d)]
+    central = set()
+    for off, f, basis in factors:
+        if basis is None:
+            central.update(range(off, off + f.n))
+            continue
+        block = _structure_from_matrices(f.n, *basis)
+        end = off + len(block)
+        left, right = zero[:off], zero[end:]
+        for i, row in enumerate(block):
+            table[off + i][off:end] = [left + v + right for v in row]
+    g = LieAlgebra(table, name=spec.label())
+    g.inner_product = Matrix([vunit(d, i) if i in central else r
+                              for i, r in enumerate((-g.killing_gram()).rows)])
+    return g
 
 
 # ---------------------------------------------------------------------------
 # named subalgebras
 
 def _maximal_torus_indices(spec):
-    """Basis indices of the standard maximal torus, per factor."""
-    if spec.kind == "torus":
-        return list(range(spec.n))
-    if spec.kind == "su":
-        if spec.n == 2:
-            return [2]
-        d = spec.n * spec.n - 1
-        return list(range(d - (spec.n - 1), d))
-    if spec.kind == "so":
-        # commuting rotations in the planes (0,1), (2,3), ...
-        idx = []
-        pos = 0
-        for j in range(spec.n):
-            for k in range(j + 1, spec.n):
-                if j % 2 == 0 and k == j + 1:
-                    idx.append(pos)
-                pos += 1
-        return idx
-    if spec.kind == "u":
-        return [0] + [1 + i for i in _maximal_torus_indices(su(spec.n))]
-    if spec.kind == "sum":
-        idx, off = [], 0
-        for p in spec.parts:
-            idx.extend(off + i for i in _maximal_torus_indices(p))
-            off += _spec_dim(p)
-        return idx
-    raise InvalidSpec(spec.kind)  # pragma: no cover
+    """Basis indices of the standard maximal torus, factor by factor."""
+    idx = []
+    for off, f, basis in _factors(spec)[0]:
+        n = f.n
+        if basis is None:
+            local = range(n)
+        elif f.kind == "su":
+            # the trailing n - 1 diagonal generators
+            local = range(len(basis[1]) - (n - 1), len(basis[1]))
+        else:
+            # commuting rotations in the planes (0,1), (2,3), ...
+            pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+            local = [pairs.index((j, j + 1)) for j in range(0, n - 1, 2)]
+        idx.extend(off + i for i in local)
+    return idx
 
 
-def _spec_dim(spec):
-    if spec.kind == "su":
-        return spec.n * spec.n - 1
-    if spec.kind == "so":
-        return spec.n * (spec.n - 1) // 2
-    if spec.kind == "u":
-        return spec.n * spec.n
-    if spec.kind == "torus":
-        return spec.n
-    if spec.kind == "sum":
-        return sum(_spec_dim(p) for p in spec.parts)
-    raise InvalidSpec(spec.kind)  # pragma: no cover
-
-
-def _block_u_space(spec, g, k):
+def _block_u_space(spec, k):
     """block_u(k) inside su(n): anti-Hermitian matrices diag(A, c I) with
     A in u(k) and the trace balanced on the complement."""
     if spec.kind != "su":
@@ -312,28 +264,13 @@ def _block_u_space(spec, g, k):
     n = spec.n
     if not 1 <= k < n:
         raise InvalidSpec(f"block_u({k}) needs 1 <= k < {n}")
-    coords = _coordinates(*_real_ints(_su_basis(n)))
+    coords = _coordinates(*_su_basis(n))
     # su(k)-block plus its compensated center, expanded in catalog coordinates
-    block = []
-    if k >= 2:
-        block.extend(_su_basis(k))
-    scalar_k = [[ZERO] * k for _ in range(k)]
-    for j in range(k):
-        scalar_k[j][j] = I * GQ(n - k)
-    block.append(scalar_k)
-    fulls = []
-    for bm in block:
-        full = [[ZERO] * n for _ in range(n)]
-        for r in range(k):
-            for c in range(k):
-                full[r][c] = bm[r][c]
-        if bm is scalar_k:
-            for j in range(k, n):
-                full[j][j] = -I * GQ(k)
-        fulls.append(full)
-    den, ints = _real_ints(fulls)
+    den, block = _su_basis(k, n) if k >= 2 else (1, [])
+    block.append({_pos(n, j, j, 1): den * (n - k if j < k else -k)
+                  for j in range(n)})
     vectors = []
-    for t in ints:
+    for t in block:
         coeffs = coords(den, t)
         if coeffs is None:  # pragma: no cover
             raise InvalidSpec("block_u generator is not in su(n)")
@@ -344,18 +281,22 @@ def _block_u_space(spec, g, k):
 def build_subalgebra(g: LieAlgebra, spec: AlgebraSpec, name, k=None,
                      span=None) -> Subalgebra:
     """Named subalgebras: maximal_torus | zero | center | block_u (with k,
-    su(n) only) | span (explicit vectors, validated for closure)."""
+    su(n) only) | span (explicit vectors, validated for closure).  spec is
+    None for an algebra given by its table, which has neither a maximal
+    torus nor a block_u by name."""
     if name == "zero":
         return Subalgebra(g, Subspace.zero(g.dim), check=False)
     if name == "center":
         return center(g, full_subalgebra(g))
+    if name == "block_u" and k is None:
+        raise InvalidSpec("block_u needs k")
+    if name in ("maximal_torus", "block_u") and spec is None:
+        raise InvalidSpec(f"{name} needs a catalog algebra")
     if name == "maximal_torus":
         idx = _maximal_torus_indices(spec)
         return Subalgebra.span(g, [vunit(g.dim, i) for i in idx], check=False)
     if name == "block_u":
-        if k is None:
-            raise InvalidSpec("block_u needs k")
-        return Subalgebra.span(g, _block_u_space(spec, g, k), check=True)
+        return Subalgebra.span(g, _block_u_space(spec, k), check=True)
     if name == "span":
         if span is None:
             raise InvalidSpec("span subalgebra needs explicit vectors")

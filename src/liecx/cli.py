@@ -209,19 +209,9 @@ def _build_algebra(ps: ProblemSpec, validate=True):
 
 
 def _build_subalgebra(g, aspec, sub):
-    name = sub["name"]
     try:
-        if name == "block_u":
-            if "k" not in sub:
-                raise ValidationError("block_u needs k")
-            if aspec is None:
-                raise ValidationError("block_u needs a catalog algebra")
-            return build_subalgebra(g, aspec, "block_u", k=sub["k"])
-        if name == "maximal_torus" and aspec is None:
-            raise ValidationError("maximal_torus needs a catalog algebra")
-        if name == "span":
-            return build_subalgebra(g, aspec, "span", span=sub["vectors"])
-        return build_subalgebra(g, aspec, name)
+        return build_subalgebra(g, aspec, sub["name"], k=sub.get("k"),
+                                span=sub.get("vectors"))
     except ExactError as e:
         raise ValidationError(str(e)) from None
 

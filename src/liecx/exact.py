@@ -251,14 +251,6 @@ def lincomb(n, coeffs, vectors):
         n, [(j, a, b) for j, (_, a, b) in enumerate(cs)], re, im), dc * den)
 
 
-def vdot(a, b):
-    s = ZERO
-    for x, y in zip(a, b, strict=True):
-        if x and y:
-            s = s + x * y
-    return s
-
-
 def is_zero_vec(a):
     return all(x.is_zero() for x in a)
 
@@ -634,16 +626,7 @@ def relative_complement(outer: Subspace, inner: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# real forms: a complex vector of length n as a rational one of length 2n
-# with coordinates (re0, im0, re1, im1, ...), and the real points of a span
-
-def realify_vector(v):
-    out = []
-    for x in v:
-        out.append(GQ(x.re))
-        out.append(GQ(x.im))
-    return tuple(out)
-
+# the real points of a complex span
 
 def real_points(s: Subspace) -> Subspace:
     """The rational subspace of real vectors contained in the complex span s."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .exact import (
     GQ, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
-    kernel, lincomb, vec, vunit, vdot, is_zero_vec, int_entries,
+    kernel, lincomb, vec, vunit, is_zero_vec, int_entries,
     int_vectors, from_ints,
 )
 
@@ -61,6 +61,7 @@ class LieAlgebra:
             else Matrix.identity(self.dim)
         self.name = name
         self._killing_gram = None
+        self._validation = None
         self._derived_span = None
 
     # -- basic algebra ------------------------------------------------------
@@ -95,9 +96,6 @@ class LieAlgebra:
         cols = [self.bracket(x, vunit(self.dim, j)) for j in range(self.dim)]
         return Matrix.from_columns(cols)
 
-    def inner(self, x, y):
-        return vdot(x, self.inner_product.matvec(y))
-
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form kappa(e_i, e_j) = tr(ad e_i ad e_j)."""
         if self._killing_gram is None:
@@ -127,6 +125,11 @@ class LieAlgebra:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationResult:
+        """Antisymmetry, Jacobi and an ad-invariant positive definite inner
+        product.  The result is kept, so inner_product must be set before
+        the first call."""
+        if self._validation is not None:
+            return self._validation
         failures = []
         n = self.dim
         terms = self.int_terms
@@ -163,7 +166,8 @@ class LieAlgebra:
             if bad is not None:
                 failures.append(
                     f"inner product not ad-invariant on (e{i}, e{bad[0]}, e{bad[1]})")
-        return ValidationResult(not failures, failures)
+        self._validation = ValidationResult(not failures, failures)
+        return self._validation
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'anon'}, dim {self.dim})"

@@ -69,12 +69,10 @@ class RootDatum:
         self.cartan = cartan           # a, abelian and self-centralizing in g
         self.roots = roots             # Root, sorted deterministically
         self.zero_space = zero_space   # a_C (includes all central directions)
+        self._index = {r.values: i for i, r in enumerate(roots)}
 
     def root_index(self, values):
-        for i, r in enumerate(self.roots):
-            if r.values == values:
-                return i
-        return None
+        return self._index.get(values)
 
     def negative_of(self, i):
         return self.root_index(self.roots[i].negate_values())
@@ -223,7 +221,6 @@ def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
 
     Returned as sorted index tuples, in a deterministic order."""
     m_roots, q = _levi_root_split(rd, m)
-    value_index = {rd.roots[i].values: i for i in range(len(rd.roots))}
     pairs = []
     seen = set()
     for i in q:
@@ -244,8 +241,8 @@ def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
         qp = {p[s] for p, s in zip(pairs, signs)}
         # closed: no a + b with a in Q+ and b in Q+ or a Levi root lies in -Q+
         outside = q_set - qp
-        if not any(value_index.get(vsum(rd.roots[a].values,
-                                        rd.roots[b].values)) in outside
+        if not any(rd.root_index(vsum(rd.roots[a].values,
+                                      rd.roots[b].values)) in outside
                    for a in qp for b in itertools.chain(qp, m_roots)):
             systems.append(tuple(sorted(qp)))
     return systems

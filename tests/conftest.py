@@ -1,5 +1,8 @@
-"""Shared builders for the test corpus and the acceptance summary hook."""
+"""Shared builders for the test corpus, a call counter, and the acceptance
+summary hook."""
 
+import cProfile
+import pstats
 import random
 from fractions import Fraction
 
@@ -25,6 +28,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def profiled(fn, *args):
+    """(fn(*args), calls): the result of one run under cProfile, and a count
+    of that run's calls by function."""
+    prof = cProfile.Profile()
+    result = prof.runcall(fn, *args)
+    stats = pstats.Stats(prof).stats
+
+    def calls(f):
+        c = f.__code__
+        return sum(v[1] for (file, line, name), v in stats.items()
+                   if (file, line, name)
+                   == (c.co_filename, c.co_firstlineno, c.co_name))
+    return result, calls
 
 
 # ---------------------------------------------------------------------------

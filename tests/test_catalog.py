@@ -4,12 +4,14 @@ import pytest
 
 from liecx.exact import GQ, ZERO, ONE, Matrix, Subspace, vunit, is_zero_vec
 from liecx.liealg import (
-    Subalgebra, centralizer, center, derived, full_subalgebra,
+    LieAlgebra, Subalgebra, centralizer, center, derived, full_subalgebra,
 )
 from liecx.catalog import (
     AlgebraSpec, build, build_subalgebra, su, so, u, torus, direct_sum,
     InvalidSpec,
 )
+
+from conftest import profiled
 
 
 DIMS = [
@@ -115,3 +117,15 @@ def test_inner_product_convention():
 def test_labels():
     assert direct_sum(su(2), torus(1)).label() == "su(2)+torus(1)"
     assert u(3).label() == "u(3)"
+
+
+@pytest.mark.parametrize("spec", [
+    u(3), direct_sum(su(2), su(2), torus(1)), direct_sum(so(5), u(2))],
+    ids=lambda s: s.label())
+def test_build_makes_one_algebra(spec):
+    # one block-diagonal table, one LieAlgebra and one Killing form for the
+    # whole sum, not one per factor
+    g, calls = profiled(build, spec)
+    assert calls(LieAlgebra.__init__) == 1
+    assert calls(LieAlgebra.killing_gram) == 1
+    assert g.validate().ok

@@ -1,14 +1,14 @@
 """CLI: strict parsing, exit-code contract, deterministic reports."""
 
-import cProfile
 import json
-import pstats
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from liecx import cli, cx, exact, liealg, roots
+
+from conftest import profiled
 
 
 SU3_T = {"algebra": {"kind": "su", "n": 3},
@@ -225,6 +225,26 @@ def test_block_u_k_must_be_an_integer(tmp_path):
     assert rep["message"] == "subalgebra: k must be an integer"
 
 
+ONE_DIM_TABLE = {"table": [[["0"]]]}
+
+
+@pytest.mark.parametrize("algebra,sub,message", [
+    ({"kind": "su", "n": 3}, {"name": "block_u"}, "block_u needs k"),
+    (ONE_DIM_TABLE, {"name": "block_u"}, "block_u needs k"),
+    (ONE_DIM_TABLE, {"name": "block_u", "k": 1},
+     "block_u needs a catalog algebra"),
+    (ONE_DIM_TABLE, {"name": "maximal_torus"},
+     "maximal_torus needs a catalog algebra"),
+], ids=["block_u_no_k", "block_u_no_k_on_table", "block_u_on_table",
+        "maximal_torus_on_table"])
+def test_named_subalgebra_needs(tmp_path, algebra, sub, message):
+    code, rep = run(tmp_path, {"algebra": algebra, "subalgebra": sub},
+                    "catalog")
+    assert code == 2
+    assert rep == {"command": "catalog", "error": "ValidationError",
+                   "message": message}
+
+
 def test_span_vectors_must_be_a_list_of_vectors(tmp_path):
     spec = {"algebra": {"kind": "su", "n": 2},
             "subalgebra": {"name": "span", "vectors": 5}}
@@ -258,18 +278,10 @@ def test_unexpected_error_exits_4_with_a_report(tmp_path, monkeypatch,
 def profiled_calls(tmp_path, spec, command, *extra):
     """Run one command under cProfile; returns a count of calls by function."""
     path = write_spec(tmp_path, spec)
-    prof = cProfile.Profile()
-    code = prof.runcall(cli.main, ["--spec", path, "--command", command,
-                                   "--out", str(tmp_path / "report.json"),
-                                   *extra])
+    code, calls = profiled(cli.main, ["--spec", path, "--command", command,
+                                      "--out", str(tmp_path / "report.json"),
+                                      *extra])
     assert code == 0
-    stats = pstats.Stats(prof).stats
-
-    def calls(f):
-        c = f.__code__
-        return sum(v[1] for (file, line, name), v in stats.items()
-                   if (file, line, name)
-                   == (c.co_filename, c.co_firstlineno, c.co_name))
     return calls
 
 
@@ -338,6 +350,18 @@ def test_classify_checks_each_closure_once(tmp_path, spec, count):
     calls = profiled_calls(tmp_path, spec, "classify")
     assert calls(exact.real_points) == 0
     assert calls(liealg.is_closed) == 1 + count
+
+
+CATALOG_SPECS = {c["file"]: c["spec"] for c in json.loads(
+    (GOLDEN / "manifest.json").read_text()) if c["command"] == "catalog"}
+
+
+def test_catalog_validates_an_explicit_table_once(tmp_path):
+    # the input check and validation_ok read the same result; every
+    # validation tests the inner product for positive definiteness once
+    calls = profiled_calls(
+        tmp_path, CATALOG_SPECS["dense_su2su2_t__catalog.json"], "catalog")
+    assert calls(liealg._positive_definite) == 1
 
 
 def test_verify_needs_no_root_decomposition(tmp_path):

@@ -12,7 +12,7 @@ from liecx.exact import (
     ExactError, IrrationalSpectrum,
     rref, kernel, solve, inverse, charpoly, rational_eigenvalues,
     parse_rational, format_rational,
-    vec, vunit, vadd, vscale, realify_vector, real_points,
+    vec, vunit, vadd, vscale, real_points,
     relative_complement, span_sum,
 )
 
@@ -210,7 +210,7 @@ def test_relative_complement_deterministic():
     assert relative_complement(outer, inner) == c
 
 
-def test_realify_and_real_points():
+def test_real_points():
     # span_C{(1, i)} contains no nonzero real vector
     s = Subspace.from_vectors(2, [(ONE, I)])
     assert real_points(s).dim == 0
@@ -218,4 +218,3 @@ def test_realify_and_real_points():
     s2 = Subspace.from_vectors(2, [(ONE, I), (ONE, -I)])
     rp = real_points(s2)
     assert rp.dim == 2 and rp.is_real()
-    assert realify_vector((I,)) == (GQ(0), GQ(1))

@@ -3,9 +3,9 @@
 Each test compares a fast path with the formula it replaced: the dense
 loops, the divisor-based candidate roots, the d leading determinants,
 classify followed by a search, the matrix of theta, the real J mixed from
-e_k = w + tau(w), g + l realified, and catalog coordinates from the
-inverse of a GQ block.  The old formula is kept here, and only
-here, as the reference.
+e_k = w + tau(w), g + l realified, catalog bases as dense GQ matrices, and
+catalog coordinates from the inverse of a GQ block.  The old formula is
+kept here, and only here, as the reference.
 """
 
 import json
@@ -20,12 +20,12 @@ from liecx import cli, cx
 from liecx.exact import (
     GQ, ZERO, ONE, I, Matrix, Subspace, ExactError, IrrationalSpectrum,
     charpoly, inverse, kernel, lincomb, rref, solve, vunit, vadd, vsub, vconj,
-    vec, vscale, vzero, realify_vector, real_points, rational_eigenvalues,
+    vec, vscale, vzero, int_vectors, real_points, rational_eigenvalues,
 )
 from liecx.liealg import LieAlgebra, Subalgebra, quotient, _positive_definite
 from liecx.catalog import (
     build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
-    _coordinates, _real_ints, _so_basis, _structure_from_matrices, _su_basis,
+    _coordinates, _so_basis, _structure_from_matrices, _su_basis,
 )
 from liecx.roots import parabolic_from_abelian
 
@@ -88,8 +88,91 @@ def test_project_and_lift_match_dense_maps(name, kw):
 
 
 # ---------------------------------------------------------------------------
-# catalog structure tables against one exact solve per pair, and catalog
-# coordinates against the inverse of a dense GQ block
+# catalog bases against dense GQ matrices, catalog structure tables against
+# one exact solve per pair, and catalog coordinates against the inverse of a
+# dense GQ block
+
+def realify_vector(v):
+    """A complex vector of length n as a rational one of length 2n with
+    coordinates (re0, im0, re1, im1, ...)."""
+    out = []
+    for x in v:
+        out.append(GQ(x.re))
+        out.append(GQ(x.im))
+    return tuple(out)
+
+
+def test_realify_vector():
+    assert realify_vector((I,)) == (GQ(0), GQ(1))
+
+
+def elem(n, j, k, val):
+    m = [[ZERO] * n for _ in range(n)]
+    m[j][k] = GQ.coerce(val)
+    return m
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def gq_su_basis(n):
+    """The su(n) catalog basis as dense GQ matrices."""
+    if n == 2:
+        half = GQ(1, 0) / GQ(2)
+        ihalf = I / GQ(2)
+        return [[[ZERO, -ihalf], [-ihalf, ZERO]],
+                [[ZERO, -half], [half, ZERO]],
+                [[-ihalf, ZERO], [ZERO, ihalf]]]
+    basis = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            basis.append(mat_add(elem(n, j, k, ONE), elem(n, k, j, -ONE)))
+            basis.append(mat_add(elem(n, j, k, I), elem(n, k, j, I)))
+    for j in range(n - 1):
+        basis.append(mat_add(elem(n, j, j, I), elem(n, j + 1, j + 1, -I)))
+    return basis
+
+
+def gq_so_basis(n):
+    return [mat_add(elem(n, j, k, ONE), elem(n, k, j, -ONE))
+            for j in range(n) for k in range(j + 1, n)]
+
+
+def real_ints(mats):
+    """(D, coordinates): each n x n matrix read row by row and realified,
+    re and im of entry (r, c) at positions 2(rn + c) and 2(rn + c) + 1, as
+    a dict of its nonzero positions to D times their value, with D the
+    least common denominator of all the matrices."""
+    den, entries = int_vectors([tuple(x for row in m for x in row)
+                                for m in mats])
+    out = []
+    for e in entries:
+        t = {}
+        for i, a, b in e:
+            if a:
+                t[2 * i] = a
+            if b:
+                t[2 * i + 1] = b
+        out.append(t)
+    return den, out
+
+
+def padded(m, n):
+    """m in the top-left block of an n x n matrix."""
+    k = len(m)
+    return [[m[r][c] if r < k and c < k else ZERO for c in range(n)]
+            for r in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integer_bases_match_the_gq_matrices(n):
+    assert _su_basis(n) == real_ints(gq_su_basis(n))
+    assert _so_basis(n) == real_ints(gq_so_basis(n))
+    for k in range(2, n):
+        assert _su_basis(k, n) == real_ints(
+            [padded(m, n) for m in gq_su_basis(k)])
+
 
 def dense_commutator(a, b):
     n = len(a)
@@ -130,10 +213,10 @@ def dense_coordinates(basis):
 
 def fast_coordinates(basis):
     """catalog._coordinates as a map from GQ matrices."""
-    coords = _coordinates(*_real_ints(basis))
+    coords = _coordinates(*real_ints(basis))
 
     def at(mat):
-        den, (t,) = _real_ints([mat])
+        den, (t,) = real_ints([mat])
         return coords(den, t)
     return at
 
@@ -141,7 +224,7 @@ def fast_coordinates(basis):
 def u_basis(n):
     """i * identity followed by the su(n) basis: the u(n) catalog order."""
     scalar = [[I if r == c else ZERO for c in range(n)] for r in range(n)]
-    return [scalar] + _su_basis(n)
+    return [scalar] + gq_su_basis(n)
 
 
 def block_diagonal(a, b):
@@ -153,8 +236,8 @@ def block_diagonal(a, b):
 def su2_plus_su2_basis():
     """The su(2)+su(2) catalog order as block-diagonal 4 x 4 matrices."""
     zero = [[ZERO] * 2 for _ in range(2)]
-    return ([block_diagonal(m, zero) for m in _su_basis(2)]
-            + [block_diagonal(zero, m) for m in _su_basis(2)])
+    return ([block_diagonal(m, zero) for m in gq_su_basis(2)]
+            + [block_diagonal(zero, m) for m in gq_su_basis(2)])
 
 
 def rotated_basis(basis, seed):
@@ -173,13 +256,13 @@ def rotated_basis(basis, seed):
 
 
 @pytest.mark.parametrize("spec,basis", [
-    (su(2), _su_basis(2)),
-    (su(3), _su_basis(3)),
-    (so(4), _so_basis(4)),
-    (so(5), _so_basis(5)),
+    (su(2), gq_su_basis(2)),
+    (su(3), gq_su_basis(3)),
+    (so(4), gq_so_basis(4)),
+    (so(5), gq_so_basis(5)),
     (u(2), u_basis(2)),
-    (su(4), _su_basis(4)),
-    (so(6), _so_basis(6)),
+    (su(4), gq_su_basis(4)),
+    (so(6), gq_so_basis(6)),
     (u(3), u_basis(3)),
     (direct_sum(su(2), su(2)), su2_plus_su2_basis()),
 ], ids=["su2", "su3", "so4", "so5", "u2", "su4", "so6", "u3", "su2+su2"])
@@ -188,16 +271,17 @@ def test_catalog_table_matches_per_pair_solve(spec, basis):
 
 
 @pytest.mark.parametrize("basis", [
-    rotated_basis(_su_basis(2), 1), rotated_basis(_su_basis(3), 2),
-    rotated_basis(_so_basis(4), 3),
+    rotated_basis(gq_su_basis(2), 1), rotated_basis(gq_su_basis(3), 2),
+    rotated_basis(gq_so_basis(4), 3),
 ], ids=["su2", "su3", "so4"])
 def test_rotated_basis_table_matches_per_pair_solve(basis):
-    assert _structure_from_matrices(basis) == [
+    assert _structure_from_matrices(len(basis[0]), *real_ints(basis)) == [
         list(row) for row in per_pair_table(basis)]
 
 
 @pytest.mark.parametrize("basis", [
-    _su_basis(2), _su_basis(3), _su_basis(4), rotated_basis(_su_basis(3), 4),
+    gq_su_basis(2), gq_su_basis(3), gq_su_basis(4),
+    rotated_basis(gq_su_basis(3), 4),
 ], ids=["su2", "su3", "su4", "su3-rotated"])
 def test_coordinates_match_the_dense_inverse(basis):
     fast, dense = fast_coordinates(basis), dense_coordinates(basis)
@@ -224,7 +308,7 @@ def block_u_generators(n, k):
     """block_u(k) of su(n): the su(k) basis in the leading block, then
     diag(i (n - k) I_k, -i k I_(n-k))."""
     out = []
-    for bm in (_su_basis(k) if k >= 2 else []):
+    for bm in (gq_su_basis(k) if k >= 2 else []):
         full = [[ZERO] * n for _ in range(n)]
         for r in range(k):
             for c in range(k):
@@ -237,15 +321,15 @@ def block_u_generators(n, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_block_u_vectors_match_the_dense_inverse(k):
-    dense = dense_coordinates(_su_basis(4))
-    assert _block_u_space(su(4), build(su(4)), k) == [
+    dense = dense_coordinates(gq_su_basis(4))
+    assert _block_u_space(su(4), k) == [
         dense(m) for m in block_u_generators(4, k)]
 
 
 def test_coordinates_reject_matrices_outside_the_span():
-    coords = fast_coordinates(_su_basis(3))
+    coords = fast_coordinates(gq_su_basis(3))
     assert coords(u_basis(3)[0]) is None  # i * identity is not traceless
-    for k, m in enumerate(_su_basis(3)):
+    for k, m in enumerate(gq_su_basis(3)):
         assert coords(m) == vunit(8, k)
         # An upper entry comes before its lower mirror when read row by row,
         # and im(0,0), im(1,1) before im(2,2), so neither the entry (2, 0) nor

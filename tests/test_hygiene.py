@@ -1,6 +1,6 @@
-"""Repository hygiene: the benchmark's traced names still resolve, no
-library module imports a name it never uses, and importing the CLI stays
-cheap."""
+"""Repository hygiene: the benchmark's traced names and imports still
+resolve, no library module imports a name it never uses, and importing the
+CLI stays cheap."""
 
 import ast
 import importlib
@@ -31,6 +31,25 @@ def test_traced_name_resolves(entry):
     if cls is not None:
         owner = getattr(owner, cls)
     assert callable(vars(owner)[attr])
+
+
+def _benchmark_imports():
+    out = []
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "liecx":
+                out.extend((path.relative_to(ROOT).as_posix(), node.module,
+                            a.name) for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("entry", _benchmark_imports(),
+                         ids=lambda e: f"{e[0]}:{e[1]}.{e[2]}")
+def test_benchmark_imports_resolve(entry):
+    # the benchmark's files are fixed; every liecx name they import must stay
+    _, module, name = entry
+    assert hasattr(importlib.import_module(module), name)
 
 
 MODULES = sorted(p for p in (ROOT / "src" / "liecx").glob("*.py")
