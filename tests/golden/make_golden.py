@@ -12,7 +12,9 @@ without a j on a few instances, where it constructs J from the k-th
 parabolic itself. On su(4)/u(3) (d = 15) only symmetric and verify run,
 with and without the J of construct. validate, catalog and classify run on
 perfbench's dense instances (catalog algebras in a random integer basis)
-where they finish.
+where they finish. The classify reports of su(5)/t and so(8)/t (2.26 MB and
+4.97 MB) are recorded in the manifest by their sha256 and byte length
+instead of as files.
 
 Cases already in the manifest that this script does not write, the dense
 classify of su(3)/t and so(5)/t by make_dense_golden.py, are kept.
@@ -23,6 +25,7 @@ regenerates these files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -108,6 +111,12 @@ DENSE_JOBS = [("dense_su3_t", "validate"), ("dense_su2su2_t", "validate"),
               ("dense_su2su2_t", "catalog"), ("dense_su2su2_t", "classify")]
 
 
+# classify on larger flag manifolds, recorded by digest: (case name, spec)
+HASHED = [(f"{name}_t__classify", {"algebra": {"kind": kind, "n": n},
+                                   "subalgebra": {"name": "maximal_torus"}})
+          for name, kind, n in (("su5", "su", 5), ("so8", "so", 8))]
+
+
 def run_case(spec, command, extra):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = Path(tmp) / "spec.json"
@@ -142,6 +151,17 @@ def construct_k0(base):
     return json.loads(construct)["j"]
 
 
+def hashed_case(name, spec):
+    """A classify case recorded by the sha256 and length of its report; no
+    file is written."""
+    code, report = run_case(spec, "classify", [])
+    print(f"{name}.json: exit {code}, {len(report)} bytes (hashed)")
+    return {"file": f"{name}.json", "spec": spec, "command": "classify",
+            "args": [], "exit_code": code,
+            "sha256": hashlib.sha256(report).hexdigest(),
+            "bytes": len(report)}
+
+
 def main():
     cases = []
     for inst, (base, bad_j) in INSTANCES.items():
@@ -169,6 +189,7 @@ def main():
         manifest.append({"file": fname, "spec": spec, "command": command,
                          "args": extra, "exit_code": code})
         print(f"{fname}: exit {code}")
+    manifest += [hashed_case(name, spec) for name, spec in HASHED]
     written = {c["file"] for c in manifest}
     path = HERE / "manifest.json"
     old = json.loads(path.read_text()) if path.exists() else []
