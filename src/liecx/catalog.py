@@ -9,17 +9,19 @@ refers to coordinates in these bases:
   i(E_jj - E_{j+1,j+1}) for j = 0..n-2.  The maximal torus is spanned by
   the trailing n-1 diagonal generators.
 * so(n): E_jk - E_kj for j < k, lexicographic.
-* torus(k): k commuting generators.
+* torus(k): k commuting generators; so(2) is abelian too.
 * u(n) = torus(1) (+) su(n); sums are block diagonal in general.
 
 Each basis is held as realified integer matrices over one denominator.  A
 build flattens the spec into its su, so and torus factors, places their
 tables block-diagonally into one table and makes one LieAlgebra of it.  The
 invariant inner product is -kappa on each semisimple factor and the
-identity on central factors.
+identity on the abelian ones, tori and so(2).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .exact import (
     Matrix, Subspace, ExactError,
@@ -173,10 +175,16 @@ def _coordinates(den, basis):
     return coords
 
 
-def _structure_from_matrices(n, den, basis):
+@lru_cache(maxsize=None)
+def _catalog_coordinates(kind, n):
+    """_coordinates of the su(n) or so(n) basis, factored once per process."""
+    return _coordinates(*(_su_basis if kind == "su" else _so_basis)(n))
+
+
+def _structure_from_matrices(n, den, basis, coords):
     """Expand commutators of a basis of n x n matrices, realified integer
-    matrices over den, exactly in that basis."""
-    coords = _coordinates(den, basis)
+    matrices over den, exactly in that basis; coords is the basis's
+    _coordinates."""
     table = []
     for a in basis:
         row = []
@@ -212,19 +220,22 @@ def _factors(spec):
 
 def build(spec: AlgebraSpec) -> LieAlgebra:
     """One block-diagonal table of the factors and one LieAlgebra; the inner
-    product is -kappa with identity rows on the torus coordinates (kappa of
-    the sum restricts to each simple factor's own and vanishes on the
-    center)."""
+    product is -kappa with identity rows on the coordinates of the abelian
+    factors, tori and so(2) (kappa of the sum restricts to each simple
+    factor's own and vanishes on the abelian ones)."""
     spec.validate()
     factors, d = _factors(spec)
     zero = vzero(d)
     table = [[zero] * d for _ in range(d)]
     central = set()
     for off, f, basis in factors:
-        if basis is None:
-            central.update(range(off, off + f.n))
+        size = f.n if basis is None else len(basis[1])
+        if basis is None or size == 1:
+            # abelian factors, torus(k) and so(2), on which kappa vanishes
+            central.update(range(off, off + size))
             continue
-        block = _structure_from_matrices(f.n, *basis)
+        block = _structure_from_matrices(
+            f.n, *basis, _catalog_coordinates(f.kind, f.n))
         end = off + len(block)
         left, right = zero[:off], zero[end:]
         for i, row in enumerate(block):
@@ -264,7 +275,7 @@ def _block_u_space(spec, k):
     n = spec.n
     if not 1 <= k < n:
         raise InvalidSpec(f"block_u({k}) needs 1 <= k < {n}")
-    coords = _coordinates(*_su_basis(n))
+    coords = _catalog_coordinates("su", n)
     # su(k)-block plus its compensated center, expanded in catalog coordinates
     den, block = _su_basis(k, n) if k >= 2 else (1, [])
     block.append({_pos(n, j, j, 1): den * (n - k if j < k else -k)

@@ -383,8 +383,9 @@ def rref(m: Matrix):
     pivot column tuple, rank).
 
     Each row is eliminated as a row of Gaussian integers (its scale does not
-    matter): the pivot p is removed from another row by cross-multiplication,
-    row <- p row - c pivot_row, and a changed row is divided by the gcd of
+    matter): the pivot p is removed from another row by cross-multiplication
+    with a real factor, row <- |p|^2 row - (c conj(p)) pivot_row (p row -
+    c pivot_row when p is real), and a changed row is divided by the gcd of
     its entries.  Each pivot row is divided by its pivot at the end."""
     nr, nc = m.nrows, m.ncols
     re, im = _dense(nc, [int_entries(r)[1] for r in m.rows])
@@ -418,7 +419,12 @@ def rref(m: Matrix):
 
 def _eliminate(re, im, pr, pc):
     """Clear column pc of every row but pr by cross-multiplication with the
-    pivot row pr, in place; im is None when every row is real."""
+    pivot row pr, in place; im is None when every row is real.
+
+    A Gaussian pivot p = a + b i is cleared with its real norm, row <-
+    (a^2 + b^2) row - (c conj(p)) pivot_row: multiplying by p itself leaves
+    Gaussian common factors that the integer gcd cannot remove, and the bit
+    size then doubles with every pivot."""
     a = re[pr][pc]
     b = im[pr][pc] if im else 0
     pre = re[pr]
@@ -437,11 +443,15 @@ def _eliminate(re, im, pr, pc):
             re[r] = [x // g for x in row] if g > 1 else row
             continue
         xi = im[r]
-        # (a + b i)(xr + xi i) - (cr + ci i)(pre + pim i)
-        nre = [a * x - b * y - cr * u + ci * w
-               for x, y, u, w in zip(xr, xi, pre, pim)]
-        nim = [a * y + b * x - cr * w - ci * u
-               for x, y, u, w in zip(xr, xi, pre, pim)]
+        # n (xr + xi i) - (er + ei i)(pre + pim i) with (n, er + ei i) =
+        # (|p|^2, c conj(p)), or (a, c) for a real pivot: column pc becomes
+        # |p|^2 c - c conj(p) p = 0
+        if b:
+            n, er, ei = a * a + b * b, cr * a + ci * b, ci * a - cr * b
+        else:
+            n, er, ei = a, cr, ci
+        nre = [n * x - er * u + ei * w for x, u, w in zip(xr, pre, pim)]
+        nim = [n * y - er * w - ei * u for y, u, w in zip(xi, pre, pim)]
         g = gcd(*nre, *nim)
         if g > 1:
             nre = [x // g for x in nre]

@@ -300,8 +300,12 @@ def is_solvable(s: Subalgebra) -> bool:
 
 
 def is_nilpotent(s: Subalgebra) -> bool:
+    """The lower central series s, [s, s], [s, [s, s]], ... reaches 0;
+    [s, s] is spanned by the brackets of basis pairs a before b."""
     g = s.algebra
-    cur = s.space
+    cur = derived(g, s).space
+    if cur.dim == s.dim:
+        return not s.dim
     while cur.dim > 0:
         nxt = Subspace.from_vectors(
             g.dim, [g.bracket(a, b) for a in s.basis_vectors()

@@ -9,16 +9,14 @@ Gaussian rationals.
 
 from __future__ import annotations
 
-import itertools
-
 from .exact import (
     GQ, ZERO, I, Matrix, Subspace, ExactError,
-    kernel, lincomb, vscale, rational_eigenvalues, span_sum,
+    kernel, lincomb, vscale, is_zero_vec, rational_eigenvalues, rref,
+    span_sum,
 )
 from .liealg import (
-    LieAlgebra, Subalgebra, centralizer, center, derived,
-    extend_to_maximal_abelian, full_subalgebra, is_closed, is_nilpotent,
-    restricted_ad,
+    LieAlgebra, Subalgebra, centralizer, derived, extend_to_maximal_abelian,
+    full_subalgebra, is_nilpotent, restricted_ad,
 )
 
 
@@ -62,7 +60,16 @@ class Root:
         return s
 
 
+# where [g_a, g_b] lands when it is a nonzero element of the zero space
+IN_ZERO_SPACE = -1
+
+
 class RootDatum:
+    """The root decomposition g_C = zero space (+) the root spaces, with a
+    record of certified facts that fills on demand: where the bracket of
+    each root pair asked for lands, the Killing pairing of each root asked
+    for, and the Levi roots of each m."""
+
     def __init__(self, algebra: LieAlgebra, cartan: Subalgebra, roots: list,
                  zero_space: Subspace):
         self.algebra = algebra         # the real compact algebra g
@@ -70,12 +77,108 @@ class RootDatum:
         self.roots = roots             # Root, sorted deterministically
         self.zero_space = zero_space   # a_C (includes all central directions)
         self._index = {r.values: i for i, r in enumerate(roots)}
+        self._negatives = [self._index.get(r.negate_values()) for r in roots]
+        self._sums = None
+        self.targets = {}              # (a, b), a <= b -> bracket_target
+        self._killing = set()          # roots whose pairing is certified
+        self._levi = {}                # m's space -> its Levi roots
+        self._zero_perp = None
+        self._basis_columns = None
 
     def root_index(self, values):
         return self._index.get(values)
 
     def negative_of(self, i):
-        return self.root_index(self.roots[i].negate_values())
+        return self._negatives[i]
+
+    def sums(self):
+        """sums[a][b]: the index of the root alpha_a + alpha_b, or None (also
+        when the sum is 0), by adding root values; built once."""
+        if self._sums is None:
+            vals = [r.values for r in self.roots]
+            self._sums = [[self._index.get(tuple(x + y for x, y in zip(
+                va, vb, strict=True))) for vb in vals] for va in vals]
+        return self._sums
+
+    def bracket_target(self, a, b):
+        """Where [g_a, g_b] lands: None when it is 0, IN_ZERO_SPACE, or the
+        index of the root space that holds it.  The candidate comes from the
+        root values; it is certified by bracketing the two bases and
+        checking that the target space contains every bracket."""
+        key = (a, b) if a <= b else (b, a)
+        if key not in self.targets:
+            g = self.algebra
+            brackets = [w for u in self.roots[a].space.basis_vectors()
+                        for v in self.roots[b].space.basis_vectors()
+                        if not is_zero_vec(w := g.bracket(u, v))]
+            target = None
+            if brackets:
+                if b == self._negatives[a]:
+                    target, space = IN_ZERO_SPACE, self.zero_space
+                else:
+                    target = self.sums()[a][b]
+                    if target is None:
+                        raise RootError(
+                            "a root-space bracket leaves the decomposition")
+                    space = self.roots[target].space
+                if not all(space.contains(w) for w in brackets):
+                    raise RootError("a root-space bracket misses the space "
+                                    "of the sum of its roots")
+            self.targets[key] = target
+        return self.targets[key]
+
+    def certify_killing(self, a):
+        """Certify, from the Killing gram, that kappa pairs g_a with g_-a
+        alone, nonsingularly, and with the zero space not at all."""
+        if a in self._killing:
+            return
+        if self._basis_columns is None:
+            # the zero space's basis, then each root space's, as columns
+            spaces = [self.zero_space] + [r.space for r in self.roots]
+            self._basis_columns = Matrix.from_columns(
+                [b for sp in spaces for b in sp.basis_vectors()])
+        gram = self.algebra.killing_gram()
+        pairings = Matrix([gram.matvec(u) for u in
+                           self.roots[a].space.basis_vectors()]) \
+            * self._basis_columns
+        j = self._negatives[a]
+        lo = self.zero_space.dim + sum(r.space.dim for r in self.roots[:j])
+        hi = lo + self.roots[j].space.dim
+        if any(x for row in pairings.rows
+               for x in row[:lo] + row[hi:]):
+            raise RootError("kappa pairs g_alpha outside g_{-alpha}")
+        if rref(Matrix([row[lo:hi] for row in pairings.rows]))[2] \
+                != pairings.nrows or pairings.nrows != hi - lo:
+            raise RootError("kappa pairs g_alpha with g_{-alpha} singularly")
+        self._killing.add(a)
+
+    def zero_perp(self) -> Subspace:
+        """{x in the zero space : kappa(x, zero space) = 0} n [g_C, g_C],
+        computed once: the part of a Killing-perpendicular nilradical that
+        lies in the zero space."""
+        if self._zero_perp is None:
+            g = self.algebra
+            gram = g.killing_gram()
+            rows = [gram.matvec(b) for b in self.zero_space.basis_vectors()]
+            perp = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
+            self._zero_perp = perp.intersect(self.zero_space).intersect(
+                derived_complex_span(g))
+        return self._zero_perp
+
+    def levi_roots(self, m: Subalgebra):
+        """The roots whose spaces lie in m, once m is certified to be the
+        zero space plus exactly those root spaces (once per m)."""
+        if m.space not in self._levi:
+            if not m.space.contains_subspace(self.zero_space):
+                raise LeviMismatch("m does not contain the Cartan's zero space")
+            levi = tuple(i for i, r in enumerate(self.roots)
+                         if m.space.contains_subspace(r.space))
+            if self.zero_space.dim + sum(self.roots[i].space.dim
+                                         for i in levi) != m.dim:
+                raise LeviMismatch(
+                    "m is not the span of the zero space and full root spaces")
+            self._levi[m.space] = levi
+        return self._levi[m.space]
 
 
 def _power_combinations(n, basis):
@@ -149,6 +252,8 @@ def _validate_root_datum(rd: RootDatum):
         raise RootError("root spaces do not fill g_C")  # pragma: no cover
     if not rd.zero_space.contains_subspace(rd.cartan.space):
         raise RootError("zero space does not contain the Cartan")  # pragma: no cover
+    if rd.zero_space.conjugate() != rd.zero_space:
+        raise RootError("tau does not fix the zero space")  # pragma: no cover
     for i, r in enumerate(rd.roots):
         if all(v.is_zero() for v in r.values):
             raise RootError("zero root recorded as a root")  # pragma: no cover
@@ -195,56 +300,62 @@ def _root_values_on(rd: RootDatum, root: Root, space: Subspace):
     return tuple(root.value_at(rd.cartan, b) for b in space.basis_vectors())
 
 
-def _levi_root_split(rd: RootDatum, m: Subalgebra):
-    """Indices of roots vanishing on center(m) (the m-roots) and the rest."""
-    g = rd.algebra
-    cm = center(g, m).space
-    if not rd.cartan.space.contains_subspace(cm):
-        raise LeviMismatch("center(m) is not inside the chosen Cartan")
-    m_roots, q = [], []
-    for i, r in enumerate(rd.roots):
-        if all(v.is_zero() for v in _root_values_on(rd, r, cm)):
-            m_roots.append(i)
-        else:
-            q.append(i)
-    # m must be zero_space plus exactly the vanishing root spaces
-    expect = span_sum(g.dim, [rd.zero_space] + [rd.roots[i].space for i in m_roots])
-    if expect != m.space:
-        raise LeviMismatch(
-            "m is not the span of the zero space and full root spaces")
-    return m_roots, q
-
-
 def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
     """All antisymmetric sign choices Q = Q+ u -Q+ on the roots outside the
     Levi that are closed under root addition and under adding Levi roots.
 
-    Returned as sorted index tuples, in a deterministic order."""
-    m_roots, q = _levi_root_split(rd, m)
+    A depth-first search over the +/- pairs in order, taking the first root
+    of a pair before the second, cuts a branch as soon as the roots it has
+    assigned break closure; the systems, sorted index tuples, come out in
+    the order of itertools.product over the signs."""
+    levi_roots = rd.levi_roots(m)
+    levi = set(levi_roots)
+    q = [i for i in range(len(rd.roots)) if i not in levi]
     pairs = []
     seen = set()
     for i in q:
         if i in seen:
             continue
         j = rd.negative_of(i)
-        if j is None or j not in q:  # pragma: no cover
+        if j is None or j in levi:  # pragma: no cover
             raise LeviMismatch("roots outside the Levi do not pair up")
         pairs.append((i, j))
         seen.update((i, j))
-
-    def vsum(a, b):
-        return tuple(x + y for x, y in zip(a, b, strict=True))
-
-    q_set = set(q)
+    sums = rd.sums()
+    # for each root c outside the Levi, the (a, b) with alpha_a + alpha_b =
+    # alpha_c, a outside the Levi
+    splits = {c: [] for c in q}
+    for a in q:
+        for b in q + list(levi_roots):
+            c = sums[a][b]
+            if c in splits:
+                splits[c].append((a, b))
+    positive = [False] * len(rd.roots)   # in Q+
+    outside = [False] * len(rd.roots)    # in -Q+
+    chosen = list(levi_roots)            # Q+ so far, after the Levi roots
     systems = []
-    for signs in itertools.product((0, 1), repeat=len(pairs)):
-        qp = {p[s] for p, s in zip(pairs, signs)}
-        # closed: no a + b with a in Q+ and b in Q+ or a Levi root lies in -Q+
-        outside = q_set - qp
-        if not any(rd.root_index(vsum(rd.roots[a].values,
-                                      rd.roots[b].values)) in outside
-                   for a in qp for b in itertools.chain(qp, m_roots)):
-            systems.append(tuple(sorted(qp)))
+
+    def breaks_closure(x, y):
+        # x joined Q+ and y = -x left it: a + b in -Q+ with a in Q+ and b in
+        # Q+ or the Levi, where x is a or b, or y is the sum
+        return (any(outside[c] for b in chosen
+                    if (c := sums[x][b]) is not None)
+                or any(positive[a] and (positive[b] or b in levi)
+                       for a, b in splits[y]))
+
+    def search(k):
+        if k == len(pairs):
+            systems.append(tuple(sorted(chosen[len(levi):])))
+            return
+        for x, y in (pairs[k], pairs[k][::-1]):
+            positive[x] = outside[y] = True
+            chosen.append(x)
+            if not breaks_closure(x, y):
+                search(k + 1)
+            chosen.pop()
+            positive[x] = outside[y] = False
+
+    search(0)
     return systems
 
 
@@ -255,47 +366,62 @@ def derived_complex_span(g: LieAlgebra) -> Subspace:
     return g._derived_span
 
 
-def killing_perp_nilradical(g: LieAlgebra, p_space: Subspace) -> Subspace:
-    """{x in p : kappa(x, p) = 0} intersected with [g_C, g_C]; the
-    independent characterization of the nilradical of a parabolic."""
-    gram = g.killing_gram()
-    rows = [gram.matvec(b) for b in p_space.basis_vectors()]
-    perp = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
-    return perp.intersect(p_space).intersect(derived_complex_span(g))
+def killing_perp_nilradical(rd: RootDatum, p_roots):
+    """{x in p : kappa(x, p) = 0} n [g_C, g_C] for p = the zero space plus
+    the root spaces of p_roots, the independent characterization of the
+    nilradical of a parabolic, on root indices: (its part in the zero
+    space, the roots whose spaces it holds).  With the Killing record,
+    g_a is perpendicular to p exactly when -a is not in p; every root space
+    lies in [g_C, g_C] since a Cartan element acts on it by a nonzero
+    scalar."""
+    p_roots = set(p_roots)
+    for a in p_roots:
+        rd.certify_killing(a)
+    return rd.zero_perp(), frozenset(a for a in p_roots
+                                     if rd.negative_of(a) not in p_roots)
 
 
 def build_parabolic(rd: RootDatum, m: Subalgebra, q_plus) -> Parabolic:
-    """p = m_C (+) (direct sum of the Q+ root spaces), fully validated."""
+    """p = m_C (+) (direct sum of the Q+ root spaces), fully validated.
+
+    p is certified on root indices from the datum's record (the zero space
+    normalizes every root space); only n's nilpotency is checked on the
+    subspace itself."""
     g = rd.algebra
-    n_space = span_sum(g.dim, [rd.roots[i].space for i in q_plus]) \
-        if q_plus else Subspace.zero(g.dim)
-    p_space = m.space.add(n_space)
-    if not is_closed(g, p_space):
-        raise ClosureFailure("p is not bracket-closed")
-    p = Subalgebra(g, p_space, check=False)
-    # n is closed once [p, n] in n is checked below, since n lies in p
-    n = Subalgebra(g, n_space, check=False)
+    levi = rd.levi_roots(m)
+    nil = frozenset(q_plus)
+    in_p = nil.union(levi)
+    p_roots = sorted(in_p)
+    lands_in_p = in_p | {None, IN_ZERO_SPACE}
+    for k, a in enumerate(p_roots):
+        for b in p_roots[k:]:
+            if rd.bracket_target(a, b) not in lands_in_p:
+                raise ClosureFailure("p is not bracket-closed")
     # contains a Borel: the zero space plus one root space from each pair
-    if not p_space.contains_subspace(rd.zero_space):
-        raise ClosureFailure("p does not contain the Cartan's zero space")
-    for i in range(len(rd.roots)):
-        j = rd.negative_of(i)
-        if not (p_space.contains_subspace(rd.roots[i].space)
-                or p_space.contains_subspace(rd.roots[j].space)):
-            raise ClosureFailure("p misses both root spaces of a +/- pair")
-    # p n tau(p) = m_C, hence p n g = m because m is real
-    if p_space.intersect(p_space.conjugate()) != m.space:
+    if any(a not in in_p and rd.negative_of(a) not in in_p
+           for a in range(len(rd.roots))):
+        raise ClosureFailure("p misses both root spaces of a +/- pair")
+    # p n tau(p) = m_C, hence p n g = m because m is real: tau fixes the
+    # zero space and maps g_a onto g_-a
+    if {a for a in in_p if rd.negative_of(a) in in_p} != set(levi):
         raise ClosureFailure("p n tau(p) != m_C")
     # [p, n] in n, n nilpotent
-    for a in p.basis_vectors():
-        for b in n.basis_vectors():
-            if not n_space.contains(g.bracket(a, b)):
+    lands_in_n = nil | {None}
+    for a in p_roots:
+        for b in nil:
+            if rd.bracket_target(a, b) not in lands_in_n:
                 raise ClosureFailure("n is not an ideal of p")
+    n_space = span_sum(g.dim, [rd.roots[i].space for i in sorted(nil)]) \
+        if nil else Subspace.zero(g.dim)
+    # n is closed, since n lies in p and [p, n] is in n
+    n = Subalgebra(g, n_space, check=False)
     if n.dim and not is_nilpotent(n):
         raise ClosureFailure("n is not nilpotent")
     # independent oracle for the nilradical
-    if killing_perp_nilradical(g, p_space) != n_space:
+    zero_part, perp = killing_perp_nilradical(rd, p_roots)
+    if zero_part.dim or perp != nil:
         raise ClosureFailure("Killing-perpendicular nilradical disagrees")
+    p = Subalgebra(g, m.space.add(n_space), check=False)
     return Parabolic(m, tuple(sorted(q_plus)), n, p, rd)
 
 

@@ -2,6 +2,8 @@
 summary hook."""
 
 import cProfile
+import functools
+import json
 import pstats
 import random
 from fractions import Fraction
@@ -13,7 +15,7 @@ from liecx.exact import (
 )
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx.liealg import quotient as make_quotient
-from liecx import cx
+from liecx import cli, cx
 
 
 ACCEPTANCE_LINES = []
@@ -47,6 +49,26 @@ def profiled(fn, *args):
 
 # ---------------------------------------------------------------------------
 # standard instances
+
+def flag_spec(kind, n, sub="maximal_torus", **kw):
+    """The CLI spec of kind(n) over a named subalgebra."""
+    return {"algebra": {"kind": kind, "n": n},
+            "subalgebra": dict(kw, name=sub)}
+
+
+@functools.lru_cache(maxsize=None)
+def _classified(spec_json):
+    g, h, _ = cli._resolve_problem(cli.parse_obj(json.loads(spec_json)))
+    return g, h, cx.classify(g, h)
+
+
+def classified(spec):
+    """(g, h, classify(g, h)) for a CLI spec (its j, if any, is ignored),
+    computed once per test session: the |W| counts and the parabolic
+    oracles share the large flag manifolds."""
+    spec = {k: v for k, v in spec.items() if k in ("algebra", "subalgebra")}
+    return _classified(json.dumps(spec, sort_keys=True))
+
 
 def s2_instance():
     """su(2) / u(1): the sphere S^2 with J e1 = e2."""

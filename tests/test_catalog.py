@@ -6,6 +6,7 @@ from liecx.exact import GQ, ZERO, ONE, Matrix, Subspace, vunit, is_zero_vec
 from liecx.liealg import (
     LieAlgebra, Subalgebra, centralizer, center, derived, full_subalgebra,
 )
+from liecx import catalog
 from liecx.catalog import (
     AlgebraSpec, build, build_subalgebra, su, so, u, torus, direct_sum,
     InvalidSpec,
@@ -129,3 +130,15 @@ def test_build_makes_one_algebra(spec):
     assert calls(LieAlgebra.__init__) == 1
     assert calls(LieAlgebra.killing_gram) == 1
     assert g.validate().ok
+
+
+def test_block_u_reuses_the_su_coordinates():
+    # build(su(6)) factors the su(6) basis; block_u(3) reads the same map
+    catalog._catalog_coordinates.cache_clear()
+
+    def build_block_u():
+        g = build(su(6))
+        return build_subalgebra(g, su(6), "block_u", k=3)
+    h, calls = profiled(build_block_u)
+    assert calls(catalog._coordinates) == 1
+    assert h.dim == 9

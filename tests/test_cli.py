@@ -346,10 +346,35 @@ def test_verify_rebuilds_no_parabolic(tmp_path, name):
 @pytest.mark.parametrize("spec,count", [(SU3_T, 6), (SO5_T, 8)],
                          ids=["su3_t", "so5_t"])
 def test_classify_checks_each_closure_once(tmp_path, spec, count):
-    # m once, then p once per parabolic; n and p n g follow from p's checks
+    # m once on its subspace; each p is closed on root indices, from the
+    # root datum's bracket record; n and p n g follow from p's checks
     calls = profiled_calls(tmp_path, spec, "classify")
     assert calls(exact.real_points) == 0
-    assert calls(liealg.is_closed) == 1 + count
+    assert calls(liealg.is_closed) == 1
+    assert calls(roots.RootDatum.bracket_target) >= count
+
+
+def test_classify_so5_t_certifies_on_a_small_record(tmp_path):
+    # the dense certificates made 771 brackets and 228 eliminations here
+    calls = profiled_calls(tmp_path, SO5_T, "classify")
+    assert calls(liealg.LieAlgebra.bracket) < 771
+    assert calls(exact.rref) < 228
+    g, h, _ = cli._resolve_problem(cli.parse_obj(SO5_T))
+    rd = cx.classify(g, h).parabolics[0].datum
+    assert 0 < len(rd.targets) <= len(rd.roots) ** 2
+    # m is the torus: no parabolic holds a root together with its negative
+    assert all(b != rd.negative_of(a) for a, b in rd.targets)
+
+
+def test_so2_validates(tmp_path):
+    # so(2) is abelian: its coordinate gets an identity row, as torus(1)'s
+    so2 = {"algebra": {"kind": "so", "n": 2},
+           "subalgebra": {"name": "maximal_torus"}}
+    code, rep = run(tmp_path, so2, "validate")
+    assert code == 0
+    code, rep = run(tmp_path, so2, "catalog")
+    assert code == 0 and rep["validation_ok"] is True
+    assert rep["h_basis"] == [["1"]]
 
 
 CATALOG_SPECS = {c["file"]: c["spec"] for c in json.loads(

@@ -8,6 +8,7 @@ catalog coordinates from the inverse of a GQ block.  The old formula is
 kept here, and only here, as the reference.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,18 +17,24 @@ from pathlib import Path
 
 import pytest
 
-from liecx import cli, cx
+from liecx import cli, cx, exact, roots
 from liecx.exact import (
     GQ, ZERO, ONE, I, Matrix, Subspace, ExactError, IrrationalSpectrum,
     charpoly, inverse, kernel, lincomb, rref, solve, vunit, vadd, vsub, vconj,
     vec, vscale, vzero, int_vectors, real_points, rational_eigenvalues,
+    span_sum,
 )
-from liecx.liealg import LieAlgebra, Subalgebra, quotient, _positive_definite
+from liecx.liealg import (
+    LieAlgebra, Subalgebra, center, is_closed, is_nilpotent, quotient,
+    _positive_definite,
+)
 from liecx.catalog import (
     build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
     _coordinates, _so_basis, _structure_from_matrices, _su_basis,
 )
 from liecx.roots import parabolic_from_abelian
+
+from conftest import classified, flag_spec
 
 
 def rand_gq(rng, density=1.0):
@@ -275,7 +282,9 @@ def test_catalog_table_matches_per_pair_solve(spec, basis):
     rotated_basis(gq_so_basis(4), 3),
 ], ids=["su2", "su3", "so4"])
 def test_rotated_basis_table_matches_per_pair_solve(basis):
-    assert _structure_from_matrices(len(basis[0]), *real_ints(basis)) == [
+    ints = real_ints(basis)
+    assert _structure_from_matrices(len(basis[0]), *ints,
+                                    _coordinates(*ints)) == [
         list(row) for row in per_pair_table(basis)]
 
 
@@ -873,6 +882,33 @@ def test_products_match_gq_loop(label, m):
             == gq_lincomb(m.ncols, coeffs, m.rows)
 
 
+def test_complex_elimination_grows_linearly(monkeypatch):
+    """rref of a dense 14 x 14 Gaussian-integer matrix of rank 12 with
+    20-bit entries: clearing each Gaussian pivot with its real norm keeps
+    every intermediate entry near 1,000 bits (multiplying rows by the pivot
+    itself reached about 90,000), and the result is the Gauss-Jordan one."""
+    rng = random.Random(14)
+
+    def entry():
+        return GQ(rng.randint(-2 ** 20, 2 ** 20), rng.randint(-2 ** 20, 2 ** 20))
+    base = [[entry() for _ in range(14)] for _ in range(12)]
+    m = Matrix([gq_lincomb(14, [GQ(rng.randint(-3, 3)) for _ in base], base)
+                for _ in range(14)])
+    assert all(x.im for r in m.rows for x in r)
+    peak = [0]
+    eliminate = exact._eliminate
+
+    def measured(re, im, pr, pc):
+        eliminate(re, im, pr, pc)
+        peak[0] = max([peak[0]] + [abs(x).bit_length() for rows in (re, im)
+                                   for r in rows for x in r])
+    monkeypatch.setattr(exact, "_eliminate", measured)
+    red, pivots, rank = rref(m)
+    assert rank == 12
+    assert (red.rows, pivots, rank) == gq_rref(m)
+    assert 0 < peak[0] < 2000
+
+
 def gq_validate_failures(g):
     """The antisymmetry and Jacobi failures by brackets of GQ vectors."""
     n = g.dim
@@ -1123,3 +1159,165 @@ def test_g_plus_l_criterion_matches_realification_where_it_fails():
         assert ok == g_plus_l_by_realification(l)
         verdicts.append(ok)
     assert verdicts[:2] == [False, True] and verdicts.count(False) > 2
+
+
+# ---------------------------------------------------------------------------
+# positive systems and parabolics on root indices against the sign-vector
+# product and the dense certificates they replaced
+
+def dense_killing_perp_nilradical(g, p_space):
+    """{x in p : kappa(x, p) = 0} n [g_C, g_C], by one kernel over p."""
+    gram = g.killing_gram()
+    rows = [gram.matvec(b) for b in p_space.basis_vectors()]
+    perp = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
+    return perp.intersect(p_space).intersect(roots.derived_complex_span(g))
+
+
+def dense_build_parabolic(rd, m, q_plus):
+    """p = m_C (+) the Q+ root spaces, every certificate checked on the
+    subspaces themselves."""
+    g = rd.algebra
+    n_space = span_sum(g.dim, [rd.roots[i].space for i in q_plus]) \
+        if q_plus else Subspace.zero(g.dim)
+    p_space = m.space.add(n_space)
+    if not is_closed(g, p_space):
+        raise roots.ClosureFailure("p is not bracket-closed")
+    if not p_space.contains_subspace(rd.zero_space):
+        raise roots.ClosureFailure("p does not contain the Cartan's zero space")
+    for i in range(len(rd.roots)):
+        j = rd.negative_of(i)
+        if not (p_space.contains_subspace(rd.roots[i].space)
+                or p_space.contains_subspace(rd.roots[j].space)):
+            raise roots.ClosureFailure("p misses both root spaces of a +/- pair")
+    if p_space.intersect(p_space.conjugate()) != m.space:
+        raise roots.ClosureFailure("p n tau(p) != m_C")
+    for a in p_space.basis_vectors():
+        for b in n_space.basis_vectors():
+            if not n_space.contains(g.bracket(a, b)):
+                raise roots.ClosureFailure("n is not an ideal of p")
+    n = Subalgebra(g, n_space, check=False)
+    if n.dim and not is_nilpotent(n):
+        raise roots.ClosureFailure("n is not nilpotent")
+    if dense_killing_perp_nilradical(g, p_space) != n_space:
+        raise roots.ClosureFailure("Killing-perpendicular nilradical disagrees")
+    return roots.Parabolic(m, tuple(sorted(q_plus)), n,
+                           Subalgebra(g, p_space, check=False), rd)
+
+
+def product_positive_systems(rd, m):
+    """Every sign vector on the +/- pairs outside the Levi, in
+    itertools.product order, kept when closed under root addition; the
+    Levi roots are those vanishing on center(m)."""
+    cm = center(rd.algebra, m).space
+    levi = [i for i, r in enumerate(rd.roots)
+            if all(r.value_at(rd.cartan, b).is_zero()
+                   for b in cm.basis_vectors())]
+    q = [i for i in range(len(rd.roots)) if i not in levi]
+    pairs = []
+    for i in q:
+        if all(i not in pair for pair in pairs):
+            pairs.append((i, rd.negative_of(i)))
+
+    vsum = {(a, b): rd.root_index(tuple(x + y for x, y in zip(
+        rd.roots[a].values, rd.roots[b].values, strict=True)))
+        for a in q for b in q + levi}
+    systems = []
+    for signs in itertools.product((0, 1), repeat=len(pairs)):
+        qp = {p[s] for p, s in zip(pairs, signs)}
+        outside = set(q) - qp
+        if not any(vsum[a, b] in outside
+                   for a in qp for b in itertools.chain(qp, levi)):
+            systems.append(tuple(sorted(qp)))
+    return systems
+
+
+def same_parabolic(p, q):
+    return (p.positive_set == q.positive_set
+            and p.space.space == q.space.space
+            and p.nilradical.space == q.nilradical.space
+            and p.levi_real.space == q.levi_real.space)
+
+
+ORACLE_SPECS = {}
+for _case in MANIFEST:
+    if _case["command"] in ("classify", "construct", "decompose",
+                            "symmetric"):
+        ORACLE_SPECS.setdefault(_case["file"].split("__")[0], _case["spec"])
+ORACLE_SPECS.update({f"su{n}_t": flag_spec("su", n) for n in range(2, 6)})
+ORACLE_SPECS.update({f"so{n}_t": flag_spec("so", n) for n in range(4, 9)})
+ORACLE_SPECS.update({f"su{n}_u{k}": flag_spec("su", n, "block_u", k=k)
+                     for n in range(3, 6) for k in range(1, n)})
+ORACLE_SPECS["su2su2_0"] = {"algebra": {"kind": "sum", "parts": [
+    {"kind": "su", "n": 2}, {"kind": "su", "n": 2}]},
+    "subalgebra": {"name": "zero"}}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_parabolics_match_the_product_and_the_dense_certificates(name):
+    g, h, report = classified(ORACLE_SPECS[name])
+    if not report.exists:
+        assert report.reason == "odd_dimension"
+        return
+    rd, m = report.parabolics[0].datum, report.m.m
+    assert [p.positive_set for p in report.parabolics] \
+        == product_positive_systems(rd, m)
+    # the dense certificates cost about 40 ms a parabolic on so(8)/t: above
+    # 48 parabolics, an evenly spread sample of 24 to 47 of them
+    sample = report.parabolics[::max(1, len(report.parabolics) // 24)]
+    assert all(same_parabolic(p, dense_build_parabolic(rd, m, p.positive_set))
+               for p in sample)
+
+
+@pytest.mark.parametrize("case", DECOMPOSE_CASES,
+                         ids=[c["file"] for c in DECOMPOSE_CASES])
+def test_decomposed_parabolic_matches_the_dense_certificates(tmp_path, case):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(case["spec"]))
+    ps = cli.parse(path)
+    _, _, quot = cli._resolve_problem(ps)
+    p, _ = cx.decompose_J(cli._structure(ps, quot))
+    assert same_parabolic(
+        p, dense_build_parabolic(p.datum, p.levi_real, p.positive_set))
+
+
+def rejection(build, rd, m, q_plus):
+    try:
+        build(rd, m, q_plus)
+    except roots.ClosureFailure as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su4_u3",
+                                  "su2su2_0", "dense_su3_t"])
+def test_broken_sets_are_rejected_like_the_dense_certificates(name):
+    """Every sign vector (closed or not), a set holding a +/- pair, all of
+    g, the sets missing one root of a system and a system plus a Levi root:
+    the same sets fail, with the same reason."""
+    _, _, report = classified(ORACLE_SPECS[name])
+    rd, m = report.parabolics[0].datum, report.m.m
+    levi = rd.levi_roots(m)
+    q = [i for i in range(len(rd.roots)) if i not in levi]
+    pairs = sorted({tuple(sorted((i, rd.negative_of(i)))) for i in q})
+    sets = [tuple(sorted(p[s] for p, s in zip(pairs, signs)))
+            for signs in itertools.product((0, 1), repeat=len(pairs))]
+    qp = report.parabolics[-1].positive_set
+    sets += [tuple(sorted(qp + (rd.negative_of(qp[0]),))),
+             tuple(range(len(rd.roots)))]
+    sets += [qp[:k] + qp[k + 1:] for k in range(len(qp))]
+    # a Levi root in n: p is the same parabolic, n is not its ideal
+    sets += [tuple(sorted(qp + (i,))) for i in levi[:1]]
+    reasons = []
+    for s in sets:
+        reason = rejection(roots.build_parabolic, rd, m, s)
+        assert reason == rejection(dense_build_parabolic, rd, m, s), s
+        reasons.append(reason)
+    assert reasons.count(None) == len(report.parabolics)
+    assert "p n tau(p) != m_C" in reasons
+    if len(report.parabolics) < 2 ** len(pairs):
+        assert "p is not bracket-closed" in reasons
+    if not levi:
+        # a Borel without a simple root is closed and misses that pair
+        assert "p misses both root spaces of a +/- pair" in reasons
+    else:
+        assert reasons[-1] == "n is not an ideal of p"

@@ -5,12 +5,15 @@ CLI stays cheap."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from liecx import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +34,57 @@ def test_traced_name_resolves(entry):
     if cls is not None:
         owner = getattr(owner, cls)
     assert callable(vars(owner)[attr])
+
+
+# one process: the benchmark's tracer wraps liecx, then the su(2)/u(1) job
+# of every CLI command runs in it; prints the tracer's call counts
+_TRACED_ROUND = """
+import importlib.util, json, random, sys, tempfile
+from pathlib import Path
+bench = Path(sys.argv[1])
+sys.path[:0] = [str(bench)]
+spec = importlib.util.spec_from_file_location("traced_job",
+                                              bench / "traced_job.py")
+traced_job = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(traced_job)
+import workloads
+import liecx.cli
+tracer = traced_job.Tracer()
+tracer.install()
+wl = workloads._Builder("su2_u1").floor(random.Random(0))
+codes, reports = {}, {}
+with tempfile.TemporaryDirectory() as tmp:
+    for k, job in enumerate(wl.jobs):
+        base = wl.specs[job.spec]
+        if job.after:
+            base = dict(base, j=reports[job.after]["j"])
+        path, out = Path(tmp) / f"{k}.spec.json", Path(tmp) / f"{k}.json"
+        path.write_text(json.dumps(base))
+        code = liecx.cli.main(["--spec", str(path), "--command",
+                               job.command, "--out", str(out), *job.args])
+        codes[job.name] = code == job.expect_code
+        reports[job.name] = json.loads(out.read_text())
+print(json.dumps({"commands": sorted(job.command for job in wl.jobs),
+                  "codes": codes,
+                  "calls": {name: s[0] for name, s in tracer.stats.items()}}))
+"""
+
+
+def test_every_traced_name_is_reached():
+    # the benchmark's smoke test needs every traced metric above 0; a name
+    # that no command reaches any more would fail it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_ROUND, str(ROOT / "perfbench")],
+        env=env, check=True, capture_output=True, text=True,
+        timeout=300).stdout
+    result = json.loads(out)
+    assert sorted(result["commands"]) == sorted(cli.COMMANDS)
+    assert all(result["codes"].values()), result["codes"]
+    calls = result["calls"]
+    assert {name: calls.get(name, 0) for name, *_ in _traced_entries()
+            if not calls.get(name)} == {}
 
 
 def _benchmark_imports():

@@ -1,19 +1,24 @@
 """Root decomposition and parabolic enumeration, including the independent
 nilradical oracle."""
 
+import math
+
 import pytest
 
-from liecx.exact import GQ, ZERO, ONE, I, Subspace, vunit, real_points
+from liecx.exact import GQ, ZERO, ONE, I, Matrix, Subspace, vunit, real_points
 from liecx.liealg import (
     Subalgebra, centralizer, extend_to_maximal_abelian, zero_subalgebra,
     is_nilpotent,
 )
-from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
+from liecx.catalog import build, build_subalgebra, su, so, direct_sum
 from liecx.roots import (
     find_regular, root_decomposition, enumerate_positive_systems,
-    build_parabolic, parabolic_from_abelian, killing_perp_nilradical,
-    NotCartan, ClosureFailure,
+    build_parabolic, parabolic_from_abelian, NotCartan, ClosureFailure,
+    RootError,
 )
+
+from conftest import classified, flag_spec
+from test_fast_paths import dense_killing_perp_nilradical
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +145,7 @@ def test_parabolic_structure(su3_datum):
         assert is_nilpotent(p.nilradical)
         assert real_points(p.space.space) == t.space
         # independent oracle: Killing-perpendicular nilradical
-        assert killing_perp_nilradical(g, p.space.space) \
+        assert dense_killing_perp_nilradical(g, p.space.space) \
             == p.nilradical.space
         # [p, n] stays in n
         for a in p.space.space.basis_vectors():
@@ -174,3 +179,62 @@ def test_parabolic_from_abelian():
     assert p.space.dim == 2
     # the chosen positive root has value -i on e3 (search-order convention)
     assert [p.datum.roots[i].values for i in p.positive_set] == [(-I,)]
+
+
+# classify on a flag manifold g/t has one parabolic per Weyl chamber: |W| is
+# n! for su(n), 2^k k! for so(2k+1) and 2^(k-1) k! for so(2k) (Humphreys,
+# GTM 9, 12.1).  These counts pin today's classify; each instance is
+# classified once per session and shared with the parabolic oracles.
+WEYL_ORDERS = ([("su", n, math.factorial(n)) for n in range(2, 6)]
+               + [("so", 2 * k + 1, 2 ** k * math.factorial(k))
+                  for k in (1, 2, 3)]
+               + [("so", 2 * k, 2 ** (k - 1) * math.factorial(k))
+                  for k in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("kind,n,order", WEYL_ORDERS,
+                         ids=[f"{k}{n}" for k, n, _ in WEYL_ORDERS])
+def test_classify_counts_the_weyl_group(kind, n, order):
+    _, _, report = classified(flag_spec(kind, n))
+    assert report.exists
+    assert len(report.parabolics) == order
+    assert len({p.positive_set for p in report.parabolics}) == order
+
+
+def test_root_datum_record_fills_only_the_pairs_asked_for():
+    """One parabolic on so(5)/t certifies the brackets among its own roots
+    and their Killing pairings, nothing else; the record's targets are the
+    root spaces of the sums of root values."""
+    g = build(so(5))
+    t = build_subalgebra(g, so(5), "maximal_torus")
+    rd = root_decomposition(g, t)
+    qp = enumerate_positive_systems(rd, t)[3]
+    build_parabolic(rd, t, qp)
+    assert set(rd.targets) == {(a, b) for a in qp for b in qp if a <= b}
+    assert rd._killing == set(qp)
+    for (a, b), target in rd.targets.items():
+        s = tuple(x + y for x, y in zip(rd.roots[a].values,
+                                        rd.roots[b].values))
+        assert target == rd.root_index(s)
+
+
+def test_killing_record_rejects_a_gram_that_pairs_wrongly():
+    """The Killing record reads its facts off the gram: a gram where some
+    root space meets the zero space, and the zero gram, are refused."""
+    def certify_all(gram):
+        g = build(su(3))
+        rd = root_decomposition(g, build_subalgebra(g, su(3),
+                                                    "maximal_torus"))
+        g._killing_gram = gram(g.killing_gram())
+        for a in range(len(rd.roots)):
+            rd.certify_killing(a)
+
+    def perturbed(gram):
+        rows = [list(r) for r in gram.rows]
+        rows[0][7] = rows[7][0] = rows[0][7] + 1
+        return Matrix(rows)
+    certify_all(lambda gram: gram)
+    with pytest.raises(RootError, match="outside"):
+        certify_all(perturbed)
+    with pytest.raises(RootError, match="singularly"):
+        certify_all(lambda gram: Matrix.zeros(8, 8))
