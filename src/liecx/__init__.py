@@ -2,9 +2,9 @@
 integrable complex structures on quotients g/h of compact Lie algebras."""
 
 from .exact import (
-    GQ, ZERO, ONE, I, Matrix, Subspace,
+    GQ, ZERO, ONE, I, Vec, Matrix, Subspace,
     ExactError, DimensionMismatch, AmbientMismatch, IrrationalSpectrum,
-    rref, kernel, solve, inverse, charpoly, rational_eigenvalues,
+    rref, kernel, solve, inverse, charpoly, rational_eigenvalues, vec,
     parse_rational, format_rational,
 )
 from .liealg import (
@@ -18,8 +18,8 @@ from .catalog import (
     InvalidSpec,
 )
 from .roots import (
-    Root, RootDatum, Parabolic, root_decomposition, find_regular,
-    enumerate_positive_systems, build_parabolic, parabolic_from_abelian,
+    Root, RootDatum, Parabolic, root_decomposition,
+    enumerate_positive_systems, build_parabolic,
     killing_perp_nilradical,
     RootError, NotCartan, LeviMismatch, ClosureFailure,
 )

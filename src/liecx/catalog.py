@@ -24,8 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact import (
-    Matrix, Subspace, ExactError,
-    vec, vunit, vzero, rref, inverse, int_vectors, from_ints,
+    Matrix, Subspace, ExactError, vec, ivec, vcat, vunit, vzero, rref, inverse,
 )
 from .liealg import LieAlgebra, Subalgebra, center, full_subalgebra
 
@@ -145,17 +144,17 @@ def _coordinates(den, basis):
     with A an integer matrix, so each call is one integer matvec on the
     pivots plus an exact re-expansion check in integers."""
     used = sorted(set().union(*basis))
-    _, cols, _ = rref(Matrix([from_ints([b.get(pos, 0) for pos in used],
-                                        None, 1) for b in basis]))
+    _, cols, _ = rref(Matrix([ivec([b.get(pos, 0) for pos in used])
+                              for b in basis]))
     pivots = [used[c] for c in cols]
-    block = Matrix([from_ints([b.get(pos, 0) for b in basis], None, 1)
-                    for pos in pivots])
-    big_d, a_rows = int_vectors(inverse(block).rows)
+    block = Matrix([ivec([b.get(pos, 0) for b in basis]) for pos in pivots])
+    big_d, a_rows, _ = inverse(block).integer_rows()
     # column r of A, for the pivot pivots[r]
     a_cols = {pos: [] for pos in pivots}
     for k, row in enumerate(a_rows):
-        for r, a, _ in row:
-            a_cols[pivots[r]].append((k, a))
+        for r, a in enumerate(row):
+            if a:
+                a_cols[pivots[r]].append((k, a))
 
     def coords(t_den, t):
         c = [0] * len(basis)
@@ -171,7 +170,7 @@ def _coordinates(den, basis):
         if {pos: v for pos, v in expanded.items() if v} != \
                 {pos: big_d * x for pos, x in t.items()}:
             return None
-        return from_ints([den * x for x in c], None, big_d * t_den)
+        return ivec([den * x for x in c], None, big_d * t_den)
     return coords
 
 
@@ -239,7 +238,7 @@ def build(spec: AlgebraSpec) -> LieAlgebra:
         end = off + len(block)
         left, right = zero[:off], zero[end:]
         for i, row in enumerate(block):
-            table[off + i][off:end] = [left + v + right for v in row]
+            table[off + i][off:end] = [vcat((left, v, right)) for v in row]
     g = LieAlgebra(table, name=spec.label())
     g.inner_product = Matrix([vunit(d, i) if i in central else r
                               for i, r in enumerate((-g.killing_gram()).rows)])

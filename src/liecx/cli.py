@@ -33,7 +33,7 @@ import json
 import sys
 
 from .exact import (
-    GQ, Matrix, Subspace, ExactError, parse_rational, format_rational, vec,
+    Matrix, Subspace, ExactError, parse_vector, entry_strings,
     relative_complement,
 )
 from .liealg import LieAlgebra, quotient as make_quotient
@@ -84,9 +84,9 @@ def _require_int(x, what):
     return x
 
 
-def _parse_rat(s, where):
+def _parse_vec(v, where):
     try:
-        return parse_rational(s)
+        return parse_vector(v)
     except ExactError as e:
         raise ParseError(f"{where}: {e}") from None
 
@@ -96,7 +96,7 @@ def _parse_matrix(rows, where):
         raise ParseError(f"{where}: expected a list of rows")
     out = []
     for i, r in enumerate(rows):
-        out.append([GQ(_parse_rat(x, f"{where}[{i}]")) for x in r])
+        out.append(_parse_vec(r, f"{where}[{i}]"))
         if len(r) != len(rows[0]):
             raise ParseError(f"{where}: ragged rows")
     return Matrix(out)
@@ -113,8 +113,7 @@ def _parse_algebra_spec(obj, where="algebra"):
         for i, row in enumerate(table):
             if len(row) != n or not _lists(row):
                 raise ParseError(f"{where}.table: expected {n}x{n} of vectors")
-            parsed.append([vec(_parse_rat(x, f"{where}.table[{i}][{j}]")
-                               for x in v)
+            parsed.append([_parse_vec(v, f"{where}.table[{i}][{j}]")
                            for j, v in enumerate(row)])
         ip = None
         if "inner_product" in obj:
@@ -179,7 +178,7 @@ def parse_obj(raw) -> ProblemSpec:
         if not _lists(sub["vectors"]):
             raise ParseError("subalgebra: vectors must be a list of vectors")
         sub = dict(sub, vectors=[
-            [_parse_rat(x, "subalgebra.vectors") for x in v]
+            _parse_vec(v, "subalgebra.vectors")
             for v in sub["vectors"]])
     j = None
     if raw.get("j") is not None:
@@ -249,14 +248,9 @@ def _integrable_structure(ps, quot, why) -> ComplexStructure:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _gq(x: GQ):
-    return {"re": format_rational(x.re), "im": format_rational(x.im)}
-
-
 def _ser_vec(v):
-    if all(x.im == 0 for x in v):
-        return [format_rational(x.re) for x in v]
-    return [_gq(x) for x in v]
+    re, im = entry_strings(v)
+    return re if im is None else [{"re": a, "im": b} for a, b in zip(re, im)]
 
 
 def _ser_matrix(m: Matrix):

@@ -12,9 +12,10 @@ l are equivalent, and both are always computed and compared.
 from __future__ import annotations
 
 from .exact import (
-    GQ, I, Matrix, Subspace, ExactError,
-    kernel, inverse, solve, lincomb, vunit, vzero, vadd, vsub, vneg, vscale,
-    vconj, is_zero_vec, relative_complement, span_sum, real_points,
+    I, Matrix, Subspace, ExactError,
+    kernel, inverse, solve, lincomb, ivec, vunit, vzero, vadd, vsub, vneg,
+    vscale, vconj, vcat, is_zero_vec, relative_complement, span_sum,
+    real_points,
 )
 from .liealg import (
     LieAlgebra, Subalgebra, Quotient,
@@ -57,7 +58,7 @@ class ComplexStructure:
             raise ExactError(f"J must be {q}x{q}")
         if not j.is_real():
             raise ExactError("J must be a real matrix")
-        if j * j != Matrix.identity(q).scale(GQ(-1)):
+        if j * j != -Matrix.identity(q):
             raise ExactError("J^2 != -id")
         self.quotient = quot
         self.j = j
@@ -82,7 +83,7 @@ class TorusComplexStructure:
         f = u.dim
         if j1.nrows != f or j1.ncols != f:
             raise ExactError(f"J1 must be {f}x{f}")
-        if f and j1 * j1 != Matrix.identity(f).scale(GQ(-1)):
+        if f and j1 * j1 != -Matrix.identity(f):
             raise ExactError("J1^2 != -id")
         self.u = u             # complement of h inside m, ambient g coordinates
         self.j1 = j1           # on u-coordinates, j1^2 = -id
@@ -101,7 +102,7 @@ def default_torus_structure(u: Subspace) -> TorusComplexStructure:
     cols = []
     for k in range(0, f, 2):
         cols.append(vunit(f, k + 1))
-        cols.append(vscale(GQ(-1), vunit(f, k)))
+        cols.append(vneg(vunit(f, k)))
     return TorusComplexStructure(u, Matrix.from_columns(cols))
 
 
@@ -164,7 +165,7 @@ def nijenhuis(J: ComplexStructure, u, v, lifts=None):
     else:
         x, y, xp, yp = lifts
         for w, target in ((x, u), (y, v), (xp, J.j.matvec(u)), (yp, J.j.matvec(v))):
-            if q.project(w) != tuple(target):
+            if q.project(w) != target:
                 raise ExactError("provided lift does not project correctly")
     g = q.algebra
     t1 = q.project(g.bracket(x, y))
@@ -465,7 +466,6 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
     """Perturb every lift by random h elements and require bit-identical
     Nijenhuis values; also checks the antisymmetry and J-twist symmetries."""
     import random
-    from fractions import Fraction
     rng = random.Random(seed)
     quot = J.quotient
     g = quot.algebra
@@ -473,8 +473,9 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
     hb = quot.h.basis_vectors()
 
     def rand_h():
-        return lincomb(g.dim, [GQ(Fraction(rng.randint(-9, 9),
-                                           rng.randint(1, 9))) for _ in hb], hb)
+        # coefficients a / d with a in -9..9 and d in 1..9, drawn in turn
+        return lincomb(g.dim, vcat([ivec([rng.randint(-9, 9)], None,
+                                         rng.randint(1, 9)) for _ in hb]), hb)
 
     failures = []
     evaluations = 0
@@ -535,7 +536,7 @@ def commutant(q, gens):
                                   for j in range(q)])
              for a in range(q) for b in range(q)]
     # column k: vec(M E_k - E_k M) for every M in gens, stacked
-    cols = [sum(((m * e - e * m).flatten() for m in gens), ()) for e in units]
+    cols = [vcat([(m * e - e * m).flatten() for m in gens]) for e in units]
     return [Matrix([v[i * q:(i + 1) * q] for i in range(q)])
             for v in kernel(Matrix.from_columns(cols)).basis_vectors()]
 

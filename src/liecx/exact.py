@@ -1,17 +1,25 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-`GQ`, a Gaussian rational a + b*i with a, b in lowest terms as
-fractions.Fraction, is the type of every scalar that crosses a function
-boundary.  Inside, elimination (`rref`, and through it `kernel`, `solve`
-and `inverse`), `Subspace.reduce` and matrix products run on rows of
-Gaussian integers over a common denominator (`int_entries` and
-`int_vectors` convert; `from_ints` converts back, one Fraction per nonzero
-part).  Everything here is pure and deterministic: re-running any operation
-yields bit-identical output.
+A vector is a `Vec`: one immutable value (re + i im) / den, with re and im
+tuples of integers (im None when every entry is real) over one positive
+denominator.  It is stored reduced, the gcd of den and every part being 1,
+so equal vectors have equal fields: == and hash are exact and cheap, and
+`Subspace` equality stays syntactic.  A `Matrix` is a tuple of Vec rows.
+Elimination (`rref`, and through it `kernel`, `solve` and `inverse`),
+`Subspace.reduce`, the products, `lincomb` and `charpoly` run on the
+integer parts and never build a Fraction.
+
+`GQ`, a Gaussian rational a + b*i with Fraction parts, is the scalar at the
+boundary: the public constructors accept sequences of GQ, int or Fraction,
+and indexing or iterating a Vec yields GQ.  A scalar argument (`vscale`,
+`Matrix.scale`) may be a GQ, an int, a Fraction or a Vec of length 1.
+Everything here is pure and deterministic: re-running any operation yields
+bit-identical output.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -41,12 +49,32 @@ def parse_rational(s):
         raise ExactError(f"bad rational literal {s!r}: {e}") from None
 
 
+# an integer or p/q literal, which parses to what Fraction parses it to
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
+
+
+def parse_vector(literals):
+    """The Vec of rational literals, each read as parse_rational reads it;
+    integers and p/q (below the int conversion limit) skip the Fraction."""
+    parts = []
+    for s in map(str, literals):
+        m = _RATIO.match(s)
+        if m and len(s) < 4000 and int(m[2] or 1):
+            parts.append((int(m[1]), int(m[2] or 1)))
+        else:
+            x = parse_rational(s)
+            parts.append((x.numerator, x.denominator))
+    den = lcm(*(d for _, d in parts))
+    return ivec([a * (den // d) for a, d in parts], None, den)
+
+
 def format_rational(x: Fraction) -> str:
     return str(x)
 
 
 class GQ:
-    """Gaussian rational a + b*i."""
+    """Gaussian rational a + b*i, the boundary scalar; arithmetic runs on
+    Vec."""
 
     __slots__ = ("re", "im")
 
@@ -54,56 +82,6 @@ class GQ:
         # Fractions are immutable: share them instead of copying
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, GQ):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GQ(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to GQ")
-
-    def __add__(self, o):
-        o = GQ.coerce(o)
-        return GQ(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GQ(-self.re, -self.im)
-
-    def __sub__(self, o):
-        o = GQ.coerce(o)
-        return GQ(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, o):
-        return GQ.coerce(o) - self
-
-    def __mul__(self, o):
-        o = GQ.coerce(o)
-        if not (self.im or o.im):  # skip the products with a zero factor
-            return GQ(self.re * o.re)
-        return GQ(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = GQ.coerce(o)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GQ((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
-
-    def __rtruediv__(self, o):
-        return GQ.coerce(o) / self
-
-    def conjugate(self):
-        return GQ(self.re, -self.im)
-
-    def is_zero(self):
-        return not (self.re or self.im)
 
     def __eq__(self, o):
         if isinstance(o, (int, Fraction)):
@@ -121,74 +99,110 @@ class GQ:
         return bool(self.re or self.im)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
-
-    def sort_key(self):
-        return (self.re, self.im)
+        return f"{self.re}" if not self.im else f"({self.re})+({self.im})*i"
 
 
 ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)
-_F0 = ZERO.re
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-integer rows: the one conversion from GQ vectors and back
+# vectors
 
-def int_entries(v):
-    """(D, [(i, D re v_i, D im v_i) for the nonzero v_i]) with D the least
-    common denominator of v's entries."""
-    nonzero = [(i, x.re, x.im) for i, x in enumerate(v) if x is not ZERO and x]
-    den = 1
-    for _, a, b in nonzero:
-        if a.denominator != 1 or b.denominator != 1:
-            den = lcm(den, a.denominator, b.denominator)
-    if den == 1:
-        return 1, [(i, a.numerator, b.numerator) for i, a, b in nonzero]
-    return den, [(i, a.numerator * (den // a.denominator),
-                  b.numerator * (den // b.denominator)) for i, a, b in nonzero]
+class Vec:
+    """An immutable vector (re + i im) / den of Gaussian rationals, reduced."""
 
+    __slots__ = ("re", "im", "den")
 
-def int_vectors(vectors):
-    """(D, entries): int_entries of every vector over one common
-    denominator D, the least common multiple of theirs."""
-    conv = [int_entries(v) for v in vectors]
-    den = lcm(*(d for d, _ in conv))
-    return den, [e if d == den else
-                 [(i, a * (den // d), b * (den // d)) for i, a, b in e]
-                 for d, e in conv]
+    def __len__(self):
+        return len(self.re)
 
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ivec(self.re[k], self.im[k] if self.im else None, self.den)
+        return GQ(Fraction(self.re[k], self.den),
+                  Fraction(self.im[k] if self.im else 0, self.den))
 
-def _dense(n, entries):
-    """Sparse (i, re, im) rows as dense integer rows (re, im); im is None
-    when every entry is real."""
-    re, im = [], []
-    for e in entries:
-        r, m = [0] * n, [0] * n
-        for i, a, b in e:
-            r[i], m[i] = a, b
-        re.append(r)
-        im.append(m)
-    return re, (im if any(b for e in entries for _, _, b in e) else None)
+    def __eq__(self, o):
+        if type(o) is Vec:
+            return self.den == o.den and self.re == o.re and self.im == o.im
+        if isinstance(o, (tuple, list)):
+            raise TypeError("compare a Vec with a Vec, not a sequence")
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.den))
+
+    def __repr__(self):
+        return f"vec({list(self)!r})"
 
 
-def from_ints(re, im, den):
-    """The GQ vector (re + i*im) / den of integer lists (im may be None);
-    zeros are the shared ZERO."""
-    if im is None:
-        im = (0,) * len(re)
-    if den == 1:
-        return tuple(GQ(r, m) if r or m else ZERO for r, m in zip(re, im))
-    return tuple(GQ(Fraction(r, den), Fraction(m, den) if m else _F0)
-                 if r or m else ZERO for r, m in zip(re, im))
+def ivec(re, im=None, den=1):
+    """The reduced Vec (re + i im) / den of integer sequences, den != 0 (im
+    None when real)."""
+    if im is not None and not any(im):
+        im = None
+    g = gcd(den, *re, *im) if im else gcd(den, *re)
+    if den < 0:
+        g = -g
+    if g != 1:
+        re = [x // g for x in re]
+        if im:
+            im = [x // g for x in im]
+        den //= g
+    v = Vec.__new__(Vec)
+    v.re, v.im, v.den = tuple(re), (tuple(im) if im else None), den
+    return v
 
 
-def _combine(n, coeffs, re_rows, im_rows):
+def vec(entries):
+    """The Vec of a sequence of GQ, int or Fraction (a Vec as it is)."""
+    if type(entries) is Vec:
+        return entries
+    parts = []
+    for x in entries:
+        if isinstance(x, GQ):
+            parts.append((x.re.numerator, x.re.denominator,
+                          x.im.numerator, x.im.denominator))
+        elif isinstance(x, (int, Fraction)):
+            parts.append((x.numerator, x.denominator, 0, 1))
+        else:
+            raise TypeError(
+                f"cannot read {type(x).__name__} as a Gaussian rational")
+    den = lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+    return ivec([a * (den // b) for a, b, _, _ in parts],
+                [c * (den // d) for _, _, c, d in parts], den)
+
+
+def _scalar(c):
+    """(re, im, den) integers of a scalar: GQ, int, Fraction or a Vec of
+    length 1."""
+    c = c if type(c) is Vec else vec([c])
+    return c.re[0], (c.im[0] if c.im else 0), c.den
+
+
+def nonzero_terms(v):
+    """(k, re_k, im_k) for the nonzero entries of v, integers over v.den."""
+    if v.im is None:
+        return [(k, a, 0) for k, a in enumerate(v.re) if a]
+    return [(k, a, b) for k, (a, b) in enumerate(zip(v.re, v.im)) if a or b]
+
+
+def _over(vectors):
+    """(D, re rows, im rows): the vectors as integer rows over their least
+    common denominator D; im rows is None when every vector is real."""
+    den = lcm(*(v.den for v in vectors))
+    re = [v.re if v.den == den else [x * (den // v.den) for x in v.re]
+          for v in vectors]
+    if all(v.im is None for v in vectors):
+        return den, re, None
+    im = [(v.im if v.den == den else [x * (den // v.den) for x in v.im])
+          if v.im else (0,) * len(v.re) for v in vectors]
+    return den, re, im
+
+
+def combine(n, coeffs, re_rows, im_rows):
     """sum (a + b i)(re_k + i im_k) over the coefficients (k, a, b), as
     integer lists (re, im); im_rows is None for real rows."""
     re, im = [0] * n, [0] * n
@@ -206,69 +220,98 @@ def _combine(n, coeffs, re_rows, im_rows):
     return re, im
 
 
-# ---------------------------------------------------------------------------
-# vectors: plain tuples of GQ
-
-def vec(entries):
-    return tuple(GQ.coerce(x) for x in entries)
-
-
 def vzero(n):
-    return (ZERO,) * n
+    return ivec((0,) * n)
 
 
 def vunit(n, i):
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return ivec([int(j == i) for j in range(n)])
 
 
 def vadd(a, b):
-    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
+    a, b = vec(a), vec(b)
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    den, re, im = _over([a, b])
+    return ivec([x + y for x, y in zip(*re)],
+                im and [x + y for x, y in zip(*im)], den)
 
 
 def vsub(a, b):
-    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
+    return vadd(a, vneg(b))
 
 
 def vneg(a):
-    return tuple(-x for x in a)
+    a = vec(a)
+    return ivec([-x for x in a.re], a.im and [-x for x in a.im], a.den)
 
 
 def vscale(c, a):
-    c = GQ.coerce(c)
-    return tuple(c * x if x else x for x in a)
+    a = vec(a)
+    cr, ci, cd = _scalar(c)
+    ai = a.im or (0,) * len(a)
+    return ivec([cr * x - ci * y for x, y in zip(a.re, ai)],
+               [cr * y + ci * x for x, y in zip(a.re, ai)], cd * a.den)
 
 
 def vconj(a):
-    return tuple(x.conjugate() for x in a)
+    a = vec(a)
+    return ivec(a.re, a.im and [-x for x in a.im], a.den)
+
+
+def vcat(vectors):
+    """The concatenation of the vectors, one Vec."""
+    vs = [vec(v) for v in vectors]
+    den, re, im = _over(vs)
+    return ivec([x for r in re for x in r],
+               im and [x for r in im for x in r], den)
+
+
+def take(v, idx):
+    """The entries of v at the indices idx, in that order."""
+    return ivec([v.re[i] for i in idx], v.im and [v.im[i] for i in idx], v.den)
 
 
 def lincomb(n, coeffs, vectors):
     """sum_k coeffs[k] * vectors[k], a vector of length n."""
-    dc, cs = int_entries(coeffs)
-    den, entries = int_vectors([vectors[k] for k, _, _ in cs])
-    re, im = _dense(n, entries)
-    return from_ints(*_combine(
-        n, [(j, a, b) for j, (_, a, b) in enumerate(cs)], re, im), dc * den)
+    c = vec(coeffs)
+    cs = nonzero_terms(c)
+    den, re, im = _over([vec(vectors[k]) for k, _, _ in cs])
+    return ivec(*combine(n, [(j, a, b) for j, (_, a, b) in enumerate(cs)],
+                         re, im), c.den * den)
 
 
 def is_zero_vec(a):
-    return all(x.is_zero() for x in a)
+    a = vec(a)
+    return a.im is None and not any(a.re)
 
 
 def is_real_vec(a):
-    return all(x.im == 0 for x in a)
+    return vec(a).im is None
+
+
+def entry_strings(v):
+    """(re, im): the entries of v as reduced "p/q" or "p" strings, im None
+    when v is real; what str(Fraction) writes."""
+    den = v.den
+
+    def fmt(x):
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+    return [fmt(x) for x in v.re], (v.im and [fmt(x) for x in v.im])
 
 
 class Matrix:
-    """Dense matrix of Gaussian rationals; dimensions fixed at construction."""
+    """Dense matrix of Gaussian rationals, a tuple of Vec rows; dimensions
+    fixed at construction."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_ints", "_columns")
+    __slots__ = ("rows", "nrows", "ncols", "_ints", "_cols")
 
-    def __init__(self, rows):
-        self._ints = self._columns = None
+    def __init__(self, rows, ncols=0):
+        self._ints = self._cols = None
         self.rows = tuple(vec(r) for r in rows)
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = len(self.rows[0]) if self.rows else ncols
         for r in self.rows:
             if len(r) != self.ncols:
                 raise DimensionMismatch("ragged rows")
@@ -279,92 +322,71 @@ class Matrix:
 
     @classmethod
     def zeros(cls, r, c):
-        if r == 0:
-            m = cls([])
-            m.ncols = c
-            return m
-        return cls([vzero(c) for _ in range(r)])
+        return cls([vzero(c)] * r, c)
 
     @classmethod
     def from_columns(cls, cols):
         return cls(cols).transpose()
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
+    def integer_rows(self):
+        """(D, re, im): the rows as integer rows over their least common
+        denominator D (im is None for a real matrix); built once."""
+        if self._ints is None:
+            self._ints = _over(self.rows)
+        return self._ints
 
     def transpose(self):
-        t = Matrix([self.column(j) for j in range(self.ncols)])
-        t.ncols = self.nrows  # an n x 0 matrix turns into a 0 x n one
-        return t
+        if not self.rows:
+            return Matrix([vzero(0)] * self.ncols)
+        den, re, im = self.integer_rows()
+        if im is None:
+            return Matrix([ivec(c, None, den) for c in zip(*re)], self.nrows)
+        return Matrix([ivec(c, d, den) for c, d in zip(zip(*re), zip(*im))],
+                      self.nrows)
 
     def __add__(self, o):
-        return Matrix([vadd(a, b) for a, b in zip(self.rows, o.rows, strict=True)])
+        return Matrix([vadd(a, b) for a, b in zip(self.rows, o.rows,
+                                                  strict=True)], self.ncols)
 
     def __sub__(self, o):
-        return Matrix([vsub(a, b) for a, b in zip(self.rows, o.rows, strict=True)])
+        return Matrix([vsub(a, b) for a, b in zip(self.rows, o.rows,
+                                                  strict=True)], self.ncols)
 
     def __neg__(self):
-        return Matrix([vneg(r) for r in self.rows])
+        return Matrix([vneg(r) for r in self.rows], self.ncols)
 
     def scale(self, c):
-        return Matrix([vscale(c, r) for r in self.rows])
-
-    def _integer_rows(self):
-        """(D, re, im): the rows as dense integer lists over their least
-        common denominator D (im is None for a real matrix); built once."""
-        if self._ints is None:
-            den, entries = int_vectors(self.rows)
-            self._ints = (den, *_dense(self.ncols, entries))
-        return self._ints
+        return Matrix([vscale(c, r) for r in self.rows], self.ncols)
 
     def __mul__(self, o):
         if isinstance(o, Matrix):
             if self.ncols != o.nrows:
                 raise DimensionMismatch(f"{self.ncols} != {o.nrows}")
             # row i of the product combines o's rows with row i's entries
-            den, re, im = o._integer_rows()
-            out = []
-            for r in self.rows:
-                d, cs = int_entries(r)
-                out.append(from_ints(*_combine(o.ncols, cs, re, im), d * den))
-            product = Matrix(out)
-            product.ncols = o.ncols
-            return product
+            den, re, im = o.integer_rows()
+            return Matrix([ivec(*combine(o.ncols, nonzero_terms(r), re, im),
+                               r.den * den) for r in self.rows], o.ncols)
         return NotImplemented
 
     def matvec(self, v):
+        v = vec(v)
         if len(v) != self.ncols:
             raise DimensionMismatch(f"matvec: {len(v)} != {self.ncols}")
         # m v combines m's columns with v's entries
-        if self._columns is None:
-            self._columns = self.transpose()
-        den, re, im = self._columns._integer_rows()
-        d, cs = int_entries(v)
-        return from_ints(*_combine(self.nrows, cs, re, im), d * den)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of non-square matrix")
-        s = ZERO
-        for i in range(self.nrows):
-            s = s + self.rows[i][i]
-        return s
-
-    def conjugate(self):
-        return Matrix([vconj(r) for r in self.rows])
+        if self._cols is None:
+            self._cols = self.transpose().integer_rows()
+        den, re, im = self._cols
+        return ivec(*combine(self.nrows, nonzero_terms(v), re, im),
+                    den * v.den)
 
     def is_zero(self):
         return all(is_zero_vec(r) for r in self.rows)
 
     def is_real(self):
-        return all(is_real_vec(r) for r in self.rows)
+        return all(r.im is None for r in self.rows)
 
     def flatten(self):
-        return tuple(x for r in self.rows for x in r)
+        return vcat(self.rows)
 
     def __eq__(self, o):
         if not isinstance(o, Matrix):
@@ -388,7 +410,9 @@ def rref(m: Matrix):
     c pivot_row when p is real), and a changed row is divided by the gcd of
     its entries.  Each pivot row is divided by its pivot at the end."""
     nr, nc = m.nrows, m.ncols
-    re, im = _dense(nc, [int_entries(r)[1] for r in m.rows])
+    re = [list(r.re) for r in m.rows]
+    im = [list(r.im) if r.im else [0] * nc for r in m.rows] \
+        if any(r.im for r in m.rows) else None
     pivots = []
     pr = 0
     for pc in range(nc):
@@ -409,12 +433,12 @@ def rref(m: Matrix):
         # (x + y i) / (a + b i) = ((x a + y b) + (y a - x b) i) / (a^2 + b^2)
         a, b = re[r][pc], (im[r][pc] if im else 0)
         if not b:
-            rows.append(from_ints(re[r], im[r] if im else None, a))
+            rows.append(ivec(re[r], im[r] if im else None, a))
             continue
-        rows.append(from_ints([x * a + y * b for x, y in zip(re[r], im[r])],
-                              [y * a - x * b for x, y in zip(re[r], im[r])],
-                              a * a + b * b))
-    return Matrix(rows) if pr else Matrix.zeros(0, nc), tuple(pivots), pr
+        rows.append(ivec([x * a + y * b for x, y in zip(re[r], im[r])],
+                        [y * a - x * b for x, y in zip(re[r], im[r])],
+                        a * a + b * b))
+    return Matrix(rows, nc), tuple(pivots), pr
 
 
 def _eliminate(re, im, pr, pc):
@@ -463,38 +487,36 @@ def kernel(m: Matrix) -> "Subspace":
     """Full solution space of m x = 0 as a canonical subspace of dim ncols."""
     red, pivots, rank = rref(m)
     nc = m.ncols
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * nc
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
-        basis.append(v)
-    return Subspace.from_vectors(nc, basis)
+    # x_f = 1 and x_p = -red[r, f] for the pivot p of row r
+    cols, units = red.transpose().rows, [vunit(nc, p) for p in pivots]
+    return Subspace.from_vectors(nc, [
+        vsub(vunit(nc, f), lincomb(nc, cols[f], units))
+        for f in range(nc) if f not in pivots])
 
 
 def solve(m: Matrix, b):
     """One exact solution of m x = b (free variables set to 0), or None."""
-    aug = Matrix([list(r) + [bv] for r, bv in zip(m.rows, b, strict=True)])
-    red, pivots, rank = rref(aug)
+    b = vec(b)
+    if len(b) != m.nrows:
+        raise DimensionMismatch(f"solve: {len(b)} != {m.nrows}")
+    red, pivots, rank = rref(Matrix([vcat((r, b[k:k + 1]))
+                                     for k, r in enumerate(m.rows)]))
     if m.ncols in pivots:
         return None
-    x = [ZERO] * m.ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r, m.ncols]
-    return tuple(x)
+    # x_p is the last entry of the row whose pivot is p
+    return lincomb(m.ncols, vcat([r[-1:] for r in red.rows]),
+                   [vunit(m.ncols, p) for p in pivots])
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise DimensionMismatch("inverse of non-square matrix")
     n = m.nrows
-    aug = Matrix([list(m.rows[i]) + list(vunit(n, i)) for i in range(n)])
+    aug = Matrix([vcat((m.rows[i], vunit(n, i))) for i in range(n)])
     red, pivots, rank = rref(aug)
     if rank < n or pivots[:n] != tuple(range(n)):
         raise ExactError("matrix is singular")
-    return Matrix([r[n:] for r in red.rows])
+    return Matrix([r[n:] for r in red.rows], n)
 
 
 class Subspace:
@@ -513,7 +535,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        vectors = list(vectors)
+        vectors = [vec(v) for v in vectors]
         if not vectors:
             return cls(ambient_dim, Matrix.zeros(0, ambient_dim), ())
         for v in vectors:
@@ -539,21 +561,21 @@ class Subspace:
 
     def reduce(self, v):
         """Residual of v after eliminating the pivot coordinates; zero iff v is a member."""
+        v = vec(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"{len(v)} != {self.ambient_dim}")
         # the basis is in RREF, so the residual is v - sum_k v[p_k] b_k
-        dv, vs = int_entries(v)
-        at = {i: (a, b) for i, a, b in vs}
-        cs = [(k, -at[p][0], -at[p][1])
-              for k, p in enumerate(self.pivots) if p in at]
+        vr, vi = v.re, v.im
+        cs = [(k, -vr[p], -vi[p] if vi else 0)
+              for k, p in enumerate(self.pivots) if vr[p] or (vi and vi[p])]
         if not cs:
-            return tuple(v)
-        den, re, im = self.basis._integer_rows()
-        sr, si = _combine(self.ambient_dim, cs, re, im)
-        for i, a, b in vs:
-            sr[i] += den * a
-            si[i] += den * b
-        return from_ints(sr, si, dv * den)
+            return v
+        den, re, im = self.basis.integer_rows()
+        sr, si = combine(self.ambient_dim, cs, re, im)
+        sr = [s + den * x for s, x in zip(sr, vr)]
+        if vi:
+            si = [s + den * x for s, x in zip(si, vi)]
+        return ivec(sr, si, v.den * den)
 
     def contains(self, v):
         return is_zero_vec(self.reduce(v))
@@ -563,9 +585,10 @@ class Subspace:
 
     def coords(self, v):
         """Coordinates of a member vector in the RREF basis (its pivot entries)."""
+        v = vec(v)
         if not self.contains(v):
             raise ExactError("vector not in subspace")
-        return tuple(v[p] for p in self.pivots)
+        return take(v, self.pivots)
 
     def add(self, other):
         self._check(other)
@@ -579,7 +602,7 @@ class Subspace:
         # x = A^T a = B^T b  <=>  (A^T | -B^T)(a;b) = 0
         at = self.basis.transpose()
         bt = other.basis.transpose()
-        stacked = Matrix([list(ar) + list(vneg(br))
+        stacked = Matrix([vcat((ar, vneg(br)))
                           for ar, br in zip(at.rows, bt.rows)])
         return Subspace.from_vectors(self.ambient_dim, [
             lincomb(self.ambient_dim, k[:self.dim], self.basis.rows)
@@ -615,10 +638,8 @@ class Subspace:
 
 
 def span_sum(ambient_dim, subspaces):
-    vecs = []
-    for s in subspaces:
-        vecs.extend(s.basis_vectors())
-    return Subspace.from_vectors(ambient_dim, vecs)
+    return Subspace.from_vectors(
+        ambient_dim, [b for s in subspaces for b in s.basis_vectors()])
 
 
 def relative_complement(outer: Subspace, inner: Subspace) -> Subspace:
@@ -656,26 +677,37 @@ def real_points(s: Subspace) -> Subspace:
 # characteristic polynomial and rational eigenvalues
 
 def charpoly(m: Matrix):
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] of
-    det(x I - m), by the Faddeev-LeVerrier recursion (exact)."""
+    """Monic characteristic polynomial coefficients (1, c1, ..., cn) of
+    det(x I - m) as a Vec, by the Faddeev-LeVerrier recursion on integer
+    rows: with m = A / D and N_0 = I, P_k = A N_(k-1), B_k = -tr(P_k) / k
+    (an exact division) and N_k = P_k + B_k I, c_k = B_k / D^k."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("charpoly of non-square matrix")
     n = m.nrows
-    coeffs = [ONE]
-    nmat = Matrix.identity(n)
+    den = lcm(*(r.den for r in m.rows))
+    # A's rows as terms over den
+    terms = [[(k, a * (den // r.den), b * (den // r.den))
+              for k, a, b in nonzero_terms(r)] for r in m.rows]
+    nre = [[int(i == j) for j in range(n)] for i in range(n)]
+    nim = None
+    cre, cim = [den ** n], [0]
     for k in range(1, n + 1):
-        mk = m * nmat
-        ck = -(mk.trace() / GQ(k))
-        coeffs.append(ck)
-        nmat = mk + Matrix.identity(n).scale(ck)
-    return coeffs
+        nre, nim = map(list, zip(*[combine(n, t, nre, nim) for t in terms]))
+        br = -sum(r[i] for i, r in enumerate(nre)) // k
+        bi = -sum(r[i] for i, r in enumerate(nim)) // k
+        cre.append(br * den ** (n - k))
+        cim.append(bi * den ** (n - k))
+        for i in range(n):
+            nre[i][i] += br
+            nim[i][i] += bi
+        if not any(map(any, nim)):
+            nim = None
+    return ivec(cre, cim, den ** n)
 
 
-def _primitive(coeffs):
-    """The primitive integer polynomial that is a positive multiple of coeffs
-    (rationals, highest degree first, not all zero)."""
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+def _primitive(ints):
+    """The primitive integer polynomial that is a positive multiple of the
+    integer polynomial ints (highest degree first, not all zero)."""
     g = gcd(*ints)
     return [c // g for c in ints]
 
@@ -696,11 +728,13 @@ def _remainder(a, b):
 
 
 def _quotient(a, b):
-    """a / b for integer polynomials where b divides a, made primitive."""
-    a = [Fraction(x) for x in a]
+    """a / b for integer polynomials where b divides a, made primitive: the
+    pseudo-quotient of |lead(b)|^(deg a - deg b + 1) a, exact in integers."""
+    lead = b[0]
+    a = [x * abs(lead) ** (len(a) - len(b) + 1) for x in a]
     out = []
     while len(a) >= len(b):
-        f = a[0] / b[0]
+        f = a[0] // lead
         out.append(f)
         a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
     return _primitive(out)
@@ -768,19 +802,21 @@ def _integer_root_candidates(p):
     return out
 
 
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _synthetic_div(coeffs, root):
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + out[-1] * root)
-    assert out[-1] == 0
-    return out[:-1]
+def _divide_root(c, p, q):
+    """c / (q x - p) for an integer polynomial c, or None when p/q (in
+    lowest terms, q > 0) is not a root; by Gauss's lemma the quotient of a
+    primitive c is a primitive integer polynomial."""
+    acc, qk = 0, 1
+    for x in c:
+        # Horner on the homogenized polynomial: acc ends as q^n c(p/q)
+        acc = acc * p + x * qk
+        qk *= q
+    if acc:
+        return None
+    quo = [c[0] // q]
+    for x in c[1:-1]:
+        quo.append((x + p * quo[-1]) // q)
+    return quo
 
 
 def rational_eigenvalues(m: Matrix):
@@ -792,13 +828,13 @@ def rational_eigenvalues(m: Matrix):
     """
     n = m.nrows
     cg = charpoly(m)
-    if any(c.im != 0 for c in cg):
+    if not is_real_vec(cg):
         raise IrrationalSpectrum("characteristic polynomial is not rational")
-    coeffs = [c.re for c in cg]
+    coeffs = list(cg.re)   # a positive multiple of the monic polynomial
     roots = []
     # zero eigenvalues: strip trailing zero coefficients
     while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
+        coeffs.pop()
         roots.append(Fraction(0))
     if len(coeffs) > 1:
         # a root p/q of a0 x^n + ... + an has q | a0, so y = a0 x turns it
@@ -807,12 +843,14 @@ def rational_eigenvalues(m: Matrix):
         a0 = ints[0]
         monic = [1] + [c * a0 ** k for k, c in enumerate(ints[1:])]
         cands = {Fraction(y, a0) for y in _integer_root_candidates(monic)}
-        fr = [Fraction(c) for c in coeffs]
         for cand in sorted(cands):
-            while len(fr) > 1 and _poly_eval(fr, cand) == 0:
+            while len(ints) > 1:
+                quo = _divide_root(ints, cand.numerator, cand.denominator)
+                if quo is None:
+                    break
                 roots.append(cand)
-                fr = _synthetic_div(fr, cand)
-        if len(fr) > 1:
+                ints = quo
+        if len(ints) > 1:
             raise IrrationalSpectrum(
                 f"only {len(roots)} of {n} eigenvalues are rational")
     return sorted(roots)

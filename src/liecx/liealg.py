@@ -9,10 +9,12 @@ theorem check relies on.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .exact import (
-    GQ, ZERO, Matrix, Subspace, ExactError, DimensionMismatch,
-    kernel, lincomb, vec, vunit, is_zero_vec, int_entries,
-    int_vectors, from_ints,
+    Matrix, Subspace, ExactError, DimensionMismatch,
+    combine, kernel, lincomb, vec, ivec, vunit, is_zero_vec, nonzero_terms,
+    take,
 )
 
 
@@ -54,9 +56,11 @@ class LieAlgebra:
         for row in self.table:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
                 raise DimensionMismatch("structure table must be dim x dim x dim")
-        self.table_den, flat = int_vectors(v for row in self.table for v in row)
-        self.int_terms = tuple(tuple(flat[i * self.dim:(i + 1) * self.dim])
-                               for i in range(self.dim))
+        den = self.table_den = lcm(*(v.den for row in self.table for v in row))
+        self.int_terms = tuple(tuple(
+            [(k, a * (den // v.den), b * (den // v.den))
+             for k, a, b in nonzero_terms(v)] for v in row)
+            for row in self.table)
         self.inner_product = inner_product if inner_product is not None \
             else Matrix.identity(self.dim)
         self.name = name
@@ -69,11 +73,11 @@ class LieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket operands must have ambient length")
-        xd, xs = int_entries(x)
-        yd, ys = int_entries(y)
+        x, y = vec(x), vec(y)
+        ys = nonzero_terms(y)
         re = [0] * self.dim
         im = [0] * self.dim
-        for i, xr, xi in xs:
+        for i, xr, xi in nonzero_terms(x):
             row = self.int_terms[i]
             for j, yr, yi in ys:
                 terms = row[j]
@@ -89,12 +93,23 @@ class LieAlgebra:
                         re[k] += cr * tr
                         if ci:
                             im[k] += ci * tr
-        return from_ints(re, im, xd * yd * self.table_den)
+        return ivec(re, im, x.den * y.den * self.table_den)
 
     def ad(self, x) -> Matrix:
-        """Matrix of ad(x): columns are [x, e_j]."""
-        cols = [self.bracket(x, vunit(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols)
+        """Matrix of ad(x): entry (k, j) is [x, e_j]_k."""
+        x = vec(x)
+        n = self.dim
+        if len(x) != n:
+            raise DimensionMismatch("ad operand must have ambient length")
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for i, xr, xi in nonzero_terms(x):
+            for j, terms in enumerate(self.int_terms[i]):
+                for k, tr, ti in terms:
+                    re[k][j] += xr * tr - xi * ti
+                    im[k][j] += xr * ti + xi * tr
+        den = x.den * self.table_den
+        return Matrix([ivec(r, m, den) for r, m in zip(re, im)], n)
 
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form kappa(e_i, e_j) = tr(ad e_i ad e_j)."""
@@ -119,7 +134,7 @@ class LieAlgebra:
                     im[i][j] = im[j][i] = si
             den = self.table_den ** 2
             self._killing_gram = Matrix(
-                [from_ints(r, m, den) for r, m in zip(re, im)])
+                [ivec(r, m, den) for r, m in zip(re, im)])
         return self._killing_gram
 
     # -- validation ---------------------------------------------------------
@@ -156,13 +171,16 @@ class LieAlgebra:
             failures.append("inner product not positive definite")
         if n and ip.ncols != n:  # an inner product of the wrong size
             raise DimensionMismatch(f"matvec: {n} != {ip.ncols}")
+        _, pre, pim = ip.integer_rows()
+        _, tre, tim = ip.transpose().integer_rows()  # the same denominator
         for i in range(n):
             # <[e_i,e_j], e_k> + <e_j, [e_i,e_k]> is entry (j, k) of
-            # ad(e_i)^T P + P ad(e_i); the rows of ad(e_i)^T are table[i]
-            ad_t = Matrix(self.table[i])
-            defect = ad_t * ip + ip * ad_t.transpose()
-            bad = next(((j, k) for j, row in enumerate(defect.rows)
-                        for k, x in enumerate(row) if x), None)
+            # A P + (A P^T)^T with row j of A the terms of [e_i, e_j]
+            ap = [combine(n, ts, pre, pim) for ts in terms[i]]
+            apt = [combine(n, ts, tre, tim) for ts in terms[i]]
+            bad = next(((j, k) for j in range(n) for k in range(n)
+                        if ap[j][0][k] + apt[k][0][j]
+                        or ap[j][1][k] + apt[k][1][j]), None)
             if bad is not None:
                 failures.append(
                     f"inner product not ad-invariant on (e{i}, e{bad[0]}, e{bad[1]})")
@@ -175,21 +193,22 @@ class LieAlgebra:
 
 def _positive_definite(m: Matrix) -> bool:
     # Sylvester: all leading principal minors positive (entries must be
-    # real).  Elimination without row swaps makes the k-th minor the product
-    # of the first k pivots, so every minor is positive exactly when every
-    # pivot is.
+    # real).  Fraction-free elimination without row swaps (Bareiss) leaves
+    # the k-th leading minor of the integer matrix as the k-th pivot, and
+    # the integer matrix is a positive multiple of m.
     if not m.is_real():
         return False
-    rows = [[x.re for x in r] for r in m.rows]
+    rows = [list(r) for r in m.integer_rows()[1]]
+    prev = 1
     for c, pivot_row in enumerate(rows):
         pivot = pivot_row[c]
         if pivot <= 0:
             return False
         for r in rows[c + 1:]:
-            f = r[c] / pivot
-            if f:
-                for k in range(c + 1, len(r)):
-                    r[k] -= f * pivot_row[k]
+            f = r[c]
+            for k in range(c + 1, len(r)):
+                r[k] = (pivot * r[k] - f * pivot_row[k]) // prev
+        prev = pivot
     return True
 
 
@@ -330,8 +349,10 @@ def radical(l: Subalgebra) -> Subalgebra:
     d = len(bs)
     if d == 0:
         return l
-    ad_l = [restricted_ad(g, u, l.space) for u in bs]
-    gram = Matrix([[(ad_l[i] * ad_l[j]).trace() for j in range(d)] for i in range(d)])
+    # tr(A B) pairs A read row by row with B read column by column
+    ads = [restricted_ad(g, u, l.space) for u in bs]
+    gram = Matrix([a.flatten() for a in ads]) \
+        * Matrix([a.transpose().flatten() for a in ads]).transpose()
     der = Subspace.from_vectors(
         d, [l.space.coords(b) for b in pair_brackets(g, bs)])
     if der.dim == 0:
@@ -388,16 +409,13 @@ class Quotient:
     def project(self, x):
         if len(x) != self.algebra.dim:
             raise DimensionMismatch(f"project: {len(x)} != {self.algebra.dim}")
-        r = self.h.space.reduce(x)
-        return tuple(r[c] for c in self.complement.pivots)
+        return take(self.h.space.reduce(x), self.complement.pivots)
 
     def lift(self, u):
         if len(u) != self.dim:
             raise DimensionMismatch(f"lift: {len(u)} != {self.dim}")
-        x = [ZERO] * self.algebra.dim
-        for c, uc in zip(self.complement.pivots, u):
-            x[c] = GQ.coerce(uc)
-        return tuple(x)
+        n = self.algebra.dim
+        return lincomb(n, u, [vunit(n, c) for c in self.complement.pivots])
 
     def induced_map(self, x) -> Matrix:
         """The action of ad(x) on g/h (x must normalize h for this to be

@@ -10,13 +10,13 @@ Gaussian rationals.
 from __future__ import annotations
 
 from .exact import (
-    GQ, ZERO, I, Matrix, Subspace, ExactError,
-    kernel, lincomb, vscale, is_zero_vec, rational_eigenvalues, rref,
-    span_sum,
+    I, Matrix, Subspace, ExactError,
+    kernel, lincomb, vec, vadd, vneg, vscale, is_real_vec, is_zero_vec,
+    rational_eigenvalues, rref, span_sum,
 )
 from .liealg import (
-    LieAlgebra, Subalgebra, centralizer, derived, extend_to_maximal_abelian,
-    full_subalgebra, is_nilpotent, restricted_ad,
+    LieAlgebra, Subalgebra, centralizer, derived, full_subalgebra,
+    is_nilpotent, restricted_ad,
 )
 
 
@@ -41,23 +41,13 @@ class ClosureFailure(RootError):
 
 
 class Root:
-    """A root alpha, by its values alpha(a_j) on the Cartan basis, plus the
-    root space g_alpha inside g_C."""
+    """A root alpha, by its values alpha(a_j) on the Cartan basis (a Vec,
+    purely imaginary on the real Cartan basis), plus the root space g_alpha
+    inside g_C."""
 
-    def __init__(self, values: tuple, space: Subspace):
-        self.values = values   # GQ, purely imaginary on the real Cartan basis
+    def __init__(self, values, space: Subspace):
+        self.values = values
         self.space = space
-
-    def negate_values(self):
-        return tuple(-v for v in self.values)
-
-    def value_at(self, cartan: Subalgebra, x):
-        """alpha(x) for x in the complexified Cartan (complex-linear)."""
-        coords = cartan.space.coords(x)
-        s = ZERO
-        for c, v in zip(coords, self.values, strict=True):
-            s = s + c * v
-        return s
 
 
 # where [g_a, g_b] lands when it is a nonzero element of the zero space
@@ -77,7 +67,7 @@ class RootDatum:
         self.roots = roots             # Root, sorted deterministically
         self.zero_space = zero_space   # a_C (includes all central directions)
         self._index = {r.values: i for i, r in enumerate(roots)}
-        self._negatives = [self._index.get(r.negate_values()) for r in roots]
+        self._negatives = [self._index.get(vneg(r.values)) for r in roots]
         self._sums = None
         self.targets = {}              # (a, b), a <= b -> bracket_target
         self._killing = set()          # roots whose pairing is certified
@@ -96,8 +86,8 @@ class RootDatum:
         when the sum is 0), by adding root values; built once."""
         if self._sums is None:
             vals = [r.values for r in self.roots]
-            self._sums = [[self._index.get(tuple(x + y for x, y in zip(
-                va, vb, strict=True))) for vb in vals] for va in vals]
+            self._sums = [[self._index.get(vadd(va, vb)) for vb in vals]
+                          for va in vals]
         return self._sums
 
     def bracket_target(self, a, b):
@@ -144,8 +134,8 @@ class RootDatum:
         j = self._negatives[a]
         lo = self.zero_space.dim + sum(r.space.dim for r in self.roots[:j])
         hi = lo + self.roots[j].space.dim
-        if any(x for row in pairings.rows
-               for x in row[:lo] + row[hi:]):
+        if not all(is_zero_vec(row[:lo]) and is_zero_vec(row[hi:])
+                   for row in pairings.rows):
             raise RootError("kappa pairs g_alpha outside g_{-alpha}")
         if rref(Matrix([row[lo:hi] for row in pairings.rows]))[2] \
                 != pairings.nrows or pairings.nrows != hi - lo:
@@ -181,24 +171,6 @@ class RootDatum:
         return self._levi[m.space]
 
 
-def _power_combinations(n, basis):
-    """The elements sum_j k^j basis[j] for k = 1, 2, 3, ..., in that order."""
-    k = 1
-    while True:
-        yield lincomb(n, [GQ(k ** j) for j in range(len(basis))], basis)
-        k += 1
-
-
-def find_regular(g: LieAlgebra, a: Subalgebra):
-    """First element of a with coefficient pattern (1, k, k^2, ...) whose
-    centralizer is exactly a."""
-    if centralizer(g, a.space).space != a.space:
-        raise NotCartan("subalgebra is not self-centralizing")
-    return next(h0 for h0 in _power_combinations(g.dim, a.basis_vectors())
-                if centralizer(g, Subspace.from_vectors(g.dim, [h0])).space
-                == a.space)
-
-
 def _eigenspaces(g, op_vec, space):
     """Split an ad(op_vec)-stable subspace into eigenspaces of ad(op_vec);
     raises if the restricted spectrum is not rational or defective."""
@@ -207,7 +179,7 @@ def _eigenspaces(g, op_vec, space):
     pieces = []
     total = 0
     for lam in sorted(set(eigs)):
-        shifted = b - Matrix.identity(b.nrows).scale(GQ(lam))
+        shifted = b - Matrix.identity(b.nrows).scale(lam)
         sub = Subspace.from_vectors(space.ambient_dim, [
             lincomb(space.ambient_dim, c, space.basis_vectors())
             for c in kernel(shifted).basis_vectors()])
@@ -229,16 +201,17 @@ def root_decomposition(g: LieAlgebra, a: Subalgebra) -> RootDatum:
     pieces = [((), Subspace.full(g.dim))]
     for aj in a.basis_vectors():
         refined = []
-        for values, sp in pieces:
-            # eigenvalues of i*ad(a_j) are rational; alpha(a_j) = -i*lambda
+        for lams, sp in pieces:
+            # eigenvalues lambda of i*ad(a_j) are rational
             for lam, sub in _eigenspaces(g, vscale(I, aj), sp):
-                refined.append((values + (-I * GQ(lam),), sub))
+                refined.append((lams + (lam,), sub))
         pieces = refined
-    zero_values = (ZERO,) * a.dim
-    zero_parts = [sp for v, sp in pieces if v == zero_values]
+    zero_parts = [sp for lams, sp in pieces if not any(lams)]
     zero_space = span_sum(g.dim, zero_parts) if zero_parts else Subspace.zero(g.dim)
-    roots = [Root(v, sp) for v, sp in pieces if v != zero_values]
-    roots.sort(key=lambda r: tuple(x.sort_key() for x in r.values))
+    # alpha(a_j) = -i*lambda; ordered by the values' imaginary parts, -lambda
+    pieces.sort(key=lambda piece: piece[0], reverse=True)
+    roots = [Root(vneg(vscale(I, vec(lams))), sp)
+             for lams, sp in pieces if any(lams)]
     rd = RootDatum(g, a, roots, zero_space)
     _validate_root_datum(rd)
     return rd
@@ -255,9 +228,9 @@ def _validate_root_datum(rd: RootDatum):
     if rd.zero_space.conjugate() != rd.zero_space:
         raise RootError("tau does not fix the zero space")  # pragma: no cover
     for i, r in enumerate(rd.roots):
-        if all(v.is_zero() for v in r.values):
+        if is_zero_vec(r.values):
             raise RootError("zero root recorded as a root")  # pragma: no cover
-        if any(v.re != 0 for v in r.values):
+        if not is_real_vec(vscale(I, r.values)):
             raise RootError("root value not purely imaginary on the real Cartan")
         j = rd.negative_of(i)
         if j is None:
@@ -265,9 +238,9 @@ def _validate_root_datum(rd: RootDatum):
         if r.space.conjugate() != rd.roots[j].space:
             raise RootError("tau(g_alpha) != g_{-alpha}")
         # scalar action check: ad(a_j) acts on g_alpha by alpha(a_j)
-        for aj, val in zip(rd.cartan.basis_vectors(), r.values, strict=True):
+        for j, aj in enumerate(rd.cartan.basis_vectors()):
             for b in r.space.basis_vectors():
-                if g.bracket(aj, b) != vscale(val, b):
+                if g.bracket(aj, b) != vscale(r.values[j:j + 1], b):
                     raise NonSemisimpleAction(
                         "ad does not act by the recorded scalar")
 
@@ -293,11 +266,6 @@ class Parabolic:
     def __repr__(self):
         return (f"Parabolic(dim {self.space.dim}, levi {self.levi_real.dim}, "
                 f"nilradical {self.nilradical.dim})")
-
-
-def _root_values_on(rd: RootDatum, root: Root, space: Subspace):
-    """alpha evaluated on each basis vector of a subspace of the Cartan."""
-    return tuple(root.value_at(rd.cartan, b) for b in space.basis_vectors())
 
 
 def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
@@ -423,23 +391,3 @@ def build_parabolic(rd: RootDatum, m: Subalgebra, q_plus) -> Parabolic:
         raise ClosureFailure("Killing-perpendicular nilradical disagrees")
     p = Subalgebra(g, m.space.add(n_space), check=False)
     return Parabolic(m, tuple(sorted(q_plus)), n, p, rd)
-
-
-def parabolic_from_abelian(g: LieAlgebra, t: Subalgebra) -> Parabolic:
-    """The parabolic of Levi m = C_g(t) cut out by a regular element of i*t."""
-    if not t.is_abelian():
-        raise RootError("t must be abelian")
-    m = centralizer(g, t.space)
-    a = extend_to_maximal_abelian(g, t)
-    rd = root_decomposition(g, a)
-    q = [i for i, r in enumerate(rd.roots)
-         if any(not v.is_zero() for v in _root_values_on(rd, r, t.space))]
-    if not q:
-        return build_parabolic(rd, m, ())
-    # deterministic search for h0 in i*t with alpha(h0) real nonzero on Q
-    for h0 in _power_combinations(
-            g.dim, [vscale(I, b) for b in t.basis_vectors()]):
-        vals = {i: rd.roots[i].value_at(rd.cartan, h0) for i in q}
-        if all(v.im == 0 and v.re != 0 for v in vals.values()):
-            return build_parabolic(
-                rd, m, tuple(sorted(i for i in q if vals[i].re > 0)))

@@ -75,7 +75,7 @@ def s2_instance():
     g = build(su(2))
     h = build_subalgebra(g, su(2), "span", span=[[0, 0, 1]])
     quot = make_quotient(g, h)
-    j = Matrix([[ZERO, -ONE], [ONE, ZERO]])
+    j = Matrix([[ZERO, GQ(-1)], [ONE, ZERO]])
     return g, h, quot, cx.ComplexStructure(quot, j)
 
 
@@ -87,7 +87,7 @@ def calabi_eckmann_instance():
     m = [[ZERO] * 6 for _ in range(6)]
     for src, dst in ((0, 1), (3, 4), (2, 5)):
         m[dst][src] = ONE
-        m[src][dst] = -ONE
+        m[src][dst] = GQ(-1)
     return g, h, quot, cx.ComplexStructure(quot, Matrix(m))
 
 
@@ -99,7 +99,7 @@ def swap_structure():
     m = [[ZERO] * 6 for _ in range(6)]
     for k in range(3):
         m[3 + k][k] = ONE
-        m[k][3 + k] = -ONE
+        m[k][3 + k] = GQ(-1)
     return g, h, quot, cx.ComplexStructure(quot, Matrix(m))
 
 

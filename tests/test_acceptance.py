@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from liecx.exact import GQ, ZERO, ONE, I, Matrix, vunit, is_zero_vec
+from liecx.exact import GQ, ZERO, ONE, I, Matrix, vec, vunit, is_zero_vec
 from liecx.liealg import Subalgebra, quotient as make_quotient, is_solvable
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx import cx
@@ -157,7 +157,7 @@ def test_criterion_6_negative_controls():
         failures.append("su(2)/0 not rejected for odd dimension")
     g, h, quot, Jswap = swap_structure()
     n = cx.nijenhuis(Jswap, vunit(6, 0), vunit(6, 1))
-    if n != (ZERO, ZERO, ONE, ZERO, ZERO, -ONE):
+    if n != vec([ZERO, ZERO, ONE, ZERO, ZERO, GQ(-1)]):
         failures.append(f"swap witness is {n}")
     if cx.is_integrable(Jswap):
         failures.append("swap structure reported integrable")
@@ -167,7 +167,7 @@ def test_criterion_6_negative_controls():
     m = [[ZERO] * 6 for _ in range(6)]
     for s, d in ((0, 2), (1, 3), (4, 5)):
         m[d][s] = ONE
-        m[s][d] = -ONE
+        m[s][d] = GQ(-1)
     if cx.is_invariant(cx.ComplexStructure(quot3, Matrix(m))):
         failures.append("root-plane-mixing J on su(3)/t reported invariant")
     ok = not failures

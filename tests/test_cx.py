@@ -6,7 +6,7 @@ import random
 import pytest
 
 from liecx.exact import (
-    GQ, ZERO, ONE, I, Matrix, Subspace,
+    GQ, ZERO, ONE, I, Matrix, Subspace, vec,
     vunit, vadd, vscale, is_zero_vec, real_points,
 )
 from liecx.liealg import Subalgebra, quotient as make_quotient
@@ -28,7 +28,7 @@ def rot(n):
     m = [[ZERO] * n for _ in range(n)]
     for k in range(0, n, 2):
         m[k + 1][k] = ONE
-        m[k][k + 1] = -ONE
+        m[k][k + 1] = GQ(-1)
     return Matrix(m)
 
 
@@ -55,9 +55,9 @@ def test_noninvariant_j_on_su3_t_detected():
     m = [[ZERO] * 6 for _ in range(6)]
     for s, d in ((0, 2), (1, 3)):
         m[d][s] = ONE
-        m[s][d] = -ONE
+        m[s][d] = GQ(-1)
     m[5][4] = ONE
-    m[4][5] = -ONE
+    m[4][5] = GQ(-1)
     J = ComplexStructure(quot, Matrix(m))
     assert not cx.is_invariant(J)
     with pytest.raises(NotInvariant):
@@ -70,7 +70,7 @@ def test_swap_structure_witness():
     g, h, quot, J = swap_structure()
     n = cx.nijenhuis(J, vunit(6, 0), vunit(6, 1))
     # N((e1,0),(e2,0)) = (e3, -e3)
-    assert n == (ZERO, ZERO, ONE, ZERO, ZERO, -ONE)
+    assert n == vec([ZERO, ZERO, ONE, ZERO, ZERO, GQ(-1)])
     assert not cx.is_integrable(J)
 
 
@@ -113,7 +113,7 @@ def test_plus_space_s2():
     g, h, quot, J = s2_instance()
     l = cx.plus_space(J)
     want = Subspace.from_vectors(3, [
-        vunit(3, 2), vadd(vunit(3, 0), vscale(-I, vunit(3, 1)))])
+        vunit(3, 2), vadd(vunit(3, 0), vscale(GQ(0, -1), vunit(3, 1)))])
     assert l == want
     assert 2 * l.dim == g.dim + h.dim
 
@@ -125,7 +125,7 @@ def test_plus_space_torus():
     J = ComplexStructure(quot, rot(2))
     l = cx.plus_space(J)
     assert l == Subspace.from_vectors(2, [
-        vadd(vunit(2, 0), vscale(-I, vunit(2, 1)))])
+        vadd(vunit(2, 0), vscale(GQ(0, -1), vunit(2, 1)))])
     assert cx.is_integrable(J)
 
 
@@ -169,8 +169,8 @@ def test_construct_calabi_eckmann_from_parabolic():
     g, h, quot, Jce = calabi_eckmann_instance()
     t = Subalgebra.span(g, [vunit(6, 2), vunit(6, 5)])
     rd = root_decomposition(g, t)
-    u1 = vadd(vunit(6, 0), vscale(-I, vunit(6, 1)))
-    u2 = vadd(vunit(6, 3), vscale(-I, vunit(6, 4)))
+    u1 = vadd(vunit(6, 0), vscale(GQ(0, -1), vunit(6, 1)))
+    u2 = vadd(vunit(6, 3), vscale(GQ(0, -1), vunit(6, 4)))
     parabolics = [build_parabolic(rd, t, qp)
                   for qp in enumerate_positive_systems(rd, t)]
     p = next(q for q in parabolics
@@ -178,7 +178,7 @@ def test_construct_calabi_eckmann_from_parabolic():
              and q.nilradical.space.contains(u2))
     ufib = t.space
     assert tuple(ufib.basis_vectors()) == (vunit(6, 2), vunit(6, 5))
-    j1 = TorusComplexStructure(ufib, Matrix([[ZERO, -ONE], [ONE, ZERO]]))
+    j1 = TorusComplexStructure(ufib, Matrix([[ZERO, GQ(-1)], [ONE, ZERO]]))
     J = cx.construct_J(quot, p, j1)
     assert J.j == Jce.j
 

@@ -16,37 +16,169 @@ from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecx import cli, cx, exact, roots
 from liecx.exact import (
-    GQ, ZERO, ONE, I, Matrix, Subspace, ExactError, IrrationalSpectrum,
-    charpoly, inverse, kernel, lincomb, rref, solve, vunit, vadd, vsub, vconj,
-    vec, vscale, vzero, int_vectors, real_points, rational_eigenvalues,
+    GQ, Matrix, Subspace, ExactError, IrrationalSpectrum,
+    charpoly, inverse, ivec, kernel, lincomb, rref, solve, vunit, vadd, vsub,
+    vconj, vec, vscale, vzero, real_points, rational_eigenvalues,
     span_sum,
 )
 from liecx.liealg import (
-    LieAlgebra, Subalgebra, center, is_closed, is_nilpotent, quotient,
-    _positive_definite,
+    LieAlgebra, Subalgebra, center, centralizer, extend_to_maximal_abelian,
+    is_closed, is_nilpotent, quotient, _positive_definite,
 )
 from liecx.catalog import (
     build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
     _coordinates, _so_basis, _structure_from_matrices, _su_basis,
 )
-from liecx.roots import parabolic_from_abelian
 
 from conftest import classified, flag_spec
+
+
+# ---------------------------------------------------------------------------
+# the oracles' scalar: a Gaussian rational with the field operations, and
+# the GQ vector to integer-row conversions the library used to make
+
+class Q(GQ):
+    """GQ with +, -, *, / and conjugate, each on the Fraction parts; the
+    library computes on Vec, these oracles on tuples of Q."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def coerce(x):
+        if isinstance(x, Q):
+            return x
+        if isinstance(x, GQ):
+            return Q(x.re, x.im)
+        if isinstance(x, (int, Fraction)):
+            return Q(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} to Q")
+
+    def __add__(self, o):
+        o = Q.coerce(o)
+        return Q(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Q(-self.re, -self.im)
+
+    def __sub__(self, o):
+        o = Q.coerce(o)
+        return Q(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, o):
+        return Q.coerce(o) - self
+
+    def __mul__(self, o):
+        o = Q.coerce(o)
+        return Q(self.re * o.re - self.im * o.im,
+                 self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = Q.coerce(o)
+        d = o.re * o.re + o.im * o.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return Q((self.re * o.re + self.im * o.im) / d,
+                 (self.im * o.re - self.re * o.im) / d)
+
+    def __rtruediv__(self, o):
+        return Q.coerce(o) / self
+
+    def conjugate(self):
+        return Q(self.re, -self.im)
+
+
+ZERO, ONE, I = Q(0), Q(1), Q(0, 1)
+
+
+def qv(v):
+    """A vector (a Vec or any sequence of scalars) as a tuple of Q."""
+    return tuple(Q.coerce(x) for x in v)
+
+
+def int_entries(v):
+    """(D, [(i, D re v_i, D im v_i) for the nonzero v_i]) with D the least
+    common denominator of v's entries."""
+    nonzero = [(i, x.re, x.im) for i, x in enumerate(v) if x]
+    den = lcm(*(q.denominator for _, a, b in nonzero for q in (a, b)))
+    return den, [(i, a.numerator * (den // a.denominator),
+                  b.numerator * (den // b.denominator)) for i, a, b in nonzero]
+
+
+def int_vectors(vectors):
+    """(D, entries): int_entries of every vector over one common
+    denominator D, the least common multiple of theirs."""
+    conv = [int_entries(v) for v in vectors]
+    den = lcm(*(d for d, _ in conv))
+    return den, [[(i, a * (den // d), b * (den // d)) for i, a, b in e]
+                 for d, e in conv]
 
 
 def rand_gq(rng, density=1.0):
     if rng.random() > density:
         return ZERO
-    return GQ(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    return Q(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
               Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
 
 
 def rand_vec(rng, n, density):
     return tuple(rand_gq(rng, density) for _ in range(n))
 
+
+
+# ---------------------------------------------------------------------------
+# a regular element and the parabolic of an abelian t by one, the search
+# the library replaced by root-index certificates
+
+def power_combinations(n, basis):
+    """The elements sum_j k^j basis[j] for k = 1, 2, 3, ..., in that order."""
+    k = 1
+    while True:
+        yield lincomb(n, [Q(k ** j) for j in range(len(basis))], basis)
+        k += 1
+
+
+def find_regular(g, a):
+    """First element of a with coefficient pattern (1, k, k^2, ...) whose
+    centralizer is exactly a."""
+    if centralizer(g, a.space).space != a.space:
+        raise roots.NotCartan("subalgebra is not self-centralizing")
+    return next(h0 for h0 in power_combinations(g.dim, a.basis_vectors())
+                if centralizer(g, Subspace.from_vectors(g.dim, [h0])).space
+                == a.space)
+
+
+def value_at(rd, root, x):
+    """alpha(x) for x in the complexified Cartan (complex-linear)."""
+    return sum((Q.coerce(c) * Q.coerce(v) for c, v in
+                zip(rd.cartan.space.coords(x), root.values, strict=True)),
+               ZERO)
+
+
+def parabolic_from_abelian(g, t):
+    """The parabolic of Levi m = C_g(t) cut out by a regular element of i*t."""
+    if not t.is_abelian():
+        raise roots.RootError("t must be abelian")
+    m = centralizer(g, t.space)
+    rd = roots.root_decomposition(g, extend_to_maximal_abelian(g, t))
+    q = [i for i, r in enumerate(rd.roots)
+         if any(value_at(rd, r, b) for b in t.basis_vectors())]
+    if not q:
+        return roots.build_parabolic(rd, m, ())
+    # deterministic search for h0 in i*t with alpha(h0) real nonzero on Q
+    for h0 in power_combinations(
+            g.dim, [vscale(I, b) for b in t.basis_vectors()]):
+        vals = {i: value_at(rd, rd.roots[i], h0) for i in q}
+        if all(v.im == 0 and v.re != 0 for v in vals.values()):
+            return roots.build_parabolic(
+                rd, m, tuple(sorted(i for i in q if vals[i].re > 0)))
 
 # ---------------------------------------------------------------------------
 # Quotient.project / lift against B^-1 and the unit-vector section
@@ -89,9 +221,9 @@ def test_project_and_lift_match_dense_maps(name, kw):
     us += [rand_vec(rng, quot.dim, d) for d in (0.3, 1.0) for _ in range(4)]
     for v in us:
         assert quot.lift(v) == section.matvec(v)
-        assert quot.project(quot.lift(v)) == v
+        assert quot.project(quot.lift(v)) == vec(v)
     for b in h.basis_vectors():
-        assert quot.project(b) == (ZERO,) * quot.dim
+        assert quot.project(b) == vzero(quot.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +236,18 @@ def realify_vector(v):
     coordinates (re0, im0, re1, im1, ...)."""
     out = []
     for x in v:
-        out.append(GQ(x.re))
-        out.append(GQ(x.im))
+        out.append(Q(x.re))
+        out.append(Q(x.im))
     return tuple(out)
 
 
 def test_realify_vector():
-    assert realify_vector((I,)) == (GQ(0), GQ(1))
+    assert realify_vector((I,)) == (Q(0), Q(1))
 
 
 def elem(n, j, k, val):
     m = [[ZERO] * n for _ in range(n)]
-    m[j][k] = GQ.coerce(val)
+    m[j][k] = Q.coerce(val)
     return m
 
 
@@ -126,8 +258,8 @@ def mat_add(a, b):
 def gq_su_basis(n):
     """The su(n) catalog basis as dense GQ matrices."""
     if n == 2:
-        half = GQ(1, 0) / GQ(2)
-        ihalf = I / GQ(2)
+        half = Q(1, 0) / Q(2)
+        ihalf = I / Q(2)
         return [[[ZERO, -ihalf], [-ihalf, ZERO]],
                 [[ZERO, -half], [half, ZERO]],
                 [[-ihalf, ZERO], [ZERO, ihalf]]]
@@ -214,7 +346,7 @@ def dense_coordinates(basis):
     def coords(mat):
         target = flatten_real(mat)
         c = block_inv.matvec(tuple(target[r] for r in rows))
-        return c if expand.matvec(c) == target else None
+        return c if expand.matvec(c) == vec(target) else None
     return coords
 
 
@@ -254,7 +386,7 @@ def rotated_basis(basis, seed):
     d = len(basis)
     n = len(basis[0])
     while True:
-        rows = [[GQ(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        rows = [[Q(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
                  for _ in range(d)] for _ in range(d)]
         if rref(Matrix(rows))[2] == d:
             break
@@ -302,7 +434,7 @@ def test_coordinates_match_the_dense_inverse(basis):
              for _ in range(5)]
     # random rational combinations: inside the span
     for _ in range(5):
-        cs = [GQ(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+        cs = [Q(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
               for _ in basis]
         mats.append([[sum((c * m[r][col] for c, m in zip(cs, basis)), ZERO)
                       for col in range(n)] for r in range(n)])
@@ -323,7 +455,7 @@ def block_u_generators(n, k):
             for c in range(k):
                 full[r][c] = bm[r][c]
         out.append(full)
-    out.append([[(I * GQ(n - k) if r < k else -I * GQ(k)) if r == c else ZERO
+    out.append([[(I * Q(n - k) if r < k else -I * Q(k)) if r == c else ZERO
                  for c in range(n)] for r in range(n)])
     return out
 
@@ -355,17 +487,20 @@ def test_coordinates_reject_matrices_outside_the_span():
 
 def dense_bracket(g, x, y):
     n = g.dim
+    x, y = qv(x), qv(y)
+    table = [[qv(v) for v in row] for row in g.table]
     out = [ZERO] * n
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[k] = out[k] + x[i] * y[j] * g.table[i][j][k]
-    return tuple(out)
+                out[k] = out[k] + x[i] * y[j] * table[i][j][k]
+    return vec(out)
 
 
 def dense_killing_gram(g):
     n = g.dim
-    return Matrix([[sum((g.table[i][k][l] * g.table[j][l][k]
+    table = [[qv(v) for v in row] for row in g.table]
+    return Matrix([[sum((table[i][k][l] * table[j][l][k]
                          for k in range(n) for l in range(n)), ZERO)
                     for j in range(n)] for i in range(n)])
 
@@ -378,7 +513,7 @@ def rotated(g, seed, gaussian=False):
     n = g.dim
 
     def entry():
-        return GQ(rng.randint(-3, 3), rng.randint(-2, 2) if gaussian else 0)
+        return Q(rng.randint(-3, 3), rng.randint(-2, 2) if gaussian else 0)
     while True:
         p = Matrix([[entry() for _ in range(n)] for _ in range(n)])
         try:
@@ -410,7 +545,7 @@ def mixed_vec(rng, n):
     with some zeros and some integers."""
     def part():
         return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7, 12)))
-    return tuple(ZERO if rng.random() < 0.2 else GQ(part(), part())
+    return tuple(ZERO if rng.random() < 0.2 else Q(part(), part())
                  for _ in range(n))
 
 
@@ -427,7 +562,7 @@ def test_bracket_matches_dense_loop(algebra):
              for i in range(g.dim) for j in range(g.dim)]
     pairs += [(rand_vec(rng, g.dim, d), rand_vec(rng, g.dim, e))
               for d in (0.2, 1.0) for e in (0.3, 1.0) for _ in range(3)]
-    integer = [tuple(GQ(rng.randint(-4, 4), rng.randint(-4, 4) * (k % 2))
+    integer = [tuple(Q(rng.randint(-4, 4), rng.randint(-4, 4) * (k % 2))
                      for _ in range(g.dim)) for k in range(3)]
     mixed = [mixed_vec(rng, g.dim) for _ in range(4)]
     pairs += [(x, y) for x in integer + mixed for y in integer + mixed]
@@ -448,11 +583,11 @@ def dense_invariance_failures(g):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                a = sum((x * y for x, y in zip(g.table[i][j],
-                                               ip.matvec(vunit(n, k)))), ZERO)
-                b = sum((x * y for x, y in zip(vunit(n, j),
-                                               ip.matvec(g.table[i][k]))), ZERO)
-                if not (a + b).is_zero():
+                a = sum((x * y for x, y in zip(
+                    qv(g.table[i][j]), qv(ip.matvec(vunit(n, k))))), ZERO)
+                b = sum((x * y for x, y in zip(
+                    qv(vunit(n, j)), qv(ip.matvec(g.table[i][k])))), ZERO)
+                if a + b:
                     failures.append(
                         f"inner product not ad-invariant on (e{i}, e{j}, e{k})")
                     break
@@ -470,7 +605,7 @@ def test_invariance_failures_match_dense_loop(seed):
     ip = [list(r) for r in g.inner_product.rows]
     for _ in range(seed + 1):
         a, b = rng.randrange(n), rng.randrange(n)
-        c = GQ(rng.randint(1, 3))
+        c = Q(rng.randint(1, 3))
         ip[a][b] = ip[a][b] + c
         if a != b:
             ip[b][a] = ip[b][a] + c
@@ -532,9 +667,9 @@ def companion(p):
     n = len(p) - 1
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(1, n):
-        rows[i][i - 1] = GQ(1)
+        rows[i][i - 1] = Q(1)
     for i in range(n):
-        rows[i][n - 1] = GQ(Fraction(-p[n - i], p[0]))
+        rows[i][n - 1] = Q(Fraction(-p[n - i], p[0]))
     return Matrix(rows)
 
 
@@ -585,14 +720,14 @@ def test_rational_eigenvalues_with_a_constant_term_over_60_bits():
     n = len(eigs)
     rng = random.Random(7)
     while True:
-        p = Matrix([[GQ(rng.randint(-2, 2)) for _ in range(n)]
+        p = Matrix([[Q(rng.randint(-2, 2)) for _ in range(n)]
                     for _ in range(n)])
         try:
             pinv = inverse(p)
             break
         except Exception:
             continue
-    d = Matrix([[GQ(eigs[i]) if i == j else ZERO for j in range(n)]
+    d = Matrix([[Q(eigs[i]) if i == j else ZERO for j in range(n)]
                 for i in range(n)])
     m = p * d * pinv
     assert sum(1 for r in m.rows for x in r if x) > n * n // 2
@@ -662,7 +797,7 @@ def test_positive_definite_matches_leading_determinants():
     kinds = {}
     for kind, rows in symmetric_cases(random.Random(11)):
         want = sylvester(rows)
-        assert _positive_definite(Matrix([[GQ(x) for x in r] for r in rows])) \
+        assert _positive_definite(Matrix([[Q(x) for x in r] for r in rows])) \
             == want, (kind, rows)
         kinds.setdefault(kind, set()).add(want)
     assert kinds["definite"] == {True}
@@ -725,7 +860,7 @@ def test_parabolic_index_is_none_off_classify_levi():
 # the integer-row kernels against the GQ loops they replaced
 
 def gq_rref(m):
-    rows = [list(r) for r in m.rows]
+    rows = [list(qv(r)) for r in m.rows]
     nr, nc = m.nrows, m.ncols
     pivots = []
     pr = 0
@@ -744,15 +879,15 @@ def gq_rref(m):
         pr += 1
         if pr == nr:
             break
-    return tuple(tuple(r) for r in rows[:pr]), tuple(pivots), pr
+    return tuple(vec(r) for r in rows[:pr]), tuple(pivots), pr
 
 
 def gq_reduce(space, v):
-    v = list(v)
+    v = list(qv(v))
     for row, p in zip(space.basis.rows, space.pivots):
         c = v[p]
-        v = [x - c * r for x, r in zip(v, row)]
-    return tuple(v)
+        v = [x - c * r for x, r in zip(v, qv(row))]
+    return vec(v)
 
 
 def gq_dot(a, b):
@@ -760,15 +895,15 @@ def gq_dot(a, b):
 
 
 def gq_mul(a, b):
-    cols = [b.column(j) for j in range(b.ncols)]
-    return [tuple(gq_dot(r, c) for c in cols) for r in a.rows]
+    cols = [tuple(Q.coerce(r[j]) for r in b.rows) for j in range(b.ncols)]
+    return [vec([gq_dot(qv(r), c) for c in cols]) for r in a.rows]
 
 
 def gq_lincomb(n, coeffs, vectors):
     out = (ZERO,) * n
-    for c, v in zip(coeffs, vectors):
-        out = tuple(x + c * y for x, y in zip(out, v))
-    return out
+    for c, v in zip(qv(coeffs), vectors):
+        out = tuple(x + c * y for x, y in zip(out, qv(v)))
+    return vec(out)
 
 
 KINDS = ("real", "gaussian", "imaginary")
@@ -782,7 +917,7 @@ def kernel_entry(rng, kind, bits=8):
 
     def part():
         return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 12))
-    return GQ(0 if kind == "imaginary" else part(),
+    return Q(0 if kind == "imaginary" else part(),
               0 if kind == "real" else part())
 
 
@@ -798,7 +933,7 @@ def kernel_matrix(rng, kind, nr, nc, rank=None, bits=8):
                        for _ in range(nr)]) if nr else Matrix.zeros(0, nc)
     base = [[kernel_entry(rng, kind, bits) for _ in range(nc)]
             for _ in range(rank)]
-    rows = [gq_lincomb(nc, [GQ(rng.randint(-3, 3)) for _ in base], base)
+    rows = [gq_lincomb(nc, [Q(rng.randint(-3, 3)) for _ in base], base)
             for _ in range(nr)]
     return Matrix(rows)
 
@@ -824,7 +959,7 @@ def kernel_cases():
     # a row equal to another, a multiple of another, and a zero row
     a = kernel_matrix(rng, "gaussian", 3, 6)
     cases.append(("repeated_rows", Matrix(
-        list(a.rows) + [a.rows[0], vscale(GQ(2, -3), a.rows[1]), vzero(6)])))
+        list(a.rows) + [a.rows[0], vscale(Q(2, -3), a.rows[1]), vzero(6)])))
     for n in (0, 1, 5):
         cases.append((f"0x{n}", Matrix.zeros(0, n)))
         cases.append((f"{n}x0", Matrix([()] * n) if n else Matrix.zeros(0, 0)))
@@ -876,10 +1011,132 @@ def test_products_match_gq_loop(label, m):
         assert prod.rows == tuple(gq_mul(m, b))
         assert (prod.nrows, prod.ncols) == (m.nrows, b.ncols)
         v = kernel_entry_vec(rng, kind, m.ncols, bits)
-        assert m.matvec(v) == tuple(gq_dot(r, v) for r in m.rows)
+        assert m.matvec(v) == vec([gq_dot(qv(r), v) for r in m.rows])
         coeffs = kernel_entry_vec(rng, kind, m.nrows, bits)
         assert lincomb(m.ncols, coeffs, m.rows) \
             == gq_lincomb(m.ncols, coeffs, m.rows)
+
+
+def gq_kernel(m):
+    """The solution space of m x = 0 by the Gauss-Jordan loop: one vector
+    per free column, then its canonical RREF basis, as Vecs."""
+    red, pivots, _ = gq_rref(m)
+    basis = []
+    for f in (f for f in range(m.ncols) if f not in pivots):
+        v = [ZERO] * m.ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -Q.coerce(red[r][f])
+        basis.append(vec(v))
+    return gq_rref(Matrix(basis, m.ncols))[0] if basis else ()
+
+
+def gq_charpoly(m):
+    """The Faddeev-LeVerrier recursion on Q matrices: c_k = -tr(m N) / k
+    and N <- m N + c_k I, from N = I; (1, c_1, ..., c_n) as a Vec."""
+    n = m.nrows
+    a = [qv(r) for r in m.rows]
+    nmat = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    coeffs = [ONE]
+    for k in range(1, n + 1):
+        mk = [[gq_dot(a[i], [nmat[l][j] for l in range(n)]) for j in range(n)]
+              for i in range(n)]
+        ck = -sum((mk[i][i] for i in range(n)), ZERO) / Q(k)
+        coeffs.append(ck)
+        nmat = [[x + ck if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(mk)]
+    return vec(coeffs)
+
+
+gaussians = st.builds(Q, st.fractions(-40, 40, max_denominator=9),
+                      st.fractions(-40, 40, max_denominator=9))
+entries = st.one_of(st.just(ZERO), gaussians,
+                    st.builds(Q, st.fractions(-40, 40, max_denominator=9)))
+
+
+def vectors(n):
+    return st.lists(entries, min_size=n, max_size=n).map(tuple)
+
+
+def matrices(nr, nc):
+    return st.lists(vectors(nc), min_size=nr, max_size=nr).map(
+        lambda rows: Matrix(rows, nc))
+
+
+shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: matrices(*s)))
+def test_rref_and_kernel_match_gq_loops_on_random_matrices(m):
+    red, pivots, rank = rref(m)
+    assert (red.rows, pivots, rank) == gq_rref(m)
+    assert kernel(m).basis.rows == gq_kernel(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    matrices(n, n), st.lists(vectors(n), max_size=3))))
+def test_reduce_and_charpoly_match_gq_loops_on_random_matrices(case):
+    m, vs = case
+    space = Subspace.from_vectors(m.ncols, m.rows)
+    for v in vs + [gq_lincomb(m.ncols, [Q(2, -1)] * m.nrows, m.rows)]:
+        assert space.reduce(v) == gq_reduce(space, v)
+    assert charpoly(m) == gq_charpoly(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+       .flatmap(lambda s: st.tuples(matrices(s[0], s[1]),
+                                    matrices(s[1], s[2]), vectors(s[1]),
+                                    vectors(s[0]))))
+def test_products_match_gq_loops_on_random_matrices(case):
+    a, b, v, coeffs = case
+    assert (a * b).rows == tuple(gq_mul(a, b))
+    assert a.matvec(v) == vec([gq_dot(qv(r), v) for r in a.rows])
+    assert lincomb(a.ncols, coeffs, a.rows) \
+        == gq_lincomb(a.ncols, coeffs, a.rows)
+
+
+BRACKET_ALGEBRAS = {"su3": build(su(3)),
+                    "su2_gaussian": rotated(build(su(2)), 5, gaussian=True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BRACKET_ALGEBRAS)).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           vectors(BRACKET_ALGEBRAS[name].dim),
+                           vectors(BRACKET_ALGEBRAS[name].dim))))
+def test_bracket_matches_dense_loop_on_random_vectors(case):
+    name, x, y = case
+    g = BRACKET_ALGEBRAS[name]
+    assert g.bracket(x, y) == dense_bracket(g, x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BRACKET_ALGEBRAS)).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           vectors(BRACKET_ALGEBRAS[name].dim))))
+def test_ad_matches_brackets_with_the_basis(case):
+    name, x = case
+    g = BRACKET_ALGEBRAS[name]
+    assert g.ad(x) == Matrix.from_columns(
+        [dense_bracket(g, x, vunit(g.dim, j)) for j in range(g.dim)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors(5), st.integers(1, 10 ** 6), st.integers(1, 50))
+def test_equal_vectors_over_other_denominators_are_equal(v, k, extra):
+    # the same vector written over D, over k D and over a common multiple
+    # of unrelated denominators: one reduced value, one hash
+    w = vec(v)
+    scaled = ivec([k * x for x in w.re], w.im and [k * x for x in w.im],
+                  k * w.den)
+    mixed = vadd(vscale(Q(Fraction(1, extra)), v),
+                 vscale(Q(Fraction(extra - 1, extra)), v))
+    assert w == scaled == mixed
+    assert hash(w) == hash(scaled) == hash(mixed)
+    assert tuple(scaled) == qv(v)
 
 
 def test_complex_elimination_grows_linearly(monkeypatch):
@@ -890,9 +1147,9 @@ def test_complex_elimination_grows_linearly(monkeypatch):
     rng = random.Random(14)
 
     def entry():
-        return GQ(rng.randint(-2 ** 20, 2 ** 20), rng.randint(-2 ** 20, 2 ** 20))
+        return Q(rng.randint(-2 ** 20, 2 ** 20), rng.randint(-2 ** 20, 2 ** 20))
     base = [[entry() for _ in range(14)] for _ in range(12)]
-    m = Matrix([gq_lincomb(14, [GQ(rng.randint(-3, 3)) for _ in base], base)
+    m = Matrix([gq_lincomb(14, [Q(rng.randint(-3, 3)) for _ in base], base)
                 for _ in range(14)])
     assert all(x.im for r in m.rows for x in r)
     peak = [0]
@@ -912,10 +1169,11 @@ def test_complex_elimination_grows_linearly(monkeypatch):
 def gq_validate_failures(g):
     """The antisymmetry and Jacobi failures by brackets of GQ vectors."""
     n = g.dim
+    table = [[qv(v) for v in row] for row in g.table]
     failures = []
     for i in range(n):
         for j in range(i, n):
-            if g.table[i][j] != tuple(-x for x in g.table[j][i]):
+            if table[i][j] != tuple(-x for x in table[j][i]):
                 failures.append(f"antisymmetry fails on (e{i}, e{j})")
     for i in range(n):
         for j in range(i + 1, n):
@@ -923,7 +1181,7 @@ def gq_validate_failures(g):
                 # [[e_a, e_b], e_c] = sum_l table[a][b][l] [e_l, e_c]
                 s = (ZERO,) * n
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for x, row in zip(g.table[a][b], g.table):
+                    for x, row in zip(table[a][b], table):
                         s = tuple(t + x * y for t, y in zip(s, row[c]))
                 if any(s):
                     failures.append(f"Jacobi fails on (e{i}, e{j}, e{k})")
@@ -937,7 +1195,7 @@ def test_jacobi_and_antisymmetry_failures_match_gq_loop(seed):
     table = [[list(v) for v in row] for row in g.table]
     for _ in range(seed + 1):
         i, j, k = (rng.randrange(g.dim) for _ in range(3))
-        table[i][j][k] = table[i][j][k] + GQ(rng.randint(1, 3), seed)
+        table[i][j][k] = table[i][j][k] + Q(rng.randint(1, 3), seed)
     bad = LieAlgebra(table)
     expected = gq_validate_failures(bad)
     assert expected
@@ -1029,7 +1287,7 @@ def test_theta_criterion_matches_matrix_on_splits_that_are_not_cartan():
     for dim in (2, 3, 4):
         s = Subspace.from_vectors(g.dim, [
             rand_vec(rng, g.dim, 0.5) for _ in range(dim)])
-        s = Subspace.from_vectors(g.dim, [tuple(GQ(x.re) for x in b)
+        s = Subspace.from_vectors(g.dim, [tuple(Q(x.re) for x in b)
                                           for b in s.basis_vectors()])
         ok = cx.involution_is_automorphism(g, s, s.complement())
         assert ok == theta_by_matrix(g, s, s.complement()) is False
@@ -1095,12 +1353,12 @@ def test_real_structure_matches_mixing_on_random_eigenspaces():
             j = cx.structure_with_plus_space(vplus)
             assert j == j_by_mixing(vplus)
             assert j.is_real()
-            assert j * j == Matrix.identity(2 * f).scale(GQ(-1))
+            assert j * j == Matrix.identity(2 * f).scale(Q(-1))
             assert kernel(j - Matrix.identity(2 * f).scale(I)) == vplus
             tried += 1
     assert tried >= 10
     # a V+ holding a real vector meets tau(V+): no J, by either formula
-    real_line = Subspace.from_vectors(2, [(ONE, GQ(2))])
+    real_line = Subspace.from_vectors(2, [(ONE, Q(2))])
     with pytest.raises(ExactError):
         cx.structure_with_plus_space(real_line)
     with pytest.raises(ExactError):
@@ -1210,7 +1468,7 @@ def product_positive_systems(rd, m):
     Levi roots are those vanishing on center(m)."""
     cm = center(rd.algebra, m).space
     levi = [i for i, r in enumerate(rd.roots)
-            if all(r.value_at(rd.cartan, b).is_zero()
+            if all(not value_at(rd, r, b)
                    for b in cm.basis_vectors())]
     q = [i for i in range(len(rd.roots)) if i not in levi]
     pairs = []
@@ -1218,8 +1476,8 @@ def product_positive_systems(rd, m):
         if all(i not in pair for pair in pairs):
             pairs.append((i, rd.negative_of(i)))
 
-    vsum = {(a, b): rd.root_index(tuple(x + y for x, y in zip(
-        rd.roots[a].values, rd.roots[b].values, strict=True)))
+    vsum = {(a, b): rd.root_index(vec([x + y for x, y in zip(
+        qv(rd.roots[a].values), qv(rd.roots[b].values), strict=True)]))
         for a in q for b in q + levi}
     systems = []
     for signs in itertools.product((0, 1), repeat=len(pairs)):

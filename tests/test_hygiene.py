@@ -7,23 +7,32 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from liecx import cli
+from liecx.exact import GQ
+
+from conftest import profiled
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced_entries():
-    path = ROOT / "perfbench" / "traced_job.py"
-    spec = importlib.util.spec_from_file_location("traced_job", path)
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def _traced_entries():
+    return _perfbench_module("traced_job").TRACED
 
 
 @pytest.mark.parametrize("entry", _traced_entries(), ids=lambda e: e[0])
@@ -151,3 +160,34 @@ def test_cli_import_pulls_in_no_introspection_modules():
     added = set(out.split())
     assert "liecx.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "liecx").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_exact_and_cli_touch_fractions_or_build_gq(path):
+    # the library computes on Vec; Fraction and GQ are the boundary scalars
+    # of parsing, reports and indexing, which exact and cli own
+    tree = ast.parse(path.read_text())
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name == "fractions" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+            or isinstance(node, ast.Call) and "GQ" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert uses == [] or path.name in ("exact.py", "cli.py")
+
+
+def test_dense_classify_builds_few_fractions_and_gq(tmp_path):
+    # the in-process classify of the rotated so(5)/t, the benchmark's dense
+    # instance (seed 0), built 19,978 Fractions and 11,242 GQ when every
+    # vector was a tuple of GQ
+    specs = _perfbench_module("specs")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        specs.dense_spec([("so", 5)], random.Random(0))))
+    code, calls = profiled(cli.main, [
+        "--spec", str(path), "--command", "classify",
+        "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert calls(Fraction.__new__) <= 5000
+    assert calls(GQ.__init__) <= 3000

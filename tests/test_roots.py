@@ -5,20 +5,23 @@ import math
 
 import pytest
 
-from liecx.exact import GQ, ZERO, ONE, I, Matrix, Subspace, vunit, real_points
+from liecx.exact import (
+    GQ, I, Matrix, Subspace, vec, vadd, vneg, vunit, is_zero_vec, real_points,
+)
 from liecx.liealg import (
     Subalgebra, centralizer, extend_to_maximal_abelian, zero_subalgebra,
     is_nilpotent,
 )
 from liecx.catalog import build, build_subalgebra, su, so, direct_sum
 from liecx.roots import (
-    find_regular, root_decomposition, enumerate_positive_systems,
-    build_parabolic, parabolic_from_abelian, NotCartan, ClosureFailure,
-    RootError,
+    root_decomposition, enumerate_positive_systems, build_parabolic,
+    NotCartan, ClosureFailure, RootError,
 )
 
 from conftest import classified, flag_spec
-from test_fast_paths import dense_killing_perp_nilradical
+from test_fast_paths import (
+    Q, dense_killing_perp_nilradical, find_regular, parabolic_from_abelian,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +42,11 @@ def test_su2_roots(su2_datum):
     g, rd = su2_datum
     assert len(rd.roots) == 2
     assert rd.zero_space.dim == 1
-    assert {r.values for r in rd.roots} == {(-I,), (I,)}
+    assert {r.values for r in rd.roots} == {vec([GQ(0, -1)]), vec([I])}
     for i, r in enumerate(rd.roots):
         assert r.space.dim == 1
         j = rd.negative_of(i)
-        assert rd.roots[j].values == r.negate_values()
+        assert rd.roots[j].values == vneg(r.values)
         assert r.space.conjugate() == rd.roots[j].space
 
 
@@ -67,15 +70,15 @@ def test_root_spaces_bracket_into_sums(su3_datum):
     g, rd = su3_datum
     for i, a in enumerate(rd.roots):
         for j, b in enumerate(rd.roots):
-            s = tuple(x + y for x, y in zip(a.values, b.values))
+            s = vadd(a.values, b.values)
             target = rd.root_index(s)
             va = a.space.basis_vectors()[0]
             vb = b.space.basis_vectors()[0]
             br = g.bracket(va, vb)
             if target is not None:
                 assert rd.roots[target].space.contains(br)
-            elif any(s):
-                assert all(x.is_zero() for x in br)
+            elif not is_zero_vec(s):
+                assert is_zero_vec(br)
             else:
                 assert rd.zero_space.contains(br)
 
@@ -97,7 +100,7 @@ def test_find_regular(su3_datum):
     t2 = build_subalgebra(g2, None, "maximal_torus") \
         if False else Subalgebra.span(g2, [vunit(6, 2), vunit(6, 5)])
     h02 = find_regular(g2, t2)
-    assert h02 == tuple(vunit(6, 2)[k] + vunit(6, 5)[k] for k in range(6))
+    assert h02 == vadd(vunit(6, 2), vunit(6, 5))
 
 
 @pytest.mark.parametrize("builder,count", [
@@ -178,7 +181,8 @@ def test_parabolic_from_abelian():
     assert p.levi_real.space == t.space
     assert p.space.dim == 2
     # the chosen positive root has value -i on e3 (search-order convention)
-    assert [p.datum.roots[i].values for i in p.positive_set] == [(-I,)]
+    assert [p.datum.roots[i].values for i in p.positive_set] \
+        == [vec([GQ(0, -1)])]
 
 
 # classify on a flag manifold g/t has one parabolic per Weyl chamber: |W| is
@@ -213,8 +217,7 @@ def test_root_datum_record_fills_only_the_pairs_asked_for():
     assert set(rd.targets) == {(a, b) for a in qp for b in qp if a <= b}
     assert rd._killing == set(qp)
     for (a, b), target in rd.targets.items():
-        s = tuple(x + y for x, y in zip(rd.roots[a].values,
-                                        rd.roots[b].values))
+        s = vadd(rd.roots[a].values, rd.roots[b].values)
         assert target == rd.root_index(s)
 
 
@@ -231,7 +234,7 @@ def test_killing_record_rejects_a_gram_that_pairs_wrongly():
 
     def perturbed(gram):
         rows = [list(r) for r in gram.rows]
-        rows[0][7] = rows[7][0] = rows[0][7] + 1
+        rows[0][7] = rows[7][0] = Q.coerce(rows[0][7]) + 1
         return Matrix(rows)
     certify_all(lambda gram: gram)
     with pytest.raises(RootError, match="outside"):
