@@ -293,11 +293,9 @@ def is_real_vec(a):
 def entry_strings(v):
     """(re, im): the entries of v as reduced "p/q" or "p" strings, im None
     when v is real; what str(Fraction) writes."""
-    den = v.den
-
     def fmt(x):
-        g = gcd(x, den)
-        return str(x // g) if g == den else f"{x // g}/{den // g}"
+        g = gcd(x, v.den)
+        return str(x // g) if g == v.den else f"{x // g}/{v.den // g}"
     return [fmt(x) for x in v.re], (v.im and [fmt(x) for x in v.im])
 
 
@@ -349,8 +347,7 @@ class Matrix:
                                                   strict=True)], self.ncols)
 
     def __sub__(self, o):
-        return Matrix([vsub(a, b) for a, b in zip(self.rows, o.rows,
-                                                  strict=True)], self.ncols)
+        return self + -o
 
     def __neg__(self):
         return Matrix([vneg(r) for r in self.rows], self.ncols)
@@ -826,7 +823,6 @@ def rational_eigenvalues(m: Matrix):
     over Q; otherwise IrrationalSpectrum is raised.  Entries may be Gaussian
     rationals (the use case is i * ad(h) acting on a complexified algebra).
     """
-    n = m.nrows
     cg = charpoly(m)
     if not is_real_vec(cg):
         raise IrrationalSpectrum("characteristic polynomial is not rational")
@@ -852,5 +848,5 @@ def rational_eigenvalues(m: Matrix):
                 ints = quo
         if len(ints) > 1:
             raise IrrationalSpectrum(
-                f"only {len(roots)} of {n} eigenvalues are rational")
+                f"only {len(roots)} of {m.nrows} eigenvalues are rational")
     return sorted(roots)

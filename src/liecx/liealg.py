@@ -13,8 +13,8 @@ from math import lcm
 
 from .exact import (
     Matrix, Subspace, ExactError, DimensionMismatch,
-    combine, kernel, lincomb, vec, ivec, vunit, is_zero_vec, nonzero_terms,
-    take,
+    combine, kernel, lincomb, vec, ivec, vneg, vunit, vzero, is_zero_vec,
+    nonzero_terms, take,
 )
 
 
@@ -193,9 +193,8 @@ class LieAlgebra:
 
 def _positive_definite(m: Matrix) -> bool:
     # Sylvester: all leading principal minors positive (entries must be
-    # real).  Fraction-free elimination without row swaps (Bareiss) leaves
-    # the k-th leading minor of the integer matrix as the k-th pivot, and
-    # the integer matrix is a positive multiple of m.
+    # real).  Bareiss elimination without row swaps leaves the k-th leading
+    # minor of the integer rows, a positive multiple of m, as the k-th pivot.
     if not m.is_real():
         return False
     rows = [list(r) for r in m.integer_rows()[1]]
@@ -319,16 +318,22 @@ def is_solvable(s: Subalgebra) -> bool:
 
 
 def is_nilpotent(s: Subalgebra) -> bool:
-    """The lower central series s, [s, s], [s, [s, s]], ... reaches 0;
-    [s, s] is spanned by the brackets of basis pairs a before b."""
-    g = s.algebra
-    cur = derived(g, s).space
-    if cur.dim == s.dim:
-        return not s.dim
+    """The lower central series s, [s, s], [s, [s, s]], ... reaches 0.  The
+    brackets of basis pairs a before b give the structure constants of s
+    (closed) in its own basis, and the series runs in that algebra."""
+    g, bs, d = s.algebra, s.basis_vectors(), s.dim
+    table = [[vzero(d)] * d for _ in range(d)]
+    for i, a in enumerate(bs):
+        for j in range(i + 1, d):
+            c = s.space.coords(g.bracket(a, bs[j]))
+            table[i][j], table[j][i] = c, vneg(c)
+    h, units = LieAlgebra(table), Matrix.identity(d).rows
+    cur = Subspace.from_vectors(d, [c for row in table for c in row])
+    if cur.dim == d:
+        return not d
     while cur.dim > 0:
         nxt = Subspace.from_vectors(
-            g.dim, [g.bracket(a, b) for a in s.basis_vectors()
-                    for b in cur.basis_vectors()])
+            d, [h.bracket(a, b) for a in units for b in cur.basis_vectors()])
         if nxt.dim == cur.dim:
             return False
         cur = nxt

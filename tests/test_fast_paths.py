@@ -27,7 +27,7 @@ from liecx.exact import (
 )
 from liecx.liealg import (
     LieAlgebra, Subalgebra, center, centralizer, extend_to_maximal_abelian,
-    is_closed, is_nilpotent, quotient, _positive_definite,
+    full_subalgebra, is_closed, is_nilpotent, quotient, _positive_definite,
 )
 from liecx.catalog import (
     build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
@@ -1454,12 +1454,40 @@ def dense_build_parabolic(rd, m, q_plus):
             if not n_space.contains(g.bracket(a, b)):
                 raise roots.ClosureFailure("n is not an ideal of p")
     n = Subalgebra(g, n_space, check=False)
-    if n.dim and not is_nilpotent(n):
+    if n.dim and not dense_is_nilpotent(n):
         raise roots.ClosureFailure("n is not nilpotent")
     if dense_killing_perp_nilradical(g, p_space) != n_space:
         raise roots.ClosureFailure("Killing-perpendicular nilradical disagrees")
     return roots.Parabolic(m, tuple(sorted(q_plus)), n,
                            Subalgebra(g, p_space, check=False), rd)
+
+
+def dense_is_nilpotent(s):
+    """The lower central series taken in g: [s, s] from the brackets of
+    basis pairs a before b, then [s, C] until the dimension stops falling."""
+    g, bs = s.algebra, s.basis_vectors()
+    cur = Subspace.from_vectors(g.dim, [g.bracket(a, b) for i, a in
+                                        enumerate(bs) for b in bs[i + 1:]])
+    if cur.dim == s.dim:
+        return not s.dim
+    while cur.dim > 0:
+        nxt = Subspace.from_vectors(g.dim, [g.bracket(a, b) for a in bs
+                                            for b in cur.basis_vectors()])
+        if nxt.dim == cur.dim:
+            return False
+        cur = nxt
+    return True
+
+
+@pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su2su2_0",
+                                  "dense_so5_t", "dense_su3_t"])
+def test_nilpotency_in_own_coordinates_matches_the_series_in_g(name):
+    g, h, report = classified(ORACLE_SPECS[name])
+    subs = [full_subalgebra(g), h, report.m.m] + [
+        s for p in report.parabolics[:8] for s in (p.nilradical, p.space)]
+    verdicts = [is_nilpotent(s) for s in subs]
+    assert verdicts == [dense_is_nilpotent(s) for s in subs]
+    assert {True, False} <= set(verdicts)
 
 
 def product_positive_systems(rd, m):
