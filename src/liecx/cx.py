@@ -11,6 +11,8 @@ l are equivalent, and both are always computed and compared.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .exact import (
     I, Matrix, Subspace, ExactError,
     kernel, inverse, solve, lincomb, ivec, vunit, vzero, vadd, vsub, vneg,
@@ -474,8 +476,10 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
 
     def rand_h():
         # coefficients a / d with a in -9..9 and d in 1..9, drawn in turn
-        return lincomb(g.dim, vcat([ivec([rng.randint(-9, 9)], None,
-                                         rng.randint(1, 9)) for _ in hb]), hb)
+        parts = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in hb]
+        den = lcm(*(d for _, d in parts))
+        return lincomb(g.dim, ivec([a * (den // d) for a, d in parts],
+                                   None, den), hb)
 
     failures = []
     evaluations = 0

@@ -175,13 +175,6 @@ def vec(entries):
                 [c * (den // d) for _, _, c, d in parts], den)
 
 
-def _scalar(c):
-    """(re, im, den) integers of a scalar: GQ, int, Fraction or a Vec of
-    length 1."""
-    c = c if type(c) is Vec else vec([c])
-    return c.re[0], (c.im[0] if c.im else 0), c.den
-
-
 def nonzero_terms(v):
     """(k, re_k, im_k) for the nonzero entries of v, integers over v.den."""
     if v.im is None:
@@ -247,8 +240,8 @@ def vneg(a):
 
 
 def vscale(c, a):
-    a = vec(a)
-    cr, ci, cd = _scalar(c)
+    a, c = vec(a), (c if type(c) is Vec else vec([c]))
+    cr, ci, cd = c.re[0], (c.im[0] if c.im else 0), c.den
     ai = a.im or (0,) * len(a)
     return ivec([cr * x - ci * y for x, y in zip(a.re, ai)],
                [cr * y + ci * x for x, y in zip(a.re, ai)], cd * a.den)
@@ -284,10 +277,6 @@ def lincomb(n, coeffs, vectors):
 def is_zero_vec(a):
     a = vec(a)
     return a.im is None and not any(a.re)
-
-
-def is_real_vec(a):
-    return vec(a).im is None
 
 
 def entry_strings(v):
@@ -824,7 +813,7 @@ def rational_eigenvalues(m: Matrix):
     rationals (the use case is i * ad(h) acting on a complexified algebra).
     """
     cg = charpoly(m)
-    if not is_real_vec(cg):
+    if cg.im is not None:
         raise IrrationalSpectrum("characteristic polynomial is not rational")
     coeffs = list(cg.re)   # a positive multiple of the monic polynomial
     roots = []

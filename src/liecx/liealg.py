@@ -417,10 +417,14 @@ class Quotient:
         return take(self.h.space.reduce(x), self.complement.pivots)
 
     def lift(self, u):
+        u = vec(u)
         if len(u) != self.dim:
             raise DimensionMismatch(f"lift: {len(u)} != {self.dim}")
-        n = self.algebra.dim
-        return lincomb(n, u, [vunit(n, c) for c in self.complement.pivots])
+        re, im = [0] * self.algebra.dim, [0] * self.algebra.dim
+        for k, a, b in nonzero_terms(u):
+            c = self.complement.pivots[k]
+            re[c], im[c] = a, b
+        return ivec(re, im, u.den)
 
     def induced_map(self, x) -> Matrix:
         """The action of ad(x) on g/h (x must normalize h for this to be

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .exact import (
     I, Matrix, Subspace, ExactError,
-    kernel, lincomb, vec, vadd, vneg, vscale, is_real_vec, is_zero_vec,
+    kernel, lincomb, vec, vadd, vneg, vscale, is_zero_vec,
     rational_eigenvalues, rref, span_sum,
 )
 from .liealg import (
@@ -230,7 +230,7 @@ def _validate_root_datum(rd: RootDatum):
     for i, r in enumerate(rd.roots):
         if is_zero_vec(r.values):
             raise RootError("zero root recorded as a root")  # pragma: no cover
-        if not is_real_vec(vscale(I, r.values)):
+        if vscale(I, r.values).im is not None:
             raise RootError("root value not purely imaginary on the real Cartan")
         j = rd.negative_of(i)
         if j is None:
