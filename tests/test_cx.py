@@ -6,7 +6,7 @@ import random
 import pytest
 
 from liecx.exact import (
-    GQ, ZERO, ONE, I, Matrix, Subspace, vec,
+    GQ, ZERO, ONE, Matrix, Subspace, vec,
     vunit, vadd, vscale, is_zero_vec, real_points,
 )
 from liecx.liealg import Subalgebra, quotient as make_quotient
