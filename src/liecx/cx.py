@@ -15,8 +15,8 @@ from math import lcm
 
 from .exact import (
     I, Matrix, Subspace, ExactError,
-    kernel, inverse, solve, lincomb, ivec, vunit, vzero, vadd, vsub, vneg,
-    vscale, vconj, vcat, is_zero_vec, relative_complement, span_sum,
+    kernel, inverse, solve, lincomb, ivec, vec, vunit, vzero, vadd, vsub,
+    vneg, vscale, vconj, vcat, is_zero_vec, relative_complement, span_sum,
     real_points,
 )
 from .liealg import (
@@ -166,6 +166,7 @@ def nijenhuis(J: ComplexStructure, u, v, lifts=None):
         xp, yp = q.lift(J.j.matvec(u)), q.lift(J.j.matvec(v))
     else:
         x, y, xp, yp = lifts
+        u, v = vec(u), vec(v)
         for w, target in ((x, u), (y, v), (xp, J.j.matvec(u)), (yp, J.j.matvec(v))):
             if q.project(w) != target:
                 raise ExactError("provided lift does not project correctly")

@@ -19,7 +19,6 @@ bit-identical output.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -49,23 +48,12 @@ def parse_rational(s):
         raise ExactError(f"bad rational literal {s!r}: {e}") from None
 
 
-# an integer or p/q literal, which parses to what Fraction parses it to
-_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
-
-
 def parse_vector(literals):
-    """The Vec of rational literals, each read as parse_rational reads it;
-    integers and p/q (below the int conversion limit) skip the Fraction."""
-    parts = []
-    for s in map(str, literals):
-        m = _RATIO.match(s)
-        if m and len(s) < 4000 and int(m[2] or 1):
-            parts.append((int(m[1]), int(m[2] or 1)))
-        else:
-            x = parse_rational(s)
-            parts.append((x.numerator, x.denominator))
-    den = lcm(*(d for _, d in parts))
-    return ivec([a * (den // d) for a, d in parts], None, den)
+    """The Vec of rational literals, each read by parse_rational."""
+    parts = [parse_rational(s) for s in literals]
+    den = lcm(*(x.denominator for x in parts))
+    return ivec([x.numerator * (den // x.denominator) for x in parts],
+                None, den)
 
 
 def format_rational(x: Fraction) -> str:

@@ -165,12 +165,13 @@ class LieAlgebra:
                     if any(re) or any(im):
                         failures.append(f"Jacobi fails on (e{i}, e{j}, e{k})")
         ip = self.inner_product
+        if n and (ip.nrows != n or ip.ncols != n):
+            raise DimensionMismatch(
+                f"inner product is {ip.nrows}x{ip.ncols}, expected {n}x{n}")
         if ip != ip.transpose():
             failures.append("inner product not symmetric")
         if not _positive_definite(ip):
             failures.append("inner product not positive definite")
-        if n and ip.ncols != n:  # an inner product of the wrong size
-            raise DimensionMismatch(f"matvec: {n} != {ip.ncols}")
         _, pre, pim = ip.integer_rows()
         _, tre, tim = ip.transpose().integer_rows()  # the same denominator
         for i in range(n):

@@ -192,6 +192,21 @@ def test_validate_explicit_table_clean_no(tmp_path):
     assert code3 == 2
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 3), (4, 3), (3, 2), (2, 2)])
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_inner_product_of_the_wrong_shape_is_input_error(tmp_path, rows,
+                                                         cols, command):
+    table = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # su(2)
+        table[i][j][k], table[j][i][k] = "1", "-1"
+    inner = [[str(int(i == j)) for j in range(cols)] for i in range(rows)]
+    spec = {"algebra": {"table": table, "inner_product": inner},
+            "subalgebra": {"name": "zero"}}
+    code, rep = run(tmp_path, spec, command)
+    assert code == 2 and rep["error"] == "DimensionMismatch"
+    assert f"{rows}x{cols}" in rep["message"]
+
+
 def test_reports_are_deterministic(tmp_path):
     path = write_spec(tmp_path, SU3_T)
     o1, o2 = tmp_path / "a.json", tmp_path / "b.json"

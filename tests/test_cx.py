@@ -95,6 +95,9 @@ def test_nijenhuis_lift_perturbation_invariance():
              vadd(quot.lift(J.j.matvec(vunit(2, 0))), e3),
              quot.lift(J.j.matvec(vunit(2, 1))))
     assert cx.nijenhuis(J, vunit(2, 0), vunit(2, 1), lifts=lifts) == base
+    # u and v may be given as sequences of GQ, as lift and matvec take them
+    assert cx.nijenhuis(J, tuple(vunit(2, 0)), list(vunit(2, 1)),
+                        lifts=lifts) == base
 
 
 def test_nijenhuis_rejects_wrong_lift():
