@@ -5,7 +5,7 @@ from .exact import (
     GQ, ZERO, ONE, I, Vec, Matrix, Subspace,
     ExactError, DimensionMismatch, AmbientMismatch, IrrationalSpectrum,
     rref, kernel, solve, inverse, charpoly, rational_eigenvalues, vec,
-    parse_rational, format_rational,
+    parse_rational,
 )
 from .liealg import (
     LieAlgebra, Subalgebra, Quotient, quotient,

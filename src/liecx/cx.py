@@ -15,9 +15,9 @@ from math import lcm
 
 from .exact import (
     I, Matrix, Subspace, ExactError,
-    kernel, inverse, solve, lincomb, ivec, vec, vunit, vzero, vadd, vsub,
-    vneg, vscale, vconj, vcat, is_zero_vec, relative_complement, span_sum,
-    real_points,
+    kernel, kernel_span, inverse, solve, lincomb, ivec, vec, vunit, vzero,
+    vadd, vsub, vneg, vscale, vconj, vcat, is_zero_vec, relative_complement,
+    span_sum, real_points,
 )
 from .liealg import (
     LieAlgebra, Subalgebra, Quotient,
@@ -231,11 +231,10 @@ def compute_m(J: ComplexStructure) -> MData:
     g = q.algebra
     # the x in N_g(h) with [ad-bar(x), J] = 0; column k is that commutator
     # for the k-th basis vector of N_g(h)
-    nb = normalizer(g, q.h).basis_vectors()
-    comm = Matrix.from_columns([(J.j * a - a * J.j).flatten()
-                                for a in map(q.induced_map, nb)])
-    m_space = Subspace.from_vectors(g.dim, [
-        lincomb(g.dim, c, nb) for c in kernel(comm).basis_vectors()])
+    nsp = normalizer(g, q.h).space
+    comm = Matrix.from_columns([(J.j * a - a * J.j).flatten() for a in
+                                map(q.induced_map, nsp.basis_vectors())])
+    m_space = kernel_span(comm, nsp)
     m = Subalgebra(g, m_space, check=True)
     if not m_space.contains_subspace(q.h.space):
         raise TheoremViolation("h is not contained in m")
@@ -269,11 +268,8 @@ def construct_J(quot: Quotient, p: Parabolic,
     if j1.u != u:
         raise LeviMismatch("J1 lives on a different fiber complement")
     # lift the +i eigenspace of J1 from u-coordinates into g_C, add h_C and n
-    lifted = [lincomb(g.dim, c, u.basis_vectors()) for c in
-              kernel(j1.j1 - Matrix.identity(u.dim).scale(I)).basis_vectors()]
-    e_space = span_sum(g.dim, [
-        Subspace.from_vectors(g.dim, list(h.basis_vectors()) + lifted),
-        p.nilradical.space])
+    lifted = kernel_span(j1.j1 - Matrix.identity(u.dim).scale(I), u)
+    e_space = span_sum(g.dim, [h.space, lifted, p.nilradical.space])
     vplus = Subspace.from_vectors(
         quot.dim, [quot.project(b) for b in e_space.basis_vectors()])
     if 2 * vplus.dim != quot.dim:

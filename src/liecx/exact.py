@@ -56,10 +56,6 @@ def parse_vector(literals):
                 None, den)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 class GQ:
     """Gaussian rational a + b*i, the boundary scalar; arithmetic runs on
     Vec."""
@@ -458,14 +454,32 @@ def _eliminate(re, im, pr, pc):
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Full solution space of m x = 0 as a canonical subspace of dim ncols."""
-    red, pivots, rank = rref(m)
+    """Full solution space of m x = 0 as a canonical subspace of dim ncols:
+    one elimination of m with its columns reversed, whose free column f
+    gives a null vector that leads with 1 at nc - 1 - f and is zero on the
+    other free columns, so these vectors, last f first, are in RREF."""
     nc = m.ncols
-    # x_f = 1 and x_p = -red[r, f] for the pivot p of row r
-    cols, units = red.transpose().rows, [vunit(nc, p) for p in pivots]
-    return Subspace.from_vectors(nc, [
-        vsub(vunit(nc, f), lincomb(nc, cols[f], units))
-        for f in range(nc) if f not in pivots])
+    red, pivots, _ = rref(Matrix([r[::-1] for r in m.rows], nc))
+    den, re, im = red.integer_rows()
+    free = [f for f in reversed(range(nc)) if f not in pivots]
+    basis = []
+    for f in free:
+        # x_f = 1 and x_p = -red[r, f] for the pivot p of row r, over den
+        xr, xi = [0] * nc, [0] * nc
+        xr[f] = den
+        for r, p in enumerate(pivots):
+            xr[p], xi[p] = -re[r][f], (-im[r][f] if im else 0)
+        basis.append(ivec(xr[::-1], xi[::-1], den))
+    return Subspace(nc, Matrix(basis, nc), [nc - 1 - f for f in free])
+
+
+def kernel_span(m: Matrix, space: "Subspace") -> "Subspace":
+    """The vectors sum_k c_k b_k with m c = 0, b the RREF basis of space.
+    b has the unit vectors on its pivot columns, so it maps the kernel's
+    RREF basis to an RREF basis led at b's pivots: no elimination is left."""
+    k = kernel(m)
+    return Subspace(space.ambient_dim, k.basis * space.basis,
+                    [space.pivots[c] for c in k.pivots])
 
 
 def solve(m: Matrix, b):
@@ -524,7 +538,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.from_vectors(ambient_dim, Matrix.identity(ambient_dim).rows)
+        return cls(ambient_dim, Matrix.identity(ambient_dim), range(ambient_dim))
 
     @property
     def dim(self):
@@ -570,27 +584,27 @@ class Subspace:
             self.ambient_dim, list(self.basis.rows) + list(other.basis.rows))
 
     def intersect(self, other):
+        """Zassenhaus: (a | a) and (b | 0) reduce to rows whose first half
+        is zero below rank(A + B); their second halves are A n B's RREF."""
         self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # x = A^T a = B^T b  <=>  (A^T | -B^T)(a;b) = 0
-        at = self.basis.transpose()
-        bt = other.basis.transpose()
-        stacked = Matrix([vcat((ar, vneg(br)))
-                          for ar, br in zip(at.rows, bt.rows)])
-        return Subspace.from_vectors(self.ambient_dim, [
-            lincomb(self.ambient_dim, k[:self.dim], self.basis.rows)
-            for k in kernel(stacked).basis_vectors()])
+        n = self.ambient_dim
+        red, pivots, _ = rref(Matrix(
+            [vcat((a, a)) for a in self.basis.rows]
+            + [vcat((b, vzero(n))) for b in other.basis.rows], 2 * n))
+        k = sum(p < n for p in pivots)
+        return Subspace(n, Matrix([r[n:] for r in red.rows[k:]], n),
+                        [p - n for p in pivots[k:]])
 
     def complement(self):
         """The coordinate subspace spanned by the non-pivot axes."""
-        axes = [vunit(self.ambient_dim, c)
-                for c in range(self.ambient_dim) if c not in self.pivots]
-        return Subspace.from_vectors(self.ambient_dim, axes)
+        axes = [c for c in range(self.ambient_dim) if c not in self.pivots]
+        return Subspace(self.ambient_dim, Matrix(
+            [vunit(self.ambient_dim, c) for c in axes], self.ambient_dim), axes)
 
     def conjugate(self):
-        return Subspace.from_vectors(
-            self.ambient_dim, [vconj(b) for b in self.basis_vectors()])
+        # the pivots are real 1s, so the conjugate rows are still in RREF
+        return Subspace(self.ambient_dim, Matrix(
+            [vconj(b) for b in self.basis.rows], self.ambient_dim), self.pivots)
 
     def is_real(self):
         return self.basis.is_real()
@@ -617,17 +631,18 @@ def span_sum(ambient_dim, subspaces):
 
 
 def relative_complement(outer: Subspace, inner: Subspace) -> Subspace:
-    """Deterministic complement of inner within outer, spanned by the first
-    outer basis rows that extend inner's span."""
-    if not outer.contains_subspace(inner):
+    """Deterministic complement of inner within outer: the outer basis rows
+    that extend the span of inner and the rows before them, at the pivot
+    columns of one elimination of [inner | outer], are an RREF basis."""
+    outer._check(inner)
+    _, pivots, rank = rref(Matrix.from_columns(
+        inner.basis.rows + outer.basis.rows))
+    if rank != outer.dim:
         raise ExactError("inner is not contained in outer")
-    chosen = []
-    cur_space = inner
-    for row in outer.basis_vectors():
-        if not cur_space.contains(row):
-            chosen.append(row)
-            cur_space = cur_space.add(Subspace.from_vectors(outer.ambient_dim, [row]))
-    return Subspace.from_vectors(outer.ambient_dim, chosen)
+    chosen = [p - inner.dim for p in pivots if p >= inner.dim]
+    return Subspace(outer.ambient_dim, Matrix(
+        [outer.basis.rows[c] for c in chosen], outer.ambient_dim),
+        [outer.pivots[c] for c in chosen])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from math import lcm
 
 from .exact import (
     Matrix, Subspace, ExactError, DimensionMismatch,
-    combine, kernel, lincomb, vec, ivec, vneg, vunit, vzero, is_zero_vec,
+    combine, kernel, kernel_span, vec, ivec, vneg, vunit, vzero, is_zero_vec,
     nonzero_terms, take,
 )
 
@@ -364,16 +364,14 @@ def radical(l: Subalgebra) -> Subalgebra:
     if der.dim == 0:
         return l
     rows = [gram.matvec(dv) for dv in der.basis_vectors()]  # symmetric gram
-    return Subalgebra(g, Subspace.from_vectors(g.dim, [
-        lincomb(g.dim, c, bs) for c in kernel(Matrix(rows)).basis_vectors()]),
-        check=False)
+    return Subalgebra(g, kernel_span(Matrix(rows), l.space), check=False)
 
 
 def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
                               within: Subspace | None = None) -> Subalgebra:
     """Greedy extension of the abelian t to a maximal abelian subalgebra
-    (restricted to `within` if given).  With no restriction the result is
-    self-centralizing, i.e. a Cartan subalgebra of compact g."""
+    (inside `within`, if given, which contains t).  Unrestricted, the
+    result is self-centralizing, i.e. a Cartan subalgebra of compact g."""
     if not t.is_abelian():
         raise NotAbelian("starting subalgebra is not abelian")
     a = t.space
@@ -383,14 +381,9 @@ def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
             c = c.intersect(within)
         if c == a:
             break
-        grew = False
-        for v in c.basis_vectors():
-            if not a.contains(v):
-                a = a.add(Subspace.from_vectors(g.dim, [v]))
-                grew = True
-                break
-        if not grew:  # pragma: no cover
-            raise LieAlgebraError("centralizer strictly contains a but adds no vector")
+        # a lies in c, so c has a basis vector outside a
+        v = next(v for v in c.basis_vectors() if not a.contains(v))
+        a = Subspace.from_vectors(g.dim, a.basis.rows + (v,))
     return Subalgebra(g, a, check=False)
 
 

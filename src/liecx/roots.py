@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .exact import (
     I, Matrix, Subspace, ExactError,
-    kernel, lincomb, vec, vadd, vneg, vscale, is_zero_vec,
+    kernel, kernel_span, vec, vadd, vneg, vscale, is_zero_vec,
     rational_eigenvalues, rref, span_sum,
 )
 from .liealg import (
@@ -150,7 +150,7 @@ class RootDatum:
             g = self.algebra
             gram = g.killing_gram()
             rows = [gram.matvec(b) for b in self.zero_space.basis_vectors()]
-            perp = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
+            perp = kernel(Matrix(rows, g.dim))
             self._zero_perp = perp.intersect(self.zero_space).intersect(
                 derived_complex_span(g))
         return self._zero_perp
@@ -175,17 +175,9 @@ def _eigenspaces(g, op_vec, space):
     """Split an ad(op_vec)-stable subspace into eigenspaces of ad(op_vec);
     raises if the restricted spectrum is not rational or defective."""
     b = restricted_ad(g, op_vec, space)
-    eigs = rational_eigenvalues(b)
-    pieces = []
-    total = 0
-    for lam in sorted(set(eigs)):
-        shifted = b - Matrix.identity(b.nrows).scale(lam)
-        sub = Subspace.from_vectors(space.ambient_dim, [
-            lincomb(space.ambient_dim, c, space.basis_vectors())
-            for c in kernel(shifted).basis_vectors()])
-        pieces.append((lam, sub))
-        total += sub.dim
-    if total != space.dim:
+    pieces = [(lam, kernel_span(b - Matrix.identity(b.nrows).scale(lam), space))
+              for lam in sorted(set(rational_eigenvalues(b)))]
+    if sum(sub.dim for _, sub in pieces) != space.dim:
         raise NonSemisimpleAction("ad action is not diagonalizable on a piece")
     return pieces
 
@@ -207,7 +199,7 @@ def root_decomposition(g: LieAlgebra, a: Subalgebra) -> RootDatum:
                 refined.append((lams + (lam,), sub))
         pieces = refined
     zero_parts = [sp for lams, sp in pieces if not any(lams)]
-    zero_space = span_sum(g.dim, zero_parts) if zero_parts else Subspace.zero(g.dim)
+    zero_space = span_sum(g.dim, zero_parts)
     # alpha(a_j) = -i*lambda; ordered by the values' imaginary parts, -lambda
     pieces.sort(key=lambda piece: piece[0], reverse=True)
     roots = [Root(vneg(vscale(I, vec(lams))), sp)
@@ -379,8 +371,7 @@ def build_parabolic(rd: RootDatum, m: Subalgebra, q_plus) -> Parabolic:
         for b in nil:
             if rd.bracket_target(a, b) not in lands_in_n:
                 raise ClosureFailure("n is not an ideal of p")
-    n_space = span_sum(g.dim, [rd.roots[i].space for i in sorted(nil)]) \
-        if nil else Subspace.zero(g.dim)
+    n_space = span_sum(g.dim, [rd.roots[i].space for i in sorted(nil)])
     # n is closed, since n lies in p and [p, n] is in n
     n = Subalgebra(g, n_space, check=False)
     if n.dim and not is_nilpotent(n):

@@ -11,7 +11,7 @@ from liecx.exact import (
     GQ, ZERO, ONE, I, Matrix, Subspace,
     ExactError, IrrationalSpectrum,
     rref, kernel, solve, inverse, charpoly, rational_eigenvalues,
-    parse_rational, format_rational,
+    parse_rational,
     vec, vunit, vadd, vconj, vscale, real_points,
     relative_complement, span_sum,
 )
@@ -69,7 +69,6 @@ def test_gq_conjugate_involution(a):
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
-    assert format_rational(Fraction(-7, 2)) == "-7/2"
     with pytest.raises(ExactError):
         parse_rational("1/0")
     with pytest.raises(ExactError):

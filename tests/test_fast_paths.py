@@ -3,9 +3,10 @@
 Each test compares a fast path with the formula it replaced: the dense
 loops, the divisor-based candidate roots, the d leading determinants,
 classify followed by a search, the matrix of theta, the real J mixed from
-e_k = w + tau(w), g + l realified, catalog bases as dense GQ matrices, and
-catalog coordinates from the inverse of a GQ block.  The old formula is
-kept here, and only here, as the reference.
+e_k = w + tau(w), g + l realified, catalog bases as dense GQ matrices,
+catalog coordinates from the inverse of a GQ block, and subspaces put in
+RREF by a second elimination.  The old formula is kept here, and only here,
+as the reference.
 """
 
 import itertools
@@ -21,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 from liecx import cli, cx, exact, roots
 from liecx.exact import (
     GQ, Matrix, Subspace, ExactError, IrrationalSpectrum,
-    charpoly, inverse, ivec, kernel, lincomb, rref, solve, vunit, vadd, vsub,
-    vconj, vec, vscale, vzero, real_points, rational_eigenvalues,
-    span_sum,
+    charpoly, inverse, ivec, kernel, kernel_span, lincomb, rref, solve, vunit,
+    vadd, vsub, vcat, vconj, vec, vneg, vscale, vzero, real_points,
+    rational_eigenvalues, relative_complement, span_sum,
 )
 from liecx.liealg import (
     LieAlgebra, Subalgebra, center, centralizer, extend_to_maximal_abelian,
@@ -34,7 +35,7 @@ from liecx.catalog import (
     _coordinates, _so_basis, _structure_from_matrices, _su_basis,
 )
 
-from conftest import classified, flag_spec
+from conftest import classified, flag_spec, profiled
 
 
 # ---------------------------------------------------------------------------
@@ -1607,3 +1608,161 @@ def test_broken_sets_are_rejected_like_the_dense_certificates(name):
         assert "p misses both root spaces of a +/- pair" in reasons
     else:
         assert reasons[-1] == "n is not an ideal of p"
+
+
+# ---------------------------------------------------------------------------
+# canonical subspaces built once, against the chains that eliminated again
+
+def two_pass_kernel(m):
+    """The null vector of each free column of rref(m), put in RREF by a
+    second elimination."""
+    red, pivots, _ = rref(m)
+    nc = m.ncols
+    cols, units = red.transpose().rows, [vunit(nc, p) for p in pivots]
+    return Subspace.from_vectors(nc, [
+        vsub(vunit(nc, f), lincomb(nc, cols[f], units))
+        for f in range(nc) if f not in pivots])
+
+
+def chained_kernel_span(m, space):
+    """kernel, lincomb into space's basis, and an elimination of the images."""
+    return Subspace.from_vectors(space.ambient_dim, [
+        lincomb(space.ambient_dim, c, space.basis_vectors())
+        for c in two_pass_kernel(m).basis_vectors()])
+
+
+def stacked_intersect(a, b):
+    """x = A^T s = B^T t: the kernel of (A^T | -B^T), its s halves mapped
+    through A's basis and eliminated."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    stacked = Matrix([vcat((ar, vneg(br))) for ar, br in
+                      zip(a.basis.transpose().rows, b.basis.transpose().rows)])
+    return Subspace.from_vectors(a.ambient_dim, [
+        lincomb(a.ambient_dim, k[:a.dim], a.basis.rows)
+        for k in two_pass_kernel(stacked).basis_vectors()])
+
+
+def greedy_relative_complement(outer, inner):
+    """The outer rows not in the span of inner and the rows chosen so far,
+    one add at a time."""
+    if not outer.contains_subspace(inner):
+        raise ExactError("inner is not contained in outer")
+    chosen, cur = [], inner
+    for row in outer.basis_vectors():
+        if not cur.contains(row):
+            chosen.append(row)
+            cur = cur.add(Subspace.from_vectors(outer.ambient_dim, [row]))
+    return Subspace.from_vectors(outer.ambient_dim, chosen)
+
+
+def same_subspace(a, b):
+    """Equal as objects: ambient, basis rows and pivots, not only ==."""
+    return ((a.ambient_dim, a.basis.rows, a.basis.ncols, a.pivots)
+            == (b.ambient_dim, b.basis.rows, b.basis.ncols, b.pivots))
+
+
+fractions12 = st.fractions(-40, 40, max_denominator=12)
+
+
+@st.composite
+def kind_matrices(draw, nc=None, max_rows=6):
+    """A real, Gaussian or purely imaginary matrix with mixed denominators,
+    0 x n and n x 0 included; half of them rank-deficient, with rows that
+    are integer combinations of the first few."""
+    nr = draw(st.integers(0, max_rows))
+    nc = draw(st.integers(0, 6)) if nc is None else nc
+    kind = draw(st.sampled_from(KINDS))
+    part = st.one_of(st.just(Fraction(0)), fractions12)
+    rows = [[Q(0 if kind == "imaginary" else draw(part),
+               0 if kind == "real" else draw(part)) for _ in range(nc)]
+            for _ in range(nr)]
+    if nr and draw(st.booleans()):
+        rank = draw(st.integers(0, nr - 1))
+        rows[rank:] = [gq_lincomb(nc, [Q(draw(st.integers(-3, 3)))
+                                       for _ in range(rank)], rows[:rank])
+                       for _ in range(nr - rank)]
+        rows = draw(st.permutations(rows))
+    return Matrix(rows, nc)
+
+
+def subspaces(nc):
+    return kind_matrices(nc).map(lambda m: Subspace.from_vectors(nc, m.rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind_matrices())
+def test_one_pass_kernel_matches_two_eliminations(m):
+    assert same_subspace(kernel(m), two_pass_kernel(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(subspaces).flatmap(
+    lambda space: st.tuples(st.just(space), kind_matrices(space.dim))))
+def test_kernel_span_matches_the_lincomb_chain(case):
+    space, m = case
+    assert same_subspace(kernel_span(m, space), chained_kernel_span(m, space))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    subspaces(n), subspaces(n), kind_matrices(n))))
+def test_zassenhaus_intersect_matches_the_stacked_kernel(case):
+    a, b, extra = case
+    # b also shares a's first rows, so that the intersection is not zero
+    shared = Subspace.from_vectors(a.ambient_dim,
+                                   a.basis.rows[:2] + extra.rows)
+    for x, y in ((a, b), (b, a), (a, shared), (shared, a), (a, a)):
+        assert same_subspace(x.intersect(y), stacked_intersect(x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    subspaces(n), kind_matrices(n), st.lists(st.lists(
+        st.integers(-3, 3), min_size=6, max_size=6), max_size=4))))
+def test_relative_complement_matches_the_greedy_loop(case):
+    outer, other, coeffs = case
+    n = outer.ambient_dim
+    inner = Subspace.from_vectors(n, [
+        gq_lincomb(n, [Q(c) for c in cs[:outer.dim]], outer.basis.rows)
+        for cs in coeffs])
+    assert same_subspace(relative_complement(outer, inner),
+                         greedy_relative_complement(outer, inner))
+    wider = Subspace.from_vectors(n, inner.basis.rows + other.rows)
+    if outer.contains_subspace(wider):
+        assert same_subspace(relative_complement(outer, wider),
+                             greedy_relative_complement(outer, wider))
+    else:
+        with pytest.raises(ExactError, match="not contained"):
+            relative_complement(outer, wider)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6).flatmap(subspaces))
+def test_direct_bases_match_an_elimination(s):
+    n = s.ambient_dim
+    assert same_subspace(Subspace.full(n), Subspace.from_vectors(
+        n, [vunit(n, i) for i in range(n)]))
+    assert same_subspace(s.complement(), Subspace.from_vectors(
+        n, [vunit(n, c) for c in range(n) if c not in s.pivots]))
+    assert same_subspace(s.conjugate(), Subspace.from_vectors(
+        n, [vconj(b) for b in s.basis_vectors()]))
+
+
+def test_each_canonical_subspace_is_eliminated_once():
+    rng = random.Random(14)
+    m = kernel_matrix(rng, "gaussian", 4, 7, rank=3)
+    a = Subspace.from_vectors(7, kernel_matrix(rng, "gaussian", 4, 7).rows)
+    b = Subspace.from_vectors(7, kernel_matrix(rng, "real", 5, 7).rows)
+    _, calls = profiled(kernel, m)
+    assert calls(rref) == 1
+    sub, calls = profiled(a.intersect, b)
+    assert sub.dim == 2
+    assert [calls(rref), calls(kernel)] == [1, 0]
+    _, calls = profiled(kernel_span, kernel_matrix(rng, "real", 2, 4), a)
+    assert [calls(rref), calls(Subspace.from_vectors)] == [1, 0]
+    _, calls = profiled(relative_complement, a, sub)
+    assert calls(rref) == 1
+    for build in (lambda: Subspace.full(7), a.complement, a.conjugate):
+        _, calls = profiled(build)
+        assert calls(rref) == 0
