@@ -538,7 +538,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(ambient_dim, Matrix.identity(ambient_dim), range(ambient_dim))
+        return cls(ambient_dim, Matrix.identity(ambient_dim),
+                   range(ambient_dim))
 
     @property
     def dim(self):
@@ -597,9 +598,9 @@ class Subspace:
 
     def complement(self):
         """The coordinate subspace spanned by the non-pivot axes."""
-        axes = [c for c in range(self.ambient_dim) if c not in self.pivots]
-        return Subspace(self.ambient_dim, Matrix(
-            [vunit(self.ambient_dim, c) for c in axes], self.ambient_dim), axes)
+        n = self.ambient_dim
+        axes = [c for c in range(n) if c not in self.pivots]
+        return Subspace(n, Matrix([vunit(n, c) for c in axes], n), axes)
 
     def conjugate(self):
         # the pivots are real 1s, so the conjugate rows are still in RREF

@@ -1666,11 +1666,11 @@ fractions12 = st.fractions(-40, 40, max_denominator=12)
 
 
 @st.composite
-def kind_matrices(draw, nc=None, max_rows=6):
+def kind_matrices(draw, nc=None):
     """A real, Gaussian or purely imaginary matrix with mixed denominators,
     0 x n and n x 0 included; half of them rank-deficient, with rows that
     are integer combinations of the first few."""
-    nr = draw(st.integers(0, max_rows))
+    nr = draw(st.integers(0, 6))
     nc = draw(st.integers(0, 6)) if nc is None else nc
     kind = draw(st.sampled_from(KINDS))
     part = st.one_of(st.just(Fraction(0)), fractions12)
