@@ -24,9 +24,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact import (
-    Matrix, Subspace, ExactError, vec, ivec, vcat, vunit, vzero, rref, inverse,
+    Matrix, ExactError, vec, ivec, vcat, vunit, vzero, rref, inverse,
 )
-from .liealg import LieAlgebra, Subalgebra, center, full_subalgebra
+from .liealg import (
+    LieAlgebra, Subalgebra, center, full_subalgebra, zero_subalgebra,
+)
 
 
 class InvalidSpec(ExactError):
@@ -295,7 +297,7 @@ def build_subalgebra(g: LieAlgebra, spec: AlgebraSpec, name, k=None,
     None for an algebra given by its table, which has neither a maximal
     torus nor a block_u by name."""
     if name == "zero":
-        return Subalgebra(g, Subspace.zero(g.dim), check=False)
+        return zero_subalgebra(g)
     if name == "center":
         return center(g, full_subalgebra(g))
     if name == "block_u" and k is None:

@@ -311,7 +311,7 @@ def decompose_J(J: ComplexStructure):
     g = quot.algebra
     p_space = normalizer(g, Subalgebra(g, plus_space(J), check=False)).space
     md = compute_m(J)
-    a = extend_to_maximal_abelian(g, md.center_m)
+    a = extend_to_maximal_abelian(g, md.center_m, md.m.space)
     rd = root_decomposition(g, a)
     q_plus = tuple(sorted(
         i for i, r in enumerate(rd.roots)
@@ -344,7 +344,7 @@ def canonical_levi(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     """classify's m = t + h, with t maximal abelian in C_g(h); the greedy
     extension is deterministic, so equal inputs give the same t."""
     ch = centralizer(g, h.space)
-    t = extend_to_maximal_abelian(g, zero_subalgebra(g), within=ch.space)
+    t = extend_to_maximal_abelian(g, zero_subalgebra(g), ch.space)
     return Subalgebra(g, t.space.add(h.space), check=True)
 
 
@@ -371,7 +371,7 @@ def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
     if not (ok_derived and ok_centralizer and ok_fiber):
         return "m_not_centralizer_of_its_center" if not ok_centralizer \
             else ("derived_mismatch" if not ok_derived else "odd_fiber")
-    rd = root_decomposition(g, extend_to_maximal_abelian(g, cm))
+    rd = root_decomposition(g, extend_to_maximal_abelian(g, cm, m.space))
     return m, cm, rd, enumerate_positive_systems(rd, m)
 
 

@@ -137,6 +137,14 @@ class LieAlgebra:
                 [ivec(r, m, den) for r, m in zip(re, im)])
         return self._killing_gram
 
+    def derived_span(self) -> Subspace:
+        """[g, g], the span of the brackets [e_i, e_j] with i < j; computed
+        once."""
+        if self._derived_span is None:
+            self._derived_span = Subspace.from_vectors(self.dim, [
+                v for i, row in enumerate(self.table) for v in row[i + 1:]])
+        return self._derived_span
+
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationResult:
@@ -278,23 +286,19 @@ def reduction_matrix(space: Subspace) -> Matrix:
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
     """{x : [x, v] = 0 for all v in s}; always bracket-closed."""
-    if s.dim == 0:
-        return full_subalgebra(g)
     rows = []
     for v in s.basis_vectors():
         rows.extend(g.ad(v).rows)  # [x, v] = -ad(v) x; sign irrelevant for kernel
-    return Subalgebra(g, kernel(Matrix(rows)), check=False)
+    return Subalgebra(g, kernel(Matrix(rows, g.dim)), check=False)
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
     """{x : [x, h] subset of h}; contains h.  h may be a subalgebra of g_C."""
-    if h.dim == 0:
-        return full_subalgebra(g)
     rh = reduction_matrix(h.space)
     rows = []
     for v in h.basis_vectors():
         rows.extend((rh * g.ad(v)).rows)
-    return Subalgebra(g, kernel(Matrix(rows)), check=False)
+    return Subalgebra(g, kernel(Matrix(rows, g.dim)), check=False)
 
 
 def derived(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
@@ -309,36 +313,42 @@ def center(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
                       check=False)
 
 
-def is_solvable(s: Subalgebra) -> bool:
-    while s.dim > 0:
-        nxt = derived(s.algebra, s)
-        if nxt.dim == s.dim:
-            return False
-        s = nxt
-    return True
-
-
-def is_nilpotent(s: Subalgebra) -> bool:
-    """The lower central series s, [s, s], [s, [s, s]], ... reaches 0.  The
-    brackets of basis pairs a before b give the structure constants of s
-    (closed) in its own basis, and the series runs in that algebra."""
+def own_algebra(s: Subalgebra) -> LieAlgebra:
+    """The closed s as a Lie algebra in its own RREF basis: its structure
+    constants are the brackets of basis pairs a before b, in s's
+    coordinates."""
     g, bs, d = s.algebra, s.basis_vectors(), s.dim
     table = [[vzero(d)] * d for _ in range(d)]
     for i, a in enumerate(bs):
         for j in range(i + 1, d):
             c = s.space.coords(g.bracket(a, bs[j]))
             table[i][j], table[j][i] = c, vneg(c)
-    h, units = LieAlgebra(table), Matrix.identity(d).rows
-    cur = Subspace.from_vectors(d, [c for row in table for c in row])
-    if cur.dim == d:
-        return not d
-    while cur.dim > 0:
-        nxt = Subspace.from_vectors(
-            d, [h.bracket(a, b) for a in units for b in cur.basis_vectors()])
-        if nxt.dim == cur.dim:
+    return LieAlgebra(table)
+
+
+def _series_reaches_zero(s: Subalgebra, step) -> bool:
+    """The series [s, s], step(h, [s, s]), ... run in h = s in its own
+    coordinates reaches 0; it stalls, and never does, once a term keeps the
+    dimension of the one before."""
+    h = own_algebra(s)
+    prev, cur = h.dim, h.derived_span()
+    while cur.dim:
+        if cur.dim == prev:
             return False
-        cur = nxt
+        prev, cur = cur.dim, Subspace.from_vectors(
+            h.dim, step(h, cur.basis_vectors()))
     return True
+
+
+def is_solvable(s: Subalgebra) -> bool:
+    """The derived series s, [s, s], [[s, s], [s, s]], ... reaches 0."""
+    return _series_reaches_zero(s, pair_brackets)
+
+
+def is_nilpotent(s: Subalgebra) -> bool:
+    """The lower central series s, [s, s], [s, [s, s]], ... reaches 0."""
+    return _series_reaches_zero(s, lambda h, bs: [
+        h.bracket(a, b) for a in Matrix.identity(h.dim).rows for b in bs])
 
 
 def restricted_ad(g: LieAlgebra, x, space: Subspace) -> Matrix:
@@ -349,41 +359,35 @@ def restricted_ad(g: LieAlgebra, x, space: Subspace) -> Matrix:
 
 def radical(l: Subalgebra) -> Subalgebra:
     """Radical of l by the Killing-perpendicularity criterion: the set of
-    x in l with kappa_l(x, [l, l]) = 0, kappa_l computed inside l."""
-    g = l.algebra
-    bs = l.basis_vectors()
-    d = len(bs)
-    if d == 0:
-        return l
-    # tr(A B) pairs A read row by row with B read column by column
-    ads = [restricted_ad(g, u, l.space) for u in bs]
-    gram = Matrix([a.flatten() for a in ads]) \
-        * Matrix([a.transpose().flatten() for a in ads]).transpose()
-    der = Subspace.from_vectors(
-        d, [l.space.coords(b) for b in pair_brackets(g, bs)])
+    x in l with kappa_l(x, [l, l]) = 0, kappa_l the Killing form of l in
+    its own coordinates."""
+    h = own_algebra(l)
+    der = h.derived_span()
     if der.dim == 0:
         return l
+    gram = h.killing_gram()
     rows = [gram.matvec(dv) for dv in der.basis_vectors()]  # symmetric gram
-    return Subalgebra(g, kernel_span(Matrix(rows), l.space), check=False)
+    return Subalgebra(l.algebra, kernel_span(Matrix(rows), l.space),
+                      check=False)
 
 
 def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
-                              within: Subspace | None = None) -> Subalgebra:
-    """Greedy extension of the abelian t to a maximal abelian subalgebra
-    (inside `within`, if given, which contains t).  Unrestricted, the
-    result is self-centralizing, i.e. a Cartan subalgebra of compact g."""
-    if not t.is_abelian():
-        raise NotAbelian("starting subalgebra is not abelian")
-    a = t.space
-    while True:
-        c = centralizer(g, a).space
-        if within is not None:
-            c = c.intersect(within)
-        if c == a:
-            break
+                              within: Subspace) -> Subalgebra:
+    """Greedy extension of t to a subalgebra a that is maximal abelian in
+    the caller's bound.  `within` is C_g(t) intersected with that bound, so
+    t lies in it exactly when t is abelian and inside the bound.  Each step
+    adds the first basis vector v of C(a) n bound outside a, and cuts that
+    space down by C(a + v) = C(a) n C(v), centralizing v alone.  Bounded by
+    g itself, a is self-centralizing: a Cartan subalgebra of compact g."""
+    if not within.contains_subspace(t.space):
+        raise NotAbelian("starting subalgebra is not abelian inside its bound")
+    a, c = t.space, within
+    while c != a:
         # a lies in c, so c has a basis vector outside a
         v = next(v for v in c.basis_vectors() if not a.contains(v))
         a = Subspace.from_vectors(g.dim, a.basis.rows + (v,))
+        c = kernel_span(Matrix.from_columns(
+            [g.bracket(v, b) for b in c.basis_vectors()]), c)
     return Subalgebra(g, a, check=False)
 
 

@@ -14,10 +14,7 @@ from .exact import (
     kernel, kernel_span, vec, vadd, vneg, vscale, is_zero_vec,
     rational_eigenvalues, rref, span_sum,
 )
-from .liealg import (
-    LieAlgebra, Subalgebra, centralizer, derived, full_subalgebra,
-    is_nilpotent, restricted_ad,
-)
+from .liealg import LieAlgebra, Subalgebra, is_nilpotent, restricted_ad
 
 
 class RootError(ExactError):
@@ -152,7 +149,7 @@ class RootDatum:
             rows = [gram.matvec(b) for b in self.zero_space.basis_vectors()]
             perp = kernel(Matrix(rows, g.dim))
             self._zero_perp = perp.intersect(self.zero_space).intersect(
-                derived_complex_span(g))
+                g.derived_span())
         return self._zero_perp
 
     def levi_roots(self, m: Subalgebra):
@@ -188,8 +185,8 @@ def root_decomposition(g: LieAlgebra, a: Subalgebra) -> RootDatum:
     Works one Cartan generator at a time (refining), so no single regular
     element needs to separate all roots.  Validates the dimension
     bookkeeping, the +/- pairing and tau(g_alpha) = g_{-alpha}."""
-    if centralizer(g, a.space).space != a.space:
-        raise NotCartan("subalgebra is not self-centralizing")
+    if not a.is_abelian():
+        raise NotCartan("subalgebra is not abelian")
     pieces = [((), Subspace.full(g.dim))]
     for aj in a.basis_vectors():
         refined = []
@@ -200,6 +197,9 @@ def root_decomposition(g: LieAlgebra, a: Subalgebra) -> RootDatum:
         pieces = refined
     zero_parts = [sp for lams, sp in pieces if not any(lams)]
     zero_space = span_sum(g.dim, zero_parts)
+    # the zero space is C_{g_C}(a), so a is a Cartan when it equals a_C
+    if zero_space != a.space:
+        raise NotCartan("subalgebra is not self-centralizing")
     # alpha(a_j) = -i*lambda; ordered by the values' imaginary parts, -lambda
     pieces.sort(key=lambda piece: piece[0], reverse=True)
     roots = [Root(vneg(vscale(I, vec(lams))), sp)
@@ -317,13 +317,6 @@ def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
 
     search(0)
     return systems
-
-
-def derived_complex_span(g: LieAlgebra) -> Subspace:
-    """[g, g], computed once per algebra."""
-    if g._derived_span is None:
-        g._derived_span = derived(g, full_subalgebra(g)).space
-    return g._derived_span
 
 
 def killing_perp_nilradical(rd: RootDatum, p_roots):

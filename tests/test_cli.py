@@ -359,6 +359,31 @@ def test_verify_rebuilds_no_parabolic(tmp_path, name):
             calls(roots.killing_perp_nilradical)] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("name", ["su3_t__verify_seed0.json",
+                                  "so5_t__verify_seed0.json"])
+def test_verify_runs_no_derived_series_in_g(tmp_path, name):
+    # [m, m] and [h, h] for m, [h, h] for the Levi split of l; the derived
+    # series of radical(l) runs in its own coordinates (in g, 3 more calls)
+    calls = profiled_calls(tmp_path, VERIFY_SPECS[name], "verify",
+                           "--seed", "0")
+    assert calls(liealg.derived) <= 3
+
+
+@pytest.mark.parametrize("command", ["classify", "construct", "decompose"])
+@pytest.mark.parametrize("name", ["su3_t", "so5_t"])
+def test_each_centralizer_is_computed_once(tmp_path, command, name):
+    # C(h), center(m) and C(center(m)): each Cartan extension cuts its
+    # bound by the centralizer of the one vector it adds, and
+    # root_decomposition reads NotCartan off its zero space.  Recomputing
+    # C(a) at each step and for NotCartan made 8 calls here.
+    spec = {"su3_t": SU3_T, "so5_t": SO5_T}[name]
+    extra = ["--parabolic-index", "0"] if command == "construct" else []
+    if command == "decompose":
+        spec = DECOMPOSE_SPECS[f"{name}__decompose.json"]
+    calls = profiled_calls(tmp_path, spec, command, *extra)
+    assert calls(liealg.centralizer) <= 3
+
+
 @pytest.mark.parametrize("spec,count", [(SU3_T, 6), (SO5_T, 8)],
                          ids=["su3_t", "so5_t"])
 def test_classify_checks_each_closure_once(tmp_path, spec, count):

@@ -27,8 +27,10 @@ from liecx.exact import (
     rational_eigenvalues, relative_complement, span_sum,
 )
 from liecx.liealg import (
-    LieAlgebra, Subalgebra, center, centralizer, extend_to_maximal_abelian,
-    full_subalgebra, is_closed, is_nilpotent, quotient, _positive_definite,
+    LieAlgebra, Subalgebra, NotAbelian, center, centralizer, derived,
+    extend_to_maximal_abelian, full_subalgebra, is_closed, is_nilpotent,
+    is_solvable, quotient, radical, restricted_ad, zero_subalgebra,
+    pair_brackets, _positive_definite,
 )
 from liecx.catalog import (
     build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
@@ -168,7 +170,7 @@ def parabolic_from_abelian(g, t):
     if not t.is_abelian():
         raise roots.RootError("t must be abelian")
     m = centralizer(g, t.space)
-    rd = roots.root_decomposition(g, extend_to_maximal_abelian(g, t))
+    rd = roots.root_decomposition(g, extend_to_maximal_abelian(g, t, m.space))
     q = [i for i, r in enumerate(rd.roots)
          if any(value_at(rd, r, b) for b in t.basis_vectors())]
     if not q:
@@ -1429,7 +1431,7 @@ def dense_killing_perp_nilradical(g, p_space):
     gram = g.killing_gram()
     rows = [gram.matvec(b) for b in p_space.basis_vectors()]
     perp = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
-    return perp.intersect(p_space).intersect(roots.derived_complex_span(g))
+    return perp.intersect(p_space).intersect(g.derived_span())
 
 
 def dense_build_parabolic(rd, m, q_plus):
@@ -1480,6 +1482,36 @@ def dense_is_nilpotent(s):
     return True
 
 
+def dense_is_solvable(s):
+    """The derived series taken in g, one `derived` call a term."""
+    while s.dim > 0:
+        nxt = derived(s.algebra, s)
+        if nxt.dim == s.dim:
+            return False
+        s = nxt
+    return True
+
+
+def restricted_ad_radical(l):
+    """The x in l with kappa_l(x, [l, l]) = 0, kappa_l the trace form of the
+    d matrices of ad restricted to l."""
+    g = l.algebra
+    bs = l.basis_vectors()
+    d = len(bs)
+    if d == 0:
+        return l
+    # tr(A B) pairs A read row by row with B read column by column
+    ads = [restricted_ad(g, u, l.space) for u in bs]
+    gram = Matrix([a.flatten() for a in ads]) \
+        * Matrix([a.transpose().flatten() for a in ads]).transpose()
+    der = Subspace.from_vectors(
+        d, [l.space.coords(b) for b in pair_brackets(g, bs)])
+    if der.dim == 0:
+        return l
+    rows = [gram.matvec(dv) for dv in der.basis_vectors()]
+    return Subalgebra(g, kernel_span(Matrix(rows), l.space), check=False)
+
+
 @pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su2su2_0",
                                   "dense_so5_t", "dense_su3_t"])
 def test_nilpotency_in_own_coordinates_matches_the_series_in_g(name):
@@ -1489,6 +1521,60 @@ def test_nilpotency_in_own_coordinates_matches_the_series_in_g(name):
     verdicts = [is_nilpotent(s) for s in subs]
     assert verdicts == [dense_is_nilpotent(s) for s in subs]
     assert {True, False} <= set(verdicts)
+    verdicts = [is_solvable(s) for s in subs]
+    assert verdicts == [dense_is_solvable(s) for s in subs]
+    assert {True, False} <= set(verdicts)
+    radicals = [radical(s) for s in subs]
+    assert radicals == [restricted_ad_radical(s) for s in subs]
+    assert {r.dim for r in radicals} != {0}
+
+
+def loop_extend_to_maximal_abelian(g, t, within=None):
+    """The extension that recomputes C(a) at every step, cut by within when
+    it is given, with t tested abelian by its pair brackets."""
+    if not t.is_abelian():
+        raise NotAbelian("starting subalgebra is not abelian")
+    a = t.space
+    while True:
+        c = centralizer(g, a).space
+        if within is not None:
+            c = c.intersect(within)
+        if c == a:
+            return Subalgebra(g, a, check=False)
+        v = next(v for v in c.basis_vectors() if not a.contains(v))
+        a = Subspace.from_vectors(g.dim, a.basis.rows + (v,))
+
+
+# catalog algebras in a random integer basis (`rotated`), over h = 0
+ROTATED_PROBLEMS = {"rotated_su3_0": (su(3), 1), "rotated_so5_0": (so(5), 2)}
+
+
+@pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su4_u2",
+                                  "su2su2_0", "dense_so5_t", "dense_su3_t",
+                                  *ROTATED_PROBLEMS])
+def test_cartan_extension_matches_the_loop_that_recomputes_each_centralizer(
+        name):
+    if name in ROTATED_PROBLEMS:
+        spec, seed = ROTATED_PROBLEMS[name]
+        g = rotated(build(spec), seed)
+        h = zero_subalgebra(g)
+    else:
+        g, h, _ = classified(ORACLE_SPECS[name])
+    zero = zero_subalgebra(g)
+    # classify's t, maximal abelian in C(h)
+    ch = centralizer(g, h.space).space
+    assert extend_to_maximal_abelian(g, zero, ch) \
+        == loop_extend_to_maximal_abelian(g, zero, ch)
+    # its Cartan through center(m), bounded by m = C(center(m))
+    m = cx.canonical_levi(g, h)
+    cm = center(g, m)
+    assert centralizer(g, cm.space).space == m.space
+    a = extend_to_maximal_abelian(g, cm, m.space)
+    assert a == loop_extend_to_maximal_abelian(g, cm)
+    assert centralizer(g, a.space).space == a.space
+    # unbounded: C(0) is g
+    assert extend_to_maximal_abelian(g, zero, Subspace.full(g.dim)) \
+        == loop_extend_to_maximal_abelian(g, zero)
 
 
 def product_positive_systems(rd, m):

@@ -11,7 +11,7 @@ from liecx.exact import (
     GQ, ZERO, ONE, I, Matrix, Subspace, vec, vunit, vadd, vscale, vconj,
 )
 from liecx.liealg import (
-    LieAlgebra, Subalgebra, NotClosed,
+    LieAlgebra, Subalgebra, NotAbelian, NotClosed,
     centralizer, normalizer, derived, center, radical,
     is_solvable, is_nilpotent, extend_to_maximal_abelian,
     zero_subalgebra, full_subalgebra, quotient,
@@ -158,18 +158,26 @@ def test_tau(su2):
 
 
 def test_extend_to_maximal_abelian(su2, su3):
-    t = extend_to_maximal_abelian(su2, zero_subalgebra(su2))
+    t = extend_to_maximal_abelian(su2, zero_subalgebra(su2), Subspace.full(3))
     assert t.dim == 1
     assert centralizer(su2, t.space).space == t.space
-    t3 = extend_to_maximal_abelian(su3, zero_subalgebra(su3))
+    t3 = extend_to_maximal_abelian(su3, zero_subalgebra(su3), Subspace.full(8))
     assert t3.dim == 2
     assert centralizer(su3, t3.space).space == t3.space
     # extension within a constrained ambient space
     h = Subalgebra.span(su3, [vunit(8, 6)])
     cw = centralizer(su3, h.space)
-    tw = extend_to_maximal_abelian(su3, h, within=cw.space)
+    tw = extend_to_maximal_abelian(su3, h, cw.space)
     assert tw.space.contains_subspace(h.space)
     assert tw.is_abelian()
+
+
+def test_extend_to_maximal_abelian_rejects_a_non_abelian_start(su3):
+    # t is not abelian exactly when it is not inside C(t)
+    t = Subalgebra.span(su3, [vunit(8, 0), vunit(8, 1)], check=False)
+    assert not t.is_abelian()
+    with pytest.raises(NotAbelian):
+        extend_to_maximal_abelian(su3, t, centralizer(su3, t.space).space)
 
 
 # ---------------------------------------------------------------------------

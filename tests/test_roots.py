@@ -18,7 +18,7 @@ from liecx.roots import (
     NotCartan, ClosureFailure, RootError,
 )
 
-from conftest import classified, flag_spec
+from conftest import classified, flag_spec, profiled
 from test_fast_paths import (
     Q, dense_killing_perp_nilradical, find_regular, parabolic_from_abelian,
 )
@@ -86,8 +86,21 @@ def test_root_spaces_bracket_into_sums(su3_datum):
 def test_not_cartan_rejected():
     g = build(su(3))
     small = Subalgebra.span(g, [vunit(8, 7)])
-    with pytest.raises(NotCartan):
+    with pytest.raises(NotCartan, match="not self-centralizing"):
         root_decomposition(g, small)
+    # [e0, e1] != 0: no root decomposition is attempted
+    not_abelian = Subalgebra.span(g, [vunit(8, 0), vunit(8, 1)], check=False)
+    with pytest.raises(NotCartan, match="not abelian"):
+        root_decomposition(g, not_abelian)
+
+
+@pytest.mark.parametrize("spec", [su(3), so(5)], ids=["su3", "so5"])
+def test_root_decomposition_computes_no_centralizer(spec):
+    g = build(spec)
+    t = build_subalgebra(g, spec, "maximal_torus")
+    rd, calls = profiled(root_decomposition, g, t)
+    assert rd.zero_space == t.space
+    assert calls(centralizer) == 0
 
 
 def test_find_regular(su3_datum):
@@ -97,8 +110,7 @@ def test_find_regular(su3_datum):
         == rd.cartan.space
     # su(2)+su(2): the search order yields coefficients (1, 1)
     g2 = build(direct_sum(su(2), su(2)))
-    t2 = build_subalgebra(g2, None, "maximal_torus") \
-        if False else Subalgebra.span(g2, [vunit(6, 2), vunit(6, 5)])
+    t2 = Subalgebra.span(g2, [vunit(6, 2), vunit(6, 5)])
     h02 = find_regular(g2, t2)
     assert h02 == vadd(vunit(6, 2), vunit(6, 5))
 
@@ -124,8 +136,7 @@ def test_positive_system_counts(builder, count):
 def test_su3_u2_parabolics():
     g = build(su(3))
     h = build_subalgebra(g, su(3), "block_u", k=2)
-    cm = Subalgebra.span(g, h.space.basis_vectors()[:1], check=False)
-    a = extend_to_maximal_abelian(g, zero_subalgebra(g))
+    a = extend_to_maximal_abelian(g, zero_subalgebra(g), Subspace.full(8))
     rd = root_decomposition(g, a)
     systems = enumerate_positive_systems(rd, h)
     assert len(systems) == 2
