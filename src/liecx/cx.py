@@ -15,15 +15,15 @@ from math import lcm
 
 from .exact import (
     I, Matrix, Subspace, ExactError,
-    kernel, kernel_span, inverse, solve, lincomb, ivec, vec, vunit, vzero,
-    vadd, vsub, vneg, vscale, vconj, vcat, is_zero_vec, relative_complement,
+    kernel, kernel_of, kernel_span, inverse, solve, lincomb, ivec, vec,
+    vunit, vadd, vsub, vneg, vscale, vconj, is_zero_vec, relative_complement,
     span_sum, real_points,
 )
 from .liealg import (
     LieAlgebra, Subalgebra, Quotient,
     centralizer, normalizer, derived, center, radical, is_solvable, is_closed,
-    extend_to_maximal_abelian, reduction_matrix, zero_subalgebra,
-    full_subalgebra, pair_brackets,
+    extend_to_maximal_abelian, zero_subalgebra, full_subalgebra,
+    pair_brackets,
 )
 from .roots import (
     Parabolic, root_decomposition, enumerate_positive_systems,
@@ -109,10 +109,15 @@ def default_torus_structure(u: Subspace) -> TorusComplexStructure:
 
 
 class MData:
-    def __init__(self, m: Subalgebra, u: Subspace, center_m: Subalgebra):
+    """m, the complement u of h in m, center(m), and [h, h] = [m, m] (None
+    from classify, which does not read it)."""
+
+    def __init__(self, m: Subalgebra, u: Subspace, center_m: Subalgebra,
+                 derived_h: Subspace | None):
         self.m = m
         self.u = u
         self.center_m = center_m
+        self.derived_h = derived_h
 
 
 class ClassificationReport:
@@ -229,22 +234,20 @@ def compute_m(J: ComplexStructure) -> MData:
         raise ExactError("m is canonical only for integrable J")
     q = J.quotient
     g = q.algebra
-    # the x in N_g(h) with [ad-bar(x), J] = 0; column k is that commutator
-    # for the k-th basis vector of N_g(h)
-    nsp = normalizer(g, q.h).space
-    comm = Matrix.from_columns([(J.j * a - a * J.j).flatten() for a in
-                                map(q.induced_map, nsp.basis_vectors())])
-    m_space = kernel_span(comm, nsp)
+    # the x in N_g(h) with [ad-bar(x), J] = 0
+    m_space = kernel_of(normalizer(g, q.h).space,
+                        lambda x: _commutator(J.j, q.induced_map(x)))
     m = Subalgebra(g, m_space, check=True)
     if not m_space.contains_subspace(q.h.space):
         raise TheoremViolation("h is not contained in m")
-    if derived(g, m).space != derived(g, q.h).space:
+    dh = derived(g, q.h).space
+    if m_space != q.h.space and derived(g, m).space != dh:
         raise TheoremViolation("[m,m] != [h,h]")
     cm = center(g, m)
     if centralizer(g, cm.space).space != m_space:
         raise TheoremViolation("m is not the centralizer of its center")
     u = relative_complement(m_space, q.h.space)
-    return MData(m, u, cm)
+    return MData(m, u, cm, dh)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +261,7 @@ def construct_J(quot: Quotient, p: Parabolic,
     m = p.levi_real
     if not m.space.contains_subspace(h.space):
         raise LeviMismatch("h is not contained in the Levi of p")
-    if derived(g, m).space != derived(g, h).space:
+    if m.space != h.space and derived(g, m).space != derived(g, h).space:
         raise LeviMismatch("[m,m] != [h,h]")
     u = relative_complement(m.space, h.space)
     if u.dim % 2:
@@ -340,12 +343,13 @@ def fiber_structure(J: ComplexStructure, u: Subspace) -> TorusComplexStructure:
 # ---------------------------------------------------------------------------
 # classification
 
-def canonical_levi(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
-    """classify's m = t + h, with t maximal abelian in C_g(h); the greedy
-    extension is deterministic, so equal inputs give the same t."""
+def canonical_levi(g: LieAlgebra, h: Subalgebra):
+    """(m, t): classify's m = t + h, with t maximal abelian in C_g(h).  The
+    greedy extension is deterministic and stops on C(t) n C(h) = t = C(m),
+    so t is center(m)."""
     ch = centralizer(g, h.space)
     t = extend_to_maximal_abelian(g, zero_subalgebra(g), ch.space)
-    return Subalgebra(g, t.space.add(h.space), check=True)
+    return Subalgebra(g, t.space.add(h.space), check=True), t
 
 
 def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
@@ -358,10 +362,10 @@ def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
                                   f"dim g/h = {n - hd} is odd"))
         return "odd_dimension"
     ledger.append(LedgerEntry("even_codimension", True, f"dim g/h = {n - hd}"))
-    m = canonical_levi(g, h)
-    ok_derived = derived(g, m).space == derived(g, h).space
+    m, cm = canonical_levi(g, h)
+    ok_derived = m.space == h.space \
+        or derived(g, m).space == derived(g, h).space
     ledger.append(LedgerEntry("derived_match", ok_derived, "[m,m] = [h,h]"))
-    cm = center(g, m)
     ok_centralizer = centralizer(g, cm.space).space == m.space
     ledger.append(LedgerEntry("m_is_centralizer_of_its_center", ok_centralizer,
                               f"dim m = {m.dim}, dim center(m) = {cm.dim}"))
@@ -392,7 +396,7 @@ def classify(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
     u = relative_complement(m.space, h.space)
     note = (f"{len(parabolics)} parabolics (relative to one fixed Cartan) x "
             f"continuous moduli of torus structures on a fiber of dim {fiber}")
-    return ClassificationReport(True, "", MData(m, u, cm), parabolics,
+    return ClassificationReport(True, "", MData(m, u, cm, None), parabolics,
                                 fiber, note, ledger)
 
 
@@ -401,7 +405,7 @@ def parabolic_index(g: LieAlgebra, h: Subalgebra, p: Parabolic):
     is not classify's m.  With the same m, center(m), its Cartan, the root
     datum and the order of the positive systems are classify's too, so the
     index is a lookup of p's positive set."""
-    if p.levi_real.space != canonical_levi(g, h).space:
+    if p.levi_real.space != canonical_levi(g, h)[0].space:
         return None
     try:
         return enumerate_positive_systems(p.datum, p.levi_real).index(
@@ -441,19 +445,20 @@ def verify_structure(J: ComplexStructure):
     entry("l_cap_g_equals_h", real_points(l) == quot.h.space,
           "l n g = h")
     entry("dim_l", 2 * l.dim == n + hd, f"dim_C l = {l.dim}")
+    md = compute_m(J)
     lsub = Subalgebra(g, l, check=False)
     r = radical(lsub)
     ch = center(g, quot.h)
     entry("dim_r_prime", 2 * (r.dim - ch.dim) == n - hd,
           f"dim_C radical(l) = {r.dim}, dim center(h) = {ch.dim}")
-    kc = derived(g, quot.h).space
+    kc = md.derived_h
     levi_ok = (r.space.add(kc) == l and r.space.intersect(kc).dim == 0)
     entry("levi_split", levi_ok, "l = radical(l) (+) [h,h]_C")
     entry("radical_solvable", is_solvable(r), "")
     # p = N(l), as decompose_J finds it, against the canonical m
     p = normalizer(g, lsub).space
     entry("p_cap_tau_p_is_mc",
-          p.intersect(p.conjugate()) == compute_m(J).m.space,
+          p.intersect(p.conjugate()) == md.m.space,
           "p n tau(p) = m_C")
     if hd == 0:
         entry("l_solvable", is_solvable(lsub),
@@ -461,9 +466,13 @@ def verify_structure(J: ComplexStructure):
     return out
 
 
-def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
-    """Perturb every lift by random h elements and require bit-identical
-    Nijenhuis values; also checks the antisymmetry and J-twist symmetries."""
+PERTURBATION_TRIALS = 20
+
+
+def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0):
+    """Perturb every lift by random h elements, PERTURBATION_TRIALS times
+    per basis pair, and require bit-identical Nijenhuis values; also checks
+    the antisymmetry and J-twist symmetries."""
     import random
     rng = random.Random(seed)
     quot = J.quotient
@@ -492,7 +501,7 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0, trials=20):
                 failures.append(f"J-twist symmetry fails at ({a},{b})")
             evaluations += 2
             if hb:
-                for _ in range(trials):
+                for _ in range(PERTURBATION_TRIALS):
                     lifts = (vadd(quot.lift(ua), rand_h()),
                              vadd(quot.lift(ub), rand_h()),
                              vadd(quot.lift(J.j.matvec(ua)), rand_h()),
@@ -518,28 +527,32 @@ class SymmetricVerdict:
 
 
 def largest_ideal_inside(g: LieAlgebra, h: Subalgebra) -> Subspace:
-    """The maximal ad(g)-stable subspace of h."""
+    """The maximal ad(g)-stable subspace of h: passes cut the current space
+    by [e_j, x] in it for each basis vector e_j, until one keeps it."""
     cur = h.space
     while True:
-        rc = reduction_matrix(cur)
-        rows = list(rc.rows)
-        for j in range(g.dim):
-            rows.extend((rc * g.ad(vunit(g.dim, j))).rows)
-        nxt = kernel(Matrix(rows))
+        nxt = cur
+        for e in Matrix.identity(g.dim).rows:
+            nxt = kernel_of(nxt, lambda x: cur.reduce(g.bracket(e, x)))
         if nxt == cur:
             return cur
         cur = nxt
 
 
+def _commutator(a: Matrix, b: Matrix):
+    """vec(a b - b a), row by row."""
+    return (a * b - b * a).flatten()
+
+
 def commutant(q, gens):
-    """A basis of the q x q matrices X with M X = X M for every M in gens."""
-    units = [Matrix.from_columns([vunit(q, a) if j == b else vzero(q)
-                                  for j in range(q)])
-             for a in range(q) for b in range(q)]
-    # column k: vec(M E_k - E_k M) for every M in gens, stacked
-    cols = [vcat([(m * e - e * m).flatten() for m in gens]) for e in units]
-    return [Matrix([v[i * q:(i + 1) * q] for i in range(q)])
-            for v in kernel(Matrix.from_columns(cols)).basis_vectors()]
+    """A basis of the q x q matrices X with M X = X M for every M in gens:
+    all of them, read row by row, cut by M X - X M = 0 one M at a time."""
+    def square(x):
+        return Matrix([x[i * q:(i + 1) * q] for i in range(q)], q)
+    c = Subspace.full(q * q)
+    for m in gens:
+        c = kernel_of(c, lambda x: _commutator(m, square(x)))
+    return [square(v) for v in c.basis_vectors()]
 
 
 def commutant_dimension(J: ComplexStructure):

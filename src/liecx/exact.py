@@ -482,6 +482,15 @@ def kernel_span(m: Matrix, space: "Subspace") -> "Subspace":
                     [space.pivots[c] for c in k.pivots])
 
 
+def kernel_of(space: "Subspace", f) -> "Subspace":
+    """The x in space with f(x) = 0, f linear on vectors: one kernel_span of
+    the columns f(b) over space's RREF basis b."""
+    if not space.dim:
+        return space
+    return kernel_span(Matrix.from_columns(
+        [f(b) for b in space.basis_vectors()]), space)
+
+
 def solve(m: Matrix, b):
     """One exact solution of m x = b (free variables set to 0), or None."""
     b = vec(b)

@@ -13,7 +13,7 @@ from math import lcm
 
 from .exact import (
     Matrix, Subspace, ExactError, DimensionMismatch,
-    combine, kernel, kernel_span, vec, ivec, vneg, vunit, vzero, is_zero_vec,
+    combine, kernel_of, kernel_span, vec, ivec, vneg, vzero, is_zero_vec,
     nonzero_terms, take,
 )
 
@@ -94,22 +94,6 @@ class LieAlgebra:
                         if ci:
                             im[k] += ci * tr
         return ivec(re, im, x.den * y.den * self.table_den)
-
-    def ad(self, x) -> Matrix:
-        """Matrix of ad(x): entry (k, j) is [x, e_j]_k."""
-        x = vec(x)
-        n = self.dim
-        if len(x) != n:
-            raise DimensionMismatch("ad operand must have ambient length")
-        re = [[0] * n for _ in range(n)]
-        im = [[0] * n for _ in range(n)]
-        for i, xr, xi in nonzero_terms(x):
-            for j, terms in enumerate(self.int_terms[i]):
-                for k, tr, ti in terms:
-                    re[k][j] += xr * tr - xi * ti
-                    im[k][j] += xr * ti + xi * tr
-        den = x.den * self.table_den
-        return Matrix([ivec(r, m, den) for r, m in zip(re, im)], n)
 
     def killing_gram(self) -> Matrix:
         """Gram matrix of the Killing form kappa(e_i, e_j) = tr(ad e_i ad e_j)."""
@@ -277,28 +261,21 @@ def full_subalgebra(g):
     return Subalgebra(g, Subspace.full(g.dim), check=False)
 
 
-def reduction_matrix(space: Subspace) -> Matrix:
-    """Matrix of v -> residual of v mod space (linear, kernel = space)."""
-    n = space.ambient_dim
-    cols = [space.reduce(vunit(n, j)) for j in range(n)]
-    return Matrix.from_columns(cols)
-
-
 def centralizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
-    """{x : [x, v] = 0 for all v in s}; always bracket-closed."""
-    rows = []
+    """{x : [v, x] = 0 for each basis vector v of s}; bracket-closed."""
+    c = Subspace.full(g.dim)
     for v in s.basis_vectors():
-        rows.extend(g.ad(v).rows)  # [x, v] = -ad(v) x; sign irrelevant for kernel
-    return Subalgebra(g, kernel(Matrix(rows, g.dim)), check=False)
+        c = kernel_of(c, lambda x: g.bracket(v, x))
+    return Subalgebra(g, c, check=False)
 
 
 def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
-    """{x : [x, h] subset of h}; contains h.  h may be a subalgebra of g_C."""
-    rh = reduction_matrix(h.space)
-    rows = []
+    """{x : [v, x] in h for each basis vector v of h}; contains h.  h may
+    be a subalgebra of g_C."""
+    c = Subspace.full(g.dim)
     for v in h.basis_vectors():
-        rows.extend((rh * g.ad(v)).rows)
-    return Subalgebra(g, kernel(Matrix(rows, g.dim)), check=False)
+        c = kernel_of(c, lambda x: h.space.reduce(g.bracket(v, x)))
+    return Subalgebra(g, c, check=False)
 
 
 def derived(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
@@ -386,8 +363,7 @@ def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
         # a lies in c, so c has a basis vector outside a
         v = next(v for v in c.basis_vectors() if not a.contains(v))
         a = Subspace.from_vectors(g.dim, a.basis.rows + (v,))
-        c = kernel_span(Matrix.from_columns(
-            [g.bracket(v, b) for b in c.basis_vectors()]), c)
+        c = kernel_of(c, lambda x: g.bracket(v, x))
     return Subalgebra(g, a, check=False)
 
 

@@ -72,9 +72,6 @@ class RootDatum:
         self._zero_perp = None
         self._basis_columns = None
 
-    def root_index(self, values):
-        return self._index.get(values)
-
     def negative_of(self, i):
         return self._negatives[i]
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from liecx.exact import (
-    GQ, ZERO, ONE, Matrix, inverse,
+    GQ, ZERO, ONE, Matrix, inverse, ivec, nonzero_terms, vec,
 )
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx.liealg import quotient as make_quotient
@@ -45,6 +45,22 @@ def profiled(fn, *args):
                    if (file, line, name)
                    == (c.co_filename, c.co_firstlineno, c.co_name))
     return result, calls
+
+
+def ad(g, x):
+    """Matrix of ad(x), entry (k, j) = [x, e_j]_k, read off the structure
+    table's integer terms; the library cuts subspaces by brackets instead."""
+    x = vec(x)
+    n = g.dim
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for i, xr, xi in nonzero_terms(x):
+        for j, terms in enumerate(g.int_terms[i]):
+            for k, tr, ti in terms:
+                re[k][j] += xr * tr - xi * ti
+                im[k][j] += xr * ti + xi * tr
+    den = x.den * g.table_den
+    return Matrix([ivec(r, m, den) for r, m in zip(re, im)], n)
 
 
 # ---------------------------------------------------------------------------

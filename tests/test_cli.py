@@ -114,6 +114,28 @@ def test_classify_su2_0_is_clean_no(tmp_path):
     assert rep["exists"] is False and rep["reason"] == "odd_dimension"
 
 
+def test_classify_diagonal_su3_in_su3_plus_su3_is_not_a_centralizer(
+        tmp_path):
+    # C(h) = 0 for the diagonal h, so m = h and center(m) = 0, whose
+    # centralizer is all of g
+    spec = {"algebra": {"kind": "sum", "parts": [{"kind": "su", "n": 3}] * 2},
+            "subalgebra": {"name": "span", "vectors": [
+                [str(int(k in (i, 8 + i))) for k in range(16)]
+                for i in range(8)]}}
+    code, rep = run(tmp_path, spec, "classify")
+    assert code == 1
+    assert rep["exists"] is False
+    assert rep["reason"] == "m_not_centralizer_of_its_center"
+    entry = next(e for e in rep["ledger"]
+                 if e["name"] == "m_is_centralizer_of_its_center")
+    assert entry["ok"] is False
+    assert entry["detail"] == "dim m = 8, dim center(m) = 0"
+    code, rep = run(tmp_path, spec, "construct", "--parabolic-index", "0")
+    assert code == 2
+    assert rep["message"] == \
+        "no structures exist: m_not_centralizer_of_its_center"
+
+
 def test_check_swap_structure_witness(tmp_path):
     spec = {"algebra": SU2SU2, "subalgebra": {"name": "zero"}, "j": SWAP_J}
     code, rep = run(tmp_path, spec, "check")

@@ -16,7 +16,7 @@ from liecx.cx import (
     ComplexStructure, TorusComplexStructure, NotInvariant, OddFiber,
     default_torus_structure,
 )
-from liecx.roots import Parabolic
+from liecx.roots import LeviMismatch, Parabolic
 
 from conftest import (
     s2_instance, calabi_eckmann_instance, swap_structure,
@@ -236,6 +236,28 @@ def test_construct_certifies_p_is_the_normalizer_of_l(monkeypatch):
                         lambda g, l: Subalgebra(g, Subspace.full(g.dim)))
     with pytest.raises(cx.TheoremViolation, match="normalizer of l"):
         cx.construct_J(quot, p)
+
+
+def test_construct_rejects_a_parabolic_whose_levi_does_not_fit_h():
+    g = build(su(3))
+    t = build_subalgebra(g, su(3), "maximal_torus")
+    u2 = build_subalgebra(g, su(3), "block_u", k=2)
+    borel = cx.classify(g, t).parabolics[0]
+    u2_parabolic = cx.classify(g, u2).parabolics[0]
+    # h = u(2) is not inside a Borel's Levi t
+    with pytest.raises(LeviMismatch, match="h is not contained"):
+        cx.construct_J(make_quotient(g, u2), borel)
+    # h = t lies in the Levi u(2), but [u(2), u(2)] = su(2) and [t, t] = 0
+    with pytest.raises(LeviMismatch, match=r"\[m,m\] != \[h,h\]"):
+        cx.construct_J(make_quotient(g, t), u2_parabolic)
+    # su(2)+su(2)/0: the fiber is classify's Cartan, J1 lives on another
+    # plane
+    g, h, quot, _ = calabi_eckmann_instance()
+    p = cx.classify(g, h).parabolics[0]
+    plane = Subspace.from_vectors(6, [vunit(6, 0), vunit(6, 1)])
+    assert plane != p.levi_real.space
+    with pytest.raises(LeviMismatch, match="different fiber"):
+        cx.construct_J(quot, p, TorusComplexStructure(plane, rot(2)))
 
 
 def test_parabolic_index_rejects_an_unknown_positive_set():

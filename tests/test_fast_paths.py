@@ -9,6 +9,7 @@ RREF by a second elimination.  The old formula is kept here, and only here,
 as the reference.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -29,15 +30,15 @@ from liecx.exact import (
 from liecx.liealg import (
     LieAlgebra, Subalgebra, NotAbelian, center, centralizer, derived,
     extend_to_maximal_abelian, full_subalgebra, is_closed, is_nilpotent,
-    is_solvable, quotient, radical, restricted_ad, zero_subalgebra,
-    pair_brackets, _positive_definite,
+    is_solvable, normalizer, quotient, radical, restricted_ad,
+    zero_subalgebra, pair_brackets, _positive_definite,
 )
 from liecx.catalog import (
     build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
     _coordinates, _so_basis, _structure_from_matrices, _su_basis,
 )
 
-from conftest import classified, flag_spec, profiled
+from conftest import ad, classified, flag_spec, profiled
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1124,7 @@ def test_bracket_matches_dense_loop_on_random_vectors(case):
 def test_ad_matches_brackets_with_the_basis(case):
     name, x = case
     g = BRACKET_ALGEBRAS[name]
-    assert g.ad(x) == Matrix.from_columns(
+    assert ad(g, x) == Matrix.from_columns(
         [dense_bracket(g, x, vunit(g.dim, j)) for j in range(g.dim)])
 
 
@@ -1549,15 +1550,21 @@ def loop_extend_to_maximal_abelian(g, t, within=None):
 ROTATED_PROBLEMS = {"rotated_su3_0": (su(3), 1), "rotated_so5_0": (so(5), 2)}
 
 
+@functools.lru_cache(maxsize=None)
+def rotated_problem(name):
+    """g and h = 0 of a ROTATED_PROBLEMS entry, rotated once per session."""
+    spec, seed = ROTATED_PROBLEMS[name]
+    g = rotated(build(spec), seed)
+    return g, zero_subalgebra(g)
+
+
 @pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su4_u2",
                                   "su2su2_0", "dense_so5_t", "dense_su3_t",
                                   *ROTATED_PROBLEMS])
 def test_cartan_extension_matches_the_loop_that_recomputes_each_centralizer(
         name):
     if name in ROTATED_PROBLEMS:
-        spec, seed = ROTATED_PROBLEMS[name]
-        g = rotated(build(spec), seed)
-        h = zero_subalgebra(g)
+        g, h = rotated_problem(name)
     else:
         g, h, _ = classified(ORACLE_SPECS[name])
     zero = zero_subalgebra(g)
@@ -1566,8 +1573,9 @@ def test_cartan_extension_matches_the_loop_that_recomputes_each_centralizer(
     assert extend_to_maximal_abelian(g, zero, ch) \
         == loop_extend_to_maximal_abelian(g, zero, ch)
     # its Cartan through center(m), bounded by m = C(center(m))
-    m = cx.canonical_levi(g, h)
+    m, t = cx.canonical_levi(g, h)
     cm = center(g, m)
+    assert same_subspace(cm.space, t.space)
     assert centralizer(g, cm.space).space == m.space
     a = extend_to_maximal_abelian(g, cm, m.space)
     assert a == loop_extend_to_maximal_abelian(g, cm)
@@ -1591,7 +1599,8 @@ def product_positive_systems(rd, m):
         if all(i not in pair for pair in pairs):
             pairs.append((i, rd.negative_of(i)))
 
-    vsum = {(a, b): rd.root_index(vec([x + y for x, y in zip(
+    index = {r.values: i for i, r in enumerate(rd.roots)}
+    vsum = {(a, b): index.get(vec([x + y for x, y in zip(
         qv(rd.roots[a].values), qv(rd.roots[b].values), strict=True)]))
         for a in q for b in q + levi}
     systems = []
@@ -1852,3 +1861,104 @@ def test_each_canonical_subspace_is_eliminated_once():
     for build in (lambda: Subspace.full(7), a.complement, a.conjugate):
         _, calls = profiled(build)
         assert calls(rref) == 0
+
+
+# ---------------------------------------------------------------------------
+# subspaces cut one linear condition at a time, against the stacked kernels
+# they replaced
+
+def ad_row_centralizer(g, s):
+    """The kernel of the rows of ad(v), stacked over the basis of s."""
+    return kernel(Matrix([r for v in s.basis_vectors() for r in ad(g, v).rows],
+                         g.dim))
+
+
+def reduction_matrix(space):
+    """Matrix of v -> residual of v mod space (linear, kernel = space)."""
+    n = space.ambient_dim
+    return Matrix.from_columns([space.reduce(vunit(n, j)) for j in range(n)])
+
+
+def reduction_normalizer(g, h):
+    """The kernel of R_h ad(v), stacked over the basis of h."""
+    rh = reduction_matrix(h)
+    return kernel(Matrix([r for v in h.basis_vectors()
+                          for r in (rh * ad(g, v)).rows], g.dim))
+
+
+def reduction_largest_ideal(g, h):
+    """Each pass: the kernel of R_cur stacked over R_cur ad(e_j) for every j."""
+    cur = h
+    while True:
+        rc = reduction_matrix(cur)
+        rows = list(rc.rows)
+        for j in range(g.dim):
+            rows.extend((rc * ad(g, vunit(g.dim, j))).rows)
+        nxt = kernel(Matrix(rows))
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def unit_matrix_commutant(q, gens):
+    """One kernel: column k stacks vec(M E_k - E_k M) over every M."""
+    units = [Matrix.from_columns([vunit(q, a) if j == b else vzero(q)
+                                  for j in range(q)])
+             for a in range(q) for b in range(q)]
+    cols = [vcat([(m * e - e * m).flatten() for m in gens]) for e in units]
+    return [Matrix([v[i * q:(i + 1) * q] for i in range(q)])
+            for v in kernel(Matrix.from_columns(cols)).basis_vectors()]
+
+
+def cut_instances(name):
+    """g, h, the subspaces to cut by, and the generator lists whose
+    commutant to take: h, m, center(m), g, 0, and, where a structure
+    exists, the complex l, p and n of the first parabolic's J."""
+    if name in ROTATED_PROBLEMS:
+        (g, h), report = rotated_problem(name), None
+    else:
+        g, h, report = classified(ORACLE_SPECS[name])
+    m, t = cx.canonical_levi(g, h)
+    subs = [h, m, t, full_subalgebra(g), zero_subalgebra(g)]
+    quot = quotient(g, h)
+    gens = [[quot.induced_map(x) for x in (t if h.dim == 0 else h)
+             .basis_vectors()]]
+    if report is not None and report.exists:
+        p = report.parabolics[0]
+        J = cx.construct_J(quot, p)
+        l = Subalgebra(g, cx.plus_space(J), check=False)
+        subs += [l, p.space, p.nilradical]
+        gens += [cx.induced_actions(J) + [J.j], [J.j]]
+    return g, subs, gens
+
+
+@pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su4_u3",
+                                  "su2su2_0", "u2_0", "dense_so5_t",
+                                  "dense_su3_t", *ROTATED_PROBLEMS])
+def test_cuts_one_condition_at_a_time_match_the_stacked_kernels(name):
+    g, subs, gens = cut_instances(name)
+    assert any(not s.space.is_real() for s in subs) == (len(gens) > 1)
+    for s in subs:
+        assert same_subspace(centralizer(g, s.space).space,
+                             ad_row_centralizer(g, s.space))
+        assert same_subspace(normalizer(g, s).space,
+                             reduction_normalizer(g, s.space))
+        assert same_subspace(cx.largest_ideal_inside(g, s),
+                             reduction_largest_ideal(g, s.space))
+    for ms in gens:
+        q = ms[0].nrows
+        assert cx.commutant(q, ms) == unit_matrix_commutant(q, ms)
+
+
+def test_symmetric_on_su4_u3_makes_few_matrix_products(tmp_path):
+    # the unit-matrix commutant multiplied each of its 10 generators by all
+    # 36 unit matrices, on both sides: 851 products in all
+    case = next(c for c in SYMMETRIC_CASES
+                if c["file"] == "su4_u3__symmetric.json")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(case["spec"]))
+    code, calls = profiled(cli.main, [
+        "--spec", str(path), "--command", "symmetric",
+        "--out", str(tmp_path / "report.json")])
+    assert code == case["exit_code"] == 0
+    assert calls(Matrix.__mul__) <= 400
