@@ -384,11 +384,13 @@ def test_verify_rebuilds_no_parabolic(tmp_path, name):
 @pytest.mark.parametrize("name", ["su3_t__verify_seed0.json",
                                   "so5_t__verify_seed0.json"])
 def test_verify_runs_no_derived_series_in_g(tmp_path, name):
-    # [m, m] and [h, h] for m, [h, h] for the Levi split of l; the derived
-    # series of radical(l) runs in its own coordinates (in g, 3 more calls)
+    # [h, h] once, in compute_m, whose record the Levi split of l reads;
+    # m = h here, so [m, m] is not taken.  The derived series of radical(l)
+    # runs in its own coordinates (in g, 3 more calls).  Taking [h, h]
+    # again for the split and [m, m] made 3 calls.
     calls = profiled_calls(tmp_path, VERIFY_SPECS[name], "verify",
                            "--seed", "0")
-    assert calls(liealg.derived) <= 3
+    assert calls(liealg.derived) <= 1
 
 
 @pytest.mark.parametrize("command", ["classify", "construct", "decompose"])
