@@ -24,11 +24,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact import (
-    Matrix, ExactError, vec, ivec, vcat, vunit, vzero, rref, inverse,
+    Matrix, Subspace, ExactError, vec, ivec, vcat, vunit, vzero, rref,
+    inverse,
 )
-from .liealg import (
-    LieAlgebra, Subalgebra, center, full_subalgebra, zero_subalgebra,
-)
+from .liealg import LieAlgebra, Subalgebra, center
 
 
 class InvalidSpec(ExactError):
@@ -297,9 +296,9 @@ def build_subalgebra(g: LieAlgebra, spec: AlgebraSpec, name, k=None,
     None for an algebra given by its table, which has neither a maximal
     torus nor a block_u by name."""
     if name == "zero":
-        return zero_subalgebra(g)
+        return Subalgebra(g, Subspace.zero(g.dim), check=False)
     if name == "center":
-        return center(g, full_subalgebra(g))
+        return Subalgebra(g, center(g, Subspace.full(g.dim)), check=False)
     if name == "block_u" and k is None:
         raise InvalidSpec("block_u needs k")
     if name in ("maximal_torus", "block_u") and spec is None:

@@ -217,9 +217,8 @@ def _build_subalgebra(g, aspec, sub):
 
 def _resolve_problem(ps: ProblemSpec):
     g, aspec = _build_algebra(ps)
-    h = _build_subalgebra(g, aspec, ps.sub)
-    quot = make_quotient(g, h)
-    return g, h, quot
+    quot = make_quotient(g, _build_subalgebra(g, aspec, ps.sub))
+    return g, quot.h, quot
 
 
 def _structure(ps, quot) -> ComplexStructure:
@@ -272,8 +271,8 @@ def _ser_parabolic(i, p):
         "dim_p": p.space.dim,
         "dim_levi": p.levi_real.dim,
         "dim_nilradical": p.nilradical.dim,
-        "levi_basis": _ser_space(p.levi_real.space),
-        "nilradical_basis": _ser_space(p.nilradical.space),
+        "levi_basis": _ser_space(p.levi_real),
+        "nilradical_basis": _ser_space(p.nilradical),
     }
 
 
@@ -291,7 +290,7 @@ def _base_report(command, g, h=None):
     }
     if h is not None:
         rep["dim_h"] = h.dim
-        rep["h_basis"] = _ser_space(h.space)
+        rep["h_basis"] = _ser_space(h)
     return rep
 
 
@@ -343,10 +342,10 @@ def cmd_m(ps, args):
     md = cx.compute_m(J)
     rep = _base_report("m", g, h)
     rep["dim_m"] = md.m.dim
-    rep["m_basis"] = _ser_space(md.m.space)
+    rep["m_basis"] = _ser_space(md.m)
     rep["fiber_dim"] = md.u.dim
     rep["fiber_basis"] = _ser_space(md.u)
-    rep["center_m_basis"] = _ser_space(md.center_m.space)
+    rep["center_m_basis"] = _ser_space(md.center_m)
     return rep, EXIT_YES
 
 
@@ -359,7 +358,7 @@ def cmd_classify(ps, args):
     rep["ledger"] = _ser_ledger(report.ledger)
     if report.exists:
         rep["dim_m"] = report.m.m.dim
-        rep["m_basis"] = _ser_space(report.m.m.space)
+        rep["m_basis"] = _ser_space(report.m.m)
         rep["fiber_dim"] = report.fiber_dim
         rep["parabolics"] = [_ser_parabolic(i, p)
                              for i, p in enumerate(report.parabolics)]
@@ -383,7 +382,7 @@ def _select_parabolic(ps, g, h):
 
 
 def _torus_structure(ps, p, quot):
-    u = relative_complement(p.levi_real.space, quot.h.space)
+    u = relative_complement(p.levi_real, quot.h)
     if ps.j1 is None or ps.j1 == "default":
         return cx.default_torus_structure(u)
     if ps.j1.nrows != u.dim or ps.j1.ncols != u.dim:

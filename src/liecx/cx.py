@@ -20,10 +20,9 @@ from .exact import (
     span_sum, real_points,
 )
 from .liealg import (
-    LieAlgebra, Subalgebra, Quotient,
+    LieAlgebra, Quotient,
     centralizer, normalizer, derived, center, radical, is_solvable, is_closed,
-    extend_to_maximal_abelian, zero_subalgebra, full_subalgebra,
-    pair_brackets,
+    is_abelian, require_closed, extend_to_maximal_abelian, pair_brackets,
 )
 from .roots import (
     Parabolic, root_decomposition, enumerate_positive_systems,
@@ -71,7 +70,7 @@ class ComplexStructure:
     def __eq__(self, o):
         if not isinstance(o, ComplexStructure):
             return NotImplemented
-        return self.quotient.h.space == o.quotient.h.space and self.j == o.j
+        return self.quotient.h == o.quotient.h and self.j == o.j
 
     def __repr__(self):
         return f"ComplexStructure(on quotient of dim {self.quotient.dim})"
@@ -112,7 +111,7 @@ class MData:
     """m, the complement u of h in m, center(m), and [h, h] = [m, m] (None
     from classify, which does not read it)."""
 
-    def __init__(self, m: Subalgebra, u: Subspace, center_m: Subalgebra,
+    def __init__(self, m: Subspace, u: Subspace, center_m: Subspace,
                  derived_h: Subspace | None):
         self.m = m
         self.u = u
@@ -235,19 +234,18 @@ def compute_m(J: ComplexStructure) -> MData:
     q = J.quotient
     g = q.algebra
     # the x in N_g(h) with [ad-bar(x), J] = 0
-    m_space = kernel_of(normalizer(g, q.h).space,
-                        lambda x: _commutator(J.j, q.induced_map(x)))
-    m = Subalgebra(g, m_space, check=True)
-    if not m_space.contains_subspace(q.h.space):
+    m = kernel_of(normalizer(g, q.h),
+                  lambda x: _commutator(J.j, q.induced_map(x)))
+    require_closed(g, m)
+    if not m.contains_subspace(q.h):
         raise TheoremViolation("h is not contained in m")
-    dh = derived(g, q.h).space
-    if m_space != q.h.space and derived(g, m).space != dh:
+    dh = derived(g, q.h)
+    if m != q.h and derived(g, m) != dh:
         raise TheoremViolation("[m,m] != [h,h]")
     cm = center(g, m)
-    if centralizer(g, cm.space).space != m_space:
+    if centralizer(g, cm) != m:
         raise TheoremViolation("m is not the centralizer of its center")
-    u = relative_complement(m_space, q.h.space)
-    return MData(m, u, cm, dh)
+    return MData(m, relative_complement(m, q.h), cm, dh)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +257,11 @@ def construct_J(quot: Quotient, p: Parabolic,
     g = quot.algebra
     h = quot.h
     m = p.levi_real
-    if not m.space.contains_subspace(h.space):
+    if not m.contains_subspace(h):
         raise LeviMismatch("h is not contained in the Levi of p")
-    if m.space != h.space and derived(g, m).space != derived(g, h).space:
+    if m != h and derived(g, m) != derived(g, h):
         raise LeviMismatch("[m,m] != [h,h]")
-    u = relative_complement(m.space, h.space)
+    u = relative_complement(m, h)
     if u.dim % 2:
         raise OddFiber(f"dim m/h = {u.dim} is odd")
     if j1 is None:
@@ -272,7 +270,7 @@ def construct_J(quot: Quotient, p: Parabolic,
         raise LeviMismatch("J1 lives on a different fiber complement")
     # lift the +i eigenspace of J1 from u-coordinates into g_C, add h_C and n
     lifted = kernel_span(j1.j1 - Matrix.identity(u.dim).scale(I), u)
-    e_space = span_sum(g.dim, [h.space, lifted, p.nilradical.space])
+    e_space = span_sum(g.dim, [h, lifted, p.nilradical])
     vplus = Subspace.from_vectors(
         quot.dim, [quot.project(b) for b in e_space.basis_vectors()])
     if 2 * vplus.dim != quot.dim:
@@ -285,8 +283,7 @@ def construct_J(quot: Quotient, p: Parabolic,
     if not is_integrable(J):
         raise TheoremViolation("constructed J is not integrable")
     # p = N(l): the relation decompose_J recovers p by
-    if normalizer(g, Subalgebra(g, plus_space(J), check=False)).space \
-            != p.space.space:
+    if normalizer(g, plus_space(J)) != p.space:
         raise TheoremViolation("p is not the normalizer of l")
     return J
 
@@ -312,16 +309,16 @@ def decompose_J(J: ComplexStructure):
         raise ExactError("decomposition requires an integrable J")
     quot = J.quotient
     g = quot.algebra
-    p_space = normalizer(g, Subalgebra(g, plus_space(J), check=False)).space
+    p_space = normalizer(g, plus_space(J))
     md = compute_m(J)
-    a = extend_to_maximal_abelian(g, md.center_m, md.m.space)
+    a = extend_to_maximal_abelian(g, md.center_m, md.m)
     rd = root_decomposition(g, a)
     q_plus = tuple(sorted(
         i for i, r in enumerate(rd.roots)
         if p_space.contains_subspace(r.space)
         and not p_space.contains_subspace(rd.roots[rd.negative_of(i)].space)))
     parabolic = build_parabolic(rd, md.m, q_plus)
-    if parabolic.space.space != p_space:
+    if parabolic.space != p_space:
         raise TheoremViolation("rebuilt parabolic differs from the normalizer")
     return parabolic, fiber_structure(J, md.u)
 
@@ -343,16 +340,17 @@ def fiber_structure(J: ComplexStructure, u: Subspace) -> TorusComplexStructure:
 # ---------------------------------------------------------------------------
 # classification
 
-def canonical_levi(g: LieAlgebra, h: Subalgebra):
+def canonical_levi(g: LieAlgebra, h: Subspace):
     """(m, t): classify's m = t + h, with t maximal abelian in C_g(h).  The
     greedy extension is deterministic and stops on C(t) n C(h) = t = C(m),
     so t is center(m)."""
-    ch = centralizer(g, h.space)
-    t = extend_to_maximal_abelian(g, zero_subalgebra(g), ch.space)
-    return Subalgebra(g, t.space.add(h.space), check=True), t
+    t = extend_to_maximal_abelian(g, Subspace.zero(g.dim), centralizer(g, h))
+    m = span_sum(g.dim, [t, h])
+    require_closed(g, m)
+    return m, t
 
 
-def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
+def levi_systems(g: LieAlgebra, h: Subspace, ledger):
     """classify's canonical m = t + h, with t maximal abelian in C_g(h), its
     root datum and its positive systems; or the reason no structure exists.
     Each certificate checked on the way is appended to the ledger."""
@@ -363,10 +361,9 @@ def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
         return "odd_dimension"
     ledger.append(LedgerEntry("even_codimension", True, f"dim g/h = {n - hd}"))
     m, cm = canonical_levi(g, h)
-    ok_derived = m.space == h.space \
-        or derived(g, m).space == derived(g, h).space
+    ok_derived = m == h or derived(g, m) == derived(g, h)
     ledger.append(LedgerEntry("derived_match", ok_derived, "[m,m] = [h,h]"))
-    ok_centralizer = centralizer(g, cm.space).space == m.space
+    ok_centralizer = centralizer(g, cm) == m
     ledger.append(LedgerEntry("m_is_centralizer_of_its_center", ok_centralizer,
                               f"dim m = {m.dim}, dim center(m) = {cm.dim}"))
     fiber = m.dim - hd
@@ -375,11 +372,11 @@ def levi_systems(g: LieAlgebra, h: Subalgebra, ledger):
     if not (ok_derived and ok_centralizer and ok_fiber):
         return "m_not_centralizer_of_its_center" if not ok_centralizer \
             else ("derived_mismatch" if not ok_derived else "odd_fiber")
-    rd = root_decomposition(g, extend_to_maximal_abelian(g, cm, m.space))
+    rd = root_decomposition(g, extend_to_maximal_abelian(g, cm, m))
     return m, cm, rd, enumerate_positive_systems(rd, m)
 
 
-def classify(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
+def classify(g: LieAlgebra, h: Subspace) -> ClassificationReport:
     """Existence and parametrization of invariant integrable structures on
     g/h: canonical m = t + h for a maximal abelian t in C_g(h), then all
     parabolics with Levi m relative to one fixed Cartan."""
@@ -393,19 +390,19 @@ def classify(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
                               f"{len(parabolics)} parabolics with Levi m, "
                               "relative to the chosen Cartan"))
     fiber = m.dim - h.dim
-    u = relative_complement(m.space, h.space)
+    u = relative_complement(m, h)
     note = (f"{len(parabolics)} parabolics (relative to one fixed Cartan) x "
             f"continuous moduli of torus structures on a fiber of dim {fiber}")
     return ClassificationReport(True, "", MData(m, u, cm, None), parabolics,
                                 fiber, note, ledger)
 
 
-def parabolic_index(g: LieAlgebra, h: Subalgebra, p: Parabolic):
+def parabolic_index(g: LieAlgebra, h: Subspace, p: Parabolic):
     """The index of p among classify(g, h).parabolics, or None when p's Levi
     is not classify's m.  With the same m, center(m), its Cartan, the root
     datum and the order of the positive systems are classify's too, so the
     index is a lookup of p's positive set."""
-    if p.levi_real.space != canonical_levi(g, h)[0].space:
+    if p.levi_real != canonical_levi(g, h)[0]:
         return None
     try:
         return enumerate_positive_systems(p.datum, p.levi_real).index(
@@ -434,34 +431,33 @@ def verify_structure(J: ComplexStructure):
     def entry(name, ok, detail=""):
         out.append(LedgerEntry(name, ok, detail))
 
-    l_plus_tau_l = l.add(tau_l)
+    l_plus_tau_l = span_sum(n, [l, tau_l])
     # g + l = g_C exactly when the real and imaginary parts of l span g
     entry("gc_equals_g_plus_l", real_points(l_plus_tau_l).dim == n,
           "g + l spans g_C over R")
     entry("gc_equals_l_plus_tau_l", l_plus_tau_l.dim == n,
           "l + tau(l) = g_C")
-    entry("hc_equals_l_cap_tau_l", l.intersect(tau_l) == quot.h.space,
+    entry("hc_equals_l_cap_tau_l", l.intersect(tau_l) == quot.h,
           "l n tau(l) = h_C")
-    entry("l_cap_g_equals_h", real_points(l) == quot.h.space,
+    entry("l_cap_g_equals_h", real_points(l) == quot.h,
           "l n g = h")
     entry("dim_l", 2 * l.dim == n + hd, f"dim_C l = {l.dim}")
     md = compute_m(J)
-    lsub = Subalgebra(g, l, check=False)
-    r = radical(lsub)
+    r = radical(g, l)
     ch = center(g, quot.h)
     entry("dim_r_prime", 2 * (r.dim - ch.dim) == n - hd,
           f"dim_C radical(l) = {r.dim}, dim center(h) = {ch.dim}")
     kc = md.derived_h
-    levi_ok = (r.space.add(kc) == l and r.space.intersect(kc).dim == 0)
+    levi_ok = span_sum(n, [r, kc]) == l and r.intersect(kc).dim == 0
     entry("levi_split", levi_ok, "l = radical(l) (+) [h,h]_C")
-    entry("radical_solvable", is_solvable(r), "")
+    entry("radical_solvable", is_solvable(g, r), "")
     # p = N(l), as decompose_J finds it, against the canonical m
-    p = normalizer(g, lsub).space
+    p = normalizer(g, l)
     entry("p_cap_tau_p_is_mc",
-          p.intersect(p.conjugate()) == md.m.space,
+          p.intersect(p.conjugate()) == md.m,
           "p n tau(p) = m_C")
     if hd == 0:
-        entry("l_solvable", is_solvable(lsub),
+        entry("l_solvable", is_solvable(g, l),
               "h = 0: l is the solvable Samelson-type subalgebra")
     return out
 
@@ -526,10 +522,10 @@ class SymmetricVerdict:
         self.checks = [] if checks is None else checks
 
 
-def largest_ideal_inside(g: LieAlgebra, h: Subalgebra) -> Subspace:
+def largest_ideal_inside(g: LieAlgebra, h: Subspace) -> Subspace:
     """The maximal ad(g)-stable subspace of h: passes cut the current space
     by [e_j, x] in it for each basis vector e_j, until one keeps it."""
-    cur = h.space
+    cur = h
     while True:
         nxt = cur
         for e in Matrix.identity(g.dim).rows:
@@ -574,7 +570,7 @@ def involution_is_automorphism(g: LieAlgebra, h: Subspace, v: Subspace):
             and all(h.contains(c) for c in pair_brackets(g, vb)))
 
 
-def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, J: ComplexStructure,
+def is_symmetric_pair(g: LieAlgebra, h: Subspace, J: ComplexStructure,
                       p: Parabolic | None = None) -> SymmetricVerdict:
     """Detect whether (g, h, J) is an irreducible Hermitian symmetric pair:
     effective irreducible isotropy forces m = h, an abelian nilradical with
@@ -586,11 +582,11 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, J: ComplexStructure,
         return SymmetricVerdict("not_applicable", "not_integrable")
     checks = []
     ideal = largest_ideal_inside(g, h)
-    cg = center(g, full_subalgebra(g))
+    cg = center(g, Subspace.full(g.dim))
     effective = ideal.dim == 0
     checks.append(LedgerEntry("effective", effective,
                               f"largest ideal of g in h has dim {ideal.dim}; "
-                              f"h n c_g dim {h.space.intersect(cg.space).dim}"))
+                              f"h n c_g dim {h.intersect(cg).dim}"))
     if not effective:
         return SymmetricVerdict("not_applicable", "non_effective", checks)
     cdim = commutant_dimension(J)
@@ -603,22 +599,22 @@ def is_symmetric_pair(g: LieAlgebra, h: Subalgebra, J: ComplexStructure,
         return SymmetricVerdict("not_applicable", "reducible_isotropy", checks)
     if p is None:
         p, _ = decompose_J(J)
-    m_eq = p.levi_real.space == h.space
+    m_eq = p.levi_real == h
     checks.append(LedgerEntry("m_equals_h", m_eq, ""))
-    nsp = p.nilradical.space
-    n_ab = p.nilradical.is_abelian()
+    nsp = p.nilradical
+    n_ab = is_abelian(g, nsp)
     checks.append(LedgerEntry("nilradical_abelian", n_ab, ""))
     tau_n = nsp.conjugate()
-    bracket_ok = all(h.space.contains(g.bracket(a, b))
+    bracket_ok = all(h.contains(g.bracket(a, b))
                      for a in tau_n.basis_vectors()
                      for b in nsp.basis_vectors())
     checks.append(LedgerEntry("bracket_tau_n_n_in_hc", bracket_ok,
                               "[tau(n), n] in h_C"))
-    v = real_points(nsp.add(tau_n))
-    split_ok = (v.intersect(h.space).dim == 0
-                and v.add(h.space).dim == g.dim)
+    v = real_points(span_sum(g.dim, [nsp, tau_n]))
+    split_ok = (v.intersect(h).dim == 0
+                and span_sum(g.dim, [v, h]).dim == g.dim)
     checks.append(LedgerEntry("cartan_split", split_ok, "g = h (+) V"))
-    theta_ok = split_ok and involution_is_automorphism(g, h.space, v)
+    theta_ok = split_ok and involution_is_automorphism(g, h, v)
     checks.append(LedgerEntry("theta_automorphism", theta_ok,
                               "id on h, -id on V"))
     ok = m_eq and n_ab and bracket_ok and split_ok and theta_ok

@@ -588,11 +588,6 @@ class Subspace:
             raise ExactError("vector not in subspace")
         return take(v, self.pivots)
 
-    def add(self, other):
-        self._check(other)
-        return Subspace.from_vectors(
-            self.ambient_dim, list(self.basis.rows) + list(other.basis.rows))
-
     def intersect(self, other):
         """Zassenhaus: (a | a) and (b | 0) reduce to rows whose first half
         is zero below rank(A + B); their second halves are A n B's RREF."""
@@ -636,6 +631,8 @@ class Subspace:
 
 
 def span_sum(ambient_dim, subspaces):
+    """The sum of the subspaces: one elimination of their bases, stacked in
+    order; the zero space for an empty list."""
     return Subspace.from_vectors(
         ambient_dim, [b for s in subspaces for b in s.basis_vectors()])
 

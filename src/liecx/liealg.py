@@ -205,41 +205,23 @@ def _positive_definite(m: Matrix) -> bool:
 
 
 class Subalgebra:
-    """A subspace of a LieAlgebra carrying a bracket-closure certificate."""
+    """A subspace of a LieAlgebra carrying a bracket-closure certificate:
+    the h that the catalog builds and `quotient` takes."""
 
     def __init__(self, algebra: LieAlgebra, space: Subspace, check=True):
         if space.ambient_dim != algebra.dim:
             raise DimensionMismatch("subalgebra ambient mismatch")
         self.algebra = algebra
         self.space = space
-        if check and not is_closed(algebra, space):
-            raise NotClosed("subspace is not closed under the bracket")
+        if check:
+            require_closed(algebra, space)
 
     @classmethod
     def span(cls, algebra, vectors, check=True):
         return cls(algebra, Subspace.from_vectors(algebra.dim, vectors), check=check)
 
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def basis_vectors(self):
-        return self.space.basis_vectors()
-
     def is_abelian(self):
-        return all(is_zero_vec(b)
-                   for b in pair_brackets(self.algebra, self.basis_vectors()))
-
-    def __eq__(self, o):
-        if not isinstance(o, Subalgebra):
-            return NotImplemented
-        return self.algebra is o.algebra and self.space == o.space
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.space))
-
-    def __repr__(self):
-        return f"Subalgebra(dim {self.dim} of {self.algebra.name or 'anon'})"
+        return is_abelian(self.algebra, self.space)
 
 
 def pair_brackets(g, vectors):
@@ -253,61 +235,63 @@ def is_closed(g, space: Subspace) -> bool:
                for b in pair_brackets(g, space.basis_vectors()))
 
 
-def zero_subalgebra(g):
-    return Subalgebra(g, Subspace.zero(g.dim), check=False)
+def require_closed(g, space: Subspace):
+    if not is_closed(g, space):
+        raise NotClosed("subspace is not closed under the bracket")
 
 
-def full_subalgebra(g):
-    return Subalgebra(g, Subspace.full(g.dim), check=False)
+def is_abelian(g, s: Subspace) -> bool:
+    return all(is_zero_vec(b) for b in pair_brackets(g, s.basis_vectors()))
 
 
-def centralizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
+def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [v, x] = 0 for each basis vector v of s}; bracket-closed."""
     c = Subspace.full(g.dim)
     for v in s.basis_vectors():
         c = kernel_of(c, lambda x: g.bracket(v, x))
-    return Subalgebra(g, c, check=False)
+    return c
 
 
-def normalizer(g: LieAlgebra, h: Subalgebra) -> Subalgebra:
+def normalizer(g: LieAlgebra, h: Subspace) -> Subspace:
     """{x : [v, x] in h for each basis vector v of h}; contains h.  h may
     be a subalgebra of g_C."""
     c = Subspace.full(g.dim)
     for v in h.basis_vectors():
-        c = kernel_of(c, lambda x: h.space.reduce(g.bracket(v, x)))
-    return Subalgebra(g, c, check=False)
+        c = kernel_of(c, lambda x: h.reduce(g.bracket(v, x)))
+    return c
 
 
-def derived(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
+def derived(g: LieAlgebra, s: Subspace) -> Subspace:
     """[s, s], canonicalized."""
-    return Subalgebra(g, Subspace.from_vectors(
-        g.dim, pair_brackets(g, s.basis_vectors())), check=False)
+    return Subspace.from_vectors(g.dim, pair_brackets(g, s.basis_vectors()))
 
 
-def center(g: LieAlgebra, s: Subalgebra) -> Subalgebra:
-    """{x in s : [x, s] = 0}."""
-    return Subalgebra(g, s.space.intersect(centralizer(g, s.space).space),
-                      check=False)
+def center(g: LieAlgebra, s: Subspace) -> Subspace:
+    """{x in s : [v, x] = 0 for each basis vector v of s}."""
+    c = s
+    for v in s.basis_vectors():
+        c = kernel_of(c, lambda x: g.bracket(v, x))
+    return c
 
 
-def own_algebra(s: Subalgebra) -> LieAlgebra:
+def own_algebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
     """The closed s as a Lie algebra in its own RREF basis: its structure
     constants are the brackets of basis pairs a before b, in s's
     coordinates."""
-    g, bs, d = s.algebra, s.basis_vectors(), s.dim
+    bs, d = s.basis_vectors(), s.dim
     table = [[vzero(d)] * d for _ in range(d)]
     for i, a in enumerate(bs):
         for j in range(i + 1, d):
-            c = s.space.coords(g.bracket(a, bs[j]))
+            c = s.coords(g.bracket(a, bs[j]))
             table[i][j], table[j][i] = c, vneg(c)
     return LieAlgebra(table)
 
 
-def _series_reaches_zero(s: Subalgebra, step) -> bool:
+def _series_reaches_zero(g, s: Subspace, step) -> bool:
     """The series [s, s], step(h, [s, s]), ... run in h = s in its own
     coordinates reaches 0; it stalls, and never does, once a term keeps the
     dimension of the one before."""
-    h = own_algebra(s)
+    h = own_algebra(g, s)
     prev, cur = h.dim, h.derived_span()
     while cur.dim:
         if cur.dim == prev:
@@ -317,14 +301,14 @@ def _series_reaches_zero(s: Subalgebra, step) -> bool:
     return True
 
 
-def is_solvable(s: Subalgebra) -> bool:
+def is_solvable(g: LieAlgebra, s: Subspace) -> bool:
     """The derived series s, [s, s], [[s, s], [s, s]], ... reaches 0."""
-    return _series_reaches_zero(s, pair_brackets)
+    return _series_reaches_zero(g, s, pair_brackets)
 
 
-def is_nilpotent(s: Subalgebra) -> bool:
+def is_nilpotent(g: LieAlgebra, s: Subspace) -> bool:
     """The lower central series s, [s, s], [s, [s, s]], ... reaches 0."""
-    return _series_reaches_zero(s, lambda h, bs: [
+    return _series_reaches_zero(g, s, lambda h, bs: [
         h.bracket(a, b) for a in Matrix.identity(h.dim).rows for b in bs])
 
 
@@ -334,37 +318,36 @@ def restricted_ad(g: LieAlgebra, x, space: Subspace) -> Matrix:
                                 for b in space.basis_vectors()])
 
 
-def radical(l: Subalgebra) -> Subalgebra:
+def radical(g: LieAlgebra, l: Subspace) -> Subspace:
     """Radical of l by the Killing-perpendicularity criterion: the set of
     x in l with kappa_l(x, [l, l]) = 0, kappa_l the Killing form of l in
     its own coordinates."""
-    h = own_algebra(l)
+    h = own_algebra(g, l)
     der = h.derived_span()
     if der.dim == 0:
         return l
     gram = h.killing_gram()
     rows = [gram.matvec(dv) for dv in der.basis_vectors()]  # symmetric gram
-    return Subalgebra(l.algebra, kernel_span(Matrix(rows), l.space),
-                      check=False)
+    return kernel_span(Matrix(rows), l)
 
 
-def extend_to_maximal_abelian(g: LieAlgebra, t: Subalgebra,
-                              within: Subspace) -> Subalgebra:
+def extend_to_maximal_abelian(g: LieAlgebra, t: Subspace,
+                              within: Subspace) -> Subspace:
     """Greedy extension of t to a subalgebra a that is maximal abelian in
     the caller's bound.  `within` is C_g(t) intersected with that bound, so
     t lies in it exactly when t is abelian and inside the bound.  Each step
     adds the first basis vector v of C(a) n bound outside a, and cuts that
     space down by C(a + v) = C(a) n C(v), centralizing v alone.  Bounded by
     g itself, a is self-centralizing: a Cartan subalgebra of compact g."""
-    if not within.contains_subspace(t.space):
+    if not within.contains_subspace(t):
         raise NotAbelian("starting subalgebra is not abelian inside its bound")
-    a, c = t.space, within
+    a, c = t, within
     while c != a:
         # a lies in c, so c has a basis vector outside a
         v = next(v for v in c.basis_vectors() if not a.contains(v))
         a = Subspace.from_vectors(g.dim, a.basis.rows + (v,))
         c = kernel_of(c, lambda x: g.bracket(v, x))
-    return Subalgebra(g, a, check=False)
+    return a
 
 
 class Quotient:
@@ -375,7 +358,7 @@ class Quotient:
     project reduces x by h and reads the residual there, lift scatters u
     onto those axes."""
 
-    def __init__(self, algebra: LieAlgebra, h: Subalgebra,
+    def __init__(self, algebra: LieAlgebra, h: Subspace,
                  complement: Subspace):
         self.algebra = algebra
         self.h = h
@@ -388,7 +371,7 @@ class Quotient:
     def project(self, x):
         if len(x) != self.algebra.dim:
             raise DimensionMismatch(f"project: {len(x)} != {self.algebra.dim}")
-        return take(self.h.space.reduce(x), self.complement.pivots)
+        return take(self.h.reduce(x), self.complement.pivots)
 
     def lift(self, u):
         u = vec(u)
@@ -409,4 +392,4 @@ class Quotient:
 
 
 def quotient(g: LieAlgebra, h: Subalgebra) -> Quotient:
-    return Quotient(g, h, h.space.complement())
+    return Quotient(g, h.space, h.space.complement())

@@ -14,7 +14,7 @@ from .exact import (
     kernel, kernel_span, vec, vadd, vneg, vscale, is_zero_vec,
     rational_eigenvalues, rref, span_sum,
 )
-from .liealg import LieAlgebra, Subalgebra, is_nilpotent, restricted_ad
+from .liealg import LieAlgebra, is_abelian, is_nilpotent, restricted_ad
 
 
 class RootError(ExactError):
@@ -57,7 +57,7 @@ class RootDatum:
     each root pair asked for lands, the Killing pairing of each root asked
     for, and the Levi roots of each m."""
 
-    def __init__(self, algebra: LieAlgebra, cartan: Subalgebra, roots: list,
+    def __init__(self, algebra: LieAlgebra, cartan: Subspace, roots: list,
                  zero_space: Subspace):
         self.algebra = algebra         # the real compact algebra g
         self.cartan = cartan           # a, abelian and self-centralizing in g
@@ -149,20 +149,20 @@ class RootDatum:
                 g.derived_span())
         return self._zero_perp
 
-    def levi_roots(self, m: Subalgebra):
+    def levi_roots(self, m: Subspace):
         """The roots whose spaces lie in m, once m is certified to be the
         zero space plus exactly those root spaces (once per m)."""
-        if m.space not in self._levi:
-            if not m.space.contains_subspace(self.zero_space):
+        if m not in self._levi:
+            if not m.contains_subspace(self.zero_space):
                 raise LeviMismatch("m does not contain the Cartan's zero space")
             levi = tuple(i for i, r in enumerate(self.roots)
-                         if m.space.contains_subspace(r.space))
+                         if m.contains_subspace(r.space))
             if self.zero_space.dim + sum(self.roots[i].space.dim
                                          for i in levi) != m.dim:
                 raise LeviMismatch(
                     "m is not the span of the zero space and full root spaces")
-            self._levi[m.space] = levi
-        return self._levi[m.space]
+            self._levi[m] = levi
+        return self._levi[m]
 
 
 def _eigenspaces(g, op_vec, space):
@@ -176,13 +176,13 @@ def _eigenspaces(g, op_vec, space):
     return pieces
 
 
-def root_decomposition(g: LieAlgebra, a: Subalgebra) -> RootDatum:
+def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
     """Simultaneous eigen-decomposition of g_C under ad of the Cartan basis.
 
     Works one Cartan generator at a time (refining), so no single regular
     element needs to separate all roots.  Validates the dimension
     bookkeeping, the +/- pairing and tau(g_alpha) = g_{-alpha}."""
-    if not a.is_abelian():
+    if not is_abelian(g, a):
         raise NotCartan("subalgebra is not abelian")
     pieces = [((), Subspace.full(g.dim))]
     for aj in a.basis_vectors():
@@ -195,7 +195,7 @@ def root_decomposition(g: LieAlgebra, a: Subalgebra) -> RootDatum:
     zero_parts = [sp for lams, sp in pieces if not any(lams)]
     zero_space = span_sum(g.dim, zero_parts)
     # the zero space is C_{g_C}(a), so a is a Cartan when it equals a_C
-    if zero_space != a.space:
+    if zero_space != a:
         raise NotCartan("subalgebra is not self-centralizing")
     # alpha(a_j) = -i*lambda; ordered by the values' imaginary parts, -lambda
     pieces.sort(key=lambda piece: piece[0], reverse=True)
@@ -212,7 +212,7 @@ def _validate_root_datum(rd: RootDatum):
     total = rd.zero_space.dim + sum(r.space.dim for r in rd.roots)
     if total != n:
         raise RootError("root spaces do not fill g_C")  # pragma: no cover
-    if not rd.zero_space.contains_subspace(rd.cartan.space):
+    if not rd.zero_space.contains_subspace(rd.cartan):
         raise RootError("zero space does not contain the Cartan")  # pragma: no cover
     if rd.zero_space.conjugate() != rd.zero_space:
         raise RootError("tau does not fix the zero space")  # pragma: no cover
@@ -237,8 +237,8 @@ def _validate_root_datum(rd: RootDatum):
 class Parabolic:
     """p = m_C (+) n inside g_C, with real Levi m and nilradical n."""
 
-    def __init__(self, levi_real: Subalgebra, positive_set: tuple,
-                 nilradical: Subalgebra, space: Subalgebra, datum: RootDatum):
+    def __init__(self, levi_real: Subspace, positive_set: tuple,
+                 nilradical: Subspace, space: Subspace, datum: RootDatum):
         self.levi_real = levi_real         # m, subalgebra of the real g
         self.positive_set = positive_set   # indices into the ambient RootDatum
         self.nilradical = nilradical       # n, subalgebra of g_C
@@ -248,16 +248,15 @@ class Parabolic:
     def __eq__(self, o):
         if not isinstance(o, Parabolic):
             return NotImplemented
-        return (self.space.space == o.space.space
-                and self.levi_real.space == o.levi_real.space
-                and self.nilradical.space == o.nilradical.space)
+        return (self.space == o.space and self.levi_real == o.levi_real
+                and self.nilradical == o.nilradical)
 
     def __repr__(self):
         return (f"Parabolic(dim {self.space.dim}, levi {self.levi_real.dim}, "
                 f"nilradical {self.nilradical.dim})")
 
 
-def enumerate_positive_systems(rd: RootDatum, m: Subalgebra):
+def enumerate_positive_systems(rd: RootDatum, m: Subspace):
     """All antisymmetric sign choices Q = Q+ u -Q+ on the roots outside the
     Levi that are closed under root addition and under adding Levi roots.
 
@@ -331,7 +330,7 @@ def killing_perp_nilradical(rd: RootDatum, p_roots):
                                      if rd.negative_of(a) not in p_roots)
 
 
-def build_parabolic(rd: RootDatum, m: Subalgebra, q_plus) -> Parabolic:
+def build_parabolic(rd: RootDatum, m: Subspace, q_plus) -> Parabolic:
     """p = m_C (+) (direct sum of the Q+ root spaces), fully validated.
 
     p is certified on root indices from the datum's record (the zero space
@@ -361,14 +360,13 @@ def build_parabolic(rd: RootDatum, m: Subalgebra, q_plus) -> Parabolic:
         for b in nil:
             if rd.bracket_target(a, b) not in lands_in_n:
                 raise ClosureFailure("n is not an ideal of p")
-    n_space = span_sum(g.dim, [rd.roots[i].space for i in sorted(nil)])
     # n is closed, since n lies in p and [p, n] is in n
-    n = Subalgebra(g, n_space, check=False)
-    if n.dim and not is_nilpotent(n):
+    n = span_sum(g.dim, [rd.roots[i].space for i in sorted(nil)])
+    if n.dim and not is_nilpotent(g, n):
         raise ClosureFailure("n is not nilpotent")
     # independent oracle for the nilradical
     zero_part, perp = killing_perp_nilradical(rd, p_roots)
     if zero_part.dim or perp != nil:
         raise ClosureFailure("Killing-perpendicular nilradical disagrees")
-    p = Subalgebra(g, m.space.add(n_space), check=False)
+    p = span_sum(g.dim, [m, n])
     return Parabolic(m, tuple(sorted(q_plus)), n, p, rd)

@@ -89,8 +89,9 @@ def classified(spec):
 def s2_instance():
     """su(2) / u(1): the sphere S^2 with J e1 = e2."""
     g = build(su(2))
-    h = build_subalgebra(g, su(2), "span", span=[[0, 0, 1]])
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, su(2), "span",
+                                             span=[[0, 0, 1]]))
+    h = quot.h
     j = Matrix([[ZERO, GQ(-1)], [ONE, ZERO]])
     return g, h, quot, cx.ComplexStructure(quot, j)
 
@@ -98,8 +99,8 @@ def s2_instance():
 def calabi_eckmann_instance():
     """su(2)+su(2) / 0 with J(e1,0)=(e2,0), J(0,e1)=(0,e2), J(e3,0)=(0,e3)."""
     g = build(direct_sum(su(2), su(2)))
-    h = build_subalgebra(g, None, "zero")
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, None, "zero"))
+    h = quot.h
     m = [[ZERO] * 6 for _ in range(6)]
     for src, dst in ((0, 1), (3, 4), (2, 5)):
         m[dst][src] = ONE
@@ -110,8 +111,8 @@ def calabi_eckmann_instance():
 def swap_structure():
     """The non-integrable control on su(2)+su(2): J(x, y) = (-y, x)."""
     g = build(direct_sum(su(2), su(2)))
-    h = build_subalgebra(g, None, "zero")
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, None, "zero"))
+    h = quot.h
     m = [[ZERO] * 6 for _ in range(6)]
     for k in range(3):
         m[3 + k][k] = ONE

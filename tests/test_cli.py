@@ -393,19 +393,38 @@ def test_verify_runs_no_derived_series_in_g(tmp_path, name):
     assert calls(liealg.derived) <= 1
 
 
-@pytest.mark.parametrize("command", ["classify", "construct", "decompose"])
+GOLDEN_SPECS = {c["file"]: c["spec"] for c in json.loads(
+    (GOLDEN / "manifest.json").read_text())}
+
+
+CENTRALIZER_CALLS = {"classify": 2, "construct": 2, "decompose": 2, "m": 1,
+                     "verify": 1, "symmetric": 2}
+
+
+@pytest.mark.parametrize("command", list(CENTRALIZER_CALLS))
 @pytest.mark.parametrize("name", ["su3_t", "so5_t"])
 def test_each_centralizer_is_computed_once(tmp_path, command, name):
-    # C(h), center(m) and C(center(m)): each Cartan extension cuts its
-    # bound by the centralizer of the one vector it adds, and
-    # root_decomposition reads NotCartan off its zero space.  Recomputing
-    # C(a) at each step and for NotCartan made 8 calls here.
+    # classify, construct and symmetric without j take C(h) for m = t + h
+    # and C(center(m)) to certify m; decompose takes C(center(m)) in
+    # compute_m and C(h) for p's index; m and verify take C(center(m)) alone.
+    # Each Cartan extension cuts its bound by the centralizer of the one
+    # vector it adds, root_decomposition reads NotCartan off its zero space,
+    # and center(s) cuts s itself.  Centralizing s in all of g for each
+    # center made 3 calls in decompose, verify and symmetric, and 2 in m.
     spec = {"su3_t": SU3_T, "so5_t": SO5_T}[name]
-    extra = ["--parabolic-index", "0"] if command == "construct" else []
-    if command == "decompose":
-        spec = DECOMPOSE_SPECS[f"{name}__decompose.json"]
-    calls = profiled_calls(tmp_path, spec, command, *extra)
-    assert calls(liealg.centralizer) <= 3
+    extra = []
+    if command in ("construct", "symmetric"):
+        extra = ["--parabolic-index", "0"]
+    elif command != "classify":
+        spec = GOLDEN_SPECS[f"{name}__{command}"
+                            f"{'_seed0' if command == 'verify' else ''}.json"]
+    path = write_spec(tmp_path, spec)
+    code, calls = profiled(cli.main, ["--spec", path, "--command", command,
+                                      "--out", str(tmp_path / "report.json"),
+                                      *extra])
+    # the flag manifolds are not symmetric: symmetric exits 1
+    assert code == (command == "symmetric")
+    assert calls(liealg.centralizer) <= CENTRALIZER_CALLS[command]
 
 
 @pytest.mark.parametrize("spec,count", [(SU3_T, 6), (SO5_T, 8)],

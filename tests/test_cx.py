@@ -9,7 +9,7 @@ from liecx.exact import (
     GQ, ZERO, ONE, Matrix, Subspace, vec,
     vunit, vadd, vscale, is_zero_vec, real_points,
 )
-from liecx.liealg import Subalgebra, quotient as make_quotient
+from liecx.liealg import Subalgebra, is_abelian, quotient as make_quotient
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx import cx
 from liecx.cx import (
@@ -48,8 +48,8 @@ def test_h_zero_always_invariant():
 
 def test_noninvariant_j_on_su3_t_detected():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus")
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
+    h = quot.h
     # map the first root plane to the second: the torus acts with different
     # scalars on the two planes, so this cannot commute with ad-bar(t)
     m = [[ZERO] * 6 for _ in range(6)]
@@ -123,8 +123,8 @@ def test_plus_space_s2():
 
 def test_plus_space_torus():
     g = build(torus(2))
-    h = build_subalgebra(g, torus(2), "zero")
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, torus(2), "zero"))
+    h = quot.h
     J = ComplexStructure(quot, rot(2))
     l = cx.plus_space(J)
     assert l == Subspace.from_vectors(2, [
@@ -143,15 +143,15 @@ def test_plus_space_dimension_identity():
 def test_compute_m_s2():
     g, h, quot, J = s2_instance()
     md = cx.compute_m(J)
-    assert md.m.space == h.space
+    assert md.m == h
     assert md.u.dim == 0
 
 
 def test_compute_m_calabi_eckmann():
     g, h, quot, J = calabi_eckmann_instance()
     md = cx.compute_m(J)
-    assert md.m.space == Subspace.from_vectors(6, [vunit(6, 2), vunit(6, 5)])
-    assert md.m.is_abelian()
+    assert md.m == Subspace.from_vectors(6, [vunit(6, 2), vunit(6, 5)])
+    assert is_abelian(g, md.m)
     assert md.u.dim == 2
 
 
@@ -170,16 +170,15 @@ def test_construct_calabi_eckmann_from_parabolic():
     from liecx.roots import root_decomposition, enumerate_positive_systems, \
         build_parabolic
     g, h, quot, Jce = calabi_eckmann_instance()
-    t = Subalgebra.span(g, [vunit(6, 2), vunit(6, 5)])
+    t = Subalgebra.span(g, [vunit(6, 2), vunit(6, 5)]).space
     rd = root_decomposition(g, t)
     u1 = vadd(vunit(6, 0), vscale(GQ(0, -1), vunit(6, 1)))
     u2 = vadd(vunit(6, 3), vscale(GQ(0, -1), vunit(6, 4)))
     parabolics = [build_parabolic(rd, t, qp)
                   for qp in enumerate_positive_systems(rd, t)]
     p = next(q for q in parabolics
-             if q.nilradical.space.contains(u1)
-             and q.nilradical.space.contains(u2))
-    ufib = t.space
+             if q.nilradical.contains(u1) and q.nilradical.contains(u2))
+    ufib = t
     assert tuple(ufib.basis_vectors()) == (vunit(6, 2), vunit(6, 5))
     j1 = TorusComplexStructure(ufib, Matrix([[ZERO, GQ(-1)], [ONE, ZERO]]))
     J = cx.construct_J(quot, p, j1)
@@ -195,8 +194,8 @@ def test_construct_s2_from_borel():
 
 def test_construct_torus_returns_j1():
     g = build(torus(2))
-    h = build_subalgebra(g, torus(2), "zero")
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, torus(2), "zero"))
+    h = quot.h
     rep = cx.classify(g, h)
     assert len(rep.parabolics) == 1
     j1 = TorusComplexStructure(rep.m.u, rot(2))
@@ -233,7 +232,7 @@ def test_construct_certifies_p_is_the_normalizer_of_l(monkeypatch):
     g, h, quot, J = s2_instance()
     p, _ = cx.decompose_J(J)
     monkeypatch.setattr(cx, "normalizer",
-                        lambda g, l: Subalgebra(g, Subspace.full(g.dim)))
+                        lambda g, l: Subspace.full(g.dim))
     with pytest.raises(cx.TheoremViolation, match="normalizer of l"):
         cx.construct_J(quot, p)
 
@@ -242,8 +241,8 @@ def test_construct_rejects_a_parabolic_whose_levi_does_not_fit_h():
     g = build(su(3))
     t = build_subalgebra(g, su(3), "maximal_torus")
     u2 = build_subalgebra(g, su(3), "block_u", k=2)
-    borel = cx.classify(g, t).parabolics[0]
-    u2_parabolic = cx.classify(g, u2).parabolics[0]
+    borel = cx.classify(g, t.space).parabolics[0]
+    u2_parabolic = cx.classify(g, u2.space).parabolics[0]
     # h = u(2) is not inside a Borel's Levi t
     with pytest.raises(LeviMismatch, match="h is not contained"):
         cx.construct_J(make_quotient(g, u2), borel)
@@ -255,15 +254,16 @@ def test_construct_rejects_a_parabolic_whose_levi_does_not_fit_h():
     g, h, quot, _ = calabi_eckmann_instance()
     p = cx.classify(g, h).parabolics[0]
     plane = Subspace.from_vectors(6, [vunit(6, 0), vunit(6, 1)])
-    assert plane != p.levi_real.space
+    assert plane != p.levi_real
     with pytest.raises(LeviMismatch, match="different fiber"):
         cx.construct_J(quot, p, TorusComplexStructure(plane, rot(2)))
 
 
 def test_parabolic_index_rejects_an_unknown_positive_set():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus")
-    p, _ = cx.decompose_J(cx.construct_J(make_quotient(g, h),
+    quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
+    h = quot.h
+    p, _ = cx.decompose_J(cx.construct_J(quot,
                                          cx.classify(g, h).parabolics[1]))
     assert cx.parabolic_index(g, h, p) == 1
     unknown = Parabolic(p.levi_real, (), p.nilradical, p.space, p.datum)
@@ -273,7 +273,7 @@ def test_parabolic_index_rejects_an_unknown_positive_set():
 
 def test_parabolic_equality_compares_p_m_and_n():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus")
+    h = build_subalgebra(g, su(3), "maximal_torus").space
     first, second = cx.classify(g, h).parabolics[:2]
     again = cx.classify(g, h).parabolics[0]
     assert first is not again and first == again
@@ -311,10 +311,10 @@ def test_decompose_p_properties():
     p, j1 = cx.decompose_J(J)
     l = cx.plus_space(J)
     # p is u (+) l as real spaces, and p n g = m
-    assert real_points(p.space.space) == p.levi_real.space
-    assert p.space.space.contains_subspace(l)
-    assert l.contains_subspace(p.nilradical.space)
-    assert l.intersect(l.conjugate()) == h.space
+    assert real_points(p.space) == p.levi_real
+    assert p.space.contains_subspace(l)
+    assert l.contains_subspace(p.nilradical)
+    assert l.intersect(l.conjugate()) == h
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +322,10 @@ def test_decompose_p_properties():
 
 def test_classify_su3_t():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus")
+    h = build_subalgebra(g, su(3), "maximal_torus").space
     rep = cx.classify(g, h)
     assert rep.exists
-    assert rep.m.m.space == h.space
+    assert rep.m.m == h
     assert len(rep.parabolics) == 6
     assert rep.fiber_dim == 0
     assert all(e.ok for e in rep.ledger)
@@ -333,13 +333,13 @@ def test_classify_su3_t():
 
 def test_classify_su2su2():
     g = build(direct_sum(su(2), su(2)))
-    rep = cx.classify(g, build_subalgebra(g, None, "zero"))
+    rep = cx.classify(g, build_subalgebra(g, None, "zero").space)
     assert rep.exists and len(rep.parabolics) == 4 and rep.fiber_dim == 2
 
 
 def test_classify_odd_dimension():
     g = build(su(2))
-    rep = cx.classify(g, build_subalgebra(g, None, "zero"))
+    rep = cx.classify(g, build_subalgebra(g, None, "zero").space)
     assert not rep.exists and rep.reason == "odd_dimension"
 
 
@@ -356,8 +356,8 @@ def test_verify_ledger_s2_and_ce():
 
 def test_verify_ledger_su3_borel():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus")
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
+    h = quot.h
     J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
     assert cx.plus_space(J).dim == 5
     assert all(e.ok for e in cx.verify_structure(J))
@@ -381,8 +381,8 @@ def test_symmetric_s2():
 
 def test_symmetric_cp2():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "block_u", k=2)
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, su(3), "block_u", k=2))
+    h = quot.h
     J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
     v = cx.is_symmetric_pair(g, h, J)
     assert v.status == "symmetric"
@@ -390,8 +390,8 @@ def test_symmetric_cp2():
 
 def test_symmetric_flag_not_applicable():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus")
-    quot = make_quotient(g, h)
+    quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
+    h = quot.h
     J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
     v = cx.is_symmetric_pair(g, h, J)
     assert v.status == "not_applicable"

@@ -169,17 +169,17 @@ def spaces(ambient=4):
 @settings(max_examples=25, deadline=None)
 @given(spaces(), spaces())
 def test_subspace_dimension_formula(a, b):
-    assert a.add(b).dim + a.intersect(b).dim == a.dim + b.dim
+    assert span_sum(4, [a, b]).dim + a.intersect(b).dim == a.dim + b.dim
 
 
 @settings(max_examples=25, deadline=None)
 @given(spaces(), spaces())
 def test_subspace_lattice_laws(a, b):
-    s = a.add(b)
+    s = span_sum(4, [a, b])
     assert s.contains_subspace(a) and s.contains_subspace(b)
     t = a.intersect(b)
     assert a.contains_subspace(t) and b.contains_subspace(t)
-    assert a.add(a) == a and a.intersect(a) == a
+    assert span_sum(4, [a, a]) == a and a.intersect(a) == a
 
 
 @settings(max_examples=25, deadline=None)

@@ -29,9 +29,9 @@ from liecx.exact import (
 )
 from liecx.liealg import (
     LieAlgebra, Subalgebra, NotAbelian, center, centralizer, derived,
-    extend_to_maximal_abelian, full_subalgebra, is_closed, is_nilpotent,
+    extend_to_maximal_abelian, is_abelian, is_closed, is_nilpotent,
     is_solvable, normalizer, quotient, radical, restricted_ad,
-    zero_subalgebra, pair_brackets, _positive_definite,
+    pair_brackets, _positive_definite,
 )
 from liecx.catalog import (
     build, build_subalgebra, direct_sum, su, so, u, _block_u_space,
@@ -152,26 +152,25 @@ def power_combinations(n, basis):
 def find_regular(g, a):
     """First element of a with coefficient pattern (1, k, k^2, ...) whose
     centralizer is exactly a."""
-    if centralizer(g, a.space).space != a.space:
+    if centralizer(g, a) != a:
         raise roots.NotCartan("subalgebra is not self-centralizing")
     return next(h0 for h0 in power_combinations(g.dim, a.basis_vectors())
-                if centralizer(g, Subspace.from_vectors(g.dim, [h0])).space
-                == a.space)
+                if centralizer(g, Subspace.from_vectors(g.dim, [h0])) == a)
 
 
 def value_at(rd, root, x):
     """alpha(x) for x in the complexified Cartan (complex-linear)."""
     return sum((Q.coerce(c) * Q.coerce(v) for c, v in
-                zip(rd.cartan.space.coords(x), root.values, strict=True)),
+                zip(rd.cartan.coords(x), root.values, strict=True)),
                ZERO)
 
 
 def parabolic_from_abelian(g, t):
     """The parabolic of Levi m = C_g(t) cut out by a regular element of i*t."""
-    if not t.is_abelian():
+    if not is_abelian(g, t):
         raise roots.RootError("t must be abelian")
-    m = centralizer(g, t.space)
-    rd = roots.root_decomposition(g, extend_to_maximal_abelian(g, t, m.space))
+    m = centralizer(g, t)
+    rd = roots.root_decomposition(g, extend_to_maximal_abelian(g, t, m))
     q = [i for i, r in enumerate(rd.roots)
          if any(value_at(rd, r, b) for b in t.basis_vectors())]
     if not q:
@@ -190,7 +189,7 @@ def parabolic_from_abelian(g, t):
 def dense_quotient_maps(quot):
     """The projection rows of B^-1, B = (h basis | complement axes), and
     the section whose columns are the complement axes."""
-    h, comp = quot.h.space, quot.complement
+    h, comp = quot.h, quot.complement
     b = Matrix.from_columns(list(h.basis_vectors()) + list(comp.basis_vectors()))
     projection = Matrix(inverse(b).rows[h.dim:])
     section = Matrix.from_columns(list(comp.basis_vectors()))
@@ -213,8 +212,7 @@ SU3_SUBALGEBRAS = [
                               for n, kw in SU3_SUBALGEBRAS])
 def test_project_and_lift_match_dense_maps(name, kw):
     g = build(su(3))
-    h = build_subalgebra(g, su(3), name, **kw)
-    quot = quotient(g, h)
+    quot = quotient(g, build_subalgebra(g, su(3), name, **kw))
     projection, section = dense_quotient_maps(quot)
     rng = random.Random(f"{name}{kw}")
     xs = [vunit(g.dim, k) for k in range(g.dim)]
@@ -226,7 +224,7 @@ def test_project_and_lift_match_dense_maps(name, kw):
     for v in us:
         assert quot.lift(v) == section.matvec(v)
         assert quot.project(quot.lift(v)) == vec(v)
-    for b in h.basis_vectors():
+    for b in quot.h.basis_vectors():
         assert quot.project(b) == vzero(quot.dim)
 
 
@@ -837,8 +835,8 @@ def test_parabolic_index_matches_classify_on_golden_cases(tmp_path, case):
 
 def test_parabolic_index_matches_classify_on_su4_t():
     g = build(su(4))
-    h = build_subalgebra(g, su(4), "maximal_torus")
-    quot = quotient(g, h)
+    quot = quotient(g, build_subalgebra(g, su(4), "maximal_torus"))
+    h = quot.h
     report = cx.classify(g, h)
     assert len(report.parabolics) == 24
     for k in (0, 5, 23):
@@ -851,11 +849,12 @@ def test_parabolic_index_is_none_off_classify_levi():
     """On su(2)+su(2)/0, the Cartan span(e1, e4) is not classify's m."""
     spec = direct_sum(su(2), su(2))
     g = build(spec)
-    h = build_subalgebra(g, spec, "zero")
-    t = Subalgebra.span(g, [vunit(6, 1), vunit(6, 4)])
-    J = cx.construct_J(quotient(g, h), parabolic_from_abelian(g, t))
+    quot = quotient(g, build_subalgebra(g, spec, "zero"))
+    h = quot.h
+    t = Subalgebra.span(g, [vunit(6, 1), vunit(6, 4)]).space
+    J = cx.construct_J(quot, parabolic_from_abelian(g, t))
     p, _ = cx.decompose_J(J)
-    assert p.levi_real.space == t.space
+    assert p.levi_real == t
     assert cx.parabolic_index(g, h, p) is None
     assert classify_then_search(g, h, p) is None
 
@@ -1258,12 +1257,12 @@ def test_theta_criterion_matches_matrix_on_golden_splits(tmp_path):
     verdicts = {}
     for case in SYMMETRIC_CASES:
         g, h, J = golden_structure(tmp_path, case)
-        n = cx.decompose_J(J)[0].nilradical.space
-        v = real_points(n.add(n.conjugate()))
-        if v.intersect(h.space).dim or v.add(h.space).dim != g.dim:
+        n = cx.decompose_J(J)[0].nilradical
+        v = real_points(span_sum(g.dim, [n, n.conjugate()]))
+        if v.intersect(h).dim or span_sum(g.dim, [v, h]).dim != g.dim:
             continue
-        ok = cx.involution_is_automorphism(g, h.space, v)
-        assert ok == theta_by_matrix(g, h.space, v), case["file"]
+        ok = cx.involution_is_automorphism(g, h, v)
+        assert ok == theta_by_matrix(g, h, v), case["file"]
         verdicts[case["file"]] = ok
     assert verdicts["su4_u3__symmetric.json"] is True
     assert verdicts["su3_t__symmetric.json"] is False
@@ -1382,7 +1381,7 @@ def g_plus_l_by_realification(l):
     n = l.ambient_dim
     real_axes = Subspace.from_vectors(
         2 * n, [realify_vector(vunit(n, j)) for j in range(n)])
-    return real_axes.add(realify_subspace(l)).dim == 2 * n
+    return span_sum(2 * n, [real_axes, realify_subspace(l)]).dim == 2 * n
 
 
 VERIFY_CASES = [c for c in MANIFEST if c["command"] == "verify"]
@@ -1399,8 +1398,7 @@ def test_verify_certificates_match_the_formulas_they_replaced(tmp_path,
         cx.plus_space(J)) is True
     p = cx.decompose_J(J)[0]
     assert ledger["p_cap_tau_p_is_mc"] is (
-        p.space.space.intersect(p.space.space.conjugate())
-        == p.levi_real.space) is True
+        p.space.intersect(p.space.conjugate()) == p.levi_real) is True
 
 
 def test_g_plus_l_criterion_matches_realification_where_it_fails():
@@ -1417,7 +1415,8 @@ def test_g_plus_l_criterion_matches_realification_where_it_fails():
                for k in (1, 2, 3, 4, 4, 5, 6)]
     verdicts = []
     for l in spaces:
-        ok = real_points(l.add(l.conjugate())).dim == l.ambient_dim
+        ok = real_points(span_sum(l.ambient_dim, [l, l.conjugate()])).dim \
+            == l.ambient_dim
         assert ok == g_plus_l_by_realification(l)
         verdicts.append(ok)
     assert verdicts[:2] == [False, True] and verdicts.count(False) > 2
@@ -1441,7 +1440,7 @@ def dense_build_parabolic(rd, m, q_plus):
     g = rd.algebra
     n_space = span_sum(g.dim, [rd.roots[i].space for i in q_plus]) \
         if q_plus else Subspace.zero(g.dim)
-    p_space = m.space.add(n_space)
+    p_space = span_sum(g.dim, [m, n_space])
     if not is_closed(g, p_space):
         raise roots.ClosureFailure("p is not bracket-closed")
     if not p_space.contains_subspace(rd.zero_space):
@@ -1451,25 +1450,23 @@ def dense_build_parabolic(rd, m, q_plus):
         if not (p_space.contains_subspace(rd.roots[i].space)
                 or p_space.contains_subspace(rd.roots[j].space)):
             raise roots.ClosureFailure("p misses both root spaces of a +/- pair")
-    if p_space.intersect(p_space.conjugate()) != m.space:
+    if p_space.intersect(p_space.conjugate()) != m:
         raise roots.ClosureFailure("p n tau(p) != m_C")
     for a in p_space.basis_vectors():
         for b in n_space.basis_vectors():
             if not n_space.contains(g.bracket(a, b)):
                 raise roots.ClosureFailure("n is not an ideal of p")
-    n = Subalgebra(g, n_space, check=False)
-    if n.dim and not dense_is_nilpotent(n):
+    if n_space.dim and not dense_is_nilpotent(g, n_space):
         raise roots.ClosureFailure("n is not nilpotent")
     if dense_killing_perp_nilradical(g, p_space) != n_space:
         raise roots.ClosureFailure("Killing-perpendicular nilradical disagrees")
-    return roots.Parabolic(m, tuple(sorted(q_plus)), n,
-                           Subalgebra(g, p_space, check=False), rd)
+    return roots.Parabolic(m, tuple(sorted(q_plus)), n_space, p_space, rd)
 
 
-def dense_is_nilpotent(s):
+def dense_is_nilpotent(g, s):
     """The lower central series taken in g: [s, s] from the brackets of
     basis pairs a before b, then [s, C] until the dimension stops falling."""
-    g, bs = s.algebra, s.basis_vectors()
+    bs = s.basis_vectors()
     cur = Subspace.from_vectors(g.dim, [g.bracket(a, b) for i, a in
                                         enumerate(bs) for b in bs[i + 1:]])
     if cur.dim == s.dim:
@@ -1483,65 +1480,64 @@ def dense_is_nilpotent(s):
     return True
 
 
-def dense_is_solvable(s):
+def dense_is_solvable(g, s):
     """The derived series taken in g, one `derived` call a term."""
     while s.dim > 0:
-        nxt = derived(s.algebra, s)
+        nxt = derived(g, s)
         if nxt.dim == s.dim:
             return False
         s = nxt
     return True
 
 
-def restricted_ad_radical(l):
+def restricted_ad_radical(g, l):
     """The x in l with kappa_l(x, [l, l]) = 0, kappa_l the trace form of the
     d matrices of ad restricted to l."""
-    g = l.algebra
     bs = l.basis_vectors()
     d = len(bs)
     if d == 0:
         return l
     # tr(A B) pairs A read row by row with B read column by column
-    ads = [restricted_ad(g, u, l.space) for u in bs]
+    ads = [restricted_ad(g, u, l) for u in bs]
     gram = Matrix([a.flatten() for a in ads]) \
         * Matrix([a.transpose().flatten() for a in ads]).transpose()
     der = Subspace.from_vectors(
-        d, [l.space.coords(b) for b in pair_brackets(g, bs)])
+        d, [l.coords(b) for b in pair_brackets(g, bs)])
     if der.dim == 0:
         return l
     rows = [gram.matvec(dv) for dv in der.basis_vectors()]
-    return Subalgebra(g, kernel_span(Matrix(rows), l.space), check=False)
+    return kernel_span(Matrix(rows), l)
 
 
 @pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su2su2_0",
                                   "dense_so5_t", "dense_su3_t"])
 def test_nilpotency_in_own_coordinates_matches_the_series_in_g(name):
     g, h, report = classified(ORACLE_SPECS[name])
-    subs = [full_subalgebra(g), h, report.m.m] + [
+    subs = [Subspace.full(g.dim), h, report.m.m] + [
         s for p in report.parabolics[:8] for s in (p.nilradical, p.space)]
-    verdicts = [is_nilpotent(s) for s in subs]
-    assert verdicts == [dense_is_nilpotent(s) for s in subs]
+    verdicts = [is_nilpotent(g, s) for s in subs]
+    assert verdicts == [dense_is_nilpotent(g, s) for s in subs]
     assert {True, False} <= set(verdicts)
-    verdicts = [is_solvable(s) for s in subs]
-    assert verdicts == [dense_is_solvable(s) for s in subs]
+    verdicts = [is_solvable(g, s) for s in subs]
+    assert verdicts == [dense_is_solvable(g, s) for s in subs]
     assert {True, False} <= set(verdicts)
-    radicals = [radical(s) for s in subs]
-    assert radicals == [restricted_ad_radical(s) for s in subs]
+    radicals = [radical(g, s) for s in subs]
+    assert radicals == [restricted_ad_radical(g, s) for s in subs]
     assert {r.dim for r in radicals} != {0}
 
 
 def loop_extend_to_maximal_abelian(g, t, within=None):
     """The extension that recomputes C(a) at every step, cut by within when
     it is given, with t tested abelian by its pair brackets."""
-    if not t.is_abelian():
+    if not is_abelian(g, t):
         raise NotAbelian("starting subalgebra is not abelian")
-    a = t.space
+    a = t
     while True:
-        c = centralizer(g, a).space
+        c = centralizer(g, a)
         if within is not None:
             c = c.intersect(within)
         if c == a:
-            return Subalgebra(g, a, check=False)
+            return a
         v = next(v for v in c.basis_vectors() if not a.contains(v))
         a = Subspace.from_vectors(g.dim, a.basis.rows + (v,))
 
@@ -1555,7 +1551,7 @@ def rotated_problem(name):
     """g and h = 0 of a ROTATED_PROBLEMS entry, rotated once per session."""
     spec, seed = ROTATED_PROBLEMS[name]
     g = rotated(build(spec), seed)
-    return g, zero_subalgebra(g)
+    return g, Subspace.zero(g.dim)
 
 
 @pytest.mark.parametrize("name", ["su3_t", "so5_t", "su3_u2", "su4_u2",
@@ -1567,19 +1563,19 @@ def test_cartan_extension_matches_the_loop_that_recomputes_each_centralizer(
         g, h = rotated_problem(name)
     else:
         g, h, _ = classified(ORACLE_SPECS[name])
-    zero = zero_subalgebra(g)
+    zero = Subspace.zero(g.dim)
     # classify's t, maximal abelian in C(h)
-    ch = centralizer(g, h.space).space
+    ch = centralizer(g, h)
     assert extend_to_maximal_abelian(g, zero, ch) \
         == loop_extend_to_maximal_abelian(g, zero, ch)
     # its Cartan through center(m), bounded by m = C(center(m))
     m, t = cx.canonical_levi(g, h)
     cm = center(g, m)
-    assert same_subspace(cm.space, t.space)
-    assert centralizer(g, cm.space).space == m.space
-    a = extend_to_maximal_abelian(g, cm, m.space)
+    assert same_subspace(cm, t)
+    assert centralizer(g, cm) == m
+    a = extend_to_maximal_abelian(g, cm, m)
     assert a == loop_extend_to_maximal_abelian(g, cm)
-    assert centralizer(g, a.space).space == a.space
+    assert centralizer(g, a) == a
     # unbounded: C(0) is g
     assert extend_to_maximal_abelian(g, zero, Subspace.full(g.dim)) \
         == loop_extend_to_maximal_abelian(g, zero)
@@ -1589,7 +1585,7 @@ def product_positive_systems(rd, m):
     """Every sign vector on the +/- pairs outside the Levi, in
     itertools.product order, kept when closed under root addition; the
     Levi roots are those vanishing on center(m)."""
-    cm = center(rd.algebra, m).space
+    cm = center(rd.algebra, m)
     levi = [i for i, r in enumerate(rd.roots)
             if all(not value_at(rd, r, b)
                    for b in cm.basis_vectors())]
@@ -1615,9 +1611,9 @@ def product_positive_systems(rd, m):
 
 def same_parabolic(p, q):
     return (p.positive_set == q.positive_set
-            and p.space.space == q.space.space
-            and p.nilradical.space == q.nilradical.space
-            and p.levi_real.space == q.levi_real.space)
+            and p.space == q.space
+            and p.nilradical == q.nilradical
+            and p.levi_real == q.levi_real)
 
 
 ORACLE_SPECS = {}
@@ -1747,7 +1743,8 @@ def greedy_relative_complement(outer, inner):
     for row in outer.basis_vectors():
         if not cur.contains(row):
             chosen.append(row)
-            cur = cur.add(Subspace.from_vectors(outer.ambient_dim, [row]))
+            cur = span_sum(outer.ambient_dim, [
+                cur, Subspace.from_vectors(outer.ambient_dim, [row])])
     return Subspace.from_vectors(outer.ambient_dim, chosen)
 
 
@@ -1919,15 +1916,14 @@ def cut_instances(name):
     else:
         g, h, report = classified(ORACLE_SPECS[name])
     m, t = cx.canonical_levi(g, h)
-    subs = [h, m, t, full_subalgebra(g), zero_subalgebra(g)]
-    quot = quotient(g, h)
+    subs = [h, m, t, Subspace.full(g.dim), Subspace.zero(g.dim)]
+    quot = quotient(g, Subalgebra(g, h))
     gens = [[quot.induced_map(x) for x in (t if h.dim == 0 else h)
              .basis_vectors()]]
     if report is not None and report.exists:
         p = report.parabolics[0]
         J = cx.construct_J(quot, p)
-        l = Subalgebra(g, cx.plus_space(J), check=False)
-        subs += [l, p.space, p.nilradical]
+        subs += [cx.plus_space(J), p.space, p.nilradical]
         gens += [cx.induced_actions(J) + [J.j], [J.j]]
     return g, subs, gens
 
@@ -1937,14 +1933,13 @@ def cut_instances(name):
                                   "dense_su3_t", *ROTATED_PROBLEMS])
 def test_cuts_one_condition_at_a_time_match_the_stacked_kernels(name):
     g, subs, gens = cut_instances(name)
-    assert any(not s.space.is_real() for s in subs) == (len(gens) > 1)
+    assert any(not s.is_real() for s in subs) == (len(gens) > 1)
     for s in subs:
-        assert same_subspace(centralizer(g, s.space).space,
-                             ad_row_centralizer(g, s.space))
-        assert same_subspace(normalizer(g, s).space,
-                             reduction_normalizer(g, s.space))
+        assert same_subspace(centralizer(g, s), ad_row_centralizer(g, s))
+        assert same_subspace(center(g, s), s.intersect(centralizer(g, s)))
+        assert same_subspace(normalizer(g, s), reduction_normalizer(g, s))
         assert same_subspace(cx.largest_ideal_inside(g, s),
-                             reduction_largest_ideal(g, s.space))
+                             reduction_largest_ideal(g, s))
     for ms in gens:
         q = ms[0].nrows
         assert cx.commutant(q, ms) == unit_matrix_commutant(q, ms)

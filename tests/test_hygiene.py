@@ -135,6 +135,26 @@ def test_no_unused_imports(path):
             if name not in used} == {}
 
 
+def test_only_the_catalog_builds_a_subalgebra():
+    # library routines take and return a Subspace, with g passed first; the
+    # Subalgebra wrapper is only the catalog's certified h, which quotient
+    # takes and unwraps
+    builds, hops = [], []
+    for path in sorted((ROOT / "src" / "liecx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (
+                    isinstance(f, ast.Name) and f.id == "Subalgebra"
+                    or isinstance(f, ast.Attribute) and f.attr == "span"
+                    and getattr(f.value, "id", None) == "Subalgebra"):
+                builds.append((path.name, node.lineno))
+            if isinstance(node, ast.Attribute) and node.attr == "space" \
+                    and getattr(node.value, "attr", None) == "space":
+                hops.append((path.name, node.lineno))
+    assert {name for name, _ in builds} == {"catalog.py"}, builds
+    assert hops == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_exact_reads_numerators(path):
     # exact converts GQ scalars to integer rows and back; every other module
