@@ -9,7 +9,9 @@ from liecx.exact import (
     GQ, ZERO, ONE, Matrix, Subspace, vec,
     vunit, vadd, vscale, is_zero_vec, real_points,
 )
-from liecx.liealg import Subalgebra, is_abelian, quotient as make_quotient
+from liecx.liealg import (
+    NotClosed, Subalgebra, is_abelian, quotient as make_quotient,
+)
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx import cx
 from liecx.cx import (
@@ -161,6 +163,22 @@ def test_compute_m_abelian_g():
     J = ComplexStructure(quot, rot(4))
     md = cx.compute_m(J)
     assert md.m.dim == 4
+
+
+def test_m_is_certified_closed(monkeypatch):
+    # compute_m's m and classify's m = t + h are closed by the theory; both
+    # are still checked, and a space that is not closed raises NotClosed
+    g, h, quot, J = s2_instance()
+    with monkeypatch.context() as mp:
+        mp.setattr(cx, "kernel_of", lambda space, f: Subspace.from_vectors(
+            3, [vunit(3, 0), vunit(3, 2)]))
+        with pytest.raises(NotClosed, match="not closed under the bracket"):
+            cx.compute_m(J)
+    monkeypatch.setattr(cx, "extend_to_maximal_abelian",
+                        lambda g, t, within: Subspace.from_vectors(
+                            3, [vunit(3, 0)]))
+    with pytest.raises(NotClosed, match="not closed under the bracket"):
+        cx.canonical_levi(g, h)
 
 
 # ---------------------------------------------------------------------------
