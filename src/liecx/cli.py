@@ -207,17 +207,16 @@ def _build_algebra(ps: ProblemSpec, validate=True):
     return g, None
 
 
-def _build_subalgebra(g, aspec, sub):
+def _resolve_problem(ps: ProblemSpec):
+    """g, the catalog's certified h unwrapped to its Subspace, and g/h."""
+    g, aspec = _build_algebra(ps)
+    sub = ps.sub
     try:
-        return build_subalgebra(g, aspec, sub["name"], k=sub.get("k"),
-                                span=sub.get("vectors"))
+        h = build_subalgebra(g, aspec, sub["name"], k=sub.get("k"),
+                             span=sub.get("vectors"))
     except ExactError as e:
         raise ValidationError(str(e)) from None
-
-
-def _resolve_problem(ps: ProblemSpec):
-    g, aspec = _build_algebra(ps)
-    quot = make_quotient(g, _build_subalgebra(g, aspec, ps.sub))
+    quot = make_quotient(g, h)
     return g, quot.h, quot
 
 
