@@ -21,8 +21,6 @@ identity on the abelian ones, tori and so(2).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .exact import (
     Matrix, Subspace, ExactError, vec, ivec, vcat, vunit, vzero, rref,
     inverse,
@@ -93,21 +91,19 @@ def _pos(size, r, c, im=0):
     return 2 * (r * size + c) + im
 
 
-def _su_basis(n, size=None):
-    """(D, basis) of su(n) in the documented order, each matrix placed in
-    the top-left block of a size x size one (size defaults to n)."""
-    size = size or n
+def _su_basis(n):
+    """(D, basis) of su(n) in the documented order."""
     if n == 2:
         # e_k = -i sigma_k / 2 gives [e_i, e_j] = eps_ijk e_k
-        return 2, [{_pos(size, 0, 1, 1): -1, _pos(size, 1, 0, 1): -1},
-                   {_pos(size, 0, 1): -1, _pos(size, 1, 0): 1},
-                   {_pos(size, 0, 0, 1): -1, _pos(size, 1, 1, 1): 1}]
+        return 2, [{_pos(n, 0, 1, 1): -1, _pos(n, 1, 0, 1): -1},
+                   {_pos(n, 0, 1): -1, _pos(n, 1, 0): 1},
+                   {_pos(n, 0, 0, 1): -1, _pos(n, 1, 1, 1): 1}]
     basis = []
     for j in range(n):
         for k in range(j + 1, n):
-            basis.append({_pos(size, j, k): 1, _pos(size, k, j): -1})
-            basis.append({_pos(size, j, k, 1): 1, _pos(size, k, j, 1): 1})
-    basis.extend({_pos(size, j, j, 1): 1, _pos(size, j + 1, j + 1, 1): -1}
+            basis.append({_pos(n, j, k): 1, _pos(n, k, j): -1})
+            basis.append({_pos(n, j, k, 1): 1, _pos(n, k, j, 1): 1})
+    basis.extend({_pos(n, j, j, 1): 1, _pos(n, j + 1, j + 1, 1): -1}
                  for j in range(n - 1))
     return 1, basis
 
@@ -175,12 +171,6 @@ def _coordinates(den, basis):
     return coords
 
 
-@lru_cache(maxsize=None)
-def _catalog_coordinates(kind, n):
-    """_coordinates of the su(n) or so(n) basis, factored once per process."""
-    return _coordinates(*(_su_basis if kind == "su" else _so_basis)(n))
-
-
 def _structure_from_matrices(n, den, basis, coords):
     """Expand commutators of a basis of n x n matrices, realified integer
     matrices over den, exactly in that basis; coords is the basis's
@@ -222,20 +212,24 @@ def build(spec: AlgebraSpec) -> LieAlgebra:
     """One block-diagonal table of the factors and one LieAlgebra; the inner
     product is -kappa with identity rows on the coordinates of the abelian
     factors, tori and so(2) (kappa of the sum restricts to each simple
-    factor's own and vanishes on the abelian ones)."""
+    factor's own and vanishes on the abelian ones).  A factor that repeats
+    reuses the table of its first occurrence."""
     spec.validate()
     factors, d = _factors(spec)
     zero = vzero(d)
     table = [[zero] * d for _ in range(d)]
     central = set()
+    blocks = {}
     for off, f, basis in factors:
         size = f.n if basis is None else len(basis[1])
         if basis is None or size == 1:
             # abelian factors, torus(k) and so(2), on which kappa vanishes
             central.update(range(off, off + size))
             continue
-        block = _structure_from_matrices(
-            f.n, *basis, _catalog_coordinates(f.kind, f.n))
+        if f.label() not in blocks:
+            blocks[f.label()] = _structure_from_matrices(
+                f.n, *basis, _coordinates(*basis))
+        block = blocks[f.label()]
         end = off + len(block)
         left, right = zero[:off], zero[end:]
         for i, row in enumerate(block):
@@ -268,25 +262,24 @@ def _maximal_torus_indices(spec):
 
 
 def _block_u_space(spec, k):
-    """block_u(k) inside su(n): anti-Hermitian matrices diag(A, c I) with
-    A in u(k) and the trace balanced on the complement."""
+    """block_u(k) inside su(n), the anti-Hermitian diag(A, c I) with A in
+    u(k) and the trace balanced, on catalog indices: the pairs j < l < k
+    (the pair at lexicographic position p sits at 2p and 2p + 1), the
+    H_j = e_(n(n - 1) + j) with j < k - 1, and the center
+    diag(i(n - k) I_k, -ik I_(n-k)), whose coordinate on H_j is the partial
+    sum of its diagonal (on su(2), e3 = -H_0 / 2)."""
     if spec.kind != "su":
         raise InvalidSpec("block_u is only defined for su(n)")
     n = spec.n
     if not 1 <= k < n:
         raise InvalidSpec(f"block_u({k}) needs 1 <= k < {n}")
-    coords = _catalog_coordinates("su", n)
-    # su(k)-block plus its compensated center, expanded in catalog coordinates
-    den, block = _su_basis(k, n) if k >= 2 else (1, [])
-    block.append({_pos(n, j, j, 1): den * (n - k if j < k else -k)
-                  for j in range(n)})
-    vectors = []
-    for t in block:
-        coeffs = coords(den, t)
-        if coeffs is None:  # pragma: no cover
-            raise InvalidSpec("block_u generator is not in su(n)")
-        vectors.append(coeffs)
-    return vectors
+    ends = [l for j in range(n) for l in range(j + 1, n)]  # pairs (j, l)
+    idx = [2 * p + s for p, l in enumerate(ends) if l < k for s in (0, 1)]
+    idx += [n * (n - 1) + j for j in range(k - 1)]
+    diag = [(j + 1) * (n - k) if j < k else k * (n - 1 - j)
+            for j in range(n - 1)]
+    return ([vunit(n * n - 1, i) for i in idx]
+            + [ivec([0] * (n * (n - 1)) + diag)])
 
 
 def build_subalgebra(g: LieAlgebra, spec: AlgebraSpec, name, k=None,

@@ -268,11 +268,12 @@ def construct_J(quot: Quotient, p: Parabolic,
         j1 = default_torus_structure(u)
     if j1.u != u:
         raise LeviMismatch("J1 lives on a different fiber complement")
-    # lift the +i eigenspace of J1 from u-coordinates into g_C, add h_C and n
+    # V+ is the projection of h_C + (the +i space of J1, lifted from
+    # u-coordinates into g_C) + n; h_C projects to 0
     lifted = kernel_span(j1.j1 - Matrix.identity(u.dim).scale(I), u)
-    e_space = span_sum(g.dim, [h, lifted, p.nilradical])
-    vplus = Subspace.from_vectors(
-        quot.dim, [quot.project(b) for b in e_space.basis_vectors()])
+    vplus = Subspace.from_vectors(quot.dim, [
+        quot.project(b) for s in (lifted, p.nilradical)
+        for b in s.basis_vectors()])
     if 2 * vplus.dim != quot.dim:
         raise TheoremViolation("the +i candidate has the wrong dimension")
     if real_points(vplus).dim != 0:
@@ -341,13 +342,14 @@ def fiber_structure(J: ComplexStructure, u: Subspace) -> TorusComplexStructure:
 # classification
 
 def canonical_levi(g: LieAlgebra, h: Subspace):
-    """(m, t): classify's m = t + h, with t maximal abelian in C_g(h).  The
-    greedy extension is deterministic and stops on C(t) n C(h) = t = C(m),
-    so t is center(m)."""
-    t = extend_to_maximal_abelian(g, Subspace.zero(g.dim), centralizer(g, h))
+    """(m, t, C(h)): classify's m = t + h, with t maximal abelian in
+    C_g(h).  The greedy extension is deterministic and stops on
+    C(t) n C(h) = t = C(m), so t is center(m)."""
+    ch = centralizer(g, h)
+    t = extend_to_maximal_abelian(g, Subspace.zero(g.dim), ch)
     m = span_sum(g.dim, [t, h])
     require_closed(g, m)
-    return m, t
+    return m, t, ch
 
 
 def levi_systems(g: LieAlgebra, h: Subspace, ledger):
@@ -360,10 +362,11 @@ def levi_systems(g: LieAlgebra, h: Subspace, ledger):
                                   f"dim g/h = {n - hd} is odd"))
         return "odd_dimension"
     ledger.append(LedgerEntry("even_codimension", True, f"dim g/h = {n - hd}"))
-    m, cm = canonical_levi(g, h)
+    m, cm, ch = canonical_levi(g, h)
     ok_derived = m == h or derived(g, m) == derived(g, h)
     ledger.append(LedgerEntry("derived_match", ok_derived, "[m,m] = [h,h]"))
-    ok_centralizer = centralizer(g, cm) == m
+    # on X/t the center of m is h itself, and C(h) is already at hand
+    ok_centralizer = (ch if cm == h else centralizer(g, cm)) == m
     ledger.append(LedgerEntry("m_is_centralizer_of_its_center", ok_centralizer,
                               f"dim m = {m.dim}, dim center(m) = {cm.dim}"))
     fiber = m.dim - hd
@@ -437,27 +440,29 @@ def verify_structure(J: ComplexStructure):
           "g + l spans g_C over R")
     entry("gc_equals_l_plus_tau_l", l_plus_tau_l.dim == n,
           "l + tau(l) = g_C")
-    entry("hc_equals_l_cap_tau_l", l.intersect(tau_l) == quot.h,
-          "l n tau(l) = h_C")
-    entry("l_cap_g_equals_h", real_points(l) == quot.h,
+    w = l.intersect(tau_l)
+    entry("hc_equals_l_cap_tau_l", w == quot.h, "l n tau(l) = h_C")
+    # a real vector of l lies in tau(l) too, so l n g = w n g
+    entry("l_cap_g_equals_h", real_points(w) == quot.h,
           "l n g = h")
     entry("dim_l", 2 * l.dim == n + hd, f"dim_C l = {l.dim}")
     md = compute_m(J)
     r = radical(g, l)
-    ch = center(g, quot.h)
+    ch = md.center_m if md.m == quot.h else center(g, quot.h)
     entry("dim_r_prime", 2 * (r.dim - ch.dim) == n - hd,
           f"dim_C radical(l) = {r.dim}, dim center(h) = {ch.dim}")
     kc = md.derived_h
     levi_ok = span_sum(n, [r, kc]) == l and r.intersect(kc).dim == 0
     entry("levi_split", levi_ok, "l = radical(l) (+) [h,h]_C")
-    entry("radical_solvable", is_solvable(g, r), "")
+    r_solvable = is_solvable(g, r)
+    entry("radical_solvable", r_solvable, "")
     # p = N(l), as decompose_J finds it, against the canonical m
     p = normalizer(g, l)
     entry("p_cap_tau_p_is_mc",
-          p.intersect(p.conjugate()) == md.m,
+          (w if p == l else p.intersect(p.conjugate())) == md.m,
           "p n tau(p) = m_C")
     if hd == 0:
-        entry("l_solvable", is_solvable(g, l),
+        entry("l_solvable", r_solvable if r == l else is_solvable(g, l),
               "h = 0: l is the solvable Samelson-type subalgebra")
     return out
 

@@ -317,12 +317,12 @@ def enumerate_positive_systems(rd: RootDatum, m: Subspace):
 
 def killing_perp_nilradical(rd: RootDatum, p_roots):
     """{x in p : kappa(x, p) = 0} n [g_C, g_C] for p = the zero space plus
-    the root spaces of p_roots, the independent characterization of the
-    nilradical of a parabolic, on root indices: (its part in the zero
-    space, the roots whose spaces it holds).  With the Killing record,
-    g_a is perpendicular to p exactly when -a is not in p; every root space
-    lies in [g_C, g_C] since a Cartan element acts on it by a nonzero
-    scalar."""
+    the root spaces of p_roots, on root indices: (its part in the zero
+    space, the roots whose spaces it holds).  Each root of p is certified
+    by the Killing record first (RootError unless kappa pairs g_a with g_-a
+    alone), so g_a is perpendicular to p exactly when -a is not in p; every
+    root space lies in [g_C, g_C], as some Cartan element acts on it by a
+    nonzero scalar."""
     p_roots = set(p_roots)
     for a in p_roots:
         rd.certify_killing(a)
@@ -364,7 +364,8 @@ def build_parabolic(rd: RootDatum, m: Subspace, q_plus) -> Parabolic:
     n = span_sum(g.dim, [rd.roots[i].space for i in sorted(nil)])
     if n.dim and not is_nilpotent(g, n):
         raise ClosureFailure("n is not nilpotent")
-    # independent oracle for the nilradical
+    # the Killing record of p's roots; the roots part is Q+ by the checks
+    # above, so only a nonzero zero-space part can refuse here
     zero_part, perp = killing_perp_nilradical(rd, p_roots)
     if zero_part.dim or perp != nil:
         raise ClosureFailure("Killing-perpendicular nilradical disagrees")

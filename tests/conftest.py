@@ -1,17 +1,19 @@
-"""Shared builders for the test corpus, a call counter, and the acceptance
-summary hook."""
+"""Shared builders for the test corpus, a call counter, a repeat counter,
+and the acceptance summary hook."""
 
 import cProfile
 import functools
 import json
 import pstats
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from liecx.exact import (
-    GQ, ZERO, ONE, Matrix, inverse, ivec, nonzero_terms, vec,
+    GQ, ZERO, ONE, Matrix, Subspace, inverse, ivec, nonzero_terms, vec,
 )
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx.liealg import quotient as make_quotient
@@ -45,6 +47,32 @@ def profiled(fn, *args):
                    if (file, line, name)
                    == (c.co_filename, c.co_firstlineno, c.co_name))
     return result, calls
+
+
+class RepeatCounter:
+    """Counts, per run, the calls of some liecx functions that repeat an
+    earlier call of the same function: each call is keyed on its Subspace
+    and Matrix arguments.  Each function is wrapped at every liecx module
+    binding of it, since modules import what they call by name."""
+
+    def __init__(self, monkeypatch, *fns):
+        self.seen = Counter()
+        for fn in fns:
+            def wrapped(*args, _fn=fn, **kw):
+                self.seen[_fn.__name__, tuple(
+                    a for a in args if isinstance(a, (Subspace, Matrix)))] += 1
+                return _fn(*args, **kw)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "liecx" \
+                        and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, wrapped)
+
+    def run(self, fn, *args):
+        """(fn(*args), repeats): repeats maps (function name, key) to the
+        number of calls with that key after the first, in this run."""
+        self.seen.clear()
+        result = fn(*args)
+        return result, {k: c - 1 for k, c in self.seen.items() if c > 1}
 
 
 def ad(g, x):

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from liecx import cli
+from liecx import cli, liealg
+
+from conftest import RepeatCounter
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -36,3 +38,30 @@ def test_golden_report(tmp_path, case):
 
 def test_golden_covers_every_command():
     assert {c["command"] for c in MANIFEST} == set(cli.COMMANDS)
+
+
+def test_no_command_centralizes_the_same_subspace_twice(tmp_path,
+                                                        monkeypatch):
+    # Each file-held case once more, counting centralizer and center calls
+    # that repeat an earlier call's subspace in the same command.  The one
+    # repeat left: decompose takes C(center(m)) in compute_m and C(h) in
+    # parabolic_index, which are the same subspace on X/t, where m = h is
+    # its own center; sharing it would need a memo per J.
+    counter = RepeatCounter(monkeypatch, liealg.centralizer, liealg.center)
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    unexpected = {}
+    for case in MANIFEST:
+        if "sha256" in case:
+            continue
+        spec.write_text(json.dumps(case["spec"]))
+        code, repeats = counter.run(cli.main, [
+            "--spec", str(spec), "--command", case["command"],
+            "--out", str(out), *case["args"]])
+        assert code == case["exit_code"]
+        if case["command"] == "decompose":
+            h = cli._resolve_problem(cli.parse_obj(case["spec"]))[1]
+            repeats.pop(("centralizer", (h,)), None)
+        if repeats:
+            unexpected[case["file"]] = sorted(
+                (name, count) for (name, _), count in repeats.items())
+    assert unexpected == {}

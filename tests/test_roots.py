@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from liecx import cx
 from liecx.exact import (
     GQ, I, Matrix, Subspace, vec, vadd, vneg, vunit, is_zero_vec, real_points,
     span_sum,
@@ -14,8 +15,8 @@ from liecx.liealg import (
 )
 from liecx.catalog import build, build_subalgebra, su, so, direct_sum
 from liecx.roots import (
-    root_decomposition, enumerate_positive_systems, build_parabolic,
-    NotCartan, ClosureFailure, RootError,
+    RootDatum, root_decomposition, enumerate_positive_systems,
+    build_parabolic, NotCartan, ClosureFailure, RootError,
 )
 
 from conftest import classified, flag_spec, profiled
@@ -182,6 +183,27 @@ def test_build_parabolic_rejects_all_of_g(su3_datum):
     g, rd = su3_datum
     with pytest.raises(ClosureFailure, match=r"p n tau\(p\) != m_C"):
         build_parabolic(rd, rd.cartan, tuple(range(len(rd.roots))))
+
+
+def test_killing_cross_check_can_only_fail_on_the_zero_space(
+        su3_datum, monkeypatch):
+    # The roots part of the Killing-perpendicular nilradical is Q+ once
+    # p n tau(p) = m_C and [p, n] in n hold: a Q+ root inside the Levi has
+    # its negative in p too, and [g_-a, g_a] lands in the zero space, so
+    # [p, n] in n refuses it first.
+    g = build(su(3))
+    h = build_subalgebra(g, su(3), "block_u", k=2).space
+    m, _, rd, systems = cx.levi_systems(g, h, [])
+    levi = rd.levi_roots(m)
+    with pytest.raises(ClosureFailure, match="n is not an ideal of p"):
+        build_parabolic(rd, m, tuple(sorted(systems[0] + levi[:1])))
+    # The cross-check's own refusal then rests on zero_perp() alone.
+    _, rd = su3_datum
+    qp = enumerate_positive_systems(rd, rd.cartan)[0]
+    monkeypatch.setattr(RootDatum, "zero_perp", lambda self: self.zero_space)
+    with pytest.raises(ClosureFailure,
+                       match="Killing-perpendicular nilradical disagrees"):
+        build_parabolic(rd, rd.cartan, qp)
 
 
 def test_parabolic_from_abelian():
