@@ -212,24 +212,19 @@ def build(spec: AlgebraSpec) -> LieAlgebra:
     """One block-diagonal table of the factors and one LieAlgebra; the inner
     product is -kappa with identity rows on the coordinates of the abelian
     factors, tori and so(2) (kappa of the sum restricts to each simple
-    factor's own and vanishes on the abelian ones).  A factor that repeats
-    reuses the table of its first occurrence."""
+    factor's own and vanishes on the abelian ones)."""
     spec.validate()
     factors, d = _factors(spec)
     zero = vzero(d)
     table = [[zero] * d for _ in range(d)]
     central = set()
-    blocks = {}
     for off, f, basis in factors:
         size = f.n if basis is None else len(basis[1])
         if basis is None or size == 1:
             # abelian factors, torus(k) and so(2), on which kappa vanishes
             central.update(range(off, off + size))
             continue
-        if f.label() not in blocks:
-            blocks[f.label()] = _structure_from_matrices(
-                f.n, *basis, _coordinates(*basis))
-        block = blocks[f.label()]
+        block = _structure_from_matrices(f.n, *basis, _coordinates(*basis))
         end = off + len(block)
         left, right = zero[:off], zero[end:]
         for i, row in enumerate(block):

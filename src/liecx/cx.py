@@ -462,7 +462,8 @@ def verify_structure(J: ComplexStructure):
           (w if p == l else p.intersect(p.conjugate())) == md.m,
           "p n tau(p) = m_C")
     if hd == 0:
-        entry("l_solvable", r_solvable if r == l else is_solvable(g, l),
+        # radical(l) = [l,l]^perp is l exactly when l is solvable (Cartan)
+        entry("l_solvable", r == l and r_solvable,
               "h = 0: l is the solvable Samelson-type subalgebra")
     return out
 

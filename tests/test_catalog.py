@@ -130,14 +130,6 @@ def test_build_makes_one_algebra(spec):
     assert g.validate().ok
 
 
-def test_build_makes_one_table_per_distinct_factor():
-    # the second su(2) reuses the first one's table and basis factoring
-    g, calls = profiled(build, direct_sum(su(2), su(2)))
-    assert calls(catalog._structure_from_matrices) == 1
-    assert calls(catalog._coordinates) == 1
-    assert g.validate().ok
-
-
 def test_block_u_reuses_the_su_coordinates():
     # build(su(6)) factors the su(6) basis; block_u(3) is read off catalog
     # indices and factors nothing
