@@ -10,7 +10,8 @@ report is fed back into decompose, check, verify, m and symmetric, so those
 reports pin the construct/decompose round trip too. symmetric also runs
 without a j on a few instances, where it constructs J from the k-th
 parabolic itself. On su(4)/u(3) (d = 15) only symmetric and verify run,
-with and without the J of construct. validate, catalog and classify run on
+with and without the J of construct, and on su(5)/t (d = 24) only
+symmetric without a j. validate, catalog and classify run on
 perfbench's dense instances (catalog algebras in a random integer basis)
 where they finish. The classify reports of su(5)/t and so(8)/t (2.26 MB and
 4.97 MB) are recorded in the manifest by their sha256 and byte length
@@ -101,9 +102,14 @@ CONSTRUCT_ERRORS = [
 SU4_U3 = {"algebra": {"kind": "su", "n": 4},
           "subalgebra": {"name": "block_u", "k": 3}}
 
+# su(5)/t, whose isotropy commutant has dimension 10: only symmetric
+# without a j runs here
+SU5_T = {"algebra": {"kind": "su", "n": 5},
+         "subalgebra": {"name": "maximal_torus"}}
+
 # symmetric without a j: (instance, parabolic index)
 SYMMETRIC_CONSTRUCTED = [("su3_u2", 0), ("su3_u2", 1), ("su2_u1", 0),
-                         ("so5_t", 3), ("su4_u3", 0)]
+                         ("so5_t", 3), ("su4_u3", 0), ("su5_t", 0)]
 
 # perfbench's dense-table jobs other than make_dense_golden.py's: (instance,
 # command)
@@ -175,6 +181,7 @@ def main():
               for name, spec, extra in CONSTRUCT_ERRORS]
     specs = {inst: base for inst, (base, _) in INSTANCES.items()}
     specs["su4_u3"] = SU4_U3
+    specs["su5_t"] = SU5_T
     cases += [(f"{inst}__symmetric_k{k}", specs[inst], "symmetric",
                ["--parabolic-index", str(k)])
               for inst, k in SYMMETRIC_CONSTRUCTED]

@@ -237,6 +237,32 @@ def test_classify_counts_the_weyl_group(kind, n, order):
     assert len({p.positive_set for p in report.parabolics}) == order
 
 
+# On su(n)/block_u(k), classify's m = s(u(k) + u(1)^(n-k)) has
+# k' = n - k + 1 diagonal blocks.  The parabolics that contain one Cartan
+# and have Levi m are the chambers of the braid arrangement a_i = a_j on the
+# center of m, one per order of the k' block eigenvalues: k'! of them
+# (Arthur's P(M); Zaslavsky), not |W_g| / |W_m|.  The count comes from the
+# block sizes alone.  dim g/h = n^2 - 1 - k^2 is odd when n - k is even.
+BLOCK_U = [(n, k) for n in range(3, 6) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("n,k", BLOCK_U,
+                         ids=[f"su{n}_u{k}" for n, k in BLOCK_U])
+def test_classify_counts_the_chambers_of_m(n, k):
+    blocks = [k] + [1] * (n - k)
+    g = build(su(n))
+    report = cx.classify(g, build_subalgebra(g, su(n), "block_u", k=k).space)
+    if (n * n - 1 - k * k) % 2:
+        assert (report.exists, report.reason) == (False, "odd_dimension")
+        return
+    chambers = math.factorial(len(blocks))
+    assert report.exists
+    assert len({p.positive_set for p in report.parabolics}) \
+        == len(report.parabolics) == chambers
+    # dim m/h: the center of m has dim k' - 1, that of h dim 1
+    assert report.fiber_dim == len(blocks) - 2
+
+
 def test_root_datum_record_fills_only_the_pairs_asked_for():
     """One parabolic on so(5)/t certifies the brackets among its own roots
     and their Killing pairings, nothing else; the record's targets are the
