@@ -32,6 +32,10 @@ class InvalidSpec(ExactError):
     pass
 
 
+# the largest dim g that build accepts: su(14) has dim 195, su(15) 224
+MAX_DIM = 200
+
+
 class AlgebraSpec:
     def __init__(self, kind: str, n: int = 0, parts: tuple = ()):
         self.kind = kind           # su | so | u | torus | sum
@@ -52,6 +56,12 @@ class AlgebraSpec:
                 p.validate()
         else:
             raise InvalidSpec(f"unknown algebra kind {self.kind!r}")
+
+    def dim(self):
+        """dim g by arithmetic, without building a basis."""
+        n = self.n
+        return {"su": n * n - 1, "so": n * (n - 1) // 2, "u": n * n,
+                "torus": n, "sum": sum(p.dim() for p in self.parts)}[self.kind]
 
     def label(self):
         if self.kind == "sum":
@@ -204,7 +214,7 @@ def _factors(spec):
         basis = None if f.kind == "torus" else \
             (_su_basis if f.kind == "su" else _so_basis)(f.n)
         factors.append((dim, f, basis))
-        dim += f.n if basis is None else len(basis[1])
+        dim += f.dim()
     return factors, dim
 
 
@@ -214,12 +224,14 @@ def build(spec: AlgebraSpec) -> LieAlgebra:
     factors, tori and so(2) (kappa of the sum restricts to each simple
     factor's own and vanishes on the abelian ones)."""
     spec.validate()
+    if spec.dim() > MAX_DIM:
+        raise InvalidSpec(f"dim g = {spec.dim()} exceeds the limit {MAX_DIM}")
     factors, d = _factors(spec)
     zero = vzero(d)
     table = [[zero] * d for _ in range(d)]
     central = set()
     for off, f, basis in factors:
-        size = f.n if basis is None else len(basis[1])
+        size = f.dim()
         if basis is None or size == 1:
             # abelian factors, torus(k) and so(2), on which kappa vanishes
             central.update(range(off, off + size))

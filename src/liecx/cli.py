@@ -21,9 +21,10 @@ Problem spec format (strict; unknown fields rejected):
 
 A rational is a string fractions.Fraction parses ("p/q", "-3/4", "1.5e0",
 "1_000", " 3 ") or a bare JSON number, read through str; "1/0", "1/-2",
-"inf", "nan", true, null and lists are input errors.  Reports write
-rationals as "p/q" or "p", complex entries as objects
-{"re": "p/q", "im": "p/q"}.  All matrices row-major.
+"inf", "nan", true, null and lists are input errors, and so is a dim g
+above catalog.MAX_DIM = 200.  Reports write rationals as "p/q" or "p",
+complex entries as objects {"re": "p/q", "im": "p/q"}.  All matrices
+row-major.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .exact import (
 )
 from .liealg import LieAlgebra, quotient as make_quotient
 from .catalog import (
-    AlgebraSpec, build, build_subalgebra, InvalidSpec,
+    AlgebraSpec, build, build_subalgebra, InvalidSpec, MAX_DIM,
 )
 from .roots import build_parabolic
 from . import cx
@@ -109,6 +110,9 @@ def _parse_algebra_spec(obj, where="algebra"):
         if not _lists(table):
             raise ParseError(f"{where}.table: expected a list of rows")
         n = len(table)
+        if n > MAX_DIM:
+            raise ParseError(
+                f"{where}.table: dim g = {n} exceeds the limit {MAX_DIM}")
         parsed = []
         for i, row in enumerate(table):
             if len(row) != n or not _lists(row):
@@ -321,7 +325,7 @@ def cmd_check(ps, args):
     inv = cx.is_invariant(J)
     rep["invariant"] = inv
     if not inv:
-        i, res = cx.invariance_witness(J)
+        i, res = J.witness
         rep["invariance_witness"] = {
             "h_basis_index": i, "commutator": _ser_matrix(res)}
         return rep, EXIT_NO

@@ -17,7 +17,7 @@ from .exact import (
     I, Matrix, Subspace, ExactError,
     kernel, kernel_of, kernel_span, inverse, solve, lincomb, ivec, vec,
     vunit, vadd, vsub, vneg, vscale, vconj, is_zero_vec, relative_complement,
-    span_sum, real_points,
+    span_sum, real_points, take,
 )
 from .liealg import (
     LieAlgebra, Quotient,
@@ -51,7 +51,9 @@ class LedgerEntry:
 
 
 class ComplexStructure:
-    """An h-invariant candidate structure: J on g/h with J^2 = -id."""
+    """A candidate structure J on g/h with J^2 = -id, with the actions
+    ad-bar(x_i) of h's basis on g/h, the first nonzero (i, [ad-bar(x_i), J])
+    or None, and V+, the +i eigenspace of J on the complexified quotient."""
 
     def __init__(self, quot: Quotient, j: Matrix):
         q = quot.dim
@@ -63,7 +65,10 @@ class ComplexStructure:
             raise ExactError("J^2 != -id")
         self.quotient = quot
         self.j = j
-        self._witness = None   # (invariance_witness's answer,) once known
+        self.actions = [quot.induced_map(x) for x in quot.h.basis_vectors()]
+        self.witness = next(((i, c) for i, a in enumerate(self.actions)
+                             if not (c := a * j - j * a).is_zero()), None)
+        self.vplus = kernel(j - Matrix.identity(q).scale(I))
         self._integrable = None
         self._plus = None
 
@@ -135,24 +140,9 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 # invariance and the Nijenhuis map
 
-def induced_actions(J: ComplexStructure):
-    q = J.quotient
-    return [q.induced_map(x) for x in q.h.basis_vectors()]
-
-
-def invariance_witness(J: ComplexStructure):
-    """(i, [ad-bar(x_i), J]) for the first basis vector x_i of h whose
-    commutator with J is nonzero, or None when J is invariant."""
-    if J._witness is None:
-        commutators = (a * J.j - J.j * a for a in induced_actions(J))
-        J._witness = (next(((i, c) for i, c in enumerate(commutators)
-                            if not c.is_zero()), None),)
-    return J._witness[0]
-
-
 def is_invariant(J: ComplexStructure) -> bool:
     """[J, ad-bar(x)] = 0 for every x in h."""
-    return invariance_witness(J) is None
+    return J.witness is None
 
 
 def _require_invariant(J):
@@ -195,16 +185,11 @@ def nijenhuis_vanishes(J: ComplexStructure):
 def plus_space(J: ComplexStructure) -> Subspace:
     """l = p^{-1} of the +i eigenspace of J, inside g_C (closure not asserted)."""
     _require_invariant(J)
-    if J._plus is not None:
-        return J._plus
-    q = J.quotient
-    shifted = J.j - Matrix.identity(q.dim).scale(I)
-    vplus = kernel(shifted)
-    lifted = [q.lift(v) for v in vplus.basis_vectors()]
-    l = Subspace.from_vectors(
-        q.algebra.dim, list(q.h.basis_vectors()) + lifted)
-    J._plus = l
-    return l
+    if J._plus is None:
+        q = J.quotient
+        J._plus = Subspace.from_vectors(q.algebra.dim, [
+            *q.h.basis_vectors(), *map(q.lift, J.vplus.basis_vectors())])
+    return J._plus
 
 
 def is_integrable(J: ComplexStructure) -> bool:
@@ -503,11 +488,10 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0):
                 failures.append(f"J-twist symmetry fails at ({a},{b})")
             evaluations += 2
             if hb:
+                base_lifts = [quot.lift(w) for w in
+                              (ua, ub, J.j.matvec(ua), J.j.matvec(ub))]
                 for _ in range(PERTURBATION_TRIALS):
-                    lifts = (vadd(quot.lift(ua), rand_h()),
-                             vadd(quot.lift(ub), rand_h()),
-                             vadd(quot.lift(J.j.matvec(ua)), rand_h()),
-                             vadd(quot.lift(J.j.matvec(ub)), rand_h()))
+                    lifts = tuple(vadd(x, rand_h()) for x in base_lifts)
                     evaluations += 1
                     if nijenhuis(J, ua, ub, lifts=lifts) != base:
                         failures.append(
@@ -559,11 +543,14 @@ def commutant(q, gens):
 
 def commutant_dimension(J: ComplexStructure):
     """Dimension over C of the algebra of endomorphisms of g/h commuting
-    with both the isotropy action and J."""
-    dim_real = len(commutant(J.quotient.dim, induced_actions(J) + [J.j]))
-    if dim_real % 2:
-        raise TheoremViolation("commutant is not J-stable")  # pragma: no cover
-    return dim_real // 2
+    with both the isotropy action and J: (g/h, J) is the h-module V+, so
+    the commutant of the actions on V+, read at the pivots of its basis."""
+    _require_invariant(J)
+    vplus = J.vplus
+    return len(commutant(vplus.dim, [
+        Matrix.from_columns([take(a.matvec(v), vplus.pivots)
+                             for v in vplus.basis_vectors()])
+        for a in J.actions]))
 
 
 def involution_is_automorphism(g: LieAlgebra, h: Subspace, v: Subspace):

@@ -66,7 +66,6 @@ class LieAlgebra:
         self.name = name
         self._killing_gram = None
         self._validation = None
-        self._derived_span = None
 
     # -- basic algebra ------------------------------------------------------
 
@@ -122,12 +121,9 @@ class LieAlgebra:
         return self._killing_gram
 
     def derived_span(self) -> Subspace:
-        """[g, g], the span of the brackets [e_i, e_j] with i < j; computed
-        once."""
-        if self._derived_span is None:
-            self._derived_span = Subspace.from_vectors(self.dim, [
-                v for i, row in enumerate(self.table) for v in row[i + 1:]])
-        return self._derived_span
+        """[g, g], the span of the brackets [e_i, e_j] with i < j."""
+        return Subspace.from_vectors(self.dim, [
+            v for i, row in enumerate(self.table) for v in row[i + 1:]])
 
     # -- validation ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ DIMS = [
 @pytest.mark.parametrize("spec,dim", DIMS)
 def test_dimensions_and_validation(spec, dim):
     g = build(spec)
-    assert g.dim == dim
+    assert g.dim == spec.dim() == dim
     assert g.validate().ok
 
 
@@ -52,6 +52,12 @@ def test_invalid_specs():
         build(AlgebraSpec("sp", 2))
     with pytest.raises(InvalidSpec):
         build(AlgebraSpec("sum"))
+
+
+def test_build_stops_above_the_dimension_limit():
+    assert build(torus(catalog.MAX_DIM)).dim == catalog.MAX_DIM
+    with pytest.raises(InvalidSpec, match="dim g = 201 exceeds the limit 200"):
+        build(direct_sum(torus(catalog.MAX_DIM), torus(1)))
 
 
 def test_direct_sum_factors_annihilate():

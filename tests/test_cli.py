@@ -1,13 +1,14 @@
 """CLI: strict parsing, exit-code contract, deterministic reports."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liecx import cli, cx, exact, liealg, roots
+from liecx import catalog, cli, cx, exact, liealg, roots
 
 from conftest import profiled
 
@@ -531,6 +532,30 @@ def test_classify_without_a_rational_cartan_through_h(tmp_path):
     code, rep = run(tmp_path, spec, "classify")
     assert code == 0, rep
     assert (len(rep["parabolics"]), rep["fiber_dim"]) == (4, 2)
+
+
+# dim g above catalog.MAX_DIM = 200, found by arithmetic on the spec before
+# any basis is built, or from the row count before any table entry is read
+OVERSIZED = {
+    "su20": ({"kind": "su", "n": 20}, 399),
+    "su10_plus_so20": ({"kind": "sum", "parts": [{"kind": "su", "n": 10},
+                                                {"kind": "so", "n": 20}]},
+                       289),
+    "torus201": ({"kind": "torus", "n": 201}, 201),
+    "table201": ({"table": [[]] * 201}, 201),
+    "su_googol": ({"kind": "su", "n": 10 ** 100}, 10 ** 200 - 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_dim_g_above_the_limit_is_an_input_error(tmp_path, name):
+    algebra, dim = OVERSIZED[name]
+    start = time.perf_counter()
+    code, rep = run(tmp_path, {"algebra": algebra}, "catalog")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"dim g = {dim} exceeds the limit {catalog.MAX_DIM}" \
+        in rep["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from liecx.exact import (
     rational_eigenvalues, relative_complement, span_sum,
 )
 from liecx.liealg import (
-    LieAlgebra, Subalgebra, NotAbelian, center, centralizer, derived,
+    LieAlgebra, Quotient, Subalgebra, NotAbelian, center, centralizer, derived,
     extend_to_maximal_abelian, is_abelian, is_closed, is_nilpotent,
     is_solvable, normalizer, quotient, radical, restricted_ad,
     pair_brackets, _positive_definite,
@@ -38,7 +38,9 @@ from liecx.catalog import (
     _coordinates, _so_basis, _structure_from_matrices, _su_basis,
 )
 
-from conftest import ad, classified, flag_spec, profiled
+from conftest import (
+    ad, classified, flag_spec, profiled, random_invariant_structures,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1920,7 +1922,7 @@ def cut_instances(name):
         p = report.parabolics[0]
         J = cx.construct_J(quot, p)
         subs += [cx.plus_space(J), p.space, p.nilradical]
-        gens += [cx.induced_actions(J) + [J.j], [J.j]]
+        gens += [J.actions + [J.j], [J.j]]
     return g, subs, gens
 
 
@@ -1953,3 +1955,62 @@ def test_symmetric_on_su4_u3_makes_few_matrix_products(tmp_path):
         "--out", str(tmp_path / "report.json")])
     assert code == case["exit_code"] == 0
     assert calls(Matrix.__mul__) <= 400
+
+
+# the Grassmannian su(4)/s(u(2) + u(2)): the pairs (0, 1) and (2, 3) at
+# catalog indices 0, 1, 10, 11 and the three diagonal generators
+SU4_S_U2_U2 = {"algebra": {"kind": "su", "n": 4}, "subalgebra": {
+    "name": "span",
+    "vectors": [[str(int(i == k)) for i in range(15)]
+                for k in (0, 1, 10, 11, 12, 13, 14)]}}
+
+
+def test_schur_on_vplus_matches_the_realified_commutant(tmp_path):
+    """(g/h, J) is V+ as a complex h-module, so the real q x q matrices
+    commuting with the isotropy actions and J are twice as many as the
+    complex ones commuting with the actions on V+.  Checked on every golden
+    symmetric J, construct's first J on su(4)/t and on su(4)/s(u(2) + u(2)),
+    and random invariant conjugates of the small ones."""
+    structures = [golden_structure(tmp_path, c)[2] for c in SYMMETRIC_CASES]
+    expected = {}
+    for name, spec in (("su4_t", flag_spec("su", 4)),
+                       ("su4_s_u2_u2", SU4_S_U2_U2)):
+        g, h, quot = cli._resolve_problem(cli.parse_obj(spec))
+        J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
+        expected[name] = cx.commutant_dimension(J)
+        structures.append(J)
+    # t acts on the six root spaces of V+ by distinct weights; the
+    # Grassmannian is Hermitian symmetric, so its isotropy is irreducible
+    assert expected == {"su4_t": 6, "su4_s_u2_u2": 1}
+    rng = random.Random(3)
+    structures += [J for J0 in structures if J0.quotient.dim <= 6
+                   for J in random_invariant_structures(
+                       J0.quotient, J0.j, rng, 2)]
+    for J in structures:
+        assert len(cx.commutant(J.quotient.dim, J.actions + [J.j])) \
+            == 2 * cx.commutant_dimension(J)
+
+
+def test_symmetric_builds_the_isotropy_actions_and_vplus_once(tmp_path,
+                                                              monkeypatch):
+    """symmetric without a j on su(4)/u(3): the constructed J holds its
+    dim h = 9 actions on g/h and V+, and the Schur test and l read them,
+    so induced_map runs 9 times and J - iI is eliminated once."""
+    case = next(c for c in SYMMETRIC_CASES
+                if c["file"] == "su4_u3__symmetric_k0.json")
+    eliminated = []
+
+    def recording_kernel(m):
+        eliminated.append(m)
+        return kernel(m)
+    monkeypatch.setattr(cx, "kernel", recording_kernel)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(case["spec"]))
+    code, calls = profiled(cli.main, [
+        "--spec", str(path), "--command", "symmetric", *case["args"],
+        "--out", str(tmp_path / "report.json")])
+    assert code == case["exit_code"] == 0
+    assert calls(Quotient.induced_map) == 9
+    (m,) = eliminated
+    j = m + Matrix.identity(6).scale(exact.I)
+    assert j.is_real() and j * j == -Matrix.identity(6)
