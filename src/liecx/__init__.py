@@ -9,7 +9,7 @@ from .exact import (
 )
 from .liealg import (
     LieAlgebra, Subalgebra, Quotient, quotient,
-    centralizer, normalizer, derived, center, radical,
+    centralizer, normalizer, derived, center, own_algebra, radical,
     is_solvable, is_nilpotent, extend_to_maximal_abelian,
     LieAlgebraError, NotClosed, NotAbelian,
 )

@@ -21,10 +21,11 @@ Problem spec format (strict; unknown fields rejected):
 
 A rational is a string fractions.Fraction parses ("p/q", "-3/4", "1.5e0",
 "1_000", " 3 ") or a bare JSON number, read through str; "1/0", "1/-2",
-"inf", "nan", true, null and lists are input errors, and so is a dim g
-above catalog.MAX_DIM = 200.  Reports write rationals as "p/q" or "p",
-complex entries as objects {"re": "p/q", "im": "p/q"}.  All matrices
-row-major.
+"inf", "nan", true, null and lists are input errors, and so are a dim g
+above catalog.MAX_DIM = 200, sums nested more than MAX_NESTING = 32 deep
+and a file nested too deeply for the JSON reader.  Reports write rationals
+as "p/q" or "p", complex entries as objects {"re": "p/q", "im": "p/q"}.
+All matrices row-major.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ import argparse
 import json
 import sys
 
-from .exact import (
-    Matrix, Subspace, ExactError, parse_vector, entry_strings,
-    relative_complement,
-)
-from .liealg import LieAlgebra, quotient as make_quotient
+from .exact import Matrix, Subspace, ExactError, parse_vector, entry_strings
+from .liealg import LieAlgebra, Quotient, quotient as make_quotient
 from .catalog import (
     AlgebraSpec, build, build_subalgebra, InvalidSpec, MAX_DIM,
 )
@@ -59,6 +57,11 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
+
+# the deepest nesting of sums an algebra spec may have: far beyond any
+# algebra worth writing, and far inside the interpreter's recursion limit,
+# which the catalog's walks over a spec would otherwise run into
+MAX_NESTING = 32
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +106,11 @@ def _parse_matrix(rows, where):
     return Matrix(out)
 
 
-def _parse_algebra_spec(obj, where="algebra"):
+def _parse_algebra_spec(obj, where="algebra", depth=0):
+    """The parsed algebra of obj, which depth sums enclose."""
     if isinstance(obj, dict) and "table" in obj:
+        if depth:
+            raise ParseError("explicit tables cannot nest inside a sum")
         _require_keys(obj, {"table", "inner_product"}, {"table"}, where)
         table = obj["table"]
         if not _lists(table):
@@ -126,23 +132,19 @@ def _parse_algebra_spec(obj, where="algebra"):
     _require_keys(obj, {"kind", "n", "parts"}, {"kind"}, where)
     kind = obj["kind"]
     if kind == "sum":
+        if depth == MAX_NESTING:
+            raise ParseError(
+                f"algebra: sums nest more than {MAX_NESTING} deep")
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:
             raise ParseError(f"{where}: sum needs a nonempty parts list")
         return ("spec", AlgebraSpec("sum", parts=tuple(
-            _resolve_spec(_parse_algebra_spec(p, f"{where}.parts"))
+            _parse_algebra_spec(p, f"{where}.parts", depth + 1)[1]
             for p in parts)), None)
     if "n" not in obj:
         raise ParseError(f"{where}: {kind} needs n")
     return ("spec", AlgebraSpec(kind, _require_int(obj["n"], f"{where}: n")),
             None)
-
-
-def _resolve_spec(parsed):
-    mode, payload, _ = parsed
-    if mode != "spec":
-        raise ParseError("explicit tables cannot nest inside a sum")
-    return payload
 
 
 class ProblemSpec:
@@ -165,6 +167,8 @@ def parse(path) -> ProblemSpec:
         raise ParseError(f"cannot read spec file: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("spec file nests too deeply to read") from None
     return parse_obj(raw)
 
 
@@ -211,8 +215,8 @@ def _build_algebra(ps: ProblemSpec, validate=True):
     return g, None
 
 
-def _resolve_problem(ps: ProblemSpec):
-    """g, the catalog's certified h unwrapped to its Subspace, and g/h."""
+def _resolve_problem(ps: ProblemSpec) -> Quotient:
+    """The problem g/h over the catalog's certified h."""
     g, aspec = _build_algebra(ps)
     sub = ps.sub
     try:
@@ -220,8 +224,7 @@ def _resolve_problem(ps: ProblemSpec):
                              span=sub.get("vectors"))
     except ExactError as e:
         raise ValidationError(str(e)) from None
-    quot = make_quotient(g, h)
-    return g, quot.h, quot
+    return make_quotient(g, h)
 
 
 def _structure(ps, quot) -> ComplexStructure:
@@ -301,11 +304,11 @@ def _base_report(command, g, h=None):
 # commands
 
 def cmd_catalog(ps, args):
-    g, h, quot = _resolve_problem(ps)
-    rep = _base_report("catalog", g, h)
+    quot = _resolve_problem(ps)
+    rep = _base_report("catalog", quot.algebra, quot.h)
     rep["dim_quotient"] = quot.dim
-    rep["validation_ok"] = g.validate().ok
-    rep["inner_product"] = _ser_matrix(g.inner_product)
+    rep["validation_ok"] = quot.algebra.validate().ok
+    rep["inner_product"] = _ser_matrix(quot.algebra.inner_product)
     return rep, EXIT_YES
 
 
@@ -319,9 +322,9 @@ def cmd_validate(ps, args):
 
 
 def cmd_check(ps, args):
-    g, h, quot = _resolve_problem(ps)
+    quot = _resolve_problem(ps)
     J = _structure(ps, quot)
-    rep = _base_report("check", g, h)
+    rep = _base_report("check", quot.algebra, quot.h)
     inv = cx.is_invariant(J)
     rep["invariant"] = inv
     if not inv:
@@ -340,10 +343,10 @@ def cmd_check(ps, args):
 
 
 def cmd_m(ps, args):
-    g, h, quot = _resolve_problem(ps)
+    quot = _resolve_problem(ps)
     J = _integrable_structure(ps, quot, "m is canonical only then")
     md = cx.compute_m(J)
-    rep = _base_report("m", g, h)
+    rep = _base_report("m", quot.algebra, quot.h)
     rep["dim_m"] = md.m.dim
     rep["m_basis"] = _ser_space(md.m)
     rep["fiber_dim"] = md.u.dim
@@ -353,9 +356,9 @@ def cmd_m(ps, args):
 
 
 def cmd_classify(ps, args):
-    g, h, quot = _resolve_problem(ps)
-    report = cx.classify(g, h)
-    rep = _base_report("classify", g, h)
+    quot = _resolve_problem(ps)
+    report = cx.classify(quot)
+    rep = _base_report("classify", quot.algebra, quot.h)
     rep["exists"] = report.exists
     rep["reason"] = report.reason
     rep["ledger"] = _ser_ledger(report.ledger)
@@ -365,60 +368,58 @@ def cmd_classify(ps, args):
         rep["fiber_dim"] = report.fiber_dim
         rep["parabolics"] = [_ser_parabolic(i, p)
                              for i, p in enumerate(report.parabolics)]
-        rep["structure_count_note"] = report.structure_count_note
+        rep["structure_count_note"] = (
+            f"{len(report.parabolics)} parabolics (relative to one fixed "
+            "Cartan) x continuous moduli of torus structures on a fiber of "
+            f"dim {report.fiber_dim}")
     return rep, EXIT_YES if report.exists else EXIT_NO
 
 
-def _select_parabolic(ps, g, h):
-    """classify(g, h).parabolics[k], building only that parabolic."""
-    found = cx.levi_systems(g, h, [])
-    if isinstance(found, str):
-        raise ValidationError(f"no structures exist: {found}")
+def _construct(ps, quot, command):
+    """(p, J): classify's parabolic number parabolic_index, built alone, and
+    J(p, J1) with the spec's J1 on the fiber of classify's m."""
+    levi = quot.fact(cx.levi_systems, quot)
+    if levi.reason:
+        raise ValidationError(f"no structures exist: {levi.reason}")
     k = ps.parabolic_index
     if k is None:
-        raise ValidationError("construct needs parabolic_index")
-    m, _, rd, systems = found
-    if not 0 <= k < len(systems):
+        raise ValidationError(f"{command} needs parabolic_index")
+    if not 0 <= k < len(levi.systems):
         raise ValidationError(
-            f"parabolic_index {k} out of range 0..{len(systems) - 1}")
-    return build_parabolic(rd, m, systems[k])
-
-
-def _torus_structure(ps, p, quot):
-    u = relative_complement(p.levi_real, quot.h)
-    if ps.j1 is None or ps.j1 == "default":
-        return cx.default_torus_structure(u)
-    if ps.j1.nrows != u.dim or ps.j1.ncols != u.dim:
-        raise ValidationError(
-            f"j1 has shape {ps.j1.nrows}x{ps.j1.ncols}, expected "
-            f"{u.dim}x{u.dim}")
-    try:
-        return TorusComplexStructure(u, ps.j1)
-    except ExactError as e:
-        raise ValidationError(str(e)) from None
+            f"parabolic_index {k} out of range 0..{len(levi.systems) - 1}")
+    p = build_parabolic(levi.datum, levi.m.m, levi.systems[k])
+    u, j1 = levi.m.u, None
+    if ps.j1 is not None and ps.j1 != "default":
+        if ps.j1.nrows != u.dim or ps.j1.ncols != u.dim:
+            raise ValidationError(
+                f"j1 has shape {ps.j1.nrows}x{ps.j1.ncols}, expected "
+                f"{u.dim}x{u.dim}")
+        try:
+            j1 = TorusComplexStructure(u, ps.j1)
+        except ExactError as e:
+            raise ValidationError(str(e)) from None
+    return p, cx.construct_J(quot, p, j1)
 
 
 def cmd_construct(ps, args):
-    g, h, quot = _resolve_problem(ps)
-    p = _select_parabolic(ps, g, h)
-    j1 = _torus_structure(ps, p, quot)
-    J = cx.construct_J(quot, p, j1)
-    j1_out = cx.fiber_structure(J, j1.u)
-    rep = _base_report("construct", g, h)
+    quot = _resolve_problem(ps)
+    p, J = _construct(ps, quot, "construct")
+    j1 = cx.fiber_structure(J, quot.fact(cx.levi_systems, quot).m.u)
+    rep = _base_report("construct", quot.algebra, quot.h)
     rep["parabolic_index"] = ps.parabolic_index
     rep["parabolic"] = _ser_parabolic(ps.parabolic_index, p)
     rep["j"] = _ser_matrix(J.j)
-    rep["j1"] = _ser_matrix(j1_out.j1)
-    rep["fiber_basis"] = _ser_space(j1_out.u)
+    rep["j1"] = _ser_matrix(j1.j1)
+    rep["fiber_basis"] = _ser_space(j1.u)
     return rep, EXIT_YES
 
 
 def cmd_decompose(ps, args):
-    g, h, quot = _resolve_problem(ps)
+    quot = _resolve_problem(ps)
     J = _integrable_structure(ps, quot, "nothing to decompose")
     p, j1 = cx.decompose_J(J)
-    index = cx.parabolic_index(g, h, p)
-    rep = _base_report("decompose", g, h)
+    index = cx.parabolic_index(quot, p)
+    rep = _base_report("decompose", quot.algebra, quot.h)
     rep["parabolic_index"] = index
     rep["parabolic"] = _ser_parabolic(index, p)
     rep["j1"] = _ser_matrix(j1.j1)
@@ -427,12 +428,12 @@ def cmd_decompose(ps, args):
 
 
 def cmd_verify(ps, args):
-    g, h, quot = _resolve_problem(ps)
+    quot = _resolve_problem(ps)
     J = _integrable_structure(ps, quot, "ledger undefined")
     ledger = cx.verify_structure(J)
     trials, evaluations = cx.nijenhuis_perturbation_trials(J, seed=args.seed)
     ledger.append(trials)
-    rep = _base_report("verify", g, h)
+    rep = _base_report("verify", quot.algebra, quot.h)
     rep["seed"] = args.seed
     rep["nijenhuis_evaluations"] = evaluations
     rep["ledger"] = _ser_ledger(ledger)
@@ -442,17 +443,15 @@ def cmd_verify(ps, args):
 
 
 def cmd_symmetric(ps, args):
-    g, h, quot = _resolve_problem(ps)
-    p = None
-    if ps.j is not None:
-        J = _structure(ps, quot)
+    quot = _resolve_problem(ps)
+    if ps.j is None:
+        p, J = _construct(ps, quot, "symmetric")
     else:
-        p = _select_parabolic(ps, g, h)
-        J = cx.construct_J(quot, p, _torus_structure(ps, p, quot))
+        p, J = None, _structure(ps, quot)
     if not cx.is_invariant(J):
         raise ValidationError("j is not invariant under the isotropy action")
-    verdict = cx.is_symmetric_pair(g, h, J, p)
-    rep = _base_report("symmetric", g, h)
+    verdict = cx.is_symmetric_pair(J, p)
+    rep = _base_report("symmetric", quot.algebra, quot.h)
     rep["status"] = verdict.status
     rep["reason"] = verdict.reason
     rep["checks"] = _ser_ledger(verdict.checks)
@@ -514,7 +513,7 @@ def main(argv=None):
                 try:
                     with open(args.j1) as fh:
                         ps.j1 = _parse_matrix(json.load(fh), "j1")
-                except (OSError, json.JSONDecodeError) as e:
+                except (OSError, json.JSONDecodeError, RecursionError) as e:
                     raise ParseError(f"cannot read j1 file: {e}") from None
         report, code = COMMANDS[args.command](ps, args)
     except TheoremViolation as e:

@@ -21,8 +21,9 @@ from .exact import (
 )
 from .liealg import (
     LieAlgebra, Quotient,
-    centralizer, normalizer, derived, center, radical, is_solvable, is_closed,
-    is_abelian, require_closed, extend_to_maximal_abelian, pair_brackets,
+    centralizer, normalizer, derived, center, own_algebra, radical,
+    is_solvable, is_closed, is_abelian, require_closed,
+    extend_to_maximal_abelian, pair_brackets,
 )
 from .roots import (
     Parabolic, root_decomposition, enumerate_positive_systems,
@@ -113,28 +114,29 @@ def default_torus_structure(u: Subspace) -> TorusComplexStructure:
 
 
 class MData:
-    """m, the complement u of h in m, center(m), and [h, h] = [m, m] (None
-    from classify, which does not read it)."""
+    """m, the complement u of h in m, and center(m)."""
 
-    def __init__(self, m: Subspace, u: Subspace, center_m: Subspace,
-                 derived_h: Subspace | None):
+    def __init__(self, m: Subspace, u: Subspace, center_m: Subspace):
         self.m = m
         self.u = u
         self.center_m = center_m
-        self.derived_h = derived_h
 
 
 class ClassificationReport:
-    def __init__(self, exists: bool, reason: str, m: MData | None,
-                 parabolics: list, fiber_dim: int, structure_count_note: str,
-                 ledger: list):
-        self.exists = exists
-        self.reason = reason
-        self.m = m
-        self.parabolics = parabolics
-        self.fiber_dim = fiber_dim
-        self.structure_count_note = structure_count_note
+    """classify's answer for g/h: the certificates checked, and either the
+    reason no structure exists or the canonical m = t + h, the root datum of
+    the Cartan through t, m's positive systems and their parabolics."""
+
+    def __init__(self, ledger: list, reason: str = "", m: MData | None = None,
+                 datum=None, systems=(), parabolics=()):
         self.ledger = ledger
+        self.reason = reason
+        self.exists = not reason
+        self.m = m
+        self.fiber_dim = m.u.dim if m else 0
+        self.datum = datum
+        self.systems = systems
+        self.parabolics = list(parabolics)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,6 @@ def is_integrable(J: ComplexStructure) -> bool:
 def compute_m(J: ComplexStructure) -> MData:
     """m = {x in g : [x, h] in h, [ad-bar(x), J] = 0}, with its certified
     properties: h in m, [m,m] = [h,h], m = C_g(center(m))."""
-    _require_invariant(J)
     if not is_integrable(J):
         raise ExactError("m is canonical only for integrable J")
     q = J.quotient
@@ -221,16 +222,21 @@ def compute_m(J: ComplexStructure) -> MData:
     # the x in N_g(h) with [ad-bar(x), J] = 0
     m = kernel_of(normalizer(g, q.h),
                   lambda x: _commutator(J.j, q.induced_map(x)))
-    require_closed(g, m)
+    q.fact(require_closed, g, m)
     if not m.contains_subspace(q.h):
         raise TheoremViolation("h is not contained in m")
-    dh = derived(g, q.h)
-    if m != q.h and derived(g, m) != dh:
+    if not _derived_matches(q, m):
         raise TheoremViolation("[m,m] != [h,h]")
-    cm = center(g, m)
-    if centralizer(g, cm) != m:
+    cm = q.fact(center, g, m)
+    if q.fact(centralizer, g, cm) != m:
         raise TheoremViolation("m is not the centralizer of its center")
-    return MData(m, relative_complement(m, q.h), cm, dh)
+    return MData(m, q.fact(relative_complement, m, q.h), cm)
+
+
+def _derived_matches(q: Quotient, m: Subspace) -> bool:
+    """[m, m] = [h, h] for an m that holds h."""
+    g = q.algebra
+    return m == q.h or q.fact(derived, g, m) == q.fact(derived, g, q.h)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +250,9 @@ def construct_J(quot: Quotient, p: Parabolic,
     m = p.levi_real
     if not m.contains_subspace(h):
         raise LeviMismatch("h is not contained in the Levi of p")
-    if m != h and derived(g, m) != derived(g, h):
+    if not _derived_matches(quot, m):
         raise LeviMismatch("[m,m] != [h,h]")
-    u = relative_complement(m, h)
+    u = quot.fact(relative_complement, m, h)
     if u.dim % 2:
         raise OddFiber(f"dim m/h = {u.dim} is odd")
     if j1 is None:
@@ -290,15 +296,15 @@ def decompose_J(J: ComplexStructure):
     rebuilt from root spaces (build_parabolic cross-checks the nilradical
     with the Killing-perpendicular one and p n tau(p) with m_C, so p n g = m
     with the canonical m), J1 is the restriction of J to the fiber m/h."""
-    _require_invariant(J)
     if not is_integrable(J):
         raise ExactError("decomposition requires an integrable J")
     quot = J.quotient
     g = quot.algebra
     p_space = normalizer(g, plus_space(J))
     md = compute_m(J)
-    a = extend_to_maximal_abelian(g, md.center_m, md.m)
-    rd = root_decomposition(g, a)
+    # the Cartan through center(m) in the certified m = C(center(m))
+    a = quot.fact(extend_to_maximal_abelian, g, md.center_m, md.m)
+    rd = quot.fact(root_decomposition, g, a)
     q_plus = tuple(sorted(
         i for i, r in enumerate(rd.roots)
         if p_space.contains_subspace(r.space)
@@ -326,75 +332,73 @@ def fiber_structure(J: ComplexStructure, u: Subspace) -> TorusComplexStructure:
 # ---------------------------------------------------------------------------
 # classification
 
-def canonical_levi(g: LieAlgebra, h: Subspace):
-    """(m, t, C(h)): classify's m = t + h, with t maximal abelian in
-    C_g(h).  The greedy extension is deterministic and stops on
-    C(t) n C(h) = t = C(m), so t is center(m)."""
-    ch = centralizer(g, h)
-    t = extend_to_maximal_abelian(g, Subspace.zero(g.dim), ch)
+def canonical_m(quot: Quotient):
+    """(m, t): classify's m = t + h, with t maximal abelian in C_g(h), read
+    as the problem's fact quot.fact(canonical_m, quot).  The greedy
+    extension of t is deterministic and stops on C(t) n C(h) = t = C(m), so
+    t is center(m)."""
+    g, h = quot.algebra, quot.h
+    t = extend_to_maximal_abelian(g, Subspace.zero(g.dim),
+                                  quot.fact(centralizer, g, h))
     m = span_sum(g.dim, [t, h])
-    require_closed(g, m)
-    return m, t, ch
+    quot.fact(require_closed, g, m)
+    return m, t
 
 
-def levi_systems(g: LieAlgebra, h: Subspace, ledger):
-    """classify's canonical m = t + h, with t maximal abelian in C_g(h), its
-    root datum and its positive systems; or the reason no structure exists.
-    Each certificate checked on the way is appended to the ledger."""
+def levi_systems(quot: Quotient) -> ClassificationReport:
+    """classify's report on g/h with no parabolic built yet, read by every
+    command as the problem's fact quot.fact(levi_systems, quot)."""
+    g, h = quot.algebra, quot.h
     n, hd = g.dim, h.dim
+    ledger = []
     if (n - hd) % 2:
         ledger.append(LedgerEntry("even_codimension", False,
                                   f"dim g/h = {n - hd} is odd"))
-        return "odd_dimension"
+        return ClassificationReport(ledger, "odd_dimension")
     ledger.append(LedgerEntry("even_codimension", True, f"dim g/h = {n - hd}"))
-    m, cm, ch = canonical_levi(g, h)
-    ok_derived = m == h or derived(g, m) == derived(g, h)
+    m, t = quot.fact(canonical_m, quot)
+    ok_derived = _derived_matches(quot, m)
     ledger.append(LedgerEntry("derived_match", ok_derived, "[m,m] = [h,h]"))
-    # on X/t the center of m is h itself, and C(h) is already at hand
-    ok_centralizer = (ch if cm == h else centralizer(g, cm)) == m
+    ok_centralizer = quot.fact(centralizer, g, t) == m
     ledger.append(LedgerEntry("m_is_centralizer_of_its_center", ok_centralizer,
-                              f"dim m = {m.dim}, dim center(m) = {cm.dim}"))
+                              f"dim m = {m.dim}, dim center(m) = {t.dim}"))
     fiber = m.dim - hd
     ok_fiber = fiber % 2 == 0
     ledger.append(LedgerEntry("even_fiber", ok_fiber, f"dim m/h = {fiber}"))
     if not (ok_derived and ok_centralizer and ok_fiber):
-        return "m_not_centralizer_of_its_center" if not ok_centralizer \
-            else ("derived_mismatch" if not ok_derived else "odd_fiber")
-    rd = root_decomposition(g, extend_to_maximal_abelian(g, cm, m))
-    return m, cm, rd, enumerate_positive_systems(rd, m)
+        return ClassificationReport(ledger, "m_not_centralizer_of_its_center"
+                                    if not ok_centralizer else
+                                    ("derived_mismatch" if not ok_derived
+                                     else "odd_fiber"))
+    rd = quot.fact(root_decomposition, g,
+                   quot.fact(extend_to_maximal_abelian, g, t, m))
+    systems = enumerate_positive_systems(rd, m)
+    ledger.append(LedgerEntry("parabolic_enumeration", True,
+                              f"{len(systems)} parabolics with Levi m, "
+                              "relative to the chosen Cartan"))
+    return ClassificationReport(
+        ledger, "", MData(m, quot.fact(relative_complement, m, h), t), rd,
+        systems)
 
 
-def classify(g: LieAlgebra, h: Subspace) -> ClassificationReport:
+def classify(quot: Quotient) -> ClassificationReport:
     """Existence and parametrization of invariant integrable structures on
     g/h: canonical m = t + h for a maximal abelian t in C_g(h), then all
     parabolics with Levi m relative to one fixed Cartan."""
-    ledger = []
-    found = levi_systems(g, h, ledger)
-    if isinstance(found, str):
-        return ClassificationReport(False, found, None, [], 0, "", ledger)
-    m, cm, rd, systems = found
-    parabolics = [build_parabolic(rd, m, qp) for qp in systems]
-    ledger.append(LedgerEntry("parabolic_enumeration", True,
-                              f"{len(parabolics)} parabolics with Levi m, "
-                              "relative to the chosen Cartan"))
-    fiber = m.dim - h.dim
-    u = relative_complement(m, h)
-    note = (f"{len(parabolics)} parabolics (relative to one fixed Cartan) x "
-            f"continuous moduli of torus structures on a fiber of dim {fiber}")
-    return ClassificationReport(True, "", MData(m, u, cm, None), parabolics,
-                                fiber, note, ledger)
+    levi = quot.fact(levi_systems, quot)
+    return ClassificationReport(
+        levi.ledger, levi.reason, levi.m, levi.datum, levi.systems,
+        [build_parabolic(levi.datum, levi.m.m, qp) for qp in levi.systems])
 
 
-def parabolic_index(g: LieAlgebra, h: Subspace, p: Parabolic):
-    """The index of p among classify(g, h).parabolics, or None when p's Levi
-    is not classify's m.  With the same m, center(m), its Cartan, the root
-    datum and the order of the positive systems are classify's too, so the
-    index is a lookup of p's positive set."""
-    if p.levi_real != canonical_levi(g, h)[0]:
+def parabolic_index(quot: Quotient, p: Parabolic):
+    """The index of p among classify's parabolics of g/h, or None when p's
+    Levi is not classify's m; such a p is built on the problem's root datum,
+    so the index is a lookup of p's positive set in its systems."""
+    if p.levi_real != quot.fact(canonical_m, quot)[0]:
         return None
     try:
-        return enumerate_positive_systems(p.datum, p.levi_real).index(
-            p.positive_set)
+        return quot.fact(levi_systems, quot).systems.index(p.positive_set)
     except ValueError:
         raise TheoremViolation(
             "p's positive set is not a positive system of its Levi") from None
@@ -406,7 +410,6 @@ def parabolic_index(g: LieAlgebra, h: Subspace, p: Parabolic):
 def verify_structure(J: ComplexStructure):
     """Machine checks of the structural identities attached to an integrable
     invariant J; returns a list of named pass/fail entries."""
-    _require_invariant(J)
     if not is_integrable(J):
         raise ExactError("verification ledger requires an integrable J")
     quot = J.quotient
@@ -432,14 +435,15 @@ def verify_structure(J: ComplexStructure):
           "l n g = h")
     entry("dim_l", 2 * l.dim == n + hd, f"dim_C l = {l.dim}")
     md = compute_m(J)
-    r = radical(g, l)
-    ch = md.center_m if md.m == quot.h else center(g, quot.h)
+    own_l = own_algebra(g, l)
+    r = radical(own_l, l)
+    ch = quot.fact(center, g, quot.h)
     entry("dim_r_prime", 2 * (r.dim - ch.dim) == n - hd,
           f"dim_C radical(l) = {r.dim}, dim center(h) = {ch.dim}")
-    kc = md.derived_h
+    kc = quot.fact(derived, g, quot.h)
     levi_ok = span_sum(n, [r, kc]) == l and r.intersect(kc).dim == 0
     entry("levi_split", levi_ok, "l = radical(l) (+) [h,h]_C")
-    r_solvable = is_solvable(g, r)
+    r_solvable = is_solvable(own_l if r == l else own_algebra(g, r))
     entry("radical_solvable", r_solvable, "")
     # p = N(l), as decompose_J finds it, against the canonical m
     p = normalizer(g, l)
@@ -554,25 +558,24 @@ def commutant_dimension(J: ComplexStructure):
 
 
 def involution_is_automorphism(g: LieAlgebra, h: Subspace, v: Subspace):
-    """Whether theta = id on h, -id on V is an automorphism of g = h (+) V:
-    on basis pairs, [h,h] in h, [h,V] in V and [V,V] in h."""
+    """Whether theta = id on h, -id on V is an automorphism of g = h (+) V
+    for a subalgebra h: on basis pairs, [h,V] in V and [V,V] in h."""
     vb = v.basis_vectors()
-    return (is_closed(g, h)
-            and all(v.contains(g.bracket(a, b))
-                    for a in h.basis_vectors() for b in vb)
+    return (all(v.contains(g.bracket(a, b))
+                for a in h.basis_vectors() for b in vb)
             and all(h.contains(c) for c in pair_brackets(g, vb)))
 
 
-def is_symmetric_pair(g: LieAlgebra, h: Subspace, J: ComplexStructure,
+def is_symmetric_pair(J: ComplexStructure,
                       p: Parabolic | None = None) -> SymmetricVerdict:
-    """Detect whether (g, h, J) is an irreducible Hermitian symmetric pair:
-    effective irreducible isotropy forces m = h, an abelian nilradical with
-    [tau(n), n] in h_C, and the +/-1 involution is an automorphism.  p is
-    the parabolic of J when the caller has it (construct_J certifies
-    p = N(l)); otherwise decompose_J recovers it."""
-    _require_invariant(J)
+    """Detect whether (g, h, J), g/h J's quotient, is an irreducible
+    Hermitian symmetric pair: effective irreducible isotropy forces m = h,
+    an abelian nilradical with [tau(n), n] in h_C, and the +/-1 involution
+    is an automorphism.  p is the parabolic of J when the caller has it
+    (construct_J certifies p = N(l)); otherwise decompose_J recovers it."""
     if not is_integrable(J):
         return SymmetricVerdict("not_applicable", "not_integrable")
+    g, h = J.quotient.algebra, J.quotient.h
     checks = []
     ideal = largest_ideal_inside(g, h)
     cg = center(g, Subspace.full(g.dim))

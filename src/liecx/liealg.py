@@ -283,11 +283,10 @@ def own_algebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
     return LieAlgebra(table)
 
 
-def _series_reaches_zero(g, s: Subspace, step) -> bool:
-    """The series [s, s], step(h, [s, s]), ... run in h = s in its own
-    coordinates reaches 0; it stalls, and never does, once a term keeps the
-    dimension of the one before."""
-    h = own_algebra(g, s)
+def _series_reaches_zero(h: LieAlgebra, step) -> bool:
+    """The series [h, h], step(h, [h, h]), ... in the algebra h reaches 0;
+    it stalls, and never does, once a term keeps the dimension of the one
+    before."""
     prev, cur = h.dim, h.derived_span()
     while cur.dim:
         if cur.dim == prev:
@@ -297,14 +296,14 @@ def _series_reaches_zero(g, s: Subspace, step) -> bool:
     return True
 
 
-def is_solvable(g: LieAlgebra, s: Subspace) -> bool:
-    """The derived series s, [s, s], [[s, s], [s, s]], ... reaches 0."""
-    return _series_reaches_zero(g, s, pair_brackets)
+def is_solvable(h: LieAlgebra) -> bool:
+    """The derived series h, [h, h], ... of the algebra h reaches 0."""
+    return _series_reaches_zero(h, pair_brackets)
 
 
 def is_nilpotent(g: LieAlgebra, s: Subspace) -> bool:
     """The lower central series s, [s, s], [s, [s, s]], ... reaches 0."""
-    return _series_reaches_zero(g, s, lambda h, bs: [
+    return _series_reaches_zero(own_algebra(g, s), lambda h, bs: [
         h.bracket(a, b) for a in Matrix.identity(h.dim).rows for b in bs])
 
 
@@ -314,15 +313,14 @@ def restricted_ad(g: LieAlgebra, x, space: Subspace) -> Matrix:
                                 for b in space.basis_vectors()])
 
 
-def radical(g: LieAlgebra, l: Subspace) -> Subspace:
-    """Radical of l by the Killing-perpendicularity criterion: the set of
-    x in l with kappa_l(x, [l, l]) = 0, kappa_l the Killing form of l in
-    its own coordinates."""
-    h = own_algebra(g, l)
-    der = h.derived_span()
+def radical(own_l: LieAlgebra, l: Subspace) -> Subspace:
+    """Radical of the closed l by the Killing-perpendicularity criterion,
+    from own_l = own_algebra(g, l): the x in l with kappa_l(x, [l, l]) = 0,
+    kappa_l the Killing form of l in its own coordinates."""
+    der = own_l.derived_span()
     if der.dim == 0:
         return l
-    gram = h.killing_gram()
+    gram = own_l.killing_gram()
     rows = [gram.matvec(dv) for dv in der.basis_vectors()]  # symmetric gram
     return kernel_span(Matrix(rows), l)
 
@@ -352,13 +350,23 @@ class Quotient:
 
     Quotient coordinates are the non-pivot axes of h's RREF basis, in order:
     project reduces x by h and reads the residual there, lift scatters u
-    onto those axes."""
+    onto those axes.
 
-    def __init__(self, algebra: LieAlgebra, h: Subspace,
-                 complement: Subspace):
+    It is also the problem g/h of one command: h is certified closed by the
+    catalog, and `fact` keeps what the command derives of g/h (C(h), [h, h],
+    classify's Levi), so each is derived once, for the Quotient's life."""
+
+    def __init__(self, algebra: LieAlgebra, h: Subspace):
         self.algebra = algebra
         self.h = h
-        self.complement = complement
+        self.complement = h.complement()
+        self._facts = {(require_closed, (algebra, h)): None}
+
+    def fact(self, fn, *args):
+        """fn(*args), computed on first use and kept."""
+        if (fn, args) not in self._facts:
+            self._facts[fn, args] = fn(*args)
+        return self._facts[fn, args]
 
     @property
     def dim(self):
@@ -388,4 +396,4 @@ class Quotient:
 
 
 def quotient(g: LieAlgebra, h: Subalgebra) -> Quotient:
-    return Quotient(g, h.space, h.space.complement())
+    return Quotient(g, h.space)

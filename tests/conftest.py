@@ -102,8 +102,8 @@ def flag_spec(kind, n, sub="maximal_torus", **kw):
 
 @functools.lru_cache(maxsize=None)
 def _classified(spec_json):
-    g, h, _ = cli._resolve_problem(cli.parse_obj(json.loads(spec_json)))
-    return g, h, cx.classify(g, h)
+    quot = cli._resolve_problem(cli.parse_obj(json.loads(spec_json)))
+    return quot.algebra, quot.h, cx.classify(quot)
 
 
 def classified(spec):

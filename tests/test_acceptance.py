@@ -8,7 +8,8 @@ import time
 import pytest
 
 from liecx.exact import GQ, ZERO, ONE, I, Matrix, vec, vunit, is_zero_vec
-from liecx.liealg import quotient as make_quotient, is_abelian, is_solvable
+from liecx.liealg import (
+    quotient as make_quotient, is_abelian, is_solvable, own_algebra)
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx import cx
 
@@ -32,7 +33,7 @@ def corpus():
         for name, g, sub in acceptance_pairs():
             quot = make_quotient(g, sub)
             h = quot.h
-            rep = cx.classify(g, h)
+            rep = cx.classify(quot)
             assert rep.exists, name
             js = [cx.construct_J(quot, p) for p in rep.parabolics]
             out.append((name, g, h, quot, rep, js))
@@ -50,15 +51,16 @@ def test_criterion_1_flag_counts():
     t0 = time.time()
     results = []
     g3 = build(su(3))
-    rep = cx.classify(g3, build_subalgebra(g3, su(3), "maximal_torus").space)
+    rep = cx.classify(make_quotient(
+        g3, build_subalgebra(g3, su(3), "maximal_torus")))
     results.append(rep.exists and len(rep.parabolics) == 6)
     g22 = build(direct_sum(su(2), su(2)))
-    rep2 = cx.classify(g22, build_subalgebra(g22, None, "zero").space)
+    rep2 = cx.classify(make_quotient(g22, build_subalgebra(g22, None, "zero")))
     results.append(rep2.exists and len(rep2.parabolics) == 4
                    and rep2.fiber_dim == 2)
     gs = build(su(2))
-    rep3 = cx.classify(gs, build_subalgebra(gs, su(2), "span",
-                                            span=[[0, 0, 1]]).space)
+    rep3 = cx.classify(make_quotient(gs, build_subalgebra(
+        gs, su(2), "span", span=[[0, 0, 1]])))
     results.append(rep3.exists and len(rep3.parabolics) == 2)
     elapsed = time.time() - t0
     ok = all(results) and elapsed < 5.0
@@ -142,7 +144,7 @@ def test_criterion_5_canonical_m():
         if h.dim == 0:
             if not is_abelian(g, md.m):
                 failures.append(f"{name}: m not abelian for h = 0")
-            if not is_solvable(g, cx.plus_space(J)):
+            if not is_solvable(own_algebra(g, cx.plus_space(J))):
                 failures.append(f"{name}: l not solvable for h = 0")
     ok = not failures
     assert _line(5, "canonical m", ok,
@@ -152,7 +154,7 @@ def test_criterion_5_canonical_m():
 def test_criterion_6_negative_controls():
     failures = []
     gs = build(su(2))
-    rep = cx.classify(gs, build_subalgebra(gs, None, "zero").space)
+    rep = cx.classify(make_quotient(gs, build_subalgebra(gs, None, "zero")))
     if rep.exists or rep.reason != "odd_dimension":
         failures.append("su(2)/0 not rejected for odd dimension")
     g, h, quot, Jswap = swap_structure()
@@ -179,20 +181,18 @@ def test_criterion_6_negative_controls():
 def test_criterion_7_symmetric_pairs():
     failures = []
     g, h, quot, J = s2_instance()
-    v1 = cx.is_symmetric_pair(g, h, J)
+    v1 = cx.is_symmetric_pair(J)
     if v1.status != "symmetric" or not all(e.ok for e in v1.checks):
         failures.append(f"(su(2), u(1)): {v1.status}")
     g3 = build(su(3))
     quot2 = make_quotient(g3, build_subalgebra(g3, su(3), "block_u", k=2))
-    h2 = quot2.h
-    J2 = cx.construct_J(quot2, cx.classify(g3, h2).parabolics[0])
-    v2 = cx.is_symmetric_pair(g3, h2, J2)
+    J2 = cx.construct_J(quot2, cx.classify(quot2).parabolics[0])
+    v2 = cx.is_symmetric_pair(J2)
     if v2.status != "symmetric" or not all(e.ok for e in v2.checks):
         failures.append(f"(su(3), u(2)): {v2.status}")
     quot3 = make_quotient(g3, build_subalgebra(g3, su(3), "maximal_torus"))
-    t = quot3.h
-    J3 = cx.construct_J(quot3, cx.classify(g3, t).parabolics[0])
-    v3 = cx.is_symmetric_pair(g3, t, J3)
+    J3 = cx.construct_J(quot3, cx.classify(quot3).parabolics[0])
+    v3 = cx.is_symmetric_pair(J3)
     if v3.status != "not_applicable" or v3.reason != "reducible_isotropy":
         failures.append(f"(su(3), t): {v3.status}/{v3.reason}")
     ok = not failures
@@ -214,7 +214,7 @@ def test_criterion_8_independent_oracles():
     integrable = nonintegrable = 0
     g, h, quot, Jce = calabi_eckmann_instance()
     gswap = swap_structure()[3]
-    rep = cx.classify(g, h)
+    rep = cx.classify(quot)
     pool = random_invariant_structures(quot, Jce.j, rng, 80)
     pool += random_invariant_structures(quot, gswap.j, rng, 80)
     for p in rep.parabolics:

@@ -137,6 +137,17 @@ def test_classify_diagonal_su3_in_su3_plus_su3_is_not_a_centralizer(
         "no structures exist: m_not_centralizer_of_its_center"
 
 
+def test_symmetric_without_j_or_index_names_itself(tmp_path):
+    # with no j, symmetric builds J from a parabolic, as construct does; a
+    # missing index is reported for the command that ran, and a problem
+    # without structures is reported first
+    code, rep = run(tmp_path, SU3_T, "symmetric")
+    assert (code, rep["message"]) == (2, "symmetric needs parabolic_index")
+    odd = {"algebra": {"kind": "su", "n": 2}, "subalgebra": {"name": "zero"}}
+    code, rep = run(tmp_path, odd, "symmetric")
+    assert (code, rep["message"]) == (2, "no structures exist: odd_dimension")
+
+
 def test_check_swap_structure_witness(tmp_path):
     spec = {"algebra": SU2SU2, "subalgebra": {"name": "zero"}, "j": SWAP_J}
     code, rep = run(tmp_path, spec, "check")
@@ -346,9 +357,34 @@ DECOMPOSE_SPECS = {c["file"]: c["spec"] for c in json.loads(
 @pytest.mark.parametrize("name", ["su3_t__decompose.json",
                                   "so5_t__decompose.json"])
 def test_decompose_builds_one_root_datum(tmp_path, name):
+    # J's m is classify's: decompose_J builds p on the problem's root datum,
+    # and parabolic_index reads the problem's positive systems; classify's
+    # Levi is derived once, and neither its Cartan nor p is built twice
     calls = profiled_calls(tmp_path, DECOMPOSE_SPECS[name], "decompose")
     assert calls(roots.root_decomposition) == 1
-    assert calls(cx.levi_systems) == 0
+    assert [calls(cx.levi_systems), calls(roots.enumerate_positive_systems),
+            calls(roots.build_parabolic),
+            calls(liealg.extend_to_maximal_abelian)] == [1, 1, 1, 2]
+
+
+def test_no_state_outlives_a_command(tmp_path):
+    # classify and then decompose on su(3)/t, twice in one process: the
+    # second pair derives every fact of g/h again, as the first did, since
+    # each fact lives on the problem of the command that derived it
+    out = str(tmp_path / "report.json")
+    runs = [["--spec", write_spec(tmp_path, spec, f"{command}.json"),
+             "--command", command, "--out", out]
+            for command, spec in (
+                ("classify", SU3_T),
+                ("decompose", DECOMPOSE_SPECS["su3_t__decompose.json"]))]
+    counts = []
+    for _ in range(2):
+        codes, calls = profiled(lambda: [cli.main(argv) for argv in runs])
+        assert codes == [0, 0]
+        counts.append([calls(liealg.centralizer),
+                       calls(roots.root_decomposition),
+                       calls(roots.build_parabolic)])
+    assert counts == [[2, 2, 7]] * 2
 
 
 SYMMETRIC_SPECS = {c["file"]: (c["spec"], c["args"]) for c in json.loads(
@@ -385,10 +421,10 @@ def test_verify_rebuilds_no_parabolic(tmp_path, name):
 @pytest.mark.parametrize("name", ["su3_t__verify_seed0.json",
                                   "so5_t__verify_seed0.json"])
 def test_verify_runs_no_derived_series_in_g(tmp_path, name):
-    # [h, h] once, in compute_m, whose record the Levi split of l reads;
-    # m = h here, so [m, m] is not taken.  The derived series of radical(l)
-    # runs in its own coordinates (in g, 3 more calls).  Taking [h, h]
-    # again for the split and [m, m] made 3 calls.
+    # [h, h] once, a fact of the problem that the Levi split of l reads;
+    # m = h here, so compute_m takes no [m, m].  The derived series of
+    # radical(l) runs in its own coordinates (in g, 3 more calls).  Taking
+    # [h, h] again for the split and [m, m] made 3 calls.
     calls = profiled_calls(tmp_path, VERIFY_SPECS[name], "verify",
                            "--seed", "0")
     assert calls(liealg.derived) <= 1
@@ -398,8 +434,9 @@ def test_verify_runs_no_derived_series_in_g(tmp_path, name):
                                   "so5_t__verify_seed0.json"])
 def test_verify_intersects_l_and_tau_l_once(tmp_path, name):
     # w = l n tau(l) serves h_C = w, l n g = w n g and, since p = N(l) = l
-    # here, p n tau(p) = w; center(h) is compute_m's center(m), as m = h.
-    # Intersecting each again made 5 intersections and 2 centers.
+    # here, p n tau(p) = w; the problem's center(h) is compute_m's
+    # center(m), as m = h.  Intersecting each again made 5 intersections
+    # and 2 centers.
     calls = profiled_calls(tmp_path, VERIFY_SPECS[name], "verify",
                            "--seed", "0")
     assert calls(liealg.center) <= 1
@@ -410,7 +447,7 @@ GOLDEN_SPECS = {c["file"]: c["spec"] for c in json.loads(
     (GOLDEN / "manifest.json").read_text())}
 
 
-CENTRALIZER_CALLS = {"classify": 1, "construct": 1, "decompose": 2, "m": 1,
+CENTRALIZER_CALLS = {"classify": 1, "construct": 1, "decompose": 1, "m": 1,
                      "verify": 1, "symmetric": 1}
 
 
@@ -418,13 +455,12 @@ CENTRALIZER_CALLS = {"classify": 1, "construct": 1, "decompose": 2, "m": 1,
 @pytest.mark.parametrize("name", ["su3_t", "so5_t"])
 def test_each_centralizer_is_computed_once(tmp_path, command, name):
     # classify, construct and symmetric without j take C(h) for m = t + h;
-    # on X/t the center t of m is h, so the same C(h) certifies
+    # on X/t the center t of m is h, so the problem's C(h) certifies
     # m = C(center(m)).  m and verify take C(center(m)) alone.  decompose
-    # takes C(center(m)) in compute_m and C(h) in parabolic_index's
-    # canonical_levi: the same subspace on X/t, but sharing it would need a
-    # memo per J.  Each Cartan extension cuts its bound by the centralizer
-    # of the one vector it adds, root_decomposition reads NotCartan off its
-    # zero space, and center(s) cuts s itself.
+    # takes C(center(m)) in compute_m, and parabolic_index reads the same
+    # fact of the problem as C(h).  Each Cartan extension cuts its bound by
+    # the centralizer of the one vector it adds, root_decomposition reads
+    # NotCartan off its zero space, and center(s) cuts s itself.
     spec = {"su3_t": SU3_T, "so5_t": SO5_T}[name]
     extra = []
     if command in ("construct", "symmetric"):
@@ -444,11 +480,12 @@ def test_each_centralizer_is_computed_once(tmp_path, command, name):
 @pytest.mark.parametrize("spec,count", [(SU3_T, 6), (SO5_T, 8)],
                          ids=["su3_t", "so5_t"])
 def test_classify_checks_each_closure_once(tmp_path, spec, count):
-    # m once on its subspace; each p is closed on root indices, from the
-    # root datum's bracket record; n and p n g follow from p's checks
+    # m = h, the certified h, is not checked again on its subspace; each p
+    # is closed on root indices, from the root datum's bracket record; n and
+    # p n g follow from p's checks
     calls = profiled_calls(tmp_path, spec, "classify")
     assert calls(exact.real_points) == 0
-    assert calls(liealg.is_closed) == 1
+    assert calls(liealg.is_closed) == 0
     assert calls(roots.RootDatum.bracket_target) >= count
 
 
@@ -458,8 +495,8 @@ def test_classify_so5_t_certifies_on_a_small_record(tmp_path):
     calls = profiled_calls(tmp_path, SO5_T, "classify")
     assert calls(liealg.LieAlgebra.bracket) < 771
     assert calls(exact.rref) <= 90
-    g, h, _ = cli._resolve_problem(cli.parse_obj(SO5_T))
-    rd = cx.classify(g, h).parabolics[0].datum
+    rd = cx.classify(cli._resolve_problem(cli.parse_obj(SO5_T))) \
+        .parabolics[0].datum
     assert 0 < len(rd.targets) <= len(rd.roots) ** 2
     # m is the torus: no parabolic holds a root together with its negative
     assert all(b != rd.negative_of(a) for a, b in rd.targets)
@@ -558,6 +595,46 @@ def test_dim_g_above_the_limit_is_an_input_error(tmp_path, name):
         in rep["message"]
 
 
+def nested_sum(depth):
+    """su(2) inside depth sums of one part each, as JSON text: the JSON
+    encoder itself refuses the deepest of these."""
+    return ('{"algebra": ' + '{"kind": "sum", "parts": [' * depth
+            + '{"kind": "su", "n": 2}' + ']}' * depth + '}')
+
+
+def test_a_table_inside_a_sum_is_an_input_error(tmp_path):
+    spec = {"algebra": {"kind": "sum", "parts": [
+        {"kind": "su", "n": 2}, {"table": su2_table()}]}}
+    code, rep = run(tmp_path, spec, "catalog")
+    assert (code, rep["message"]) == (
+        2, "explicit tables cannot nest inside a sum")
+
+
+def test_sums_nested_up_to_the_limit_parse(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(nested_sum(cli.MAX_NESTING))
+    assert cli.parse(path).algebra_payload.label() == "su(2)"
+
+
+@pytest.mark.parametrize("depth,message", [
+    (cli.MAX_NESTING + 1, f"sums nest more than {cli.MAX_NESTING} deep"),
+    (450, f"sums nest more than {cli.MAX_NESTING} deep"),
+    (1200, "spec file nests too deeply to read")])
+def test_sums_nested_too_deep_are_an_input_error(tmp_path, depth, message):
+    # 450 deep used to exit 4 from the catalog's recursion over the spec,
+    # and 1200 deep from the JSON reader's
+    path = tmp_path / "spec.json"
+    path.write_text(nested_sum(depth))
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = cli.main(["--spec", str(path), "--command", "catalog",
+                     "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    rep = json.loads(out.read_text())
+    assert (code, rep["error"]) == (2, "ParseError")
+    assert message in rep["message"]
+
+
 # ---------------------------------------------------------------------------
 # hostile specs: each field valid nine times in ten, else malformed or a
 # wrongly typed JSON value
@@ -598,6 +675,9 @@ ALGEBRAS = mostly(st.one_of(
     CATALOG_ALGEBRAS,
     st.fixed_dictionaries({"kind": st.just("sum"), "parts": mostly(
         st.lists(CATALOG_ALGEBRAS, min_size=1, max_size=2))}),
+    # sums nested at, just past and far past the limit
+    st.sampled_from([cli.MAX_NESTING, cli.MAX_NESTING + 1, 450]).map(
+        lambda depth: json.loads(nested_sum(depth))["algebra"]),
     st.fixed_dictionaries({"table": mostly(st.one_of(
         st.just(su2_table()), st.integers(1, 2).flatmap(
             lambda n: square_rows(n, st.lists(RATIONALS, min_size=n,

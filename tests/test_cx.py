@@ -178,7 +178,7 @@ def test_m_is_certified_closed(monkeypatch):
                         lambda g, t, within: Subspace.from_vectors(
                             3, [vunit(3, 0)]))
     with pytest.raises(NotClosed, match="not closed under the bracket"):
-        cx.canonical_levi(g, h)
+        cx.classify(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_construct_calabi_eckmann_from_parabolic():
 
 def test_construct_s2_from_borel():
     g, h, quot, Js2 = s2_instance()
-    rep = cx.classify(g, h)
+    rep = cx.classify(quot)
     js = [cx.construct_J(quot, p).j for p in rep.parabolics]
     assert Js2.j in js
 
@@ -213,8 +213,7 @@ def test_construct_s2_from_borel():
 def test_construct_torus_returns_j1():
     g = build(torus(2))
     quot = make_quotient(g, build_subalgebra(g, torus(2), "zero"))
-    h = quot.h
-    rep = cx.classify(g, h)
+    rep = cx.classify(quot)
     assert len(rep.parabolics) == 1
     j1 = TorusComplexStructure(rep.m.u, rot(2))
     J = cx.construct_J(quot, rep.parabolics[0], j1)
@@ -259,8 +258,8 @@ def test_construct_rejects_a_parabolic_whose_levi_does_not_fit_h():
     g = build(su(3))
     t = build_subalgebra(g, su(3), "maximal_torus")
     u2 = build_subalgebra(g, su(3), "block_u", k=2)
-    borel = cx.classify(g, t.space).parabolics[0]
-    u2_parabolic = cx.classify(g, u2.space).parabolics[0]
+    borel = cx.classify(make_quotient(g, t)).parabolics[0]
+    u2_parabolic = cx.classify(make_quotient(g, u2)).parabolics[0]
     # h = u(2) is not inside a Borel's Levi t
     with pytest.raises(LeviMismatch, match="h is not contained"):
         cx.construct_J(make_quotient(g, u2), borel)
@@ -270,7 +269,7 @@ def test_construct_rejects_a_parabolic_whose_levi_does_not_fit_h():
     # su(2)+su(2)/0: the fiber is classify's Cartan, J1 lives on another
     # plane
     g, h, quot, _ = calabi_eckmann_instance()
-    p = cx.classify(g, h).parabolics[0]
+    p = cx.classify(quot).parabolics[0]
     plane = Subspace.from_vectors(6, [vunit(6, 0), vunit(6, 1)])
     assert plane != p.levi_real
     with pytest.raises(LeviMismatch, match="different fiber"):
@@ -280,20 +279,19 @@ def test_construct_rejects_a_parabolic_whose_levi_does_not_fit_h():
 def test_parabolic_index_rejects_an_unknown_positive_set():
     g = build(su(3))
     quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
-    h = quot.h
     p, _ = cx.decompose_J(cx.construct_J(quot,
-                                         cx.classify(g, h).parabolics[1]))
-    assert cx.parabolic_index(g, h, p) == 1
+                                         cx.classify(quot).parabolics[1]))
+    assert cx.parabolic_index(quot, p) == 1
     unknown = Parabolic(p.levi_real, (), p.nilradical, p.space, p.datum)
     with pytest.raises(cx.TheoremViolation, match="positive system"):
-        cx.parabolic_index(g, h, unknown)
+        cx.parabolic_index(quot, unknown)
 
 
 def test_parabolic_equality_compares_p_m_and_n():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus").space
-    first, second = cx.classify(g, h).parabolics[:2]
-    again = cx.classify(g, h).parabolics[0]
+    t = build_subalgebra(g, su(3), "maximal_torus")
+    first, second = cx.classify(make_quotient(g, t)).parabolics[:2]
+    again = cx.classify(make_quotient(g, t)).parabolics[0]
     assert first is not again and first == again
     assert first != second
     # the positive set and the datum are labels, not part of the equality
@@ -340,10 +338,10 @@ def test_decompose_p_properties():
 
 def test_classify_su3_t():
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "maximal_torus").space
-    rep = cx.classify(g, h)
+    quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
+    rep = cx.classify(quot)
     assert rep.exists
-    assert rep.m.m == h
+    assert rep.m.m == quot.h
     assert len(rep.parabolics) == 6
     assert rep.fiber_dim == 0
     assert all(e.ok for e in rep.ledger)
@@ -351,13 +349,13 @@ def test_classify_su3_t():
 
 def test_classify_su2su2():
     g = build(direct_sum(su(2), su(2)))
-    rep = cx.classify(g, build_subalgebra(g, None, "zero").space)
+    rep = cx.classify(make_quotient(g, build_subalgebra(g, None, "zero")))
     assert rep.exists and len(rep.parabolics) == 4 and rep.fiber_dim == 2
 
 
 def test_classify_odd_dimension():
     g = build(su(2))
-    rep = cx.classify(g, build_subalgebra(g, None, "zero").space)
+    rep = cx.classify(make_quotient(g, build_subalgebra(g, None, "zero")))
     assert not rep.exists and rep.reason == "odd_dimension"
 
 
@@ -375,8 +373,7 @@ def test_verify_ledger_s2_and_ce():
 def test_verify_ledger_su3_borel():
     g = build(su(3))
     quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
-    h = quot.h
-    J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
+    J = cx.construct_J(quot, cx.classify(quot).parabolics[0])
     assert cx.plus_space(J).dim == 5
     assert all(e.ok for e in cx.verify_structure(J))
 
@@ -392,7 +389,7 @@ def test_perturbation_trials():
 
 def test_symmetric_s2():
     g, h, quot, J = s2_instance()
-    v = cx.is_symmetric_pair(g, h, J)
+    v = cx.is_symmetric_pair(J)
     assert v.status == "symmetric"
     assert all(e.ok for e in v.checks)
 
@@ -400,18 +397,16 @@ def test_symmetric_s2():
 def test_symmetric_cp2():
     g = build(su(3))
     quot = make_quotient(g, build_subalgebra(g, su(3), "block_u", k=2))
-    h = quot.h
-    J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
-    v = cx.is_symmetric_pair(g, h, J)
+    J = cx.construct_J(quot, cx.classify(quot).parabolics[0])
+    v = cx.is_symmetric_pair(J)
     assert v.status == "symmetric"
 
 
 def test_symmetric_flag_not_applicable():
     g = build(su(3))
     quot = make_quotient(g, build_subalgebra(g, su(3), "maximal_torus"))
-    h = quot.h
-    J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
-    v = cx.is_symmetric_pair(g, h, J)
+    J = cx.construct_J(quot, cx.classify(quot).parabolics[0])
+    v = cx.is_symmetric_pair(J)
     assert v.status == "not_applicable"
     assert v.reason == "reducible_isotropy"
     assert cx.commutant_dimension(J) >= 3
@@ -419,7 +414,7 @@ def test_symmetric_flag_not_applicable():
 
 def test_calabi_eckmann_not_symmetric_applicable():
     g, h, quot, J = calabi_eckmann_instance()
-    v = cx.is_symmetric_pair(g, h, J)
+    v = cx.is_symmetric_pair(J)
     assert v.status == "not_applicable"
 
 
@@ -436,7 +431,7 @@ def test_method_agreement_on_random_invariant_structures():
         assert cx.is_invariant(J)
         outcomes.add(cx.is_integrable(J))  # asserts both methods agree
     # constructed structures with random torus parts (all integrable)
-    rep = cx.classify(g, h)
+    rep = cx.classify(quot)
     for p in rep.parabolics[:2]:
         for _ in range(5):
             j1 = random_torus_structure(rep.m.u, rng)

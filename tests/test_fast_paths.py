@@ -30,7 +30,7 @@ from liecx.exact import (
 from liecx.liealg import (
     LieAlgebra, Quotient, Subalgebra, NotAbelian, center, centralizer, derived,
     extend_to_maximal_abelian, is_abelian, is_closed, is_nilpotent,
-    is_solvable, normalizer, quotient, radical, restricted_ad,
+    is_solvable, normalizer, own_algebra, quotient, radical, restricted_ad,
     pair_brackets, _positive_definite,
 )
 from liecx.catalog import (
@@ -39,7 +39,8 @@ from liecx.catalog import (
 )
 
 from conftest import (
-    ad, classified, flag_spec, profiled, random_invariant_structures,
+    ad, calabi_eckmann_instance, classified, flag_spec, profiled,
+    random_invariant_structures,
 )
 
 
@@ -504,22 +505,26 @@ def dense_killing_gram(g):
                     for j in range(n)] for i in range(n)])
 
 
-def rotated(g, seed, gaussian=False):
-    """g's table rewritten in the basis f_a = sum_r P[r][a] e_r for a random
-    invertible integer P (Gaussian-integer P when gaussian is set, which
-    makes the structure constants complex); the new table is dense."""
+def rotation(n, seed, gaussian=False):
+    """(P, P^-1) for a random invertible integer n x n matrix P, with
+    Gaussian-integer entries when gaussian is set."""
     rng = random.Random(seed)
-    n = g.dim
 
     def entry():
         return Q(rng.randint(-3, 3), rng.randint(-2, 2) if gaussian else 0)
     while True:
         p = Matrix([[entry() for _ in range(n)] for _ in range(n)])
         try:
-            pinv = inverse(p)
-            break
+            return p, inverse(p)
         except Exception:
             continue
+
+
+def rotated(g, seed, gaussian=False):
+    """g's table rewritten in the basis f_a = sum_r P[r][a] e_r for
+    rotation(g.dim, seed, gaussian)'s P (a Gaussian-integer P makes the
+    structure constants complex); the new table is dense."""
+    p, pinv = rotation(g.dim, seed, gaussian)
     f = p.transpose().rows
     return LieAlgebra([[pinv.matvec(dense_bracket(g, a, b)) for b in f] for a in f])
 
@@ -807,8 +812,8 @@ def test_positive_definite_matches_leading_determinants():
 # ---------------------------------------------------------------------------
 # the decompose index against classify followed by a search
 
-def classify_then_search(g, h, p):
-    report = cx.classify(g, h)
+def classify_then_search(quot, p):
+    report = cx.classify(quot)
     return next((i for i, q in enumerate(report.parabolics) if q == p), None)
 
 
@@ -823,22 +828,21 @@ def test_parabolic_index_matches_classify_on_golden_cases(tmp_path, case):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(case["spec"]))
     ps = cli.parse(path)
-    g, h, quot = cli._resolve_problem(ps)
+    quot = cli._resolve_problem(ps)
     p, _ = cx.decompose_J(cli._structure(ps, quot))
-    index = cx.parabolic_index(g, h, p)
+    index = cx.parabolic_index(quot, p)
     assert index is not None
-    assert index == classify_then_search(g, h, p)
+    assert index == classify_then_search(quot, p)
 
 
 def test_parabolic_index_matches_classify_on_su4_t():
     g = build(su(4))
     quot = quotient(g, build_subalgebra(g, su(4), "maximal_torus"))
-    h = quot.h
-    report = cx.classify(g, h)
+    report = cx.classify(quot)
     assert len(report.parabolics) == 24
     for k in (0, 5, 23):
         p, _ = cx.decompose_J(cx.construct_J(quot, report.parabolics[k]))
-        assert cx.parabolic_index(g, h, p) == k
+        assert cx.parabolic_index(quot, p) == k
         assert next(i for i, q in enumerate(report.parabolics) if q == p) == k
 
 
@@ -847,13 +851,26 @@ def test_parabolic_index_is_none_off_classify_levi():
     spec = direct_sum(su(2), su(2))
     g = build(spec)
     quot = quotient(g, build_subalgebra(g, spec, "zero"))
-    h = quot.h
     t = Subalgebra.span(g, [vunit(6, 1), vunit(6, 4)]).space
     J = cx.construct_J(quot, parabolic_from_abelian(g, t))
     p, _ = cx.decompose_J(J)
     assert p.levi_real == t
-    assert cx.parabolic_index(g, h, p) is None
-    assert classify_then_search(g, h, p) is None
+    assert cx.parabolic_index(quot, p) is None
+    assert classify_then_search(quot, p) is None
+
+
+def test_parabolic_index_is_none_without_a_rational_cartan_in_classify():
+    """su(2)+su(2)/0 in a random basis, with the Calabi-Eckmann J carried
+    along: J's m is a Cartan with rational roots, classify's greedy Cartan
+    has none, so decompose finds p and its index is None."""
+    g0, _, _, jce = calabi_eckmann_instance()
+    p, pinv = rotation(6, 4)
+    g = rotated(g0, 4)
+    quot = Quotient(g, Subspace.zero(6))
+    with pytest.raises(IrrationalSpectrum):
+        cx.classify(quot)
+    q, _ = cx.decompose_J(cx.ComplexStructure(quot, pinv * jce.j * p))
+    assert cx.parabolic_index(quot, q) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1224,10 +1241,10 @@ def golden_structure(tmp_path, case):
     ps = cli.parse(path)
     if case["args"][:1] == ["--parabolic-index"]:
         ps.parabolic_index = int(case["args"][1])
-    g, h, quot = cli._resolve_problem(ps)
-    if ps.j is not None:
-        return g, h, cli._structure(ps, quot)
-    return g, h, cx.construct_J(quot, cli._select_parabolic(ps, g, h))
+    quot = cli._resolve_problem(ps)
+    J = cli._structure(ps, quot) if ps.j is not None \
+        else cli._construct(ps, quot, "symmetric")[1]
+    return quot.algebra, quot.h, J
 
 
 def theta_by_matrix(g, h, v):
@@ -1243,6 +1260,13 @@ def theta_by_matrix(g, h, v):
         == g.bracket(theta.matvec(vunit(g.dim, i)),
                      theta.matvec(vunit(g.dim, j)))
         for i in range(g.dim) for j in range(i + 1, g.dim))
+
+
+def theta_criterion(g, h, v):
+    """The bracket rules for theta with [h, h] in h checked first: the
+    library's h is a subalgebra the catalog has certified, and
+    involution_is_automorphism checks only [h, V] in V and [V, V] in h."""
+    return is_closed(g, h) and cx.involution_is_automorphism(g, h, v)
 
 
 SYMMETRIC_CASES = [c for c in MANIFEST if c["command"] == "symmetric"]
@@ -1289,7 +1313,7 @@ def test_theta_criterion_matches_matrix_on_splits_that_are_not_cartan():
             rand_vec(rng, g.dim, 0.5) for _ in range(dim)])
         s = Subspace.from_vectors(g.dim, [tuple(Q(x.re) for x in b)
                                           for b in s.basis_vectors()])
-        ok = cx.involution_is_automorphism(g, s, s.complement())
+        ok = theta_criterion(g, s, s.complement())
         assert ok == theta_by_matrix(g, s, s.complement()) is False
 
 
@@ -1308,7 +1332,7 @@ def test_theta_criterion_matches_matrix_when_one_bracket_rule_fails():
               (span(e1, e2, e3), span([1, 0, 1, 0]), False),
               (span(e0e3), span(e1, e2, e3), False)]
     for h, v, expected in splits:
-        assert cx.involution_is_automorphism(g, h, v) is expected
+        assert theta_criterion(g, h, v) is expected
         assert theta_by_matrix(g, h, v) is expected
 
 
@@ -1515,10 +1539,10 @@ def test_nilpotency_in_own_coordinates_matches_the_series_in_g(name):
     verdicts = [is_nilpotent(g, s) for s in subs]
     assert verdicts == [dense_is_nilpotent(g, s) for s in subs]
     assert {True, False} <= set(verdicts)
-    verdicts = [is_solvable(g, s) for s in subs]
+    verdicts = [is_solvable(own_algebra(g, s)) for s in subs]
     assert verdicts == [dense_is_solvable(g, s) for s in subs]
     assert {True, False} <= set(verdicts)
-    radicals = [radical(g, s) for s in subs]
+    radicals = [radical(own_algebra(g, s), s) for s in subs]
     assert radicals == [restricted_ad_radical(g, s) for s in subs]
     assert {r.dim for r in radicals} != {0}
 
@@ -1566,8 +1590,7 @@ def test_cartan_extension_matches_the_loop_that_recomputes_each_centralizer(
     assert extend_to_maximal_abelian(g, zero, ch) \
         == loop_extend_to_maximal_abelian(g, zero, ch)
     # its Cartan through center(m), bounded by m = C(center(m))
-    m, t, c = cx.canonical_levi(g, h)
-    assert c == ch
+    m, t = cx.canonical_m(Quotient(g, h))
     cm = center(g, m)
     assert same_subspace(cm, t)
     assert centralizer(g, cm) == m
@@ -1650,7 +1673,7 @@ def test_decomposed_parabolic_matches_the_dense_certificates(tmp_path, case):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(case["spec"]))
     ps = cli.parse(path)
-    _, _, quot = cli._resolve_problem(ps)
+    quot = cli._resolve_problem(ps)
     p, _ = cx.decompose_J(cli._structure(ps, quot))
     assert same_parabolic(
         p, dense_build_parabolic(p.datum, p.levi_real, p.positive_set))
@@ -1913,9 +1936,9 @@ def cut_instances(name):
         (g, h), report = rotated_problem(name), None
     else:
         g, h, report = classified(ORACLE_SPECS[name])
-    m, t, _ = cx.canonical_levi(g, h)
+    quot = Quotient(g, h)
+    m, t = cx.canonical_m(quot)
     subs = [h, m, t, Subspace.full(g.dim), Subspace.zero(g.dim)]
-    quot = quotient(g, Subalgebra(g, h))
     gens = [[quot.induced_map(x) for x in (t if h.dim == 0 else h)
              .basis_vectors()]]
     if report is not None and report.exists:
@@ -1975,8 +1998,8 @@ def test_schur_on_vplus_matches_the_realified_commutant(tmp_path):
     expected = {}
     for name, spec in (("su4_t", flag_spec("su", 4)),
                        ("su4_s_u2_u2", SU4_S_U2_U2)):
-        g, h, quot = cli._resolve_problem(cli.parse_obj(spec))
-        J = cx.construct_J(quot, cx.classify(g, h).parabolics[0])
+        quot = cli._resolve_problem(cli.parse_obj(spec))
+        J = cx.construct_J(quot, cx.classify(quot).parabolics[0])
         expected[name] = cx.commutant_dimension(J)
         structures.append(J)
     # t acts on the six root spaces of V+ by distinct weights; the

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from liecx import cli, cx, liealg
+from liecx import cli, exact, liealg
 
 from conftest import RepeatCounter
 
@@ -40,17 +40,16 @@ def test_golden_covers_every_command():
     assert {c["command"] for c in MANIFEST} == set(cli.COMMANDS)
 
 
-def test_no_command_centralizes_the_same_subspace_twice(tmp_path,
-                                                        monkeypatch):
-    # Each file-held case once more, counting centralizer and center calls
-    # that repeat an earlier call's subspace in the same command.  The one
-    # repeat left: decompose takes C(center(m)) in compute_m and C(h) in
-    # parabolic_index, which are the same subspace when center(m) = h, as
-    # on X/t; sharing it would need a memo per J.  Only that single repeat
-    # of C(h) is allowed, and only where canonical_levi's t is h.
-    counter = RepeatCounter(monkeypatch, liealg.centralizer, liealg.center)
+def test_no_command_derives_the_same_fact_twice(tmp_path, monkeypatch):
+    # Each file-held case once more, counting the calls of the subspace
+    # constructions that repeat an earlier call's subspaces in the same
+    # command.  A command reads what it needs of g/h, of its canonical m
+    # and of each J once; no repeat is allowed.
+    counter = RepeatCounter(
+        monkeypatch, liealg.centralizer, liealg.center, liealg.derived,
+        liealg.own_algebra, liealg.is_closed, exact.relative_complement)
     spec, out = tmp_path / "spec.json", tmp_path / "report.json"
-    unexpected = {}
+    repeated = {}
     for case in MANIFEST:
         if "sha256" in case:
             continue
@@ -59,12 +58,7 @@ def test_no_command_centralizes_the_same_subspace_twice(tmp_path,
             "--spec", str(spec), "--command", case["command"],
             "--out", str(out), *case["args"]])
         assert code == case["exit_code"]
-        if case["command"] == "decompose":
-            g, h, _ = cli._resolve_problem(cli.parse_obj(case["spec"]))
-            if cx.canonical_levi(g, h)[1] == h \
-                    and repeats.get(("centralizer", (h,))) == 1:
-                del repeats["centralizer", (h,)]
         if repeats:
-            unexpected[case["file"]] = sorted(
+            repeated[case["file"]] = sorted(
                 (name, count) for (name, _), count in repeats.items())
-    assert unexpected == {}
+    assert repeated == {}

@@ -12,6 +12,7 @@ from liecx.exact import (
 )
 from liecx.liealg import (
     Subalgebra, centralizer, extend_to_maximal_abelian, is_nilpotent,
+    quotient as make_quotient,
 )
 from liecx.catalog import build, build_subalgebra, su, so, direct_sum
 from liecx.roots import (
@@ -192,8 +193,9 @@ def test_killing_cross_check_can_only_fail_on_the_zero_space(
     # its negative in p too, and [g_-a, g_a] lands in the zero space, so
     # [p, n] in n refuses it first.
     g = build(su(3))
-    h = build_subalgebra(g, su(3), "block_u", k=2).space
-    m, _, rd, systems = cx.levi_systems(g, h, [])
+    quot = make_quotient(g, build_subalgebra(g, su(3), "block_u", k=2))
+    found = quot.fact(cx.levi_systems, quot)
+    m, rd, systems = found.m.m, found.datum, found.systems
     levi = rd.levi_roots(m)
     with pytest.raises(ClosureFailure, match="n is not an ideal of p"):
         build_parabolic(rd, m, tuple(sorted(systems[0] + levi[:1])))
@@ -251,7 +253,8 @@ BLOCK_U = [(n, k) for n in range(3, 6) for k in range(1, n)]
 def test_classify_counts_the_chambers_of_m(n, k):
     blocks = [k] + [1] * (n - k)
     g = build(su(n))
-    report = cx.classify(g, build_subalgebra(g, su(n), "block_u", k=k).space)
+    report = cx.classify(make_quotient(
+        g, build_subalgebra(g, su(n), "block_u", k=k)))
     if (n * n - 1 - k * k) % 2:
         assert (report.exists, report.reason) == (False, "odd_dimension")
         return
