@@ -40,7 +40,10 @@ class AlgebraSpec:
     def __init__(self, kind: str, n: int = 0, parts: tuple = ()):
         self.kind = kind           # su | so | u | torus | sum
         self.n = n                 # for su/so/u: matrix size; for torus: rank
-        self.parts = parts         # for sum
+        # for sum: the parts of a nonempty inner sum are spliced in, so no
+        # part is a nonempty sum and every walk over a spec goes one level
+        self.parts = tuple(q for p in parts for q in (
+            p.parts if p.kind == "sum" and p.parts else (p,)))
 
     def validate(self):
         if self.kind in ("su", "so", "u"):

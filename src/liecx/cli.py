@@ -60,7 +60,7 @@ EXIT_INTERNAL = 4
 
 # the deepest nesting of sums an algebra spec may have: far beyond any
 # algebra worth writing, and far inside the interpreter's recursion limit,
-# which the catalog's walks over a spec would otherwise run into
+# which this module's recursive parser of specs would otherwise run into
 MAX_NESTING = 32
 
 
@@ -335,7 +335,7 @@ def cmd_check(ps, args):
     integ = cx.is_integrable(J)
     rep["integrable"] = integ
     if not integ:
-        a, b, n = cx.nijenhuis_vanishes(J)
+        a, b, n = J.nijenhuis_witness
         rep["nijenhuis_witness"] = {
             "basis_pair": [a, b], "value": _ser_vec(n)}
         return rep, EXIT_NO

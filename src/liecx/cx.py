@@ -54,7 +54,9 @@ class LedgerEntry:
 class ComplexStructure:
     """A candidate structure J on g/h with J^2 = -id, with the actions
     ad-bar(x_i) of h's basis on g/h, the first nonzero (i, [ad-bar(x_i), J])
-    or None, and V+, the +i eigenspace of J on the complexified quotient."""
+    or None, and V+, the +i eigenspace of J on the complexified quotient.
+    is_integrable records the first basis pair (a, b) with N(e_a, e_b) != 0
+    and its value, or None, as nijenhuis_witness."""
 
     def __init__(self, quot: Quotient, j: Matrix):
         q = quot.dim
@@ -70,13 +72,9 @@ class ComplexStructure:
         self.witness = next(((i, c) for i, a in enumerate(self.actions)
                              if not (c := a * j - j * a).is_zero()), None)
         self.vplus = kernel(j - Matrix.identity(q).scale(I))
+        self.nijenhuis_witness = None
         self._integrable = None
         self._plus = None
-
-    def __eq__(self, o):
-        if not isinstance(o, ComplexStructure):
-            return NotImplemented
-        return self.quotient.h == o.quotient.h and self.j == o.j
 
     def __repr__(self):
         return f"ComplexStructure(on quotient of dim {self.quotient.dim})"
@@ -173,17 +171,6 @@ def nijenhuis(J: ComplexStructure, u, v, lifts=None):
     return vsub(vadd(t1, t2), t3)
 
 
-def nijenhuis_vanishes(J: ComplexStructure):
-    """First basis pair with N != 0, or None."""
-    q = J.quotient.dim
-    for a in range(q):
-        for b in range(a + 1, q):
-            n = nijenhuis(J, vunit(q, a), vunit(q, b))
-            if not is_zero_vec(n):
-                return (a, b, n)
-    return None
-
-
 def plus_space(J: ComplexStructure) -> Subspace:
     """l = p^{-1} of the +i eigenspace of J, inside g_C (closure not asserted)."""
     _require_invariant(J)
@@ -196,10 +183,16 @@ def plus_space(J: ComplexStructure) -> Subspace:
 
 def is_integrable(J: ComplexStructure) -> bool:
     """Dual method: N = 0 on all basis pairs, and l bracket-closed.  The two
-    are computed independently, once per J, and must agree."""
+    are computed independently, once per J, and must agree; the first pair
+    with N != 0 is kept as J.nijenhuis_witness."""
     _require_invariant(J)
     if J._integrable is None:
-        by_nijenhuis = nijenhuis_vanishes(J) is None
+        q = J.quotient.dim
+        J.nijenhuis_witness = next(
+            ((a, b, n) for a in range(q) for b in range(a + 1, q)
+             if not is_zero_vec(n := nijenhuis(J, vunit(q, a), vunit(q, b)))),
+            None)
+        by_nijenhuis = J.nijenhuis_witness is None
         by_closure = is_closed(J.quotient.algebra, plus_space(J))
         if by_nijenhuis != by_closure:
             raise TheoremViolation(

@@ -119,6 +119,23 @@ def test_inner_product_convention():
     assert g.validate().ok
 
 
+def test_sums_are_flat():
+    # a sum splices in the parts of the sums it is given, so every walk over
+    # a spec goes one level deep, however deep its sums were written
+    spec = su(2)
+    for _ in range(450):
+        spec = direct_sum(spec)
+    assert build(spec).name == "su(2)"
+    nested = direct_sum(su(2), direct_sum(torus(1), direct_sum(u(2))))
+    flat = direct_sum(su(2), torus(1), u(2))
+    assert [p.label() for p in nested.parts] == ["su(2)", "torus(1)", "u(2)"]
+    assert (nested.label(), build(nested).table) \
+        == (flat.label(), build(flat).table)
+    # an empty inner sum stays a part, and is refused
+    with pytest.raises(InvalidSpec, match="empty direct sum"):
+        build(direct_sum(su(2), direct_sum()))
+
+
 def test_labels():
     assert direct_sum(su(2), torus(1)).label() == "su(2)+torus(1)"
     assert u(3).label() == "u(3)"

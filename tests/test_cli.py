@@ -322,6 +322,113 @@ def test_unexpected_error_exits_4_with_a_report(tmp_path, monkeypatch,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_theorem_violation_exits_3_with_a_report(tmp_path, monkeypatch):
+    # a certificate that fails is reported as the theorem it violates
+    monkeypatch.setattr(cx, "is_closed", lambda g, s: False)
+    code, rep = run(tmp_path, S2, "check")
+    assert code == cli.EXIT_VIOLATION == 3
+    assert rep == {"command": "check", "error": "TheoremViolation",
+                   "message": "integrability methods disagree: N==0 is "
+                              "True, closure is False"}
+
+
+# ---------------------------------------------------------------------------
+# J1 for construct: the spec's, the default or a file's, checked
+
+SU2SU2_0_K0 = {"algebra": SU2SU2, "subalgebra": {"name": "zero"},
+               "parabolic_index": 0}
+DEFAULT_J1 = [["0", "-1"], ["1", "0"]]
+FLIPPED_J1 = [["0", "1"], ["-1", "0"]]
+
+
+@pytest.mark.parametrize("spec_j1,flag,j1", [
+    (None, None, DEFAULT_J1),
+    ([["1", "-2"], ["1", "-1"]], None, [["1", "-2"], ["1", "-1"]]),
+    (FLIPPED_J1, "default", DEFAULT_J1),
+    (None, "file", FLIPPED_J1)], ids=["none", "spec", "default", "file"])
+def test_construct_takes_j1_from_the_spec_the_flag_or_a_file(
+        tmp_path, spec_j1, flag, j1):
+    # the fiber of su(2)+su(2)/0 for k = 0 is spanned by the two Cartan
+    # generators; --j1 replaces the spec's j1
+    spec = dict(SU2SU2_0_K0, j1=spec_j1)
+    extra = []
+    if flag == "file":
+        (tmp_path / "j1.json").write_text(json.dumps(j1))
+        extra = ["--j1", str(tmp_path / "j1.json")]
+    elif flag is not None:
+        extra = ["--j1", flag]
+    code, rep = run(tmp_path, spec, "construct", *extra)
+    assert code == 0
+    assert rep["j1"] == j1
+    assert rep["fiber_basis"] == [["1", "0", "0", "0", "0", "0"],
+                                  ["0", "0", "0", "1", "0", "0"]]
+
+
+@pytest.mark.parametrize("j1,message", [
+    ([["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+     "j1 has shape 3x3, expected 2x2"),
+    ([["1", "0"], ["0", "1"]], "J1^2 != -id")], ids=["shape", "square"])
+def test_a_bad_j1_is_an_input_error(tmp_path, j1, message):
+    code, rep = run(tmp_path, dict(SU2SU2_0_K0, j1=j1), "construct")
+    assert (code, rep["error"], rep["message"]) == (
+        2, "ValidationError", message)
+
+
+def test_an_unreadable_j1_file_is_an_input_error(tmp_path):
+    code, rep = run(tmp_path, SU2SU2_0_K0, "construct",
+                    "--j1", str(tmp_path / "missing.json"))
+    assert (code, rep["error"]) == (2, "ParseError")
+    assert rep["message"].startswith("cannot read j1 file: ")
+
+
+# ---------------------------------------------------------------------------
+# a spec's j that is no structure, or not an invariant one
+
+# J^2 = -id on su(3)/t, turning the root plane of e_0 - e_1 into that of
+# e_0 - e_2, which the torus rotates at another speed
+MIXING_J = [["0", "0", "-1", "0", "0", "0"],
+            ["0", "0", "0", "-1", "0", "0"],
+            ["1", "0", "0", "0", "0", "0"],
+            ["0", "1", "0", "0", "0", "0"],
+            ["0", "0", "0", "0", "0", "-1"],
+            ["0", "0", "0", "0", "1", "0"]]
+
+
+def test_a_j_whose_square_is_not_minus_id_is_an_input_error(tmp_path):
+    j = [["1", "0"], ["0", "1"]]
+    code, rep = run(tmp_path, dict(S2, j=j), "check")
+    assert (code, rep["error"], rep["message"]) == (
+        2, "ValidationError", "J^2 != -id")
+
+
+@pytest.mark.parametrize("command", ["m", "verify", "symmetric"])
+def test_a_non_invariant_j_is_an_input_error(tmp_path, command):
+    code, rep = run(tmp_path, dict(SU3_T, j=MIXING_J), command)
+    assert (code, rep["error"], rep["message"]) == (
+        2, "ValidationError", "j is not invariant under the isotropy action")
+
+
+# ---------------------------------------------------------------------------
+# malformed spec files and fields
+
+@pytest.mark.parametrize("text,message", [
+    ('{"algebra": ', "invalid JSON at line 1: "),
+    (json.dumps(dict(S2, j=[["0", "-1"], ["1"]])), "j: ragged rows"),
+    (json.dumps({"algebra": {"kind": "su"}}), "algebra: su needs n"),
+    (json.dumps({"algebra": {"table": [[["0", "0"]], []]}}),
+     "algebra.table: expected 2x2 of vectors")],
+    ids=["json", "ragged", "no_n", "table_row"])
+def test_malformed_specs_are_parse_errors(tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    out = tmp_path / "report.json"
+    code = cli.main(["--spec", str(path), "--command", "catalog",
+                     "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert (code, rep["error"]) == (2, "ParseError")
+    assert rep["message"].startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # each command builds its root datum and parabolic once
 
@@ -487,6 +594,29 @@ def test_classify_checks_each_closure_once(tmp_path, spec, count):
     assert calls(exact.real_points) == 0
     assert calls(liealg.is_closed) == 0
     assert calls(roots.RootDatum.bracket_target) >= count
+
+
+# the sign pattern pnp on su(3)/t: J e_0 = e_1, J e_3 = e_2, J e_4 = e_5,
+# orienting the three root planes cyclically, so J is not integrable
+PNP_J = [["0", "-1", "0", "0", "0", "0"],
+         ["1", "0", "0", "0", "0", "0"],
+         ["0", "0", "0", "1", "0", "0"],
+         ["0", "0", "-1", "0", "0", "0"],
+         ["0", "0", "0", "0", "0", "-1"],
+         ["0", "0", "0", "0", "1", "0"]]
+
+
+def test_check_searches_for_a_nijenhuis_witness_once(tmp_path):
+    # is_integrable's search stops at the pair (0, 2); check reports the
+    # witness it recorded rather than searching again
+    path = write_spec(tmp_path, dict(SU3_T, j=PNP_J))
+    out = tmp_path / "report.json"
+    code, calls = profiled(cli.main, ["--spec", path, "--command", "check",
+                                      "--out", str(out)])
+    assert code == 1
+    assert json.loads(out.read_text())["nijenhuis_witness"]["basis_pair"] \
+        == [0, 2]
+    assert calls(cx.nijenhuis) == 2
 
 
 def test_classify_so5_t_certifies_on_a_small_record(tmp_path):

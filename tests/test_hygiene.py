@@ -166,20 +166,32 @@ def test_only_exact_reads_numerators(path):
     assert reads == [] or path.name == "exact.py"
 
 
-def test_cli_import_pulls_in_no_introspection_modules():
-    # every CLI process pays for its imports; dataclasses alone brings in
-    # inspect, ast, dis and tokenize
+def _modules_loaded_by(module):
+    """The modules a fresh interpreter loads to import module."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
-            "import liecx.cli\n"
+            f"import {module}\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    added = set(out.split())
+    return set(out.split())
+
+
+def test_cli_import_pulls_in_no_introspection_modules():
+    # every CLI process pays for its imports; dataclasses alone brings in
+    # inspect, ast, dis and tokenize
+    added = _modules_loaded_by("liecx.cli")
     assert "liecx.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_the_package_root_imports_no_module():
+    # importing one module of the library loads that module alone
+    added = _modules_loaded_by("liecx.exact")
+    assert {m for m in added if m.split(".")[0] == "liecx"} \
+        == {"liecx", "liecx.exact"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "liecx").glob("*.py")),
