@@ -491,13 +491,20 @@ def _argparser():
     return ap
 
 
-def _emit(report, out_path):
+def _emit(report, out_path, code):
+    """Write the report and return code; EXIT_INPUT, with one line on
+    stderr, when out_path cannot be written."""
     text = json.dumps(report, indent=2, sort_keys=False)
-    if out_path:
+    if not out_path:
+        print(text)
+        return code
+    try:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as e:
+        print(f"liecx: cannot write the report: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    return code
 
 
 def main(argv=None):
@@ -517,19 +524,16 @@ def main(argv=None):
                     raise ParseError(f"cannot read j1 file: {e}") from None
         report, code = COMMANDS[args.command](ps, args)
     except TheoremViolation as e:
-        _emit({"command": args.command, "error": "TheoremViolation",
-               "message": str(e)}, args.out)
-        return EXIT_VIOLATION
+        return _emit({"command": args.command, "error": "TheoremViolation",
+                      "message": str(e)}, args.out, EXIT_VIOLATION)
     except (ParseError, ValidationError, ExactError) as e:
-        _emit({"command": args.command, "error": type(e).__name__,
-               "message": str(e)}, args.out)
-        return EXIT_INPUT
+        return _emit({"command": args.command, "error": type(e).__name__,
+                      "message": str(e)}, args.out, EXIT_INPUT)
     except Exception as e:  # a bug; SIGTERM-style BaseExceptions pass through
-        _emit({"command": args.command, "error": "InternalError",
-               "message": f"{type(e).__name__}: {e}"}, args.out)
-        return EXIT_INTERNAL
-    _emit(report, args.out)
-    return code
+        return _emit({"command": args.command, "error": "InternalError",
+                      "message": f"{type(e).__name__}: {e}"}, args.out,
+                     EXIT_INTERNAL)
+    return _emit(report, args.out, code)
 
 
 if __name__ == "__main__":

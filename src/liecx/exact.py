@@ -19,6 +19,7 @@ bit-identical output.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -41,9 +42,15 @@ class IrrationalSpectrum(ExactError):
 
 def parse_rational(s):
     """Parse what fractions.Fraction parses, given as str(s), into a
-    Fraction; "1/0" and other malformed literals raise ExactError."""
+    Fraction; "1/0" and other malformed literals raise ExactError, and so
+    does a decimal exponent beyond the bound the interpreter puts on the
+    digits of an integer literal, before Fraction builds 10**exp."""
+    text = str(s)
+    _, mark, exp = text.lower().partition("e")
     try:
-        return Fraction(str(s))
+        if mark and abs(int(exp)) > sys.int_info.default_max_str_digits:
+            raise ValueError("decimal exponent out of range")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise ExactError(f"bad rational literal {s!r}: {e}") from None
 

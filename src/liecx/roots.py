@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .exact import (
     I, Matrix, Subspace, ExactError,
-    kernel, kernel_span, vec, vadd, vneg, vscale, is_zero_vec,
+    kernel_span, vec, vadd, vneg, vscale, is_zero_vec,
     rational_eigenvalues, rref, span_sum,
 )
 from .liealg import LieAlgebra, is_abelian, is_nilpotent, restricted_ad
@@ -47,15 +47,11 @@ class Root:
         self.space = space
 
 
-# where [g_a, g_b] lands when it is a nonzero element of the zero space
-IN_ZERO_SPACE = -1
-
-
 class RootDatum:
-    """The root decomposition g_C = zero space (+) the root spaces, with a
-    record of certified facts that fills on demand: where the bracket of
-    each root pair asked for lands, the Killing pairing of each root asked
-    for, and the Levi roots of each m."""
+    """The root decomposition g_C = zero space (+) the root spaces, certified
+    when root_decomposition builds it: sums, the bracket of every root pair,
+    and the Killing pairing are facts read afterwards.  Only the Levi roots
+    of each m are recorded on demand."""
 
     def __init__(self, algebra: LieAlgebra, cartan: Subspace, roots: list,
                  zero_space: Subspace):
@@ -63,91 +59,17 @@ class RootDatum:
         self.cartan = cartan           # a, abelian and self-centralizing in g
         self.roots = roots             # Root, sorted deterministically
         self.zero_space = zero_space   # a_C (includes all central directions)
-        self._index = {r.values: i for i, r in enumerate(roots)}
-        self._negatives = [self._index.get(vneg(r.values)) for r in roots]
-        self._sums = None
-        self.targets = {}              # (a, b), a <= b -> bracket_target
-        self._killing = set()          # roots whose pairing is certified
+        index = {r.values: i for i, r in enumerate(roots)}
+        self._negatives = [index.get(vneg(r.values)) for r in roots]
+        # sums[a][b]: the index of the root alpha_a + alpha_b, or None (also
+        # when the sum is 0), by adding root values
+        vals = [r.values for r in roots]
+        self.sums = [[index.get(vadd(va, vb)) for vb in vals] for va in vals]
+        self.zero_perp = None          # set when the datum is certified
         self._levi = {}                # m's space -> its Levi roots
-        self._zero_perp = None
-        self._basis_columns = None
 
     def negative_of(self, i):
         return self._negatives[i]
-
-    def sums(self):
-        """sums[a][b]: the index of the root alpha_a + alpha_b, or None (also
-        when the sum is 0), by adding root values; built once."""
-        if self._sums is None:
-            vals = [r.values for r in self.roots]
-            self._sums = [[self._index.get(vadd(va, vb)) for vb in vals]
-                          for va in vals]
-        return self._sums
-
-    def bracket_target(self, a, b):
-        """Where [g_a, g_b] lands: None when it is 0, IN_ZERO_SPACE, or the
-        index of the root space that holds it.  The candidate comes from the
-        root values; it is certified by bracketing the two bases and
-        checking that the target space contains every bracket."""
-        key = (a, b) if a <= b else (b, a)
-        if key not in self.targets:
-            g = self.algebra
-            brackets = [w for u in self.roots[a].space.basis_vectors()
-                        for v in self.roots[b].space.basis_vectors()
-                        if not is_zero_vec(w := g.bracket(u, v))]
-            target = None
-            if brackets:
-                if b == self._negatives[a]:
-                    target, space = IN_ZERO_SPACE, self.zero_space
-                else:
-                    target = self.sums()[a][b]
-                    if target is None:
-                        raise RootError(
-                            "a root-space bracket leaves the decomposition")
-                    space = self.roots[target].space
-                if not all(space.contains(w) for w in brackets):
-                    raise RootError("a root-space bracket misses the space "
-                                    "of the sum of its roots")
-            self.targets[key] = target
-        return self.targets[key]
-
-    def certify_killing(self, a):
-        """Certify, from the Killing gram, that kappa pairs g_a with g_-a
-        alone, nonsingularly, and with the zero space not at all."""
-        if a in self._killing:
-            return
-        if self._basis_columns is None:
-            # the zero space's basis, then each root space's, as columns
-            spaces = [self.zero_space] + [r.space for r in self.roots]
-            self._basis_columns = Matrix.from_columns(
-                [b for sp in spaces for b in sp.basis_vectors()])
-        gram = self.algebra.killing_gram()
-        pairings = Matrix([gram.matvec(u) for u in
-                           self.roots[a].space.basis_vectors()]) \
-            * self._basis_columns
-        j = self._negatives[a]
-        lo = self.zero_space.dim + sum(r.space.dim for r in self.roots[:j])
-        hi = lo + self.roots[j].space.dim
-        if not all(is_zero_vec(row[:lo]) and is_zero_vec(row[hi:])
-                   for row in pairings.rows):
-            raise RootError("kappa pairs g_alpha outside g_{-alpha}")
-        if rref(Matrix([row[lo:hi] for row in pairings.rows]))[2] \
-                != pairings.nrows or pairings.nrows != hi - lo:
-            raise RootError("kappa pairs g_alpha with g_{-alpha} singularly")
-        self._killing.add(a)
-
-    def zero_perp(self) -> Subspace:
-        """{x in the zero space : kappa(x, zero space) = 0} n [g_C, g_C],
-        computed once: the part of a Killing-perpendicular nilradical that
-        lies in the zero space."""
-        if self._zero_perp is None:
-            g = self.algebra
-            gram = g.killing_gram()
-            rows = [gram.matvec(b) for b in self.zero_space.basis_vectors()]
-            perp = kernel(Matrix(rows, g.dim))
-            self._zero_perp = perp.intersect(self.zero_space).intersect(
-                g.derived_span())
-        return self._zero_perp
 
     def levi_roots(self, m: Subspace):
         """The roots whose spaces lie in m, once m is certified to be the
@@ -202,11 +124,13 @@ def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
     roots = [Root(vneg(vscale(I, vec(lams))), sp)
              for lams, sp in pieces if any(lams)]
     rd = RootDatum(g, a, roots, zero_space)
-    _validate_root_datum(rd)
+    rd.zero_perp = _validate_root_datum(rd)
     return rd
 
 
-def _validate_root_datum(rd: RootDatum):
+def _validate_root_datum(rd: RootDatum) -> Subspace:
+    """Certify the whole datum once and return zero_perp = {x in the zero
+    space : kappa(x, zero space) = 0} n [g_C, g_C]."""
     g = rd.algebra
     n = g.dim
     total = rd.zero_space.dim + sum(r.space.dim for r in rd.roots)
@@ -232,6 +156,42 @@ def _validate_root_datum(rd: RootDatum):
                 if g.bracket(aj, b) != vscale(r.values[j:j + 1], b):
                     raise NonSemisimpleAction(
                         "ad does not act by the recorded scalar")
+    # [g_a, g_b] lies in g_{a+b}, in the zero space when b = -a, else is 0
+    for a, ra in enumerate(rd.roots):
+        for b in range(a, len(rd.roots)):
+            c = rd.sums[a][b]
+            space = rd.roots[c].space if c is not None else \
+                rd.zero_space if b == rd.negative_of(a) else None
+            for u in ra.space.basis_vectors():
+                for v in rd.roots[b].space.basis_vectors():
+                    w = g.bracket(u, v)
+                    if not (space.contains(w) if space else is_zero_vec(w)):
+                        raise RootError("a root-space bracket misses the "
+                                        "space of the sum of its roots")
+    # kappa, read once in the basis (zero space, then each root space),
+    # pairs g_a with g_-a alone and nonsingularly
+    spaces = [rd.zero_space] + [r.space for r in rd.roots]
+    basis = [b for sp in spaces for b in sp.basis_vectors()]
+    gram = g.killing_gram()
+    kappa = Matrix([gram.matvec(u) for u in basis]) \
+        * Matrix.from_columns(basis)
+    starts = [0]
+    for sp in spaces:
+        starts.append(starts[-1] + sp.dim)
+    z = rd.zero_space.dim
+    for k in range(len(spaces)):
+        # the rows of g_a pair with the columns of g_-a, the zero space's
+        # with its own
+        j = 0 if k == 0 else rd.negative_of(k - 1) + 1
+        lo, hi = starts[j], starts[j + 1]
+        if not all(is_zero_vec(row[:lo]) and is_zero_vec(row[hi:])
+                   for row in kappa.rows[starts[k]:starts[k + 1]]):
+            raise RootError("kappa pairs g_alpha outside g_{-alpha}")
+    if rref(Matrix([row[z:] for row in kappa.rows[z:]], n - z))[2] != n - z:
+        raise RootError("kappa pairs g_alpha with g_{-alpha} singularly")
+    # zero_perp from the kernel of the zero block
+    return kernel_span(Matrix([row[:z] for row in kappa.rows[:z]], z),
+                       rd.zero_space).intersect(g.derived_span())
 
 
 class Parabolic:
@@ -277,7 +237,7 @@ def enumerate_positive_systems(rd: RootDatum, m: Subspace):
             raise LeviMismatch("roots outside the Levi do not pair up")
         pairs.append((i, j))
         seen.update((i, j))
-    sums = rd.sums()
+    sums = rd.sums
     # for each root c outside the Levi, the (a, b) with alpha_a + alpha_b =
     # alpha_c, a outside the Levi
     splits = {c: [] for c in q}
@@ -318,33 +278,31 @@ def enumerate_positive_systems(rd: RootDatum, m: Subspace):
 def killing_perp_nilradical(rd: RootDatum, p_roots):
     """{x in p : kappa(x, p) = 0} n [g_C, g_C] for p = the zero space plus
     the root spaces of p_roots, on root indices: (its part in the zero
-    space, the roots whose spaces it holds).  Each root of p is certified
-    by the Killing record first (RootError unless kappa pairs g_a with g_-a
-    alone), so g_a is perpendicular to p exactly when -a is not in p; every
-    root space lies in [g_C, g_C], as some Cartan element acts on it by a
-    nonzero scalar."""
+    space, the roots whose spaces it holds).  The datum certified that kappa
+    pairs g_a with g_-a alone, so g_a is perpendicular to p exactly when -a
+    is not in p; every root space lies in [g_C, g_C], as some Cartan element
+    acts on it by a nonzero scalar."""
     p_roots = set(p_roots)
-    for a in p_roots:
-        rd.certify_killing(a)
-    return rd.zero_perp(), frozenset(a for a in p_roots
-                                     if rd.negative_of(a) not in p_roots)
+    return rd.zero_perp, frozenset(a for a in p_roots
+                                   if rd.negative_of(a) not in p_roots)
 
 
 def build_parabolic(rd: RootDatum, m: Subspace, q_plus) -> Parabolic:
     """p = m_C (+) (direct sum of the Q+ root spaces), fully validated.
 
-    p is certified on root indices from the datum's record (the zero space
-    normalizes every root space); only n's nilpotency is checked on the
-    subspace itself."""
+    p is certified on root indices from the datum's certified sums (the
+    zero space normalizes every root space); only n's nilpotency is checked
+    on the subspace itself."""
     g = rd.algebra
+    sums = rd.sums
     levi = rd.levi_roots(m)
     nil = frozenset(q_plus)
     in_p = nil.union(levi)
     p_roots = sorted(in_p)
-    lands_in_p = in_p | {None, IN_ZERO_SPACE}
+    lands_in_p = in_p | {None}
     for k, a in enumerate(p_roots):
         for b in p_roots[k:]:
-            if rd.bracket_target(a, b) not in lands_in_p:
+            if sums[a][b] not in lands_in_p:
                 raise ClosureFailure("p is not bracket-closed")
     # contains a Borel: the zero space plus one root space from each pair
     if any(a not in in_p and rd.negative_of(a) not in in_p
@@ -354,18 +312,19 @@ def build_parabolic(rd: RootDatum, m: Subspace, q_plus) -> Parabolic:
     # zero space and maps g_a onto g_-a
     if {a for a in in_p if rd.negative_of(a) in in_p} != set(levi):
         raise ClosureFailure("p n tau(p) != m_C")
-    # [p, n] in n, n nilpotent
+    # [p, n] in n, n nilpotent; sums reads None for b = -a too, but
+    # [g_-b, g_b] lands in the zero space
     lands_in_n = nil | {None}
     for a in p_roots:
         for b in nil:
-            if rd.bracket_target(a, b) not in lands_in_n:
+            if b == rd.negative_of(a) or sums[a][b] not in lands_in_n:
                 raise ClosureFailure("n is not an ideal of p")
     # n is closed, since n lies in p and [p, n] is in n
     n = span_sum(g.dim, [rd.roots[i].space for i in sorted(nil)])
     if n.dim and not is_nilpotent(g, n):
         raise ClosureFailure("n is not nilpotent")
-    # the Killing record of p's roots; the roots part is Q+ by the checks
-    # above, so only a nonzero zero-space part can refuse here
+    # the roots part of the Killing-perpendicular nilradical is Q+ by the
+    # checks above, so only a nonzero zero-space part can refuse here
     zero_part, perp = killing_perp_nilradical(rd, p_roots)
     if zero_part.dim or perp != nil:
         raise ClosureFailure("Killing-perpendicular nilradical disagrees")

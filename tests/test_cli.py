@@ -70,7 +70,8 @@ def su2_span(x):
 
 
 # what fractions.Fraction parses, and bare JSON numbers read through str
-ACCEPTED_RATIONALS = [("1.5e0", Fraction(3, 2)), ("0.5", Fraction(1, 2)),
+ACCEPTED_RATIONALS = [("1.5e0", Fraction(3, 2)), ("-25E-3", Fraction(-1, 40)),
+                      ("0.5", Fraction(1, 2)),
                       ("1_000", Fraction(1000)), (" 3 ", Fraction(3)),
                       (0.5, Fraction(1, 2)), ("-3/4", Fraction(-3, 4))]
 REJECTED_RATIONALS = ["1/0", "1/-2", "inf", "nan", True, None, [1]]
@@ -88,6 +89,33 @@ def test_rational_literals_accepted(tmp_path, x, value):
 def test_rational_literals_rejected(tmp_path, x):
     code, rep = run(tmp_path, su2_span(x), "catalog")
     assert code == 2 and rep["error"] == "ParseError"
+
+
+# Fraction would build the integer 10**|exp| first, which at these sizes
+# takes from seconds to minutes, or (for 2,000,000,000) about 830 MB
+@pytest.mark.parametrize("x", ["1e20000000", "1e-20000000", "0e2000000000"])
+def test_huge_decimal_exponents_are_an_input_error(tmp_path, x):
+    start = time.perf_counter()
+    code, rep = run(tmp_path, su2_span(x), "catalog")
+    assert time.perf_counter() - start < 1.0
+    assert (code, rep["error"]) == (2, "ParseError")
+    assert "exponent out of range" in rep["message"]
+
+
+@pytest.mark.parametrize("out", ["missing_dir", "directory"])
+@pytest.mark.parametrize("spec", [S2, dict(S2, j=[["1/0"]])],
+                         ids=["report", "error_report"])
+def test_an_unwritable_out_is_an_input_error(tmp_path, capsys, out, spec):
+    path = write_spec(tmp_path, spec)
+    target = tmp_path / "no" / "such" / "x.json" if out == "missing_dir" \
+        else tmp_path
+    code = cli.main(["--spec", path, "--command", "check",
+                     "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("liecx: cannot write the report: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_wrong_j_dimension_is_input_error(tmp_path):
@@ -588,12 +616,13 @@ def test_each_centralizer_is_computed_once(tmp_path, command, name):
                          ids=["su3_t", "so5_t"])
 def test_classify_checks_each_closure_once(tmp_path, spec, count):
     # m = h, the certified h, is not checked again on its subspace; each p
-    # is closed on root indices, from the root datum's bracket record; n and
-    # p n g follow from p's checks
+    # is closed on root indices, from the sums its one root datum certified
+    # when it was built; n and p n g follow from p's checks
     calls = profiled_calls(tmp_path, spec, "classify")
     assert calls(exact.real_points) == 0
     assert calls(liealg.is_closed) == 0
-    assert calls(roots.RootDatum.bracket_target) >= count
+    assert calls(roots.root_decomposition) == 1
+    assert calls(roots.build_parabolic) == count
 
 
 # the sign pattern pnp on su(3)/t: J e_0 = e_1, J e_3 = e_2, J e_4 = e_5,
@@ -627,9 +656,11 @@ def test_classify_so5_t_certifies_on_a_small_record(tmp_path):
     assert calls(exact.rref) <= 90
     rd = cx.classify(cli._resolve_problem(cli.parse_obj(SO5_T))) \
         .parabolics[0].datum
-    assert 0 < len(rd.targets) <= len(rd.roots) ** 2
-    # m is the torus: no parabolic holds a root together with its negative
-    assert all(b != rd.negative_of(a) for a, b in rd.targets)
+    # one sum per root pair, the sum of their root values
+    index = {r.values: i for i, r in enumerate(rd.roots)}
+    assert [len(row) for row in rd.sums] == [len(rd.roots)] * len(rd.roots)
+    assert rd.sums == [[index.get(exact.vadd(a.values, b.values))
+                        for b in rd.roots] for a in rd.roots]
 
 
 def test_so2_validates(tmp_path):
@@ -781,8 +812,8 @@ def mostly(valid, bad=JSON_JUNK):
 RATIONALS = mostly(
     st.one_of(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", " 3 ",
                                "1_000", "1.5e0"]), st.integers(-3, 3)),
-    st.one_of(st.sampled_from(["1/0", "1/-2", "inf", "nan", "", "i", 0.5]),
-              JSON_JUNK))
+    st.one_of(st.sampled_from(["1/0", "1/-2", "inf", "nan", "", "i", 0.5,
+                               "1e20000000", "1e-20000000"]), JSON_JUNK))
 
 
 def square_rows(n, entries=RATIONALS):

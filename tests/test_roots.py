@@ -16,7 +16,7 @@ from liecx.liealg import (
 )
 from liecx.catalog import build, build_subalgebra, su, so, direct_sum
 from liecx.roots import (
-    RootDatum, root_decomposition, enumerate_positive_systems,
+    root_decomposition, enumerate_positive_systems,
     build_parabolic, NotCartan, ClosureFailure, RootError,
 )
 
@@ -199,10 +199,10 @@ def test_killing_cross_check_can_only_fail_on_the_zero_space(
     levi = rd.levi_roots(m)
     with pytest.raises(ClosureFailure, match="n is not an ideal of p"):
         build_parabolic(rd, m, tuple(sorted(systems[0] + levi[:1])))
-    # The cross-check's own refusal then rests on zero_perp() alone.
+    # The cross-check's own refusal then rests on zero_perp alone.
     _, rd = su3_datum
     qp = enumerate_positive_systems(rd, rd.cartan)[0]
-    monkeypatch.setattr(RootDatum, "zero_perp", lambda self: self.zero_space)
+    monkeypatch.setattr(rd, "zero_perp", rd.zero_space)
     with pytest.raises(ClosureFailure,
                        match="Killing-perpendicular nilradical disagrees"):
         build_parabolic(rd, rd.cartan, qp)
@@ -266,40 +266,74 @@ def test_classify_counts_the_chambers_of_m(n, k):
     assert report.fiber_dim == len(blocks) - 2
 
 
-def test_root_datum_record_fills_only_the_pairs_asked_for():
-    """One parabolic on so(5)/t certifies the brackets among its own roots
-    and their Killing pairings, nothing else; the record's targets are the
-    root spaces of the sums of root values."""
+def test_root_datum_sums_are_where_every_pair_brackets():
+    """rd.sums is the sum of root values on every pair, and each pair's
+    bracket, made here basis vector by basis vector, lands where it says:
+    in g_{a+b} (and nonzero) when the sum is a root, in the zero space when
+    b = -a, and at 0 otherwise."""
     g = build(so(5))
-    t = build_subalgebra(g, so(5), "maximal_torus").space
-    rd = root_decomposition(g, t)
-    qp = enumerate_positive_systems(rd, t)[3]
-    build_parabolic(rd, t, qp)
-    assert set(rd.targets) == {(a, b) for a in qp for b in qp if a <= b}
-    assert rd._killing == set(qp)
+    rd = root_decomposition(g, build_subalgebra(g, so(5),
+                                                "maximal_torus").space)
     index = {r.values: i for i, r in enumerate(rd.roots)}
-    for (a, b), target in rd.targets.items():
-        s = vadd(rd.roots[a].values, rd.roots[b].values)
-        assert target == index.get(s)
+    assert len(rd.sums) == len(rd.roots)
+    for a, ra in enumerate(rd.roots):
+        assert len(rd.sums[a]) == len(rd.roots)
+        for b, rb in enumerate(rd.roots):
+            c = rd.sums[a][b]
+            assert c == index.get(vadd(ra.values, rb.values))
+            brackets = [g.bracket(u, v) for u in ra.space.basis_vectors()
+                        for v in rb.space.basis_vectors()]
+            if c is not None:
+                assert not all(is_zero_vec(w) for w in brackets)
+                assert all(rd.roots[c].space.contains(w) for w in brackets)
+            elif b == rd.negative_of(a):
+                assert all(rd.zero_space.contains(w) for w in brackets)
+            else:
+                assert all(is_zero_vec(w) for w in brackets)
 
 
-def test_killing_record_rejects_a_gram_that_pairs_wrongly():
-    """The Killing record reads its facts off the gram: a gram where some
+@pytest.mark.parametrize("case", ["root", "zero", "none"])
+def test_root_decomposition_refuses_a_bracket_off_its_sum(monkeypatch, case):
+    """One root pair whose bracket is moved off where its values say it
+    lands is refused when the datum is built: a sum that is a root, b = -a,
+    and a sum that is neither."""
+    g = build(su(3))
+    t = build_subalgebra(g, su(3), "maximal_torus").space
+    rd = root_decomposition(g, t)
+    n = len(rd.roots)
+    a, b = next((a, b) for a in range(n) for b in range(a, n)
+                if {"root": rd.sums[a][b] is not None,
+                    "zero": b == rd.negative_of(a),
+                    "none": rd.sums[a][b] is None and b != rd.negative_of(a)
+                    }[case])
+    u = rd.roots[a].space.basis_vectors()[0]
+    v = rd.roots[b].space.basis_vectors()[0]
+    # off lies outside the space [u, v] must land in: 0 for a sum that is
+    # neither a root nor 0, g_{a+b} or the zero space otherwise
+    off = rd.roots[rd.negative_of(a)].space.basis_vectors()[0] \
+        if case == "none" else vadd(u, v)
+    bracket = g.bracket
+    monkeypatch.setattr(g, "bracket", lambda x, y: vadd(bracket(x, y), off)
+                        if (x, y) == (u, v) else bracket(x, y))
+    with pytest.raises(RootError, match="misses the space"):
+        root_decomposition(g, t)
+
+
+def test_root_decomposition_rejects_a_gram_that_pairs_wrongly():
+    """root_decomposition reads kappa off the gram once: a gram where some
     root space meets the zero space, and the zero gram, are refused."""
-    def certify_all(gram):
+    def decompose(gram):
         g = build(su(3))
-        rd = root_decomposition(g, build_subalgebra(g, su(3),
-                                                    "maximal_torus").space)
         g._killing_gram = gram(g.killing_gram())
-        for a in range(len(rd.roots)):
-            rd.certify_killing(a)
+        return root_decomposition(g, build_subalgebra(g, su(3),
+                                                      "maximal_torus").space)
 
     def perturbed(gram):
         rows = [list(r) for r in gram.rows]
         rows[0][7] = rows[7][0] = Q.coerce(rows[0][7]) + 1
         return Matrix(rows)
-    certify_all(lambda gram: gram)
+    assert decompose(lambda gram: gram).zero_perp.dim == 0
     with pytest.raises(RootError, match="outside"):
-        certify_all(perturbed)
+        decompose(perturbed)
     with pytest.raises(RootError, match="singularly"):
-        certify_all(lambda gram: Matrix.zeros(8, 8))
+        decompose(lambda gram: Matrix.zeros(8, 8))
