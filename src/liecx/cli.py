@@ -1,6 +1,11 @@
 """Command-line pipeline: parse a problem spec (JSON), run one command from
 the library, emit a deterministic JSON report.
 
+Each input has one route: data (g, h, j, j1) in the spec, the selector
+--parabolic-index and the run options --seed and --out as flags.  A spec
+field parabolic_index, a j1 string such as "default" and a --j1 flag are
+input errors.
+
 Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error,
 3 = internal theorem violation, 4 = any other unexpected error (a bug).
 
@@ -15,8 +20,7 @@ Problem spec format (strict; unknown fields rejected):
                     | {"name": "block_u", "k": 2}
                     | {"name": "span", "vectors": [[rat, ...], ...]},
       "j": [[rat, ...], ...]?,          # on quotient coordinates
-      "parabolic_index": 0?,
-      "j1": "default" | [[rat, ...], ...]?
+      "j1": [[rat, ...], ...]?          # construct: on the fiber m/h
     }
 
 A rational is a string fractions.Fraction parses ("p/q", "-3/4", "1.5e0",
@@ -107,7 +111,8 @@ def _parse_matrix(rows, where):
 
 
 def _parse_algebra_spec(obj, where="algebra", depth=0):
-    """The parsed algebra of obj, which depth sums enclose."""
+    """The AlgebraSpec of obj, which depth sums enclose, or the LieAlgebra
+    of an explicit table."""
     if isinstance(obj, dict) and "table" in obj:
         if depth:
             raise ParseError("explicit tables cannot nest inside a sum")
@@ -128,7 +133,7 @@ def _parse_algebra_spec(obj, where="algebra", depth=0):
         ip = None
         if "inner_product" in obj:
             ip = _parse_matrix(obj["inner_product"], f"{where}.inner_product")
-        return ("table", parsed, ip)
+        return LieAlgebra(parsed, inner_product=ip, name="explicit")
     _require_keys(obj, {"kind", "n", "parts"}, {"kind"}, where)
     kind = obj["kind"]
     if kind == "sum":
@@ -138,24 +143,19 @@ def _parse_algebra_spec(obj, where="algebra", depth=0):
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:
             raise ParseError(f"{where}: sum needs a nonempty parts list")
-        return ("spec", AlgebraSpec("sum", parts=tuple(
-            _parse_algebra_spec(p, f"{where}.parts", depth + 1)[1]
-            for p in parts)), None)
+        return AlgebraSpec("sum", parts=tuple(
+            _parse_algebra_spec(p, f"{where}.parts", depth + 1)
+            for p in parts))
     if "n" not in obj:
         raise ParseError(f"{where}: {kind} needs n")
-    return ("spec", AlgebraSpec(kind, _require_int(obj["n"], f"{where}: n")),
-            None)
+    return AlgebraSpec(kind, _require_int(obj["n"], f"{where}: n"))
 
 
 class ProblemSpec:
-    def __init__(self, algebra_mode, algebra_payload, inner, sub, j,
-                 parabolic_index, j1):
-        self.algebra_mode = algebra_mode
-        self.algebra_payload = algebra_payload
-        self.inner = inner
+    def __init__(self, algebra, sub, j, j1):
+        self.algebra = algebra  # an AlgebraSpec, or an explicit LieAlgebra
         self.sub = sub
         self.j = j
-        self.parabolic_index = parabolic_index
         self.j1 = j1
 
 
@@ -173,9 +173,9 @@ def parse(path) -> ProblemSpec:
 
 
 def parse_obj(raw) -> ProblemSpec:
-    _require_keys(raw, {"algebra", "subalgebra", "j", "parabolic_index", "j1"},
-                  {"algebra"}, "spec")
-    mode, payload, inner = _parse_algebra_spec(raw["algebra"])
+    _require_keys(raw, {"algebra", "subalgebra", "j", "j1"}, {"algebra"},
+                  "spec")
+    algebra = _parse_algebra_spec(raw["algebra"])
     sub = raw.get("subalgebra", {"name": "zero"})
     _require_keys(sub, {"name", "k", "vectors"}, {"name"}, "subalgebra")
     if "k" in sub:
@@ -188,25 +188,19 @@ def parse_obj(raw) -> ProblemSpec:
         sub = dict(sub, vectors=[
             _parse_vec(v, "subalgebra.vectors")
             for v in sub["vectors"]])
-    j = None
-    if raw.get("j") is not None:
-        j = _parse_matrix(raw["j"], "j")
-    j1 = raw.get("j1")
-    if j1 is not None and j1 != "default":
-        j1 = _parse_matrix(j1, "j1")
-    pk = raw.get("parabolic_index")
-    if pk is not None:
-        _require_int(pk, "parabolic_index")
-    return ProblemSpec(mode, payload, inner, sub, j, pk, j1)
+    j = None if raw.get("j") is None else _parse_matrix(raw["j"], "j")
+    j1 = None if raw.get("j1") is None else _parse_matrix(raw["j1"], "j1")
+    return ProblemSpec(algebra, sub, j, j1)
 
 
 def _build_algebra(ps: ProblemSpec, validate=True):
-    if ps.algebra_mode == "spec":
+    """(g, its AlgebraSpec), the spec None for an explicit table."""
+    if isinstance(ps.algebra, AlgebraSpec):
         try:
-            return build(ps.algebra_payload), ps.algebra_payload
+            return build(ps.algebra), ps.algebra
         except InvalidSpec as e:
             raise ValidationError(str(e)) from None
-    g = LieAlgebra(ps.algebra_payload, inner_product=ps.inner, name="explicit")
+    g = ps.algebra
     if validate:
         res = g.validate()
         if not res.ok:
@@ -375,13 +369,12 @@ def cmd_classify(ps, args):
     return rep, EXIT_YES if report.exists else EXIT_NO
 
 
-def _construct(ps, quot, command):
-    """(p, J): classify's parabolic number parabolic_index, built alone, and
-    J(p, J1) with the spec's J1 on the fiber of classify's m."""
+def _construct(ps, quot, k, command):
+    """(p, J): classify's parabolic number k, built alone, and J(p, J1) with
+    the spec's J1 on the fiber of classify's m."""
     levi = quot.fact(cx.levi_systems, quot)
     if levi.reason:
         raise ValidationError(f"no structures exist: {levi.reason}")
-    k = ps.parabolic_index
     if k is None:
         raise ValidationError(f"{command} needs parabolic_index")
     if not 0 <= k < len(levi.systems):
@@ -389,7 +382,7 @@ def _construct(ps, quot, command):
             f"parabolic_index {k} out of range 0..{len(levi.systems) - 1}")
     p = build_parabolic(levi.datum, levi.m.m, levi.systems[k])
     u, j1 = levi.m.u, None
-    if ps.j1 is not None and ps.j1 != "default":
+    if ps.j1 is not None:
         if ps.j1.nrows != u.dim or ps.j1.ncols != u.dim:
             raise ValidationError(
                 f"j1 has shape {ps.j1.nrows}x{ps.j1.ncols}, expected "
@@ -403,11 +396,12 @@ def _construct(ps, quot, command):
 
 def cmd_construct(ps, args):
     quot = _resolve_problem(ps)
-    p, J = _construct(ps, quot, "construct")
+    k = args.parabolic_index
+    p, J = _construct(ps, quot, k, "construct")
     j1 = cx.fiber_structure(J, quot.fact(cx.levi_systems, quot).m.u)
     rep = _base_report("construct", quot.algebra, quot.h)
-    rep["parabolic_index"] = ps.parabolic_index
-    rep["parabolic"] = _ser_parabolic(ps.parabolic_index, p)
+    rep["parabolic_index"] = k
+    rep["parabolic"] = _ser_parabolic(k, p)
     rep["j"] = _ser_matrix(J.j)
     rep["j1"] = _ser_matrix(j1.j1)
     rep["fiber_basis"] = _ser_space(j1.u)
@@ -445,7 +439,7 @@ def cmd_verify(ps, args):
 def cmd_symmetric(ps, args):
     quot = _resolve_problem(ps)
     if ps.j is None:
-        p, J = _construct(ps, quot, "symmetric")
+        p, J = _construct(ps, quot, args.parabolic_index, "symmetric")
     else:
         p, J = None, _structure(ps, quot)
     if not cx.is_invariant(J):
@@ -482,9 +476,8 @@ def _argparser():
                     "verification.")
     ap.add_argument("--spec", required=True, help="problem spec JSON file")
     ap.add_argument("--command", required=True, choices=sorted(COMMANDS))
-    ap.add_argument("--parabolic-index", type=int, default=None)
-    ap.add_argument("--j1", default=None,
-                    help="'default' or a JSON file with a rational matrix")
+    ap.add_argument("--parabolic-index", type=int, default=None,
+                    help="classify's parabolic k, for construct and symmetric")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for randomized trials in verify")
     ap.add_argument("--out", default=None, help="report path (default stdout)")
@@ -510,19 +503,7 @@ def _emit(report, out_path, code):
 def main(argv=None):
     args = _argparser().parse_args(argv)
     try:
-        ps = parse(args.spec)
-        if args.parabolic_index is not None:
-            ps.parabolic_index = args.parabolic_index
-        if args.j1 is not None:
-            if args.j1 == "default":
-                ps.j1 = "default"
-            else:
-                try:
-                    with open(args.j1) as fh:
-                        ps.j1 = _parse_matrix(json.load(fh), "j1")
-                except (OSError, json.JSONDecodeError, RecursionError) as e:
-                    raise ParseError(f"cannot read j1 file: {e}") from None
-        report, code = COMMANDS[args.command](ps, args)
+        report, code = COMMANDS[args.command](parse(args.spec), args)
     except TheoremViolation as e:
         return _emit({"command": args.command, "error": "TheoremViolation",
                       "message": str(e)}, args.out, EXIT_VIOLATION)

@@ -272,11 +272,16 @@ def is_zero_vec(a):
 
 def entry_strings(v):
     """(re, im): the entries of v as reduced "p/q" or "p" strings, im None
-    when v is real; what str(Fraction) writes."""
+    when v is real; what str(Fraction) writes.  An integer beyond the
+    interpreter's bound on the digits it writes raises ExactError."""
     def fmt(x):
         g = gcd(x, v.den)
         return str(x // g) if g == v.den else f"{x // g}/{v.den // g}"
-    return [fmt(x) for x in v.re], (v.im and [fmt(x) for x in v.im])
+    try:
+        return [fmt(x) for x in v.re], (v.im and [fmt(x) for x in v.im])
+    except ValueError:
+        raise ExactError(f"a report entry has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class Matrix:

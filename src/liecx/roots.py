@@ -205,12 +205,6 @@ class Parabolic:
         self.space = space                 # p, subalgebra of g_C
         self.datum = datum
 
-    def __eq__(self, o):
-        if not isinstance(o, Parabolic):
-            return NotImplemented
-        return (self.space == o.space and self.levi_real == o.levi_real
-                and self.nilradical == o.nilradical)
-
     def __repr__(self):
         return (f"Parabolic(dim {self.space.dim}, levi {self.levi_real.dim}, "
                 f"nilradical {self.nilradical.dim})")

@@ -114,6 +114,12 @@ def classified(spec):
     return _classified(json.dumps(spec, sort_keys=True))
 
 
+def parabolic_spaces(p):
+    """p, its real Levi m and its nilradical n: what makes two parabolics
+    the same."""
+    return p.space, p.levi_real, p.nilradical
+
+
 def s2_instance():
     """su(2) / u(1): the sphere S^2 with J e1 = e2."""
     g = build(su(2))

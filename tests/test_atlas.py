@@ -1,6 +1,6 @@
-"""The catalog half of an atlas of known answers: irreducible Hermitian
-symmetric spaces of types AIII, BDI and DIII, and two controls that are not
-symmetric.
+"""An atlas of known answers: irreducible Hermitian symmetric spaces of
+types AIII, BDI, CI and DIII, two controls that are not symmetric, and the
+flag manifolds of sp(2) and sp(3).
 
 Expected answers come from Cartan's list (Helgason, Differential Geometry,
 Lie Groups, and Symmetric Spaces, ch. X), not from liecx.  On an
@@ -9,9 +9,13 @@ so classify finds m = h (fiber 0) and, since the center of h is a line, two
 parabolics containing a fixed Cartan: p and its opposite.  Both complex
 structures, J and -J, are the symmetric ones.  h is read off catalog
 indices, or is the centralizer of the standard complex structure for
-u(n) in so(2n); h is input, so liecx may compute it."""
+u(n) in so(2n); h is input, so liecx may compute it.  sp(2) and sp(3) are
+explicit tables in tests/golden/sp2.json and sp3.json, written by
+tests/golden/make_sp_specs.py from integer matrices in u(2n), whose
+docstring gives the basis: t is its first n vectors, u(n) its first n^2."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,13 +38,13 @@ def s_u(blocks):
     idx = [2 * p + s for p, (j, k) in enumerate(pairs(n))
            if block[j] == block[k] for s in (0, 1)]
     idx += range(n * (n - 1), n * n - 1)
-    return ("su", n), [vunit(n * n - 1, i) for i in idx]
+    return {"kind": "su", "n": n}, [vunit(n * n - 1, i) for i in idx]
 
 
 def so2_so(n):
     """so(2) + so(n - 2) in so(n): the pair (0, 1) and the pairs of 2..n-1."""
     idx = [p for p, (j, k) in enumerate(pairs(n)) if (j, k) == (0, 1) or j >= 2]
-    return ("so", n), [vunit(n * (n - 1) // 2, i) for i in idx]
+    return {"kind": "so", "n": n}, [vunit(n * (n - 1) // 2, i) for i in idx]
 
 
 def u_in_so(n, k):
@@ -52,15 +56,25 @@ def u_in_so(n, k):
         if l == j + 1 and j % 2 == 0 and l < 2 * k:
             j0[p] = 1
     h = centralizer(g, Subspace.from_vectors(g.dim, [j0]))
-    return ("so", n), h.basis_vectors()
+    return {"kind": "so", "n": n}, h.basis_vectors()
 
 
-def answers(tmp_path, case):
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def sp_sub(n, count):
+    """The span of the first count basis vectors of the table of sp(n)."""
+    algebra = json.loads((GOLDEN / f"sp{n}.json").read_text())["algebra"]
+    dim = n * (2 * n + 1)
+    return algebra, [vunit(dim, i) for i in range(count)]
+
+
+def answers(tmp_path, case, symmetric=True):
     """classify's report, and symmetric's status at indices 0 and 1."""
-    (kind, n), vectors = case
+    algebra, vectors = case
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
-        "algebra": {"kind": kind, "n": n},
+        "algebra": algebra,
         "subalgebra": {"name": "span",
                        "vectors": [entry_strings(v)[0] for v in vectors]}}))
     out = tmp_path / "report.json"
@@ -72,7 +86,7 @@ def answers(tmp_path, case):
     code, report = run("classify")
     assert code == 0
     statuses = []
-    for k in (0, 1):
+    for k in (0, 1) if symmetric else ():
         _, rep = run("symmetric", "--parabolic-index", str(k))
         statuses.append((rep["status"], rep["reason"]))
     return report, statuses
@@ -83,6 +97,7 @@ HERMITIAN = {
     "DIII_so6_u3": u_in_so(6, 3), "DIII_so8_u4": u_in_so(8, 4),
     "AIII_su4_1_3": s_u([1, 3]), "AIII_su4_2_2": s_u([2, 2]),
     "AIII_su5_1_4": s_u([1, 4]), "AIII_su5_2_3": s_u([2, 3]),
+    "CI_sp2_u2": sp_sub(2, 4), "CI_sp3_u3": sp_sub(3, 9),
 }
 
 
@@ -110,3 +125,14 @@ def test_controls_are_never_symmetric(tmp_path, name):
     assert len(report["parabolics"]) == count
     assert report["m_basis"] == report["h_basis"]
     assert statuses == [("not_applicable", "reducible_isotropy")] * 2
+
+
+# |W(C_n)| = 2^n n! parabolics contain a fixed Cartan of sp(n): 8 and 48
+# (Humphreys, Reflection Groups and Coxeter Groups, section 2.11)
+@pytest.mark.parametrize("n,count", [(2, 8), (3, 48)])
+def test_sp_flag_manifolds_count_the_weyl_group(tmp_path, n, count):
+    report, _ = answers(tmp_path, sp_sub(n, n), symmetric=False)
+    assert report["exists"]
+    assert len(report["parabolics"]) == count
+    assert report["fiber_dim"] == 0
+    assert report["m_basis"] == report["h_basis"]

@@ -1,6 +1,7 @@
 """CLI: strict parsing, exit-code contract, deterministic reports."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -50,8 +51,7 @@ def run(tmp_path, spec, command, *extra):
 
 def test_parse_valid_spec():
     ps = cli.parse_obj(SU3_T)
-    assert ps.algebra_mode == "spec"
-    assert ps.algebra_payload.label() == "su(3)"
+    assert ps.algebra.label() == "su(3)"
 
 
 def test_parse_rejects_unknown_field():
@@ -100,6 +100,23 @@ def test_huge_decimal_exponents_are_an_input_error(tmp_path, x):
     assert time.perf_counter() - start < 1.0
     assert (code, rep["error"]) == (2, "ParseError")
     assert "exponent out of range" in rep["message"]
+
+
+# an integer beyond the interpreter's bound on the digits it writes (4,300
+# by default) cannot be printed: here RREF makes the first span vector's
+# denominator 3 * (10**4300 - 1), and 10**4300 itself
+@pytest.mark.parametrize("vector", [["3", "1/" + "9" * 4300, "0"],
+                                    ["1e4300", "1", "0"]],
+                         ids=["denominator", "exponent"])
+def test_report_entries_too_long_to_write_are_an_input_error(tmp_path,
+                                                             vector):
+    spec = {"algebra": {"kind": "su", "n": 2},
+            "subalgebra": {"name": "span", "vectors": [vector]}}
+    code, rep = run(tmp_path, spec, "catalog")
+    assert code == 2
+    assert rep == {"command": "catalog", "error": "ExactError",
+                   "message": "a report entry has more than "
+                              f"{sys.get_int_max_str_digits()} digits"}
 
 
 @pytest.mark.parametrize("out", ["missing_dir", "directory"])
@@ -227,7 +244,7 @@ def test_verify_command(tmp_path):
 def test_symmetric_command(tmp_path):
     code, rep = run(tmp_path, S2, "symmetric")
     assert code == 0 and rep["status"] == "symmetric"
-    code2, rep2 = run(tmp_path, dict(SU3_T, parabolic_index=0), "symmetric")
+    code2, rep2 = run(tmp_path, SU3_T, "symmetric", "--parabolic-index", "0")
     assert code2 == 1 and rep2["status"] == "not_applicable"
 
 
@@ -334,8 +351,6 @@ def test_boolean_is_not_an_integer(tmp_path):
     code, rep = run(tmp_path, {"algebra": {"kind": "su", "n": True}},
                     "validate")
     assert code == 2 and rep["message"] == "algebra: n must be an integer"
-    with pytest.raises(cli.ParseError):
-        cli.parse_obj(dict(SU3_T, parabolic_index=False))
 
 
 def test_unexpected_error_exits_4_with_a_report(tmp_path, monkeypatch,
@@ -361,31 +376,23 @@ def test_theorem_violation_exits_3_with_a_report(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# J1 for construct: the spec's, the default or a file's, checked
+# J1 for construct: the spec's, checked
 
-SU2SU2_0_K0 = {"algebra": SU2SU2, "subalgebra": {"name": "zero"},
-               "parabolic_index": 0}
+SU2SU2_0 = {"algebra": SU2SU2, "subalgebra": {"name": "zero"}}
+K0 = ("--parabolic-index", "0")
 DEFAULT_J1 = [["0", "-1"], ["1", "0"]]
 FLIPPED_J1 = [["0", "1"], ["-1", "0"]]
 
 
-@pytest.mark.parametrize("spec_j1,flag,j1", [
-    (None, None, DEFAULT_J1),
-    ([["1", "-2"], ["1", "-1"]], None, [["1", "-2"], ["1", "-1"]]),
-    (FLIPPED_J1, "default", DEFAULT_J1),
-    (None, "file", FLIPPED_J1)], ids=["none", "spec", "default", "file"])
-def test_construct_takes_j1_from_the_spec_the_flag_or_a_file(
-        tmp_path, spec_j1, flag, j1):
+@pytest.mark.parametrize("spec_j1,j1", [
+    (None, DEFAULT_J1),
+    ([["1", "-2"], ["1", "-1"]], [["1", "-2"], ["1", "-1"]]),
+    (FLIPPED_J1, FLIPPED_J1)], ids=["none", "spec", "flipped"])
+def test_construct_takes_j1_from_the_spec(tmp_path, spec_j1, j1):
     # the fiber of su(2)+su(2)/0 for k = 0 is spanned by the two Cartan
-    # generators; --j1 replaces the spec's j1
-    spec = dict(SU2SU2_0_K0, j1=spec_j1)
-    extra = []
-    if flag == "file":
-        (tmp_path / "j1.json").write_text(json.dumps(j1))
-        extra = ["--j1", str(tmp_path / "j1.json")]
-    elif flag is not None:
-        extra = ["--j1", flag]
-    code, rep = run(tmp_path, spec, "construct", *extra)
+    # generators; with no j1, J1 pairs them in order
+    code, rep = run(tmp_path, dict(SU2SU2_0, j1=spec_j1), "construct",
+                    *K0)
     assert code == 0
     assert rep["j1"] == j1
     assert rep["fiber_basis"] == [["1", "0", "0", "0", "0", "0"],
@@ -397,16 +404,31 @@ def test_construct_takes_j1_from_the_spec_the_flag_or_a_file(
      "j1 has shape 3x3, expected 2x2"),
     ([["1", "0"], ["0", "1"]], "J1^2 != -id")], ids=["shape", "square"])
 def test_a_bad_j1_is_an_input_error(tmp_path, j1, message):
-    code, rep = run(tmp_path, dict(SU2SU2_0_K0, j1=j1), "construct")
+    code, rep = run(tmp_path, dict(SU2SU2_0, j1=j1), "construct",
+                    *K0)
     assert (code, rep["error"], rep["message"]) == (
         2, "ValidationError", message)
 
 
-def test_an_unreadable_j1_file_is_an_input_error(tmp_path):
-    code, rep = run(tmp_path, SU2SU2_0_K0, "construct",
-                    "--j1", str(tmp_path / "missing.json"))
+# each input has one route: the index was also a spec field, and j1 also a
+# flag naming a file or "default"
+@pytest.mark.parametrize("spec", [{"parabolic_index": 0}, {"j1": "default"}],
+                         ids=["parabolic_index", "j1_default"])
+def test_the_removed_spec_routes_exit_2(tmp_path, spec):
+    code, rep = run(tmp_path, dict(SU2SU2_0, **spec), "construct", *K0)
     assert (code, rep["error"]) == (2, "ParseError")
-    assert rep["message"].startswith("cannot read j1 file: ")
+
+
+@pytest.mark.parametrize("file", [False, True], ids=["default", "file"])
+def test_the_removed_j1_flag_exits_2(tmp_path, capsys, file):
+    (tmp_path / "j1.json").write_text(json.dumps(FLIPPED_J1))
+    value = str(tmp_path / "j1.json") if file else "default"
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--spec", write_spec(tmp_path, SU2SU2_0), "--command",
+                  "construct", "--out", str(out), *K0, "--j1", value])
+    assert e.value.code == 2 and not out.exists()
+    assert "unrecognized arguments: --j1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +796,7 @@ def test_a_table_inside_a_sum_is_an_input_error(tmp_path):
 def test_sums_nested_up_to_the_limit_parse(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(nested_sum(cli.MAX_NESTING))
-    assert cli.parse(path).algebra_payload.label() == "su(2)"
+    assert cli.parse(path).algebra.label() == "su(2)"
 
 
 @pytest.mark.parametrize("depth,message", [
@@ -811,7 +833,8 @@ def mostly(valid, bad=JSON_JUNK):
 
 RATIONALS = mostly(
     st.one_of(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", " 3 ",
-                               "1_000", "1.5e0"]), st.integers(-3, 3)),
+                               "1_000", "1.5e0", "1e4300"]),
+              st.integers(-3, 3)),
     st.one_of(st.sampled_from(["1/0", "1/-2", "inf", "nan", "", "i", 0.5,
                                "1e20000000", "1e-20000000"]), JSON_JUNK))
 
@@ -856,21 +879,30 @@ MATRICES = mostly(st.one_of(st.just(S2["j"]), st.just(SWAP_J),
                   st.one_of(st.lists(st.lists(RATIONALS, max_size=3),
                                      max_size=3), JSON_JUNK))
 SPECS = st.fixed_dictionaries({"algebra": ALGEBRAS}, optional={
-    "subalgebra": SUBALGEBRAS, "j": MATRICES,
-    "j1": st.one_of(st.just("default"), MATRICES),
-    "parabolic_index": mostly(st.integers(-1, 30))})
+    "subalgebra": SUBALGEBRAS, "j": MATRICES, "j1": MATRICES})
+# the routes the index and j1 no longer take: a spec field, and "default"
+REMOVED_ROUTES = mostly(st.just({}), st.one_of(
+    st.fixed_dictionaries({"parabolic_index": st.integers(-1, 30)}),
+    st.just({"j1": "default"})))
 
 
 @settings(max_examples=300, deadline=10000, suppress_health_check=[
     HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(SPECS, st.sampled_from(sorted(cli.COMMANDS)))
-def test_hostile_specs_exit_cleanly(tmp_path, capsys, spec, command):
+@given(SPECS, st.sampled_from(sorted(cli.COMMANDS)),
+       st.one_of(st.none(), st.integers(-1, 30)), REMOVED_ROUTES)
+def test_hostile_specs_exit_cleanly(tmp_path, capsys, spec, command, index,
+                                    removed):
     """Answers, clean no-verdicts and input errors only: every exit code is
-    0-3, no report is an internal error and nothing goes to stderr."""
-    path = write_spec(tmp_path, spec)
+    0-3, no report is an internal error and nothing goes to stderr; a spec
+    that sets the index or a "default" j1 is an input error."""
+    path = write_spec(tmp_path, dict(spec, **removed))
     out = tmp_path / "report.json"
-    code = cli.main(["--spec", path, "--command", command, "--out", str(out)])
+    flag = [] if index is None else ["--parabolic-index", str(index)]
+    code = cli.main(["--spec", path, "--command", command, "--out", str(out),
+                     *flag])
     report = json.loads(out.read_text())
     assert code in (0, 1, 2, 3), report
     assert report.get("error") != "InternalError", report
+    if removed:
+        assert code == 2, report
     assert capsys.readouterr().err == ""

@@ -39,8 +39,8 @@ from liecx.catalog import (
 )
 
 from conftest import (
-    ad, calabi_eckmann_instance, classified, flag_spec, profiled,
-    random_invariant_structures,
+    ad, calabi_eckmann_instance, classified, flag_spec, parabolic_spaces,
+    profiled, random_invariant_structures,
 )
 
 
@@ -814,7 +814,8 @@ def test_positive_definite_matches_leading_determinants():
 
 def classify_then_search(quot, p):
     report = cx.classify(quot)
-    return next((i for i, q in enumerate(report.parabolics) if q == p), None)
+    return next((i for i, q in enumerate(report.parabolics)
+                 if parabolic_spaces(q) == parabolic_spaces(p)), None)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -843,7 +844,8 @@ def test_parabolic_index_matches_classify_on_su4_t():
     for k in (0, 5, 23):
         p, _ = cx.decompose_J(cx.construct_J(quot, report.parabolics[k]))
         assert cx.parabolic_index(quot, p) == k
-        assert next(i for i, q in enumerate(report.parabolics) if q == p) == k
+        assert next(i for i, q in enumerate(report.parabolics)
+                    if parabolic_spaces(q) == parabolic_spaces(p)) == k
 
 
 def test_parabolic_index_is_none_off_classify_levi():
@@ -1239,11 +1241,11 @@ def golden_structure(tmp_path, case):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(case["spec"]))
     ps = cli.parse(path)
-    if case["args"][:1] == ["--parabolic-index"]:
-        ps.parabolic_index = int(case["args"][1])
+    k = int(case["args"][1]) if case["args"][:1] == ["--parabolic-index"] \
+        else None
     quot = cli._resolve_problem(ps)
     J = cli._structure(ps, quot) if ps.j is not None \
-        else cli._construct(ps, quot, "symmetric")[1]
+        else cli._construct(ps, quot, k, "symmetric")[1]
     return quot.algebra, quot.h, J
 
 

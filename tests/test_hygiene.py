@@ -179,6 +179,23 @@ def _modules_loaded_by(module):
     return set(out.split())
 
 
+def test_the_cli_input_surface(monkeypatch):
+    # data in the spec, the selector and run options as flags, each input
+    # by one route
+    allowed = {}
+    require = cli._require_keys
+
+    def spy(obj, keys, required, where):
+        allowed.setdefault(where, set(keys))
+        return require(obj, keys, required, where)
+    monkeypatch.setattr(cli, "_require_keys", spy)
+    cli.parse_obj({"algebra": {"kind": "su", "n": 2}})
+    assert allowed["spec"] == {"algebra", "subalgebra", "j", "j1"}
+    flags = {s for a in cli._argparser()._actions for s in a.option_strings}
+    assert flags - {"-h", "--help"} == {
+        "--spec", "--command", "--parabolic-index", "--seed", "--out"}
+
+
 def test_cli_import_pulls_in_no_introspection_modules():
     # every CLI process pays for its imports; dataclasses alone brings in
     # inspect, ast, dis and tokenize
