@@ -481,7 +481,7 @@ def nijenhuis_perturbation_trials(J: ComplexStructure, seed=0):
                 base_lifts = [quot.lift(w) for w in
                               (ua, ub, J.j.matvec(ua), J.j.matvec(ub))]
                 for _ in range(PERTURBATION_TRIALS):
-                    lifts = [vadd(x, rand_h()) for x in base_lifts]
+                    lifts = tuple(vadd(x, rand_h()) for x in base_lifts)
                     evaluations += 1
                     if _nijenhuis_of_lifts(J, *lifts) != base:
                         failures.append(

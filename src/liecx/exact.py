@@ -280,7 +280,7 @@ def entry_strings(v):
     try:
         return [fmt(x) for x in v.re], (v.im and [fmt(x) for x in v.im])
     except ValueError:
-        raise ExactError(f"a report entry has more than "
+        raise ExactError("a report entry has more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
