@@ -22,7 +22,7 @@ identity on the abelian ones, tori and so(2).
 from __future__ import annotations
 
 from .exact import (
-    Matrix, Subspace, ExactError, vec, ivec, vcat, vunit, vzero, rref,
+    Matrix, Subspace, ExactError, ivec, vcat, vunit, vzero, rref,
     inverse,
 )
 from .liealg import LieAlgebra, Subalgebra, center
@@ -314,5 +314,5 @@ def build_subalgebra(g: LieAlgebra, spec: AlgebraSpec, name, k=None,
     if name == "span":
         if span is None:
             raise InvalidSpec("span subalgebra needs explicit vectors")
-        return Subalgebra.span(g, [vec(v) for v in span], check=True)
+        return Subalgebra.span(g, span, check=True)
     raise InvalidSpec(f"unknown subalgebra name {name!r}")

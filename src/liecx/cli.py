@@ -1,10 +1,14 @@
 """Command-line pipeline: parse a problem spec (JSON), run one command from
 the library, emit a deterministic JSON report.
 
-Each input has one route: data (g, h, j, j1) in the spec, the selector
---parabolic-index and the run options --seed and --out as flags.  A spec
-field parabolic_index, a j1 string such as "default" and a --j1 flag are
-input errors.
+Each input has one route and one spelling: data (g, h, j, j1) in the spec,
+the selector --parabolic-index and the run options --seed and --out as
+flags.  A spec field parabolic_index, a j1 string such as "default" and a
+--j1 flag are input errors, and so are an abbreviated or repeated flag, an
+integer flag that is not ASCII decimal digits after an optional minus, a
+JSON key given twice in one object, and a subalgebra k or vectors on a name
+that takes none.  A flag error writes the same error report as any other
+input error, to the --out that argv names, else to stdout.
 
 Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error,
 3 = internal theorem violation, 4 = any other unexpected error (a bug).
@@ -17,7 +21,7 @@ Problem spec format (strict; unknown fields rejected):
                  | {"table": [[[rat, ...], ...], ...],
                     "inner_product": [[rat, ...], ...]?},   # explicit
       "subalgebra": {"name": "maximal_torus" | "zero" | "center"}
-                    | {"name": "block_u", "k": 2}
+                    | {"name": "block_u", "k": 2}        # k for block_u only
                     | {"name": "span", "vectors": [[rat, ...], ...]},
       "j": [[rat, ...], ...]?,          # on quotient coordinates
       "j1": [[rat, ...], ...]?          # construct: on the fiber m/h
@@ -84,6 +88,16 @@ def _require_keys(obj, allowed, required, where):
 
 def _lists(x):
     return isinstance(x, list) and all(isinstance(r, list) for r in x)
+
+
+def _object(pairs):
+    """A JSON object whose keys are distinct, for json.load."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"field {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
 
 
 def _require_int(x, what):
@@ -162,7 +176,7 @@ class ProblemSpec:
 def parse(path) -> ProblemSpec:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_object)
     except OSError as e:
         raise ParseError(f"cannot read spec file: {e}") from None
     except json.JSONDecodeError as e:
@@ -178,6 +192,9 @@ def parse_obj(raw) -> ProblemSpec:
     algebra = _parse_algebra_spec(raw["algebra"])
     sub = raw.get("subalgebra", {"name": "zero"})
     _require_keys(sub, {"name", "k", "vectors"}, {"name"}, "subalgebra")
+    for field, name in (("k", "block_u"), ("vectors", "span")):
+        if field in sub and sub["name"] != name:
+            raise ParseError(f"subalgebra: {field} is only for {name}")
     if "k" in sub:
         _require_int(sub["k"], "subalgebra: k")
     if sub["name"] == "span":
@@ -468,20 +485,62 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors, with a report."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+class _Once(argparse.Action):
+    """Store a flag's value, refusing a second one: until the flag is given
+    the namespace holds the default object itself (so --seed's default is
+    the str "0", which argparse converts only when the flag is absent)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            parser.error(f"{option_string} is given twice")
+        setattr(namespace, self.dest, values)
+
+
+def _decimal(text):
+    """An integer written in ASCII digits after an optional minus; int()
+    would also read "\u0663", "1_0", "+1" and " 3"."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _argparser():
-    ap = argparse.ArgumentParser(
-        prog="liecx",
+    ap = _Parser(
+        prog="liecx", allow_abbrev=False,
         description="Invariant integrable complex structures on quotients "
                     "of compact Lie algebras: classification, construction, "
                     "verification.")
-    ap.add_argument("--spec", required=True, help="problem spec JSON file")
-    ap.add_argument("--command", required=True, choices=sorted(COMMANDS))
-    ap.add_argument("--parabolic-index", type=int, default=None,
+    ap.add_argument("--spec", required=True, action=_Once,
+                    help="problem spec JSON file")
+    ap.add_argument("--command", required=True, action=_Once,
+                    choices=sorted(COMMANDS))
+    ap.add_argument("--parabolic-index", type=_decimal, action=_Once,
                     help="classify's parabolic k, for construct and symmetric")
-    ap.add_argument("--seed", type=int, default=0,
+    ap.add_argument("--seed", type=_decimal, default="0", action=_Once,
                     help="seed for randomized trials in verify")
-    ap.add_argument("--out", default=None, help="report path (default stdout)")
+    ap.add_argument("--out", action=_Once,
+                    help="report path (default stdout)")
     return ap
+
+
+def _flag_value(argv, flag):
+    """The first value that argv gives flag, read without the parser, or
+    None: what a flag error's report needs."""
+    for k, arg in enumerate(argv):
+        if arg == flag and k + 1 < len(argv) \
+                and not argv[k + 1].startswith("-"):
+            return argv[k + 1]
+        if arg.startswith(flag + "="):
+            return arg[len(flag) + 1:]
+    return None
 
 
 def _emit(report, out_path, code):
@@ -501,7 +560,14 @@ def _emit(report, out_path, code):
 
 
 def main(argv=None):
-    args = _argparser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _argparser().parse_args(argv)
+    except ParseError as e:
+        command = _flag_value(argv, "--command")
+        return _emit({"command": command if command in COMMANDS else None,
+                      "error": "ParseError", "message": str(e)},
+                     _flag_value(argv, "--out"), EXIT_INPUT)
     try:
         report, code = COMMANDS[args.command](parse(args.spec), args)
     except TheoremViolation as e:

@@ -6,14 +6,15 @@ denominator.  It is stored reduced, the gcd of den and every part being 1,
 so equal vectors have equal fields: == and hash are exact and cheap, and
 `Subspace` equality stays syntactic.  A `Matrix` is a tuple of Vec rows.
 Elimination (`rref`, and through it `kernel`, `solve` and `inverse`),
-`Subspace.reduce`, the products, `lincomb` and `charpoly` run on the
-integer parts and never build a Fraction.
+`Subspace.reduce`, the products, `lincomb`, `charpoly` and
+`rational_eigenvalues` run on the integer parts and never build a Fraction.
 
-`GQ`, a Gaussian rational a + b*i with Fraction parts, is the scalar at the
-boundary: the public constructors accept sequences of GQ, int or Fraction,
-and indexing or iterating a Vec yields GQ.  A scalar argument (`vscale`,
-`Matrix.scale`) may be a GQ, an int, a Fraction or a Vec of length 1.
-Everything here is pure and deterministic: re-running any operation yields
+Inside the library a scalar is a Vec of length 1 (`I` is i), and every
+helper takes Vecs as they are.  `GQ`, a Gaussian rational a + b*i with
+Fraction parts, is the scalar at the boundary: `vec`, `ivec`,
+`parse_vector`, `Matrix(...)` and `Subspace.from_vectors` read sequences of
+GQ, int or Fraction, and indexing or iterating a Vec yields GQ.  Everything
+here is pure and deterministic: re-running any operation yields
 bit-identical output.
 """
 
@@ -93,11 +94,6 @@ class GQ:
         return f"{self.re}" if not self.im else f"({self.re})+({self.im})*i"
 
 
-ZERO = GQ(0)
-ONE = GQ(1)
-I = GQ(0, 1)
-
-
 # ---------------------------------------------------------------------------
 # vectors
 
@@ -145,6 +141,9 @@ def ivec(re, im=None, den=1):
     v = Vec.__new__(Vec)
     v.re, v.im, v.den = tuple(re), (tuple(im) if im else None), den
     return v
+
+
+I = ivec((0,), (1,))
 
 
 def vec(entries):
@@ -213,7 +212,6 @@ def vunit(n, i):
 
 
 def vadd(a, b):
-    a, b = vec(a), vec(b)
     if len(a) != len(b):
         raise ValueError("vectors of different lengths")
     den, re, im = _over([a, b])
@@ -226,12 +224,11 @@ def vsub(a, b):
 
 
 def vneg(a):
-    a = vec(a)
     return ivec([-x for x in a.re], a.im and [-x for x in a.im], a.den)
 
 
 def vscale(c, a):
-    a, c = vec(a), (c if type(c) is Vec else vec([c]))
+    """c a for the scalar c, a Vec of length 1."""
     cr, ci, cd = c.re[0], (c.im[0] if c.im else 0), c.den
     ai = a.im or (0,) * len(a)
     return ivec([cr * x - ci * y for x, y in zip(a.re, ai)],
@@ -239,14 +236,12 @@ def vscale(c, a):
 
 
 def vconj(a):
-    a = vec(a)
     return ivec(a.re, a.im and [-x for x in a.im], a.den)
 
 
 def vcat(vectors):
     """The concatenation of the vectors, one Vec."""
-    vs = [vec(v) for v in vectors]
-    den, re, im = _over(vs)
+    den, re, im = _over(vectors)
     return ivec([x for r in re for x in r],
                im and [x for r in im for x in r], den)
 
@@ -258,15 +253,13 @@ def take(v, idx):
 
 def lincomb(n, coeffs, vectors):
     """sum_k coeffs[k] * vectors[k], a vector of length n."""
-    c = vec(coeffs)
-    cs = nonzero_terms(c)
-    den, re, im = _over([vec(vectors[k]) for k, _, _ in cs])
+    cs = nonzero_terms(coeffs)
+    den, re, im = _over([vectors[k] for k, _, _ in cs])
     return ivec(*combine(n, [(j, a, b) for j, (_, a, b) in enumerate(cs)],
-                         re, im), c.den * den)
+                         re, im), coeffs.den * den)
 
 
 def is_zero_vec(a):
-    a = vec(a)
     return a.im is None and not any(a.re)
 
 
@@ -351,7 +344,6 @@ class Matrix:
         return NotImplemented
 
     def matvec(self, v):
-        v = vec(v)
         if len(v) != self.ncols:
             raise DimensionMismatch(f"matvec: {len(v)} != {self.ncols}")
         # m v combines m's columns with v's entries
@@ -505,7 +497,6 @@ def kernel_of(space: "Subspace", f) -> "Subspace":
 
 def solve(m: Matrix, b):
     """One exact solution of m x = b (free variables set to 0), or None."""
-    b = vec(b)
     if len(b) != m.nrows:
         raise DimensionMismatch(f"solve: {len(b)} != {m.nrows}")
     red, pivots, rank = rref(Matrix([vcat((r, b[k:k + 1]))
@@ -571,7 +562,6 @@ class Subspace:
 
     def reduce(self, v):
         """Residual of v after eliminating the pivot coordinates; zero iff v is a member."""
-        v = vec(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"{len(v)} != {self.ambient_dim}")
         # the basis is in RREF, so the residual is v - sum_k v[p_k] b_k
@@ -595,7 +585,6 @@ class Subspace:
 
     def coords(self, v):
         """Coordinates of a member vector in the RREF basis (its pivot entries)."""
-        v = vec(v)
         if not self.contains(v):
             raise ExactError("vector not in subspace")
         return take(v, self.pivots)
@@ -828,7 +817,8 @@ def _divide_root(c, p, q):
 
 
 def rational_eigenvalues(m: Matrix):
-    """All eigenvalues of m, with multiplicity, as exact rationals.
+    """All eigenvalues of m, with multiplicity, in increasing order, as one
+    real Vec.
 
     The characteristic polynomial must have rational coefficients and split
     over Q; otherwise IrrationalSpectrum is raised.  Entries may be Gaussian
@@ -838,26 +828,27 @@ def rational_eigenvalues(m: Matrix):
     if cg.im is not None:
         raise IrrationalSpectrum("characteristic polynomial is not rational")
     coeffs = list(cg.re)   # a positive multiple of the monic polynomial
-    roots = []
-    # zero eigenvalues: strip trailing zero coefficients
+    # the eigenvalues y / a0, over the positive leading coefficient a0; the
+    # zero eigenvalues strip trailing zero coefficients
+    ys, a0 = [], 1
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-        roots.append(Fraction(0))
+        ys.append(0)
     if len(coeffs) > 1:
         # a root p/q of a0 x^n + ... + an has q | a0, so y = a0 x turns it
         # into an integer root of the monic y^n + a1 y^(n-1) + ... + an a0^(n-1)
         ints = _primitive(coeffs)
         a0 = ints[0]
         monic = [1] + [c * a0 ** k for k, c in enumerate(ints[1:])]
-        cands = {Fraction(y, a0) for y in _integer_root_candidates(monic)}
-        for cand in sorted(cands):
+        for y in sorted(_integer_root_candidates(monic)):
+            g = gcd(y, a0)
             while len(ints) > 1:
-                quo = _divide_root(ints, cand.numerator, cand.denominator)
+                quo = _divide_root(ints, y // g, a0 // g)
                 if quo is None:
                     break
-                roots.append(cand)
+                ys.append(y)
                 ints = quo
         if len(ints) > 1:
             raise IrrationalSpectrum(
-                f"only {len(roots)} of {m.nrows} eigenvalues are rational")
-    return sorted(roots)
+                f"only {len(ys)} of {m.nrows} eigenvalues are rational")
+    return ivec(sorted(ys), None, a0)

@@ -72,7 +72,6 @@ class LieAlgebra:
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket operands must have ambient length")
-        x, y = vec(x), vec(y)
         ys = nonzero_terms(y)
         re = [0] * self.dim
         im = [0] * self.dim
@@ -378,7 +377,6 @@ class Quotient:
         return take(self.h.reduce(x), self.complement.pivots)
 
     def lift(self, u):
-        u = vec(u)
         if len(u) != self.dim:
             raise DimensionMismatch(f"lift: {len(u)} != {self.dim}")
         re, im = [0] * self.algebra.dim, [0] * self.algebra.dim

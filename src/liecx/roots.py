@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .exact import (
     I, Matrix, Subspace, ExactError,
-    kernel_span, vec, vadd, vneg, vscale, is_zero_vec,
+    ivec, kernel_span, vadd, vcat, vneg, vscale, vzero, is_zero_vec,
     rational_eigenvalues, rref, span_sum,
 )
 from .liealg import LieAlgebra, is_abelian, is_nilpotent, restricted_ad
@@ -91,8 +91,9 @@ def _eigenspaces(g, op_vec, space):
     """Split an ad(op_vec)-stable subspace into eigenspaces of ad(op_vec);
     raises if the restricted spectrum is not rational or defective."""
     b = restricted_ad(g, op_vec, space)
+    ev = rational_eigenvalues(b)
     pieces = [(lam, kernel_span(b - Matrix.identity(b.nrows).scale(lam), space))
-              for lam in sorted(set(rational_eigenvalues(b)))]
+              for lam in (ivec((y,), None, ev.den) for y in sorted(set(ev.re)))]
     if sum(sub.dim for _, sub in pieces) != space.dim:
         raise NonSemisimpleAction("ad action is not diagonalizable on a piece")
     return pieces
@@ -106,23 +107,24 @@ def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
     bookkeeping, the +/- pairing and tau(g_alpha) = g_{-alpha}."""
     if not is_abelian(g, a):
         raise NotCartan("subalgebra is not abelian")
-    pieces = [((), Subspace.full(g.dim))]
+    pieces = [(vzero(0), Subspace.full(g.dim))]
     for aj in a.basis_vectors():
         refined = []
         for lams, sp in pieces:
             # eigenvalues lambda of i*ad(a_j) are rational
             for lam, sub in _eigenspaces(g, vscale(I, aj), sp):
-                refined.append((lams + (lam,), sub))
+                refined.append((vcat((lams, lam)), sub))
         pieces = refined
-    zero_parts = [sp for lams, sp in pieces if not any(lams)]
+    zero_parts = [sp for lams, sp in pieces if is_zero_vec(lams)]
     zero_space = span_sum(g.dim, zero_parts)
     # the zero space is C_{g_C}(a), so a is a Cartan when it equals a_C
     if zero_space != a:
         raise NotCartan("subalgebra is not self-centralizing")
-    # alpha(a_j) = -i*lambda; ordered by the values' imaginary parts, -lambda
-    pieces.sort(key=lambda piece: piece[0], reverse=True)
-    roots = [Root(vneg(vscale(I, vec(lams))), sp)
-             for lams, sp in pieces if any(lams)]
+    # alpha(a_j) = -i*lambda; ordered by the values' imaginary parts, -lambda:
+    # refined in increasing lambda, the pieces increase lexicographically
+    pieces.reverse()
+    roots = [Root(vneg(vscale(I, lams)), sp)
+             for lams, sp in pieces if not is_zero_vec(lams)]
     rd = RootDatum(g, a, roots, zero_space)
     rd.zero_perp = _validate_root_datum(rd)
     return rd

@@ -13,12 +13,16 @@ from fractions import Fraction
 import pytest
 
 from liecx.exact import (
-    GQ, ZERO, ONE, Matrix, Subspace, inverse, ivec, nonzero_terms, vec,
+    GQ, Matrix, Subspace, inverse, ivec, nonzero_terms, vec,
 )
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx.liealg import quotient as make_quotient
 from liecx import cli, cx
 
+
+# the boundary scalars 0 and 1, for building test inputs
+ZERO = GQ(0)
+ONE = GQ(1)
 
 ACCEPTANCE_LINES = []
 
@@ -201,8 +205,7 @@ def random_invariant_structures(quot, j0, rng, count):
     while len(out) < count:
         s = Matrix.zeros(q, q)
         for b in basis:
-            c = GQ(Fraction(rng.randint(-3, 3)))
-            s = s + b.scale(c)
+            s = s + b.scale(vec([rng.randint(-3, 3)]))
         try:
             sinv = inverse(s)
         except Exception:

@@ -7,13 +7,14 @@ import time
 
 import pytest
 
-from liecx.exact import GQ, ZERO, ONE, I, Matrix, vec, vunit, is_zero_vec
+from liecx.exact import GQ, Matrix, vec, vunit, is_zero_vec
 from liecx.liealg import (
     quotient as make_quotient, is_abelian, is_solvable, own_algebra)
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 from liecx import cx
 
 from conftest import (
+    ZERO, ONE,
     record_acceptance, acceptance_pairs, parabolic_spaces,
     s2_instance, calabi_eckmann_instance, swap_structure,
     random_invariant_structures, random_torus_structure,

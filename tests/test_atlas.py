@@ -1,6 +1,7 @@
 """An atlas of known answers: irreducible Hermitian symmetric spaces of
-types AIII, BDI, CI and DIII, two controls that are not symmetric, and the
-flag manifolds of sp(2) and sp(3).
+types AIII, BDI, CI and DIII, two controls that are not symmetric, the
+flag manifolds of sp(2) and sp(3), and Wang's C-spaces with a torus fiber
+(Calabi-Eckmann, Hopf and Samelson), with their odd and non-Wang controls.
 
 Expected answers come from Cartan's list (Helgason, Differential Geometry,
 Lie Groups, and Symmetric Spaces, ch. X), not from liecx.  On an
@@ -21,7 +22,7 @@ import pytest
 
 from liecx import cli
 from liecx.catalog import build, so
-from liecx.exact import Subspace, entry_strings, vunit
+from liecx.exact import Subspace, entry_strings, vadd, vunit
 from liecx.liealg import centralizer
 
 
@@ -69,8 +70,9 @@ def sp_sub(n, count):
     return algebra, [vunit(dim, i) for i in range(count)]
 
 
-def answers(tmp_path, case, symmetric=True):
-    """classify's report, and symmetric's status at indices 0 and 1."""
+def runner(tmp_path, case):
+    """A function that runs a command on g/h = case, (algebra spec, h's
+    basis), to its exit code and report."""
     algebra, vectors = case
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -83,6 +85,12 @@ def answers(tmp_path, case, symmetric=True):
         code = cli.main(["--spec", str(spec), "--command", command,
                          "--out", str(out), *extra])
         return code, json.loads(out.read_text())
+    return run
+
+
+def answers(tmp_path, case, symmetric=True):
+    """classify's report, and symmetric's status at indices 0 and 1."""
+    run = runner(tmp_path, case)
     code, report = run("classify")
     assert code == 0
     statuses = []
@@ -136,3 +144,117 @@ def test_sp_flag_manifolds_count_the_weyl_group(tmp_path, n, count):
     assert len(report["parabolics"]) == count
     assert report["fiber_dim"] == 0
     assert report["m_basis"] == report["h_basis"]
+
+
+# ---------------------------------------------------------------------------
+# Wang's C-spaces: torus bundles over flag manifolds (H. C. Wang, Amer. J.
+# Math. 76, 1954; J. Tits, Comment. Math. Helv. 37, 1962).  Wang's
+# necessary condition: dim g/h is even and h's semisimple part is that of
+# the centralizer m of a torus.  Then m is classify's m, m/h is the torus
+# fiber, and the parabolics with Levi m containing a fixed Cartan number
+# 2^(dim center m) when each simple factor's part of the center is a line.
+
+def su_corner(n, offset):
+    """The catalog indices, shifted by offset, of su(n - 1) in the top-left
+    block of su(n): the pairs (j, l), l < n - 1, at twice their
+    lexicographic index, and the first n - 2 diagonal generators (none at
+    all for n = 2, whose basis is su(2)'s own)."""
+    idx = [2 * p + s for p, (j, l) in enumerate(pairs(n)) if l < n - 1
+           for s in (0, 1)]
+    idx += [n * (n - 1) + j for j in range(n - 2)]
+    return [offset + i for i in idx]
+
+
+def unit_case(parts, idx):
+    """(the sum of the catalog parts, the span of the unit vectors idx)."""
+    algebra = {"kind": "sum", "parts": [
+        {"kind": kind, "n": n} for kind, n in parts]}
+    dim = sum({"su": n * n - 1, "so": n * (n - 1) // 2,
+               "torus": n}[kind] for kind, n in parts)
+    return algebra, [vunit(dim, i) for i in idx]
+
+
+def calabi_eckmann(p, q):
+    """S^(2p+1) x S^(2q+1) = su(p+1) + su(q+1) / su(p) + su(q)."""
+    return unit_case([("su", p + 1), ("su", q + 1)],
+                     su_corner(p + 1, 0) + su_corner(q + 1, (p + 1) ** 2 - 1))
+
+
+def hopf(n):
+    """S^1 x S^(2n-1) = torus(1) + su(n) / su(n - 1)."""
+    return unit_case([("torus", 1), ("su", n)], su_corner(n, 1))
+
+
+# Calabi and Eckmann (Ann. of Math. 58, 1953): m = s(u(p) + u(1)) +
+# s(u(q) + u(1)) of dim p^2 + q^2, a 2-torus fiber, and 2 x 2 parabolics
+CALABI_ECKMANN = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("p,q", CALABI_ECKMANN,
+                         ids=[f"S{2 * p + 1}xS{2 * q + 1}"
+                              for p, q in CALABI_ECKMANN])
+def test_calabi_eckmann_manifolds(tmp_path, p, q):
+    report, _ = answers(tmp_path, calabi_eckmann(p, q), symmetric=False)
+    assert report["exists"]
+    assert len(report["parabolics"]) == 4
+    assert report["fiber_dim"] == 2
+    assert report["dim_m"] == p * p + q * q
+
+
+# Hopf manifolds S^1 x S^(2n-1) (H. Hopf, Studies and Essays presented to
+# R. Courant, 1948), the C-spaces over CP^(n-1): m = torus(1) +
+# s(u(n - 1) + u(1)), a 2-torus fiber, and a maximal parabolic with its
+# opposite
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"S1xS{2 * n - 1}")
+def test_hopf_manifolds(tmp_path, n):
+    report, _ = answers(tmp_path, hopf(n), symmetric=False)
+    assert report["exists"]
+    assert len(report["parabolics"]) == 2
+    assert report["fiber_dim"] == 2
+    assert report["dim_m"] == 1 + (n - 1) ** 2
+
+
+# Samelson's groups (H. Samelson, Portugaliae Math. 12, 1953): an even-
+# dimensional compact group G = G/1 has m = t, the fiber is t, and there
+# are |W| Borels through t (Humphreys, Reflection Groups and Coxeter
+# Groups, section 2.11): |W(A2)| = 6, |W(B2)| = 8, |W(A1)|^3 = 8,
+# |W(A2)|^2 = 36 and |W(D4)| = 192
+SAMELSON = {
+    "su3": ([("su", 3)], 6, 2),
+    "so5": ([("so", 5)], 8, 2),
+    "su2x3_torus1": ([("su", 2)] * 3 + [("torus", 1)], 8, 4),
+    "su3_su3": ([("su", 3), ("su", 3)], 36, 4),
+    "so8": ([("so", 8)], 192, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMELSON))
+def test_samelson_groups(tmp_path, name):
+    parts, weyl, rank = SAMELSON[name]
+    report, _ = answers(tmp_path, unit_case(parts, []), symmetric=False)
+    assert report["exists"]
+    assert len(report["parabolics"]) == weyl
+    assert report["fiber_dim"] == report["dim_m"] == rank
+
+
+# the controls that fail Wang's condition (op. cit.): an odd dim g/h, and
+# an h whose semisimple part is no torus centralizer's: so(3), the real
+# skew matrices of su(3), and the diagonal su(2) in su(2) + su(2)
+WANG_CONTROLS = {
+    "su4_0": (unit_case([("su", 4)], []), "odd_dimension"),
+    "su5_torus1_0": (unit_case([("su", 5), ("torus", 1)], []),
+                     "odd_dimension"),
+    "torus1_su3_so3": (unit_case([("torus", 1), ("su", 3)], [1, 3, 5]),
+                       "m_not_centralizer_of_its_center"),
+    "su2_su2_torus1_diagonal": (
+        (unit_case([("su", 2), ("su", 2), ("torus", 1)], [])[0],
+         [vadd(vunit(7, k), vunit(7, 3 + k)) for k in range(3)]),
+        "m_not_centralizer_of_its_center"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WANG_CONTROLS))
+def test_wang_controls_have_no_structure(tmp_path, name):
+    case, reason = WANG_CONTROLS[name]
+    code, report = runner(tmp_path, case)("classify")
+    assert (code, report["exists"], report["reason"]) == (1, False, reason)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from liecx.exact import GQ, ZERO, ONE, Matrix, Subspace, vunit, is_zero_vec
+from liecx.exact import GQ, Matrix, Subspace, vunit, is_zero_vec
 from liecx.liealg import LieAlgebra, Subalgebra, centralizer, center, derived
 from liecx import catalog
 from liecx.catalog import (
@@ -10,7 +10,7 @@ from liecx.catalog import (
     InvalidSpec,
 )
 
-from conftest import profiled
+from conftest import ONE, ZERO, profiled
 
 
 DIMS = [

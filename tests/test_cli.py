@@ -419,16 +419,77 @@ def test_the_removed_spec_routes_exit_2(tmp_path, spec):
     assert (code, rep["error"]) == (2, "ParseError")
 
 
+def run_flags(tmp_path, capsys, argv):
+    """main's exit code and report on argv: the --out file when there is
+    one, else stdout; nothing may go to stderr."""
+    out = tmp_path / "report.json"
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if out.exists():
+        assert captured.out == ""
+        return code, json.loads(out.read_text())
+    return code, json.loads(captured.out)
+
+
+# a flag error is an input error with the one error report
 @pytest.mark.parametrize("file", [False, True], ids=["default", "file"])
 def test_the_removed_j1_flag_exits_2(tmp_path, capsys, file):
     (tmp_path / "j1.json").write_text(json.dumps(FLIPPED_J1))
     value = str(tmp_path / "j1.json") if file else "default"
-    out = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as e:
-        cli.main(["--spec", write_spec(tmp_path, SU2SU2_0), "--command",
-                  "construct", "--out", str(out), *K0, "--j1", value])
-    assert e.value.code == 2 and not out.exists()
-    assert "unrecognized arguments: --j1" in capsys.readouterr().err
+    code, rep = run_flags(tmp_path, capsys, [
+        "--spec", write_spec(tmp_path, SU2SU2_0), "--command", "construct",
+        "--out", str(tmp_path / "report.json"), *K0, "--j1", value])
+    assert (code, rep) == (2, {
+        "command": "construct", "error": "ParseError",
+        "message": f"unrecognized arguments: --j1 {value}"})
+
+
+@pytest.mark.parametrize("flags,command,message", [
+    (["--command", "construct", "--parabolic-index", "x"], "construct",
+     "argument --parabolic-index: not a decimal integer: 'x'"),
+    (["--parabolic-index", "0"], None,
+     "the following arguments are required: --command"),
+], ids=["bad_index", "no_command"])
+def test_a_flag_error_writes_the_error_report(tmp_path, capsys, flags,
+                                              command, message):
+    code, rep = run_flags(tmp_path, capsys, [
+        "--spec", write_spec(tmp_path, SU2SU2_0), *flags,
+        "--out", str(tmp_path / "report.json")])
+    assert (code, rep) == (2, {"command": command, "error": "ParseError",
+                               "message": message})
+
+
+# each flag has one spelling: no abbreviation, no repeat, and integers in
+# ASCII decimal digits after an optional minus
+SPELLINGS = {
+    "spe": ["--spe", "SPEC", "--command", "catalog"],
+    "comm": ["--spec", "SPEC", "--comm", "catalog"],
+    "ou": ["--spec", "SPEC", "--command", "catalog", "--ou", "OUT"],
+    "index_twice": ["--spec", "SPEC", "--command", "construct",
+                    "--parabolic-index", "1", "--parabolic-index", "2"],
+    "seed_twice": ["--spec", "SPEC", "--command", "verify", "--seed", "0",
+                   "--seed", "0"],
+    "out_twice": ["--spec", "SPEC", "--command", "catalog", "--out", "OUT",
+                  "--out", "OUT"],
+    "arabic_indic_digit": ["--spec", "SPEC", "--command", "construct",
+                           "--parabolic-index", "\u0663"],
+    "underscore": ["--spec", "SPEC", "--command", "construct",
+                   "--parabolic-index", "1_0"],
+    "plus": ["--spec", "SPEC", "--command", "construct",
+             "--parabolic-index", "+1"],
+    "space": ["--spec", "SPEC", "--command", "construct",
+              "--parabolic-index", " 3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_each_flag_has_one_spelling(tmp_path, capsys, name):
+    spec = write_spec(tmp_path, SU2SU2_0)
+    argv = [{"SPEC": spec, "OUT": str(tmp_path / "report.json")}.get(a, a)
+            for a in SPELLINGS[name]]
+    code, rep = run_flags(tmp_path, capsys, argv)
+    assert (code, rep["error"]) == (2, "ParseError")
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +527,20 @@ def test_a_non_invariant_j_is_an_input_error(tmp_path, command):
     (json.dumps(dict(S2, j=[["0", "-1"], ["1"]])), "j: ragged rows"),
     (json.dumps({"algebra": {"kind": "su"}}), "algebra: su needs n"),
     (json.dumps({"algebra": {"table": [[["0", "0"]], []]}}),
-     "algebra.table: expected 2x2 of vectors")],
-    ids=["json", "ragged", "no_n", "table_row"])
+     "algebra.table: expected 2x2 of vectors"),
+    # each field has one spelling: a key once per object, and k and
+    # vectors only on the names that take them
+    ('{"algebra": {"kind": "su", "n": 3}, "algebra": {"kind": "so", "n": 5}}',
+     "field 'algebra' is given twice in one object"),
+    ('{"algebra": {"kind": "su", "n": 3, "n": 3}}',
+     "field 'n' is given twice in one object"),
+    (json.dumps(dict(SU3_T, subalgebra={"name": "maximal_torus", "k": 2})),
+     "subalgebra: k is only for block_u"),
+    (json.dumps(dict(SU3_T, subalgebra={"name": "zero",
+                                        "vectors": [["1"] + ["0"] * 7]})),
+     "subalgebra: vectors is only for span")],
+    ids=["json", "ragged", "no_n", "table_row", "repeated_key",
+         "repeated_inner_key", "k_off_block_u", "vectors_off_span"])
 def test_malformed_specs_are_parse_errors(tmp_path, text, message):
     path = tmp_path / "spec.json"
     path.write_text(text)
@@ -884,25 +957,44 @@ SPECS = st.fixed_dictionaries({"algebra": ALGEBRAS}, optional={
 REMOVED_ROUTES = mostly(st.just({}), st.one_of(
     st.fixed_dictionaries({"parabolic_index": st.integers(-1, 30)}),
     st.just({"j1": "default"})))
+# second spellings of a field: a key given twice, and k or vectors on a
+# subalgebra name that takes neither
+RESPELLED = mostly(st.none(), st.one_of(
+    st.just("repeated_key"),
+    st.fixed_dictionaries({
+        "name": st.sampled_from(["maximal_torus", "zero", "center", "span"]),
+        "k": st.integers(1, 3)}),
+    st.fixed_dictionaries({
+        "name": st.sampled_from(["maximal_torus", "zero", "center",
+                                 "block_u"]),
+        "vectors": st.just([["0", "0", "1"]])})))
 
 
 @settings(max_examples=300, deadline=10000, suppress_health_check=[
     HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(SPECS, st.sampled_from(sorted(cli.COMMANDS)),
-       st.one_of(st.none(), st.integers(-1, 30)), REMOVED_ROUTES)
+       st.one_of(st.none(), st.integers(-1, 30)), REMOVED_ROUTES, RESPELLED)
 def test_hostile_specs_exit_cleanly(tmp_path, capsys, spec, command, index,
-                                    removed):
+                                    removed, respelled):
     """Answers, clean no-verdicts and input errors only: every exit code is
     0-3, no report is an internal error and nothing goes to stderr; a spec
-    that sets the index or a "default" j1 is an input error."""
-    path = write_spec(tmp_path, dict(spec, **removed))
+    that sets the index or a "default" j1, or spells a field a second way,
+    is an input error."""
+    spec = dict(spec, **removed)
+    if isinstance(respelled, dict):
+        spec["subalgebra"] = respelled
+    text = json.dumps(spec)
+    if respelled == "repeated_key":
+        text = text[:-1] + ', "algebra": {"kind": "su", "n": 2}}'
+    path = tmp_path / "spec.json"
+    path.write_text(text)
     out = tmp_path / "report.json"
     flag = [] if index is None else ["--parabolic-index", str(index)]
-    code = cli.main(["--spec", path, "--command", command, "--out", str(out),
-                     *flag])
+    code = cli.main(["--spec", str(path), "--command", command,
+                     "--out", str(out), *flag])
     report = json.loads(out.read_text())
     assert code in (0, 1, 2, 3), report
     assert report.get("error") != "InternalError", report
-    if removed:
+    if removed or respelled:
         assert code == 2, report
     assert capsys.readouterr().err == ""

@@ -136,7 +136,7 @@ def rand_gq(rng, density=1.0):
 
 
 def rand_vec(rng, n, density):
-    return tuple(rand_gq(rng, density) for _ in range(n))
+    return vec([rand_gq(rng, density) for _ in range(n)])
 
 
 
@@ -148,7 +148,7 @@ def power_combinations(n, basis):
     """The elements sum_j k^j basis[j] for k = 1, 2, 3, ..., in that order."""
     k = 1
     while True:
-        yield lincomb(n, [Q(k ** j) for j in range(len(basis))], basis)
+        yield lincomb(n, vec([Q(k ** j) for j in range(len(basis))]), basis)
         k += 1
 
 
@@ -180,7 +180,7 @@ def parabolic_from_abelian(g, t):
         return roots.build_parabolic(rd, m, ())
     # deterministic search for h0 in i*t with alpha(h0) real nonzero on Q
     for h0 in power_combinations(
-            g.dim, [vscale(I, b) for b in t.basis_vectors()]):
+            g.dim, [vscale(exact.I, b) for b in t.basis_vectors()]):
         vals = {i: value_at(rd, rd.roots[i], h0) for i in q}
         if all(v.im == 0 and v.re != 0 for v in vals.values()):
             return roots.build_parabolic(
@@ -326,7 +326,7 @@ def flatten_real(mat):
 
 def per_pair_table(basis):
     expand = Matrix.from_columns([flatten_real(m) for m in basis])
-    return tuple(tuple(solve(expand, flatten_real(dense_commutator(a, b)))
+    return tuple(tuple(solve(expand, vec(flatten_real(dense_commutator(a, b))))
                        for b in basis) for a in basis)
 
 
@@ -340,7 +340,7 @@ def dense_coordinates(basis):
 
     def coords(mat):
         target = flatten_real(mat)
-        c = block_inv.matvec(tuple(target[r] for r in rows))
+        c = block_inv.matvec(vec([target[r] for r in rows]))
         return c if expand.matvec(c) == vec(target) else None
     return coords
 
@@ -549,8 +549,8 @@ def mixed_vec(rng, n):
     with some zeros and some integers."""
     def part():
         return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7, 12)))
-    return tuple(ZERO if rng.random() < 0.2 else Q(part(), part())
-                 for _ in range(n))
+    return vec([ZERO if rng.random() < 0.2 else Q(part(), part())
+                for _ in range(n)])
 
 
 def test_rotated_table_is_dense():
@@ -566,8 +566,8 @@ def test_bracket_matches_dense_loop(algebra):
              for i in range(g.dim) for j in range(g.dim)]
     pairs += [(rand_vec(rng, g.dim, d), rand_vec(rng, g.dim, e))
               for d in (0.2, 1.0) for e in (0.3, 1.0) for _ in range(3)]
-    integer = [tuple(Q(rng.randint(-4, 4), rng.randint(-4, 4) * (k % 2))
-                     for _ in range(g.dim)) for k in range(3)]
+    integer = [vec([Q(rng.randint(-4, 4), rng.randint(-4, 4) * (k % 2))
+                    for _ in range(g.dim)]) for k in range(3)]
     mixed = [mixed_vec(rng, g.dim) for _ in range(4)]
     pairs += [(x, y) for x in integer + mixed for y in integer + mixed]
     for x, y in pairs:
@@ -655,7 +655,7 @@ def divisor_eigenvalues(m):
     if len(coeffs) > 1:
         raise IrrationalSpectrum(
             f"only {len(roots)} of {m.nrows} eigenvalues are rational")
-    return sorted(roots)
+    return vec(sorted(roots))
 
 
 def polymul(a, b):
@@ -740,7 +740,7 @@ def test_rational_eigenvalues_with_a_constant_term_over_60_bits():
         coeffs.pop()
     den = lcm(*(c.denominator for c in coeffs))
     assert int(abs(coeffs[-1]) * den).bit_length() > 60
-    assert rational_eigenvalues(m) == sorted(eigs)
+    assert rational_eigenvalues(m) == vec(sorted(eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +941,7 @@ def kernel_entry(rng, kind, bits=8):
 
 
 def kernel_entry_vec(rng, kind, n, bits=8):
-    return tuple(kernel_entry(rng, kind, bits) for _ in range(n))
+    return vec([kernel_entry(rng, kind, bits) for _ in range(n)])
 
 
 def kernel_matrix(rng, kind, nr, nc, rank=None, bits=8):
@@ -978,7 +978,8 @@ def kernel_cases():
     # a row equal to another, a multiple of another, and a zero row
     a = kernel_matrix(rng, "gaussian", 3, 6)
     cases.append(("repeated_rows", Matrix(
-        list(a.rows) + [a.rows[0], vscale(Q(2, -3), a.rows[1]), vzero(6)])))
+        list(a.rows) + [a.rows[0], vscale(vec([Q(2, -3)]), a.rows[1]),
+                        vzero(6)])))
     for n in (0, 1, 5):
         cases.append((f"0x{n}", Matrix.zeros(0, n)))
         cases.append((f"{n}x0", Matrix([()] * n) if n else Matrix.zeros(0, 0)))
@@ -1074,7 +1075,7 @@ entries = st.one_of(st.just(ZERO), gaussians,
 
 
 def vectors(n):
-    return st.lists(entries, min_size=n, max_size=n).map(tuple)
+    return st.lists(entries, min_size=n, max_size=n).map(vec)
 
 
 def matrices(nr, nc):
@@ -1151,8 +1152,8 @@ def test_equal_vectors_over_other_denominators_are_equal(v, k, extra):
     w = vec(v)
     scaled = ivec([k * x for x in w.re], w.im and [k * x for x in w.im],
                   k * w.den)
-    mixed = vadd(vscale(Q(Fraction(1, extra)), v),
-                 vscale(Q(Fraction(extra - 1, extra)), v))
+    mixed = vadd(vscale(vec([Fraction(1, extra)]), v),
+                 vscale(vec([Fraction(extra - 1, extra)]), v))
     assert w == scaled == mixed
     assert hash(w) == hash(scaled) == hash(mixed)
     assert tuple(scaled) == qv(v)
@@ -1347,12 +1348,12 @@ def j_by_mixing(vplus):
     f = len(vb)
     mix_inv = inverse(Matrix.from_columns(
         [vadd(v, vconj(v)) for v in vb]
-        + [vadd(vscale(I, v), vconj(vscale(I, v))) for v in vb]))
+        + [vadd(vscale(exact.I, v), vconj(vscale(exact.I, v))) for v in vb]))
     jcols = []
     for k in range(q):
         c = mix_inv.matvec(vunit(q, k))
-        w = lincomb(q, [c[a] + I * c[f + a] for a in range(f)], vb)
-        jcols.append(vscale(I, vsub(w, vconj(w))))
+        w = lincomb(q, vec([c[a] + I * c[f + a] for a in range(f)]), vb)
+        jcols.append(vscale(exact.I, vsub(w, vconj(w))))
     return Matrix.from_columns(jcols)
 
 
@@ -1363,7 +1364,7 @@ GOLDEN_JS = sorted({json.dumps(c["spec"]["j"]) for c in MANIFEST
 @pytest.mark.parametrize("j", GOLDEN_JS, ids=range(len(GOLDEN_JS)))
 def test_real_structure_matches_mixing_on_golden_js(j):
     jm = cli._parse_matrix(json.loads(j), "j")
-    vplus = kernel(jm - Matrix.identity(jm.nrows).scale(I))
+    vplus = kernel(jm - Matrix.identity(jm.nrows).scale(exact.I))
     assert cx.structure_with_plus_space(vplus) == j_by_mixing(vplus) == jm
 
 
@@ -1379,8 +1380,8 @@ def test_real_structure_matches_mixing_on_random_eigenspaces():
             j = cx.structure_with_plus_space(vplus)
             assert j == j_by_mixing(vplus)
             assert j.is_real()
-            assert j * j == Matrix.identity(2 * f).scale(Q(-1))
-            assert kernel(j - Matrix.identity(2 * f).scale(I)) == vplus
+            assert j * j == -Matrix.identity(2 * f)
+            assert kernel(j - Matrix.identity(2 * f).scale(exact.I)) == vplus
             tried += 1
     assert tried >= 10
     # a V+ holding a real vector meets tau(V+): no J, by either formula
@@ -1396,7 +1397,7 @@ def realify_subspace(s):
     vecs = []
     for b in s.basis_vectors():
         vecs.append(realify_vector(b))
-        vecs.append(realify_vector(vscale(I, b)))
+        vecs.append(realify_vector(vscale(exact.I, b)))
     return Subspace.from_vectors(2 * s.ambient_dim, vecs)
 
 

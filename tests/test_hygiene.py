@@ -3,10 +3,12 @@ resolve, no library module imports a name it never uses, and importing the
 CLI stays cheap."""
 
 import ast
+import cProfile
 import importlib
 import importlib.util
 import json
 import os
+import pstats
 import random
 import subprocess
 import sys
@@ -15,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from liecx import cli
-from liecx.exact import GQ
+from liecx import cli, exact
+from liecx.exact import GQ, Vec
 
 from conftest import profiled
 
@@ -240,3 +242,49 @@ def test_dense_classify_builds_few_fractions_and_gq(tmp_path):
     assert code == 0
     assert calls(Fraction.__new__) <= 5000
     assert calls(GQ.__init__) <= 3000
+
+
+def _golden_case(name):
+    manifest = json.loads((ROOT / "tests" / "golden" / "manifest.json")
+                          .read_text())
+    case = next(c for c in manifest if c["file"] == name)
+    return case["spec"], case["command"], case["args"]
+
+
+def test_the_library_computes_on_vec_alone(tmp_path, monkeypatch):
+    # inside the library a scalar is a 1-Vec and a vector a Vec: parsing
+    # builds the only Fractions, vec() is handed Vecs alone, and no GQ is
+    # built; once, classify of so(5)/t built 16 eigenvalue Fractions and
+    # converted 80 boxed scalars
+    specs = _perfbench_module("specs")
+    runs = [_golden_case("so5_t__classify.json"),
+            (specs.dense_spec([("so", 5)], random.Random(0)), "classify", []),
+            _golden_case("su3_t__check_integrable.json"),
+            _golden_case("su3_t__verify_seed0.json")]
+    handed = set()
+    vec = exact.vec
+
+    def spy(entries):
+        handed.add(type(entries))
+        return vec(entries)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "liecx" and getattr(module, "vec", None) \
+                is vec:
+            monkeypatch.setattr(module, "vec", spy)
+    path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    for spec, command, args in runs:
+        path.write_text(json.dumps(spec))
+        prof = cProfile.Profile()
+        code = prof.runcall(cli.main, ["--spec", str(path), "--command",
+                                       command, "--out", str(out), *args])
+        assert code == 0, (command, out.read_text())
+        stats = pstats.Stats(prof).stats
+
+        def callers(fn):
+            c = fn.__code__
+            return {caller[2] for key, v in stats.items()
+                    if key == (c.co_filename, c.co_firstlineno, c.co_name)
+                    for caller in v[4]}
+        assert callers(Fraction.__new__) <= {"parse_rational"}, command
+        assert callers(GQ.__init__) == set(), command
+    assert handed == {Vec}

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from liecx.exact import (
-    GQ, ZERO, ONE, I, Matrix, Subspace, vec, vunit, vadd, vscale, vconj,
+    GQ, I, Matrix, Subspace, vec, vunit, vadd, vscale, vconj,
 )
 from liecx.liealg import (
     LieAlgebra, Subalgebra, NotAbelian, NotClosed,
@@ -18,7 +18,7 @@ from liecx.liealg import (
 )
 from liecx.catalog import build, build_subalgebra, su, u, torus, direct_sum
 
-from conftest import ad
+from conftest import ONE, ZERO, ad
 
 from test_fast_paths import Q, qv
 
@@ -80,8 +80,8 @@ def test_killing_gram_matches_sympy(spec):
 
 
 def test_su2_killing_is_minus_two_identity(su2):
-    assert su2.killing_gram() == Matrix.identity(3).scale(GQ(-2))
-    assert su2.inner_product == Matrix.identity(3).scale(GQ(2))
+    assert su2.killing_gram() == Matrix.identity(3).scale(vec([-2]))
+    assert su2.inner_product == Matrix.identity(3).scale(vec([2]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +140,13 @@ def test_subalgebra_closure_check(su2):
 def test_solvable_and_nilpotent(su2):
     # subalgebras of su(2)_C live on su2 itself: same table, complex entries
     borel = Subalgebra.span(
-        su2, [vunit(3, 2), vadd(vunit(3, 0), vscale(GQ(0, -1), vunit(3, 1)))],
+        su2, [vunit(3, 2), vadd(vunit(3, 0), vscale(vec([GQ(0, -1)]), vunit(3, 1)))],
         check=True).space
     assert is_solvable(own_algebra(su2, borel))
     assert not is_nilpotent(su2, borel)
     assert radical(own_algebra(su2, borel), borel) == borel
     nil = Subalgebra.span(
-        su2, [vadd(vunit(3, 0), vscale(GQ(0, -1), vunit(3, 1)))],
+        su2, [vadd(vunit(3, 0), vscale(vec([GQ(0, -1)]), vunit(3, 1)))],
         check=True).space
     assert is_nilpotent(su2, nil)
     assert not is_solvable(su2)
@@ -154,7 +154,7 @@ def test_solvable_and_nilpotent(su2):
 
 def test_tau(su2):
     v = vadd(vunit(3, 0), vscale(I, vunit(3, 1)))
-    assert vconj(v) == vadd(vunit(3, 0), vscale(GQ(0, -1), vunit(3, 1)))
+    assert vconj(v) == vadd(vunit(3, 0), vscale(vec([GQ(0, -1)]), vunit(3, 1)))
     # tau is an automorphism of the real structure tensor
     w = vunit(3, 2)
     assert vconj(su2.bracket(v, w)) == su2.bracket(vconj(v), vconj(w))

@@ -44,7 +44,7 @@ def test_su2_roots(su2_datum):
     g, rd = su2_datum
     assert len(rd.roots) == 2
     assert rd.zero_space.dim == 1
-    assert {r.values for r in rd.roots} == {vec([GQ(0, -1)]), vec([I])}
+    assert {r.values for r in rd.roots} == {vec([GQ(0, -1)]), I}
     for i, r in enumerate(rd.roots):
         assert r.space.dim == 1
         j = rd.negative_of(i)
