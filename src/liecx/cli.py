@@ -2,13 +2,13 @@
 the library, emit a deterministic JSON report.
 
 Each input has one route and one spelling: data (g, h, j, j1) in the spec,
-the selector --parabolic-index and the run options --seed and --out as
-flags.  A spec field parabolic_index, a j1 string such as "default" and a
---j1 flag are input errors, and so are an abbreviated or repeated flag, an
-integer flag that is not ASCII decimal digits after an optional minus, a
-JSON key given twice in one object, and a subalgebra k or vectors on a name
-that takes none.  A flag error writes the same error report as any other
-input error, to the --out that argv names, else to stdout.
+a UTF-8 JSON file, and the selector --parabolic-index and the run options
+--seed and --out as flags, read in one pass over argv, each once as --flag
+VALUE or --flag=VALUE (-h prints the usage).  Input errors include a spec
+field parabolic_index, a j1 "default", a --j1 or abbreviated flag, an
+integer flag not in ASCII decimal digits after an optional minus, a JSON key
+given twice in one object, and a subalgebra k or vectors on a name that
+takes none; a flag error's report goes to the --out argv names, else stdout.
 
 Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error,
 3 = internal theorem violation, 4 = any other unexpected error (a bug).
@@ -38,9 +38,10 @@ All matrices row-major.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 from .exact import Matrix, Subspace, ExactError, parse_vector, entry_strings
 from .liealg import LieAlgebra, Quotient, quotient as make_quotient
@@ -175,12 +176,13 @@ class ProblemSpec:
 
 def parse(path) -> ProblemSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_object)
-    except OSError as e:
-        raise ParseError(f"cannot read spec file: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}: {e.msg}") from None
+    except (OSError, ValueError) as e:  # also non-UTF-8 bytes, and integer
+        # literals longer than sys.get_int_max_str_digits()
+        raise ParseError(f"cannot read spec file: {e}") from None
     except RecursionError:
         raise ParseError("spec file nests too deeply to read") from None
     return parse_obj(raw)
@@ -413,7 +415,7 @@ def _construct(ps, quot, k, command):
 
 def cmd_construct(ps, args):
     quot = _resolve_problem(ps)
-    k = args.parabolic_index
+    k = args.get("--parabolic-index")
     p, J = _construct(ps, quot, k, "construct")
     j1 = cx.fiber_structure(J, quot.fact(cx.levi_systems, quot).m.u)
     rep = _base_report("construct", quot.algebra, quot.h)
@@ -442,10 +444,11 @@ def cmd_verify(ps, args):
     quot = _resolve_problem(ps)
     J = _integrable_structure(ps, quot, "ledger undefined")
     ledger = cx.verify_structure(J)
-    trials, evaluations = cx.nijenhuis_perturbation_trials(J, seed=args.seed)
+    seed = args.get("--seed", 0)
+    trials, evaluations = cx.nijenhuis_perturbation_trials(J, seed=seed)
     ledger.append(trials)
     rep = _base_report("verify", quot.algebra, quot.h)
-    rep["seed"] = args.seed
+    rep["seed"] = seed
     rep["nijenhuis_evaluations"] = evaluations
     rep["ledger"] = _ser_ledger(ledger)
     ok = all(e.ok for e in ledger)
@@ -456,7 +459,7 @@ def cmd_verify(ps, args):
 def cmd_symmetric(ps, args):
     quot = _resolve_problem(ps)
     if ps.j is None:
-        p, J = _construct(ps, quot, args.parabolic_index, "symmetric")
+        p, J = _construct(ps, quot, args.get("--parabolic-index"), "symmetric")
     else:
         p, J = None, _structure(ps, quot)
     if not cx.is_invariant(J):
@@ -485,102 +488,99 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # entry point
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are input errors, with a report."""
-
-    def error(self, message):
-        raise ParseError(message)
-
-
-class _Once(argparse.Action):
-    """Store a flag's value, refusing a second one: until the flag is given
-    the namespace holds the default object itself (so --seed's default is
-    the str "0", which argparse converts only when the flag is absent)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not self.default:
-            parser.error(f"{option_string} is given twice")
-        setattr(namespace, self.dest, values)
-
-
 def _decimal(text):
     """An integer written in ASCII digits after an optional minus; int()
     would also read "\u0663", "1_0", "+1" and " 3"."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
 
-def _argparser():
-    ap = _Parser(
-        prog="liecx", allow_abbrev=False,
-        description="Invariant integrable complex structures on quotients "
-                    "of compact Lie algebras: classification, construction, "
-                    "verification.")
-    ap.add_argument("--spec", required=True, action=_Once,
-                    help="problem spec JSON file")
-    ap.add_argument("--command", required=True, action=_Once,
-                    choices=sorted(COMMANDS))
-    ap.add_argument("--parabolic-index", type=_decimal, action=_Once,
-                    help="classify's parabolic k, for construct and symmetric")
-    ap.add_argument("--seed", type=_decimal, default="0", action=_Once,
-                    help="seed for randomized trials in verify")
-    ap.add_argument("--out", action=_Once,
-                    help="report path (default stdout)")
-    return ap
+def _command(text):
+    if text not in COMMANDS:
+        raise ValueError(f"invalid choice: {text!r}")
+    return text
 
 
-def _flag_value(argv, flag):
-    """The first value that argv gives flag, read without the parser, or
-    None: what a flag error's report needs."""
-    for k, arg in enumerate(argv):
-        if arg == flag and k + 1 < len(argv) \
-                and not argv[k + 1].startswith("-"):
-            return argv[k + 1]
-        if arg.startswith(flag + "="):
-            return arg[len(flag) + 1:]
-    return None
+# the flags, each given once as --flag VALUE or --flag=VALUE, and the
+# reader of each value
+_FLAGS = {"--spec": str, "--command": _command, "--parabolic-index": _decimal,
+          "--seed": _decimal, "--out": str}
+
+_USAGE = ("usage: liecx --spec SPEC --command {" + ",".join(COMMANDS) + "}\n"
+          "             [--parabolic-index K] [--seed N] [--out PATH]")
 
 
-def _emit(report, out_path, code):
-    """Write the report and return code; EXIT_INPUT, with one line on
-    stderr, when out_path cannot be written."""
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if not out_path:
-        print(text)
-        return code
+def _read_argv(argv):
+    """(values, error): each flag's value, read in one pass over argv, and
+    the first flag error, or (None, None) for -h or --help.  A missing,
+    repeated or unreadable value comes before a required flag missing, and
+    that before the tokens that are no flag."""
+    tokens, values, seen, errors, extras = argv[::-1], {}, set(), [], []
+    while tokens:
+        token = tokens.pop()
+        if token in ("-h", "--help"):
+            return None, None
+        flag, eq, text = token.partition("=")
+        if flag not in _FLAGS:
+            extras.append(token)
+            continue
+        if not eq:
+            if not tokens or tokens[-1].startswith("--") or tokens[-1] == "-h":
+                errors.append(f"argument {flag}: expected one argument")
+                continue
+            text = tokens.pop()
+        if flag in seen:
+            errors.append(f"{flag} is given twice")
+            continue
+        seen.add(flag)
+        try:
+            values[flag] = _FLAGS[flag](text)
+        except ValueError as e:
+            errors.append(f"argument {flag}: {e}")
+    missing = ", ".join(f for f in ("--spec", "--command") if f not in seen)
+    if missing:
+        errors.append(f"the following arguments are required: {missing}")
+    if extras:
+        errors.append("unrecognized arguments: " + " ".join(extras))
+    return values, errors[0] if errors else None
+
+
+def _emit(text, out, code):
+    """Write text to the path out, else to stdout, and return code;
+    EXIT_INPUT, with one line on stderr, when it cannot be written."""
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+            print(text, file=fh, flush=True)
     except OSError as e:
+        if not out:  # a buffered stdout keeps the bytes it could not write,
+            # and the interpreter's flush at exit would fail on them again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"liecx: cannot write the report: {e}", file=sys.stderr)
         return EXIT_INPUT
     return code
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+    args, error = _read_argv(list(sys.argv[1:] if argv is None else argv))
+    if args is None:
+        return _emit(_USAGE, None, EXIT_YES)
+    command = args.get("--command")
     try:
-        args = _argparser().parse_args(argv)
-    except ParseError as e:
-        command = _flag_value(argv, "--command")
-        return _emit({"command": command if command in COMMANDS else None,
-                      "error": "ParseError", "message": str(e)},
-                     _flag_value(argv, "--out"), EXIT_INPUT)
-    try:
-        report, code = COMMANDS[args.command](parse(args.spec), args)
+        if error:
+            raise ParseError(error)
+        report, code = COMMANDS[command](parse(args["--spec"]), args)
     except TheoremViolation as e:
-        return _emit({"command": args.command, "error": "TheoremViolation",
-                      "message": str(e)}, args.out, EXIT_VIOLATION)
+        report, code = {"command": command, "error": "TheoremViolation",
+                        "message": str(e)}, EXIT_VIOLATION
     except (ParseError, ValidationError, ExactError) as e:
-        return _emit({"command": args.command, "error": type(e).__name__,
-                      "message": str(e)}, args.out, EXIT_INPUT)
+        report, code = {"command": command, "error": type(e).__name__,
+                        "message": str(e)}, EXIT_INPUT
     except Exception as e:  # a bug; SIGTERM-style BaseExceptions pass through
-        return _emit({"command": args.command, "error": "InternalError",
-                      "message": f"{type(e).__name__}: {e}"}, args.out,
-                     EXIT_INTERNAL)
-    return _emit(report, args.out, code)
+        report, code = {"command": command, "error": "InternalError",
+                        "message": f"{type(e).__name__}: {e}"}, EXIT_INTERNAL
+    return _emit(json.dumps(report, indent=2), args.get("--out"), code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """An atlas of known answers: irreducible Hermitian symmetric spaces of
 types AIII, BDI, CI and DIII, two controls that are not symmetric, the
 flag manifolds of sp(2) and sp(3), and Wang's C-spaces with a torus fiber
-(Calabi-Eckmann, Hopf and Samelson), with their odd and non-Wang controls.
+(Calabi-Eckmann, Hopf and Samelson), with their odd and non-Wang controls,
+and the round trip of each structure J(p, J1) of three of them.
 
 Expected answers come from Cartan's list (Helgason, Differential Geometry,
 Lie Groups, and Symmetric Spaces, ch. X), not from liecx.  On an
@@ -70,15 +71,16 @@ def sp_sub(n, count):
     return algebra, [vunit(dim, i) for i in range(count)]
 
 
-def runner(tmp_path, case):
+def runner(tmp_path, case, **fields):
     """A function that runs a command on g/h = case, (algebra spec, h's
-    basis), to its exit code and report."""
+    basis), with the spec's other fields, to its exit code and report."""
     algebra, vectors = case
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "algebra": algebra,
         "subalgebra": {"name": "span",
-                       "vectors": [entry_strings(v)[0] for v in vectors]}}))
+                       "vectors": [entry_strings(v)[0] for v in vectors]},
+        **fields}))
     out = tmp_path / "report.json"
 
     def run(command, *extra):
@@ -258,3 +260,30 @@ def test_wang_controls_have_no_structure(tmp_path, name):
     case, reason = WANG_CONTROLS[name]
     code, report = runner(tmp_path, case)("classify")
     assert (code, report["exists"], report["reason"]) == (1, False, reason)
+
+
+# Each C-space structure is J(p, J1) for a parabolic p with Levi m and a
+# torus structure J1 on the fiber m/h (Wang, op. cit.).  On S^3 x S^5,
+# S^1 x S^5 and SU(3), at every p of classify and for J1 and -J1 on the
+# 2-torus fiber, decompose gives back p's index and J1, and check finds
+# the J that construct built invariant and integrable
+J1 = [["1", "-2"], ["1", "-1"]]
+MINUS_J1 = [["-1", "2"], ["-1", "1"]]
+ROUND_TRIPS = {"S3xS5": (calabi_eckmann(1, 2), 4), "S1xS5": (hopf(3), 2),
+               "su3": (unit_case([("su", 3)], []), 6)}
+
+
+@pytest.mark.parametrize("j1", [J1, MINUS_J1], ids=["J1", "-J1"])
+@pytest.mark.parametrize("name,k", [(name, k) for name, (_, count)
+                                    in ROUND_TRIPS.items()
+                                    for k in range(count)])
+def test_j1_round_trips_at_every_parabolic(tmp_path, name, k, j1):
+    case = ROUND_TRIPS[name][0]
+    code, built = runner(tmp_path, case, j1=j1)(
+        "construct", "--parabolic-index", str(k))
+    assert (code, built["j1"]) == (0, j1)
+    run = runner(tmp_path, case, j=built["j"])
+    code, report = run("decompose")
+    assert (code, report["parabolic_index"], report["j1"]) == (0, k, j1)
+    code, report = run("check")
+    assert (code, report["invariant"], report["integrable"]) == (0, True, True)

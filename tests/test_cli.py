@@ -1,6 +1,8 @@
 """CLI: strict parsing, exit-code contract, deterministic reports."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -133,6 +135,31 @@ def test_an_unwritable_out_is_an_input_error(tmp_path, capsys, out, spec):
     assert captured.out == ""
     assert captured.err.startswith("liecx: cannot write the report: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_a_closed_stdout_is_an_input_error(tmp_path):
+    # stdout is a pipe whose reader has gone, as when `liecx ... | head`
+    # ends first: one line on stderr, and no traceback from the exit-time
+    # flush either, which only a buffered stdout, the default, runs into
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecx.cli", "--spec",
+             write_spec(tmp_path, S2), "--command", "catalog"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("liecx: cannot write the report: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_wrong_j_dimension_is_input_error(tmp_path):
@@ -450,7 +477,12 @@ def test_the_removed_j1_flag_exits_2(tmp_path, capsys, file):
      "argument --parabolic-index: not a decimal integer: 'x'"),
     (["--parabolic-index", "0"], None,
      "the following arguments are required: --command"),
-], ids=["bad_index", "no_command"])
+    # of several errors, a bad value is reported first, then a missing flag
+    (["--j1", "default", "--parabolic-index", "x"], None,
+     "argument --parabolic-index: not a decimal integer: 'x'"),
+    (["--j1", "default"], None,
+     "the following arguments are required: --command"),
+], ids=["bad_index", "no_command", "bad_value_first", "missing_flag_next"])
 def test_a_flag_error_writes_the_error_report(tmp_path, capsys, flags,
                                               command, message):
     code, rep = run_flags(tmp_path, capsys, [
@@ -490,6 +522,88 @@ def test_each_flag_has_one_spelling(tmp_path, capsys, name):
             for a in SPELLINGS[name]]
     code, rep = run_flags(tmp_path, capsys, argv)
     assert (code, rep["error"]) == (2, "ParseError")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                  ["--seed", "x", "--spe", "-h", "--out"],
+                                  ["--spec", "-h"]],
+                         ids=["help", "h", "amid_errors", "no_value"])
+def test_help_prints_the_usage(capsys, argv):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: liecx --spec SPEC --command {")
+    assert captured.err == ""
+
+
+# argv drawn from the five flags, each as --flag VALUE or --flag=VALUE,
+# repeated, without a value, with an unreadable value, and among tokens
+# that are no flag, in any order.  The first value of each list is valid.
+FLAG_VALUES = {"--spec": ["SPEC"], "--command": ["catalog", "nope", ""],
+               "--parabolic-index": ["0", "x", "+1", "1_0", "\u0663", " 3",
+                                     "", "1" * 5001],
+               "--seed": ["-7", "-", "\u22127", "0x1", "1e3", "-0.5"],
+               "--out": ["OUT"]}
+# tokens that are no flag: those among the items start with "--", so none
+# is read as the value of a flag given without one, and bare words and
+# single-dash tokens lead argv
+NOT_FLAGS = ["--j1", "--spe", "--ou", "--seed-", "--", "--spec-file=x"]
+BARE = ["stray", "-x", "-1", "-", "catalog", "SPEC"]
+
+
+def flag_item(flag):
+    """(flag, its value or None for none, whether it is spelled with =)."""
+    return st.tuples(st.just(flag),
+                     st.sampled_from([None, *FLAG_VALUES[flag]]),
+                     st.booleans())
+
+
+VALID_ITEMS = st.permutations(sorted(FLAG_VALUES)).flatmap(
+    lambda flags: st.tuples(*[st.tuples(
+        st.just(f), st.just(FLAG_VALUES[f][0]), st.booleans())
+        for f in flags]))
+ITEMS = st.one_of(VALID_ITEMS.map(list), st.lists(st.one_of(
+    st.sampled_from(sorted(FLAG_VALUES)).flatmap(flag_item),
+    st.sampled_from(NOT_FLAGS).map(lambda t: (t, None, False))), max_size=8))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(BARE), max_size=2), ITEMS)
+def test_every_argv_that_is_not_exactly_valid_exits_2(tmp_path, capsys, bare,
+                                                     items):
+    """Every argv but an exactly valid one writes the one flag-error report
+    to the --out that it names, else to stdout, and exits 2; none exits 4,
+    and nothing goes to stderr."""
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    names = {"SPEC": write_spec(tmp_path, S2), "OUT": str(out)}
+    argv = [names.get(t, t) for t in bare]
+    for flag, value, eq in items:
+        value = names.get(value, value)
+        argv += ([flag] if value is None else [f"{flag}={value}"] if eq
+                 else [flag, value])
+    given_flags = [flag for flag, _, _ in items]
+    valid = (not bare and len(set(given_flags)) == len(given_flags)
+             and {"--spec", "--command"} <= set(given_flags)
+             and all(flag in FLAG_VALUES and value == FLAG_VALUES[flag][0]
+                     for flag, value, _ in items))
+    named = any(flag == "--out" and value for flag, value, _ in items)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert out.exists() == named
+    report = json.loads(out.read_text() if named else captured.out)
+    if named:
+        assert captured.out == ""
+    if valid:
+        assert (code, report["command"]) == (0, "catalog")
+        return
+    assert code == 2, argv
+    assert list(report) == ["command", "error", "message"]
+    assert report["error"] == "ParseError"
+    assert report["command"] in ("catalog", None)
+    if ("--command", "catalog") not in {(f, v) for f, v, _ in items}:
+        assert report["command"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +652,19 @@ def test_a_non_invariant_j_is_an_input_error(tmp_path, command):
      "subalgebra: k is only for block_u"),
     (json.dumps(dict(SU3_T, subalgebra={"name": "zero",
                                         "vectors": [["1"] + ["0"] * 7]})),
-     "subalgebra: vectors is only for span")],
+     "subalgebra: vectors is only for span"),
+    # bytes json.load cannot read: a byte that is not UTF-8, and an integer
+    # literal longer than sys.get_int_max_str_digits() (4,300 by default)
+    (b'{"algebra": "\xff"}',
+     "cannot read spec file: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"algebra": {"kind": "su", "n": ' + b"1" * 5001 + b"}}",
+     "cannot read spec file: Exceeds the limit")],
     ids=["json", "ragged", "no_n", "table_row", "repeated_key",
-         "repeated_inner_key", "k_off_block_u", "vectors_off_span"])
+         "repeated_inner_key", "k_off_block_u", "vectors_off_span",
+         "not_utf8", "long_integer"])
 def test_malformed_specs_are_parse_errors(tmp_path, text, message):
     path = tmp_path / "spec.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "report.json"
     code = cli.main(["--spec", str(path), "--command", "catalog",
                      "--out", str(out)])
