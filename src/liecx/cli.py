@@ -212,25 +212,21 @@ def parse_obj(raw) -> ProblemSpec:
     return ProblemSpec(algebra, sub, j, j1)
 
 
-def _build_algebra(ps: ProblemSpec, validate=True):
+def _build_algebra(ps: ProblemSpec):
     """(g, its AlgebraSpec), the spec None for an explicit table."""
     if isinstance(ps.algebra, AlgebraSpec):
         try:
             return build(ps.algebra), ps.algebra
         except InvalidSpec as e:
             raise ValidationError(str(e)) from None
-    g = ps.algebra
-    if validate:
-        res = g.validate()
-        if not res.ok:
-            raise ValidationError(
-                f"explicit table invalid: {res.first_failure()}")
-    return g, None
+    return ps.algebra, None
 
 
 def _resolve_problem(ps: ProblemSpec) -> Quotient:
-    """The problem g/h over the catalog's certified h."""
+    """The problem g/h over the catalog's certified h, on a valid g."""
     g, aspec = _build_algebra(ps)
+    if aspec is None and not (res := g.validate()).ok:
+        raise ValidationError(f"explicit table invalid: {res.first_failure()}")
     sub = ps.sub
     try:
         h = build_subalgebra(g, aspec, sub["name"], k=sub.get("k"),
@@ -243,22 +239,19 @@ def _resolve_problem(ps: ProblemSpec) -> Quotient:
 def _structure(ps, quot) -> ComplexStructure:
     if ps.j is None:
         raise ValidationError("this command needs a j matrix in the spec")
-    q = quot.dim
-    if ps.j.nrows != q or ps.j.ncols != q:
-        raise ValidationError(
-            f"j has shape {ps.j.nrows}x{ps.j.ncols}, expected {q}x{q}")
     try:
         return ComplexStructure(quot, ps.j)
     except ExactError as e:
         raise ValidationError(str(e)) from None
 
 
-def _integrable_structure(ps, quot, why) -> ComplexStructure:
-    """The spec's J, required invariant and then integrable."""
+def _invariant_structure(ps, quot, why=None) -> ComplexStructure:
+    """The spec's J, required invariant, and then integrable when why says
+    why it must be."""
     J = _structure(ps, quot)
     if not cx.is_invariant(J):
         raise ValidationError("j is not invariant under the isotropy action")
-    if not cx.is_integrable(J):
+    if why and not cx.is_integrable(J):
         raise ValidationError(f"j is not integrable; {why}")
     return J
 
@@ -326,7 +319,7 @@ def cmd_catalog(ps, args):
 
 
 def cmd_validate(ps, args):
-    g, aspec = _build_algebra(ps, validate=False)
+    g, _ = _build_algebra(ps)
     res = g.validate()
     rep = _base_report("validate", g)
     rep["ok"] = res.ok
@@ -357,7 +350,7 @@ def cmd_check(ps, args):
 
 def cmd_m(ps, args):
     quot = _resolve_problem(ps)
-    J = _integrable_structure(ps, quot, "m is canonical only then")
+    J = _invariant_structure(ps, quot, "m is canonical only then")
     md = cx.compute_m(J)
     rep = _base_report("m", quot.algebra, quot.h)
     rep["dim_m"] = md.m.dim
@@ -402,10 +395,6 @@ def _construct(ps, quot, k, command):
     p = build_parabolic(levi.datum, levi.m.m, levi.systems[k])
     u, j1 = levi.m.u, None
     if ps.j1 is not None:
-        if ps.j1.nrows != u.dim or ps.j1.ncols != u.dim:
-            raise ValidationError(
-                f"j1 has shape {ps.j1.nrows}x{ps.j1.ncols}, expected "
-                f"{u.dim}x{u.dim}")
         try:
             j1 = TorusComplexStructure(u, ps.j1)
         except ExactError as e:
@@ -429,7 +418,7 @@ def cmd_construct(ps, args):
 
 def cmd_decompose(ps, args):
     quot = _resolve_problem(ps)
-    J = _integrable_structure(ps, quot, "nothing to decompose")
+    J = _invariant_structure(ps, quot, "nothing to decompose")
     p, j1 = cx.decompose_J(J)
     index = cx.parabolic_index(quot, p)
     rep = _base_report("decompose", quot.algebra, quot.h)
@@ -442,7 +431,7 @@ def cmd_decompose(ps, args):
 
 def cmd_verify(ps, args):
     quot = _resolve_problem(ps)
-    J = _integrable_structure(ps, quot, "ledger undefined")
+    J = _invariant_structure(ps, quot, "ledger undefined")
     ledger = cx.verify_structure(J)
     seed = args.get("--seed", 0)
     trials, evaluations = cx.nijenhuis_perturbation_trials(J, seed=seed)
@@ -461,9 +450,7 @@ def cmd_symmetric(ps, args):
     if ps.j is None:
         p, J = _construct(ps, quot, args.get("--parabolic-index"), "symmetric")
     else:
-        p, J = None, _structure(ps, quot)
-    if not cx.is_invariant(J):
-        raise ValidationError("j is not invariant under the isotropy action")
+        p, J = None, _invariant_structure(ps, quot)
     verdict = cx.is_symmetric_pair(J, p)
     rep = _base_report("symmetric", quot.algebra, quot.h)
     rep["status"] = verdict.status

@@ -61,7 +61,8 @@ class ComplexStructure:
     def __init__(self, quot: Quotient, j: Matrix):
         q = quot.dim
         if j.nrows != q or j.ncols != q:
-            raise ExactError(f"J must be {q}x{q}")
+            raise ExactError(
+                f"j has shape {j.nrows}x{j.ncols}, expected {q}x{q}")
         if not j.is_real():
             raise ExactError("J must be a real matrix")
         if j * j != -Matrix.identity(q):
@@ -87,7 +88,8 @@ class TorusComplexStructure:
     def __init__(self, u: Subspace, j1: Matrix):
         f = u.dim
         if j1.nrows != f or j1.ncols != f:
-            raise ExactError(f"J1 must be {f}x{f}")
+            raise ExactError(
+                f"j1 has shape {j1.nrows}x{j1.ncols}, expected {f}x{f}")
         if f and j1 * j1 != -Matrix.identity(f):
             raise ExactError("J1^2 != -id")
         self.u = u             # complement of h inside m, ambient g coordinates
@@ -239,8 +241,6 @@ def construct_J(quot: Quotient, p: Parabolic,
     if not _derived_matches(quot, m):
         raise LeviMismatch("[m,m] != [h,h]")
     u = quot.fact(relative_complement, m, h)
-    if u.dim % 2:
-        raise OddFiber(f"dim m/h = {u.dim} is odd")
     if j1 is None:
         j1 = default_torus_structure(u)
     if j1.u != u:

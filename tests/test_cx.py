@@ -296,7 +296,7 @@ def test_parabolic_index_rejects_an_unknown_positive_set():
 
 
 def test_torus_structure_checks_j1():
-    with pytest.raises(cx.ExactError, match="J1 must be 2x2"):
+    with pytest.raises(cx.ExactError, match="j1 has shape 4x4, expected 2x2"):
         TorusComplexStructure(Subspace.full(2), rot(4))
     with pytest.raises(cx.ExactError, match="J1\\^2 != -id"):
         TorusComplexStructure(Subspace.full(2), Matrix.identity(2))
