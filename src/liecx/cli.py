@@ -7,17 +7,19 @@ a UTF-8 JSON file, and the selector --parabolic-index and the run options
 VALUE or --flag=VALUE (-h prints the usage).  Input errors include a spec
 field parabolic_index, a j1 "default", a --j1 or abbreviated flag, an
 integer flag not in ASCII decimal digits after an optional minus, a JSON key
-given twice in one object, and a subalgebra k or vectors on a name that
-takes none; a flag error's report goes to the --out argv names, else stdout.
+given twice in one object, a subalgebra k or vectors on a name that takes
+none, and both a j and --parabolic-index for symmetric; a flag error's
+report goes to the --out argv names, else stdout.
 
-Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error,
+Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error
+or a report that cannot be written, to a closed stdout too (one stderr line),
 3 = internal theorem violation, 4 = any other unexpected error (a bug).
 
 Problem spec format (strict; unknown fields rejected):
 
     {
-      "algebra": {"kind": "su", "n": 3}
-                 | {"kind": "sum", "parts": [...]}
+      "algebra": {"kind": "su", "n": 3}               # n off a sum only
+                 | {"kind": "sum", "parts": [...]}   # parts on a sum only
                  | {"table": [[[rat, ...], ...], ...],
                     "inner_product": [[rat, ...], ...]?},   # explicit
       "subalgebra": {"name": "maximal_torus" | "zero" | "center"}
@@ -151,6 +153,10 @@ def _parse_algebra_spec(obj, where="algebra", depth=0):
         return LieAlgebra(parsed, inner_product=ip, name="explicit")
     _require_keys(obj, {"kind", "n", "parts"}, {"kind"}, where)
     kind = obj["kind"]
+    if kind == "sum" and "n" in obj:
+        raise ParseError(f"{where}: n is not for sum")
+    if kind != "sum" and "parts" in obj:
+        raise ParseError(f"{where}: parts is only for sum")
     if kind == "sum":
         if depth == MAX_NESTING:
             raise ParseError(
@@ -246,8 +252,7 @@ def _structure(ps, quot) -> ComplexStructure:
 
 
 def _invariant_structure(ps, quot, why=None) -> ComplexStructure:
-    """The spec's J, required invariant, and then integrable when why says
-    why it must be."""
+    """The spec's J, required invariant; integrable too when why says why."""
     J = _structure(ps, quot)
     if not cx.is_invariant(J):
         raise ValidationError("j is not invariant under the isotropy action")
@@ -446,9 +451,12 @@ def cmd_verify(ps, args):
 
 
 def cmd_symmetric(ps, args):
+    k = args.get("--parabolic-index")
+    if ps.j is not None and k is not None:
+        raise ValidationError("symmetric takes j or --parabolic-index, not both")
     quot = _resolve_problem(ps)
     if ps.j is None:
-        p, J = _construct(ps, quot, args.get("--parabolic-index"), "symmetric")
+        p, J = _construct(ps, quot, k, "symmetric")
     else:
         p, J = None, _invariant_structure(ps, quot)
     verdict = cx.is_symmetric_pair(J, p)
@@ -538,11 +546,13 @@ def _emit(text, out, code):
     """Write text to the path out, else to stdout, and return code;
     EXIT_INPUT, with one line on stderr, when it cannot be written."""
     try:
+        if not (out or sys.stdout):  # fd 1 was closed when Python started
+            raise OSError("stdout is closed")
         with open(out, "w") if out else nullcontext(sys.stdout) as fh:
             print(text, file=fh, flush=True)
     except OSError as e:
-        if not out:  # a buffered stdout keeps the bytes it could not write,
-            # and the interpreter's flush at exit would fail on them again
+        if not out and sys.stdout:  # the exit-time flush would fail again
+            # on the bytes that a buffered stdout could not write
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"liecx: cannot write the report: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,7 +9,8 @@ of every case go to tests/golden/manifest.json. The J of the construct
 report is fed back into decompose, check, verify, m and symmetric, so those
 reports pin the construct/decompose round trip too. symmetric also runs
 without a j on a few instances, where it constructs J from the k-th
-parabolic itself. On su(4)/u(3) (d = 15) only symmetric and verify run,
+parabolic itself, and gives its two verdicts that precede any certificate:
+not integrable, and not effective. On su(4)/u(3) (d = 15) only symmetric and verify run,
 with and without the J of construct, and on su(5)/t (d = 24) only
 symmetric without a j. validate, catalog and classify run on
 perfbench's dense instances (catalog algebras in a random integer basis)
@@ -111,6 +112,20 @@ SU5_T = {"algebra": {"kind": "su", "n": 5},
 SYMMETRIC_CONSTRUCTED = [("su3_u2", 0), ("su3_u2", 1), ("su2_u1", 0),
                          ("so5_t", 3), ("su4_u3", 0), ("su5_t", 0)]
 
+# symmetric's verdicts that come before any certificate of a pair: a J that
+# is invariant and not integrable, and an h that holds an ideal of g, here
+# the first su(2) of su(2)+su(2) with the second's e3: (case name, spec,
+# extra args)
+SYMMETRIC_VERDICTS = [
+    ("su3_t__symmetric_not_integrable",
+     dict(SU3_T, j=INSTANCES["su3_t"][1]), []),
+    ("su2su2_su2u1__symmetric_k0",
+     {"algebra": {"kind": "sum", "parts": [SU2, SU2]},
+      "subalgebra": {"name": "span", "vectors": [
+          [str(int(i == k)) for i in range(6)] for k in (0, 1, 2, 5)]}},
+     ["--parabolic-index", "0"]),
+]
+
 # perfbench's dense-table jobs other than make_dense_golden.py's: (instance,
 # command)
 DENSE_JOBS = [("dense_su3_t", "validate"), ("dense_su2su2_t", "validate"),
@@ -188,6 +203,8 @@ def main():
     dense = {inst.name: inst.spec for inst in workloads.dense_instances()}
     cases += [(f"{inst}__{command}", dense[inst], command, [])
               for inst, command in DENSE_JOBS]
+    cases += [(name, spec, "symmetric", extra)
+              for name, spec, extra in SYMMETRIC_VERDICTS]
     manifest = []
     for name, spec, command, extra in cases:
         code, report = run_case(spec, command, extra)

@@ -162,6 +162,22 @@ def test_a_closed_stdout_is_an_input_error(tmp_path):
     assert "Exception ignored" not in proc.stderr
 
 
+def test_a_closed_fd_1_is_an_input_error(tmp_path):
+    # fd 1 closed before the interpreter starts (`liecx ... >&-`): Python
+    # sets sys.stdout to None, and a print to None writes nothing
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys; os.close(1); os.execv(sys.argv[1], sys.argv[1:])",
+         sys.executable, "-m", "liecx.cli", "--spec",
+         write_spec(tmp_path, S2), "--command", "catalog"],
+        stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "liecx: cannot write the report: stdout is closed\n"
+
+
 def test_wrong_j_dimension_is_input_error(tmp_path):
     code, rep = run(tmp_path, dict(SU3_T, j=[["0", "-1"], ["1", "0"]]),
                     "check")
@@ -357,8 +373,10 @@ ONE_DIM_TABLE = {"table": [[["0"]]]}
      "block_u needs a catalog algebra"),
     (ONE_DIM_TABLE, {"name": "maximal_torus"},
      "maximal_torus needs a catalog algebra"),
+    ({"kind": "u", "n": 3}, {"name": "block_u", "k": 2},
+     "block_u is only defined for su(n)"),
 ], ids=["block_u_no_k", "block_u_no_k_on_table", "block_u_on_table",
-        "maximal_torus_on_table"])
+        "maximal_torus_on_table", "block_u_off_su"])
 def test_named_subalgebra_needs(tmp_path, algebra, sub, message):
     code, rep = run(tmp_path, {"algebra": algebra, "subalgebra": sub},
                     "catalog")
@@ -633,6 +651,24 @@ def test_a_non_invariant_j_is_an_input_error(tmp_path, command):
         2, "ValidationError", "j is not invariant under the isotropy action")
 
 
+@pytest.mark.parametrize("command,why", [
+    ("m", "m is canonical only then"), ("decompose", "nothing to decompose"),
+    ("verify", "ledger undefined")])
+def test_a_non_integrable_j_is_an_input_error(tmp_path, command, why):
+    # symmetric answers not_applicable on the same J (a golden case)
+    code, rep = run(tmp_path, dict(SU3_T, j=PNP_J), command)
+    assert (code, rep["error"], rep["message"]) == (
+        2, "ValidationError", f"j is not integrable; {why}")
+
+
+def test_symmetric_takes_j_by_one_route(tmp_path):
+    # a spec's j, or J built from the parabolic the index names; not both
+    code, rep = run(tmp_path, S2, "symmetric", "--parabolic-index", "1")
+    assert (code, rep) == (2, {
+        "command": "symmetric", "error": "ValidationError",
+        "message": "symmetric takes j or --parabolic-index, not both"})
+
+
 # ---------------------------------------------------------------------------
 # malformed spec files and fields
 
@@ -658,10 +694,17 @@ def test_a_non_invariant_j_is_an_input_error(tmp_path, command):
     (b'{"algebra": "\xff"}',
      "cannot read spec file: 'utf-8' codec can't decode byte 0xff"),
     (b'{"algebra": {"kind": "su", "n": ' + b"1" * 5001 + b"}}",
-     "cannot read spec file: Exceeds the limit")],
+     "cannot read spec file: Exceeds the limit"),
+    # n only on a catalog kind, parts only on a sum
+    (json.dumps({"algebra": dict(SU2SU2, kind="su", n=2)}),
+     "algebra: parts is only for sum"),
+    (json.dumps({"algebra": dict(SU2SU2, n=7)}), "algebra: n is not for sum"),
+    (json.dumps({"algebra": dict(SU2SU2, n="x")}),
+     "algebra: n is not for sum")],
     ids=["json", "ragged", "no_n", "table_row", "repeated_key",
          "repeated_inner_key", "k_off_block_u", "vectors_off_span",
-         "not_utf8", "long_integer"])
+         "not_utf8", "long_integer", "parts_off_sum", "n_on_sum",
+         "bad_n_on_sum"])
 def test_malformed_specs_are_parse_errors(tmp_path, text, message):
     path = tmp_path / "spec.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -1078,17 +1121,25 @@ SPECS = st.fixed_dictionaries({"algebra": ALGEBRAS}, optional={
 REMOVED_ROUTES = mostly(st.just({}), st.one_of(
     st.fixed_dictionaries({"parabolic_index": st.integers(-1, 30)}),
     st.just({"j1": "default"})))
-# second spellings of a field: a key given twice, and k or vectors on a
-# subalgebra name that takes neither
+# second spellings of a field: a key given twice, k or vectors on a
+# subalgebra name that takes neither, parts on an algebra that is no sum and
+# n on a sum; each replaces its field of the spec
 RESPELLED = mostly(st.none(), st.one_of(
     st.just("repeated_key"),
-    st.fixed_dictionaries({
+    st.fixed_dictionaries({"subalgebra": st.fixed_dictionaries({
         "name": st.sampled_from(["maximal_torus", "zero", "center", "span"]),
-        "k": st.integers(1, 3)}),
-    st.fixed_dictionaries({
+        "k": st.integers(1, 3)})}),
+    st.fixed_dictionaries({"subalgebra": st.fixed_dictionaries({
         "name": st.sampled_from(["maximal_torus", "zero", "center",
                                  "block_u"]),
-        "vectors": st.just([["0", "0", "1"]])})))
+        "vectors": st.just([["0", "0", "1"]])})}),
+    st.fixed_dictionaries({"algebra": st.fixed_dictionaries({
+        "kind": st.sampled_from(["su", "so", "u", "torus"]),
+        "n": st.integers(1, 3), "parts": st.just(SU2SU2["parts"])})}),
+    st.fixed_dictionaries({"algebra": st.fixed_dictionaries({
+        "kind": st.just("sum"), "n": st.one_of(st.integers(1, 7),
+                                               st.just("x")),
+        "parts": st.just(SU2SU2["parts"])})})))
 
 
 @settings(max_examples=300, deadline=10000, suppress_health_check=[
@@ -1103,7 +1154,7 @@ def test_hostile_specs_exit_cleanly(tmp_path, capsys, spec, command, index,
     is an input error."""
     spec = dict(spec, **removed)
     if isinstance(respelled, dict):
-        spec["subalgebra"] = respelled
+        spec.update(respelled)
     text = json.dumps(spec)
     if respelled == "repeated_key":
         text = text[:-1] + ', "algebra": {"kind": "su", "n": 2}}'

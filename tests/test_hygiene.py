@@ -137,6 +137,46 @@ def test_no_unused_imports(path):
             if name not in used} == {}
 
 
+# names of src/liecx kept for the tests alone, as deliberate oracles
+ORACLES = frozenset()
+
+
+def _referenced(path):
+    """(name, line) for each name, attribute and string constant of path."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.value if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) else None)
+        if name:
+            yield name, node.lineno
+
+
+def _definitions(path):
+    """The functions, classes and methods of path, dunders aside."""
+    for node in ast.parse(path.read_text()).body:
+        for d in [node, *node.body] if isinstance(node, ast.ClassDef) \
+                else [node]:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) \
+                    and not (d.name.startswith("__") and d.name.endswith("__")):
+                yield d
+
+
+def test_every_library_name_has_a_caller_beyond_the_tests():
+    # each is named by other library code or by the benchmark, which looks
+    # some up by string; code that only tests read is an oracle, or it goes
+    refs = [(path, name, line)
+            for path in [*MODULES, *sorted((ROOT / "perfbench").rglob("*.py"))]
+            for name, line in _referenced(path)]
+    unused = [f"{path.name}:{d.lineno} {d.name}"
+              for path in MODULES for d in _definitions(path)
+              if d.name not in ORACLES and not any(
+                  name == d.name
+                  and not (where == path and d.lineno <= line <= d.end_lineno)
+                  for where, name, line in refs)]
+    assert unused == []
+
+
 def test_only_the_catalog_builds_a_subalgebra():
     # library routines take and return a Subspace, with g passed first; the
     # Subalgebra wrapper is only the catalog's certified h, which quotient
