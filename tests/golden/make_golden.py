@@ -10,9 +10,9 @@ report is fed back into decompose, check, verify, m and symmetric, so those
 reports pin the construct/decompose round trip too. symmetric also runs
 without a j on a few instances, where it constructs J from the k-th
 parabolic itself, and gives its two verdicts that precede any certificate:
-not integrable, and not effective. On su(4)/u(3) (d = 15) only symmetric and verify run,
-with and without the J of construct, and on su(5)/t (d = 24) only
-symmetric without a j. validate, catalog and classify run on
+not integrable, and not effective. On su(4)/u(3) (d = 15) only symmetric
+and verify run, with and without the J of construct, and on su(5)/t
+(d = 24) only symmetric without a j. validate, catalog and classify run on
 perfbench's dense instances (catalog algebras in a random integer basis)
 where they finish. The classify reports of su(5)/t and so(8)/t (2.26 MB and
 4.97 MB) are recorded in the manifest by their sha256 and byte length
