@@ -15,8 +15,10 @@ and verify run, with and without the J of construct, and on su(5)/t
 (d = 24) only symmetric without a j. validate, catalog and classify run on
 perfbench's dense instances (catalog algebras in a random integer basis)
 where they finish. The classify reports of su(5)/t and so(8)/t (2.26 MB and
-4.97 MB) are recorded in the manifest by their sha256 and byte length
-instead of as files.
+4.97 MB), and of su(4)/t in perfbench's dense basis (242 KB, characteristic
+polynomials of degree 12 with coefficients of up to 2,305 bits), are
+recorded in the manifest by their sha256 and byte length instead of as
+files.
 
 Cases already in the manifest that this script does not write, the dense
 classify of su(3)/t and so(5)/t by make_dense_golden.py, are kept.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +39,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parents[1] / "perfbench")]
 
+import specs  # noqa: E402
 import workloads  # noqa: E402
 from liecx import cli  # noqa: E402
 
@@ -132,10 +136,13 @@ DENSE_JOBS = [("dense_su3_t", "validate"), ("dense_su2su2_t", "validate"),
               ("dense_su2su2_t", "catalog"), ("dense_su2su2_t", "classify")]
 
 
-# classify on larger flag manifolds, recorded by digest: (case name, spec)
+# classify on larger flag manifolds, and on su(4)/t in perfbench's dense
+# basis, recorded by digest: (case name, spec)
 HASHED = [(f"{name}_t__classify", {"algebra": {"kind": kind, "n": n},
                                    "subalgebra": {"name": "maximal_torus"}})
           for name, kind, n in (("su5", "su", 5), ("so8", "so", 8))]
+HASHED.append(("dense_su4_t__classify", specs.dense_spec(
+    [("su", 4)], random.Random(workloads.DENSE_BASIS_SEED))))
 
 
 def run_case(spec, command, extra):
