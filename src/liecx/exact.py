@@ -7,7 +7,8 @@ so equal vectors have equal fields: == and hash are exact and cheap, and
 `Subspace` equality stays syntactic.  A `Matrix` is a tuple of Vec rows.
 Elimination (`rref`, and through it `kernel`, `solve` and `inverse`),
 `Subspace.reduce`, the products, `lincomb`, `charpoly` and
-`rational_eigenvalues` run on the integer parts and never build a Fraction.
+`rational_eigenvalues` run on the integer parts and never build a Fraction;
+eigenvalues are roots mod a small prime, lifted by Newton's step.
 
 Inside the library a scalar is a Vec of length 1 (`I` is i), and every
 helper takes Vecs as they are.  `GQ`, a Gaussian rational a + b*i with
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
 
 
 class ExactError(Exception):
@@ -742,36 +744,20 @@ def _derivative(p):
     return [c * (n - k) for k, c in enumerate(p[:-1])]
 
 
-def _sturm_chain(p):
-    """Sturm sequence p, p', -rem(p, p'), ... of a square-free integer
-    polynomial, each term a primitive integer polynomial."""
-    chain = [p, _primitive(_derivative(p))]
-    while len(chain[-1]) > 1:
-        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
-    return chain
-
-
-def _variations(chain, x):
-    """Sign changes along the chain evaluated at the integer x, zeros dropped."""
-    count, last = 0, 0
-    for p in chain:
-        v = 0
-        for c in p:
-            v = v * x + c
-        if v:
-            if last and (v > 0) != (last > 0):
-                count += 1
-            last = v
-    return count
+def _value(p, x, m):
+    """p(x) mod m for an integer polynomial p, by Horner's rule."""
+    v = 0
+    for c in p:
+        v = (v * x + c) % m
+    return v
 
 
 def _integer_root_candidates(p):
     """Every integer root of the monic integer polynomial p, and possibly
-    more: the right end hi of each interval (hi - 1, hi] that holds a real
-    root.  Sturm's theorem counts the distinct real roots in (lo, hi] as
-    V(lo) - V(hi) for the chain of the square-free part, so intervals are
-    bisected from a root bound down to width 1 without factoring any
-    coefficient (Collins and Loos, "Real zeros of polynomials", 1982)."""
+    more (Loos, SIAM J. Comput. 12, 1983).  Newton's step lifts each root of
+    the square-free part sqf mod the first prime q >= 101 where all are
+    simple (any q not dividing disc sqf, as sqf is monic up to sign) to one
+    mod M = q^(2^k) > 2 bound; each integer root is one's symmetric residue."""
     sqf = p
     if len(p) > 2:
         d, r = p, _primitive(_derivative(p))
@@ -779,24 +765,23 @@ def _integer_root_candidates(p):
             d, r = r, _remainder(d, r)
         if len(d) > 1:
             sqf = _quotient(p, d)
-    chain = _sturm_chain(sqf)
+    ds = _derivative(sqf)
     # Fujiwara: every root has |y| <= 2 max_k |c_k|^(1/k) < bound
     bound = 2 ** (1 + max(-(-abs(c).bit_length() // k)
                           for k, c in enumerate(p[1:], 1)))
-    out = []
-    stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
-    while stack:
-        lo, vlo, hi, vhi = stack.pop()
-        if vlo == vhi:
+    for q in count(101):
+        if any(q % k == 0 for k in range(2, isqrt(q) + 1)):
             continue
-        if hi - lo == 1:
-            out.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        vmid = _variations(chain, mid)
-        stack.append((lo, vlo, mid, vmid))
-        stack.append((mid, vmid, hi, vhi))
-    return out
+        sq = [c % q for c in sqf]
+        roots = [x for x in range(q) if not _value(sq, x, q)]
+        if all(_value(ds, x, q) for x in roots):
+            break
+    m = q
+    while m <= 2 * bound:
+        roots = [(x - _value(sqf, x, m * m) * pow(_value(ds, x, m), -1, m))
+                 % (m * m) for x in roots]
+        m *= m
+    return [x - m if 2 * x > m else x for x in roots]
 
 
 def _divide_root(c, p, q):

@@ -1,12 +1,12 @@
 """Oracles for the fast paths.
 
 Each test compares a fast path with the formula it replaced: the dense
-loops, the divisor-based candidate roots, the d leading determinants,
-classify followed by a search, the matrix of theta, the real J mixed from
-e_k = w + tau(w), g + l realified, catalog bases as dense GQ matrices,
-catalog coordinates from the inverse of a GQ block, and subspaces put in
-RREF by a second elimination.  The old formula is kept here, and only here,
-as the reference.
+loops, the divisor-based candidate roots, the Sturm bisection for integer
+roots, the d leading determinants, classify followed by a search, the
+matrix of theta, the real J mixed from e_k = w + tau(w), g + l realified,
+catalog bases as dense GQ matrices, catalog coordinates from the inverse
+of a GQ block, and subspaces put in RREF by a second elimination.  The
+old formula is kept here, and only here, as the reference.
 """
 
 import functools
@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecx import cli, cx, exact, roots
 from liecx.exact import (
+    _derivative, _divide_root, _primitive, _quotient, _remainder,
     GQ, Matrix, Subspace, ExactError, IrrationalSpectrum,
     charpoly, inverse, ivec, kernel, kernel_span, lincomb, rref, solve, vunit,
     vadd, vsub, vcat, vconj, vec, vneg, vscale, vzero, real_points,
@@ -42,6 +43,8 @@ from conftest import (
     ad, calabi_eckmann_instance, classified, flag_spec, parabolic_spaces,
     profiled, random_invariant_structures,
 )
+import test_atlas as atlas
+from test_hygiene import _perfbench_module
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +744,190 @@ def test_rational_eigenvalues_with_a_constant_term_over_60_bits():
     den = lcm(*(c.denominator for c in coeffs))
     assert int(abs(coeffs[-1]) * den).bit_length() > 60
     assert rational_eigenvalues(m) == vec(sorted(eigs))
+
+
+# ---------------------------------------------------------------------------
+# the q-adic integer roots against the Sturm bisection they replaced
+
+def sturm_chain(p):
+    """Sturm sequence p, p', -rem(p, p'), ... of a square-free integer
+    polynomial, each term a primitive integer polynomial."""
+    chain = [p, _primitive(_derivative(p))]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    return chain
+
+
+def variations(chain, x):
+    """Sign changes along the chain evaluated at the integer x, zeros dropped."""
+    count, last = 0, 0
+    for p in chain:
+        v = 0
+        for c in p:
+            v = v * x + c
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def sturm_root_candidates(p):
+    """Every integer root of the monic integer polynomial p, and possibly
+    more: the right end hi of each interval (hi - 1, hi] that holds a real
+    root.  Sturm's theorem counts the distinct real roots in (lo, hi] as
+    V(lo) - V(hi) for the chain of the square-free part, so intervals are
+    bisected from a root bound down to width 1 without factoring any
+    coefficient (Collins and Loos, "Real zeros of polynomials", 1982)."""
+    sqf = p
+    if len(p) > 2:
+        d, r = p, _primitive(_derivative(p))
+        while r:
+            d, r = r, _remainder(d, r)
+        if len(d) > 1:
+            sqf = _quotient(p, d)
+    chain = sturm_chain(sqf)
+    # Fujiwara: every root has |y| <= 2 max_k |c_k|^(1/k) < bound
+    bound = 2 ** (1 + max(-(-abs(c).bit_length() // k)
+                          for k, c in enumerate(p[1:], 1)))
+    out = []
+    stack = [(-bound, variations(chain, -bound), bound, variations(chain, bound))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            out.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(chain, mid)
+        stack.append((lo, vlo, mid, vmid))
+        stack.append((mid, vmid, hi, vhi))
+    return out
+
+
+def integer_roots(find, p):
+    """The candidates find(p) that _divide_root finds to be roots of p."""
+    return sorted(y for y in find(p) if _divide_root(p, y, 1) is not None)
+
+
+def atlas_rows():
+    """(name, case) of every row of tests/test_atlas.py, a case being (an
+    algebra spec, h's basis) as test_atlas.runner takes it."""
+    rows = [*atlas.HERMITIAN.items(),
+            *((k, case) for k, (case, _) in atlas.CONTROLS.items()),
+            *((k, case) for k, (case, _) in atlas.WANG_CONTROLS.items()),
+            *((f"sp{n}", atlas.sp_sub(n, n)) for n in (2, 3)),
+            *((f"hopf{n}", atlas.hopf(n)) for n in (2, 3, 4)),
+            *((k, atlas.unit_case(parts, []))
+              for k, (parts, _, _) in atlas.SAMELSON.items())]
+    return rows + [(f"calabi_eckmann{p}{q}", atlas.calabi_eckmann(p, q))
+                   for p, q in atlas.CALABI_ECKMANN]
+
+
+@pytest.fixture(scope="module")
+def solved_polynomials(tmp_path_factory):
+    """{p: the first case that solved it} for every monic polynomial p whose
+    integer roots rational_eigenvalues asks for, over every golden case and
+    classify of every atlas row."""
+    solved, find, case = {}, exact._integer_root_candidates, None
+
+    def record(p):
+        solved.setdefault(tuple(p), case)
+        return find(p)
+    tmp = tmp_path_factory.mktemp("solved")
+    spec, out = tmp / "spec.json", tmp / "report.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_integer_root_candidates", record)
+        for c in MANIFEST:
+            case = c["file"]
+            spec.write_text(json.dumps(c["spec"]))
+            assert cli.main(["--spec", str(spec), "--command", c["command"],
+                             "--out", str(out), *c["args"]]) == c["exit_code"]
+        for case, row in atlas_rows():
+            assert atlas.runner(tmp, row)("classify")[0] in (0, 1)
+    return solved
+
+
+def test_q_adic_roots_match_sturm_on_every_solved_polynomial(
+        solved_polynomials):
+    # the golden dense su(4)/t is perfbench's: its basis seed 0, and the
+    # widest coefficients of every solved polynomial, at degree 12
+    specs = _perfbench_module("specs")
+    su4 = specs.dense_spec([("su", 4)], random.Random(0))
+    assert su4 in [c["spec"] for c in MANIFEST if c["command"] == "classify"]
+    widest = max(solved_polynomials,
+                 key=lambda p: max(abs(c).bit_length() for c in p))
+    assert solved_polynomials[widest] == "dense_su4_t__classify.json"
+    assert (len(widest) - 1, max(abs(c).bit_length() for c in widest)) \
+        == (12, 2305)
+    for p, case in solved_polynomials.items():
+        p = list(p)
+        assert integer_roots(exact._integer_root_candidates, p) \
+            == integer_roots(sturm_root_candidates, p), case
+
+
+def monic(linear, others=()):
+    """The product of the x - r for r in linear and of the monic others."""
+    p = [1]
+    for f in [[1, -r] for r in linear] + list(others):
+        p = polymul(p, f)
+    return p
+
+
+def assert_roots_agree(p, roots, rational):
+    """Both finders give the distinct integer roots of p; and the
+    eigenvalues of p's companion matrix are the multiset roots when
+    rational says they are all rational, which divisor_eigenvalues confirms
+    where its trial division finishes."""
+    assert integer_roots(exact._integer_root_candidates, p) \
+        == integer_roots(sturm_root_candidates, p) == sorted(set(roots))
+    m = companion(p)
+    want = vec(sorted(roots)) if rational else (
+        f"only {len(roots)} of {len(p) - 1} eigenvalues are rational")
+    assert eigenvalues_or_error(rational_eigenvalues, m) == want
+    if abs(p[-1]) < 2 ** 32:
+        assert eigenvalues_or_error(divisor_eigenvalues, m) == want
+
+
+HUGE = 2 ** 200
+# a nonzero integer root, small or up to 2^200 in absolute value
+ROOTS = st.one_of(st.integers(-60, 60), st.integers(-HUGE, HUGE)).filter(bool)
+# x^2 + c without a rational root: c > 0, or -c not a square
+QUADRATICS = st.integers(-2 ** 80, 2 ** 80).filter(
+    lambda c: c > 0 or isqrt(-c) ** 2 != -c).map(lambda c: [1, 0, c])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(ROOTS, st.integers(1, 3)), min_size=1, max_size=4),
+       st.lists(QUADRATICS, max_size=2))
+def test_q_adic_roots_of_products_of_linear_factors(factors, quadratics):
+    roots = [r for r, times in factors for _ in range(times)]
+    assert_roots_agree(monic(roots, quadratics), roots, not quadratics)
+
+
+@pytest.mark.parametrize("c", [HUGE, HUGE - 1, 3 ** 126, 101 ** 30])
+def test_q_adic_roots_at_the_edge_of_the_root_bound(c):
+    # x - c and x^2 - c^2 put a root at c's bit length, where the bound is
+    # tightest, and x^2 + c^2 puts none there
+    assert_roots_agree(monic([c]), [c], True)
+    assert_roots_agree(monic([c, -c]), [c, -c], True)
+    assert_roots_agree(monic([c], [[1, 0, c * c]]), [c], False)
+
+
+def test_q_adic_roots_past_the_first_primes(monkeypatch):
+    # 1 and 1 + 101 * 103 * 107 * 109 meet mod 101, 103, 107 and 109, so
+    # their roots are simple first mod 113
+    far = 1 + 101 * 103 * 107 * 109
+    assert far == 121_330_190
+    moduli, value = [], exact._value
+
+    def spy(p, x, m):
+        moduli.append(m)
+        return value(p, x, m)
+    monkeypatch.setattr(exact, "_value", spy)
+    assert_roots_agree(monic([1, far]), [1, far], True)
+    assert sorted({m for m in moduli if m < 1000}) == [101, 103, 107, 109, 113]
 
 
 # ---------------------------------------------------------------------------
