@@ -8,8 +8,8 @@ VALUE or --flag=VALUE (-h prints the usage).  Input errors include a spec
 field parabolic_index, a j1 "default", a --j1 or abbreviated flag, an
 integer flag not in ASCII decimal digits after an optional minus, a JSON key
 given twice in one object, a subalgebra k or vectors on a name that takes
-none, and both a j and --parabolic-index for symmetric; a flag error's
-report goes to the --out argv names, else stdout.
+none, and a flag or spec field that READS says the command does not read;
+a flag error's report goes to the --out argv names, else stdout.
 
 Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error
 or a report that cannot be written, to a closed stdout too (one stderr line),
@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 
 from .exact import Matrix, Subspace, ExactError, parse_vector, entry_strings
@@ -172,12 +173,8 @@ def _parse_algebra_spec(obj, where="algebra", depth=0):
     return AlgebraSpec(kind, _require_int(obj["n"], f"{where}: n"))
 
 
-class ProblemSpec:
-    def __init__(self, algebra, sub, j, j1):
-        self.algebra = algebra  # an AlgebraSpec, or an explicit LieAlgebra
-        self.sub = sub
-        self.j = j
-        self.j1 = j1
+# algebra is an AlgebraSpec, or an explicit LieAlgebra
+ProblemSpec = namedtuple("ProblemSpec", "algebra sub j j1")
 
 
 def parse(path) -> ProblemSpec:
@@ -210,9 +207,8 @@ def parse_obj(raw) -> ProblemSpec:
             raise ParseError("subalgebra: span needs vectors")
         if not _lists(sub["vectors"]):
             raise ParseError("subalgebra: vectors must be a list of vectors")
-        sub = dict(sub, vectors=[
-            _parse_vec(v, "subalgebra.vectors")
-            for v in sub["vectors"]])
+        sub = dict(sub, vectors=[_parse_vec(v, "subalgebra.vectors")
+                                 for v in sub["vectors"]])
     j = None if raw.get("j") is None else _parse_matrix(raw["j"], "j")
     j1 = None if raw.get("j1") is None else _parse_matrix(raw["j1"], "j1")
     return ProblemSpec(algebra, sub, j, j1)
@@ -451,12 +447,9 @@ def cmd_verify(ps, args):
 
 
 def cmd_symmetric(ps, args):
-    k = args.get("--parabolic-index")
-    if ps.j is not None and k is not None:
-        raise ValidationError("symmetric takes j or --parabolic-index, not both")
     quot = _resolve_problem(ps)
     if ps.j is None:
-        p, J = _construct(ps, quot, k, "symmetric")
+        p, J = _construct(ps, quot, args.get("--parabolic-index"), "symmetric")
     else:
         p, J = None, _invariant_structure(ps, quot)
     verdict = cx.is_symmetric_pair(J, p)
@@ -478,6 +471,26 @@ COMMANDS = {
     "verify": cmd_verify,
     "symmetric": cmd_symmetric,
 }
+
+# the inputs each command reads beside --spec, --command, --out and the
+# spec's algebra and subalgebra; symmetric reads a j, or else the other two
+READS = {"check": {"j"}, "m": {"j"}, "decompose": {"j"},
+         "verify": {"j", "--seed"}, "construct": {"--parabolic-index", "j1"},
+         "symmetric": {"j", "--parabolic-index", "j1"}}
+
+
+def _refuse_unread(command, args, ps):
+    """Refuse the first flag or spec field that command does not read."""
+    reads = READS.get(command, ())
+    if command == "symmetric" and ps.j is not None:
+        if "--parabolic-index" in args:
+            raise ValidationError(
+                "symmetric takes j or --parabolic-index, not both")
+        reads = {"j"}
+    given = dict(args, j=ps.j, j1=ps.j1)
+    for name in ("--parabolic-index", "--seed", "j", "j1"):
+        if given.get(name) is not None and name not in reads:
+            raise ValidationError(f"{command} does not read {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +580,9 @@ def main(argv=None):
     try:
         if error:
             raise ParseError(error)
-        report, code = COMMANDS[command](parse(args["--spec"]), args)
+        ps = parse(args["--spec"])
+        _refuse_unread(command, args, ps)
+        report, code = COMMANDS[command](ps, args)
     except TheoremViolation as e:
         report, code = {"command": command, "error": "TheoremViolation",
                         "message": str(e)}, EXIT_VIOLATION

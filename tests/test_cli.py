@@ -575,11 +575,18 @@ def flag_item(flag):
                      st.booleans())
 
 
-VALID_ITEMS = st.permutations(sorted(FLAG_VALUES)).flatmap(
+# the flags that catalog reads; it reads no --parabolic-index or --seed
+CATALOG_FLAGS = ["--command", "--out", "--spec"]
+# --spec and --command, and any of the other flags, each once with its
+# first value: exactly valid when catalog reads every flag given
+READABLE_ITEMS = st.permutations(sorted(FLAG_VALUES)).flatmap(
     lambda flags: st.tuples(*[st.tuples(
         st.just(f), st.just(FLAG_VALUES[f][0]), st.booleans())
-        for f in flags]))
-ITEMS = st.one_of(VALID_ITEMS.map(list), st.lists(st.one_of(
+        for f in flags])).flatmap(
+    lambda items: st.sets(st.sampled_from(
+        ["--out", "--parabolic-index", "--seed"])).map(
+        lambda dropped: [i for i in items if i[0] not in dropped]))
+ITEMS = st.one_of(READABLE_ITEMS, st.lists(st.one_of(
     st.sampled_from(sorted(FLAG_VALUES)).flatmap(flag_item),
     st.sampled_from(NOT_FLAGS).map(lambda t: (t, None, False))), max_size=8))
 
@@ -591,20 +598,23 @@ def test_every_argv_that_is_not_exactly_valid_exits_2(tmp_path, capsys, bare,
                                                      items):
     """Every argv but an exactly valid one writes the one flag-error report
     to the --out that it names, else to stdout, and exits 2; none exits 4,
-    and nothing goes to stderr."""
+    and nothing goes to stderr.  A readable --parabolic-index or --seed,
+    which catalog does not read, is a ValidationError."""
     out = tmp_path / "report.json"
     out.unlink(missing_ok=True)
-    names = {"SPEC": write_spec(tmp_path, S2), "OUT": str(out)}
+    spec = {k: v for k, v in S2.items() if k != "j"}  # catalog reads no j
+    names = {"SPEC": write_spec(tmp_path, spec), "OUT": str(out)}
     argv = [names.get(t, t) for t in bare]
     for flag, value, eq in items:
         value = names.get(value, value)
         argv += ([flag] if value is None else [f"{flag}={value}"] if eq
                  else [flag, value])
     given_flags = [flag for flag, _, _ in items]
-    valid = (not bare and len(set(given_flags)) == len(given_flags)
-             and {"--spec", "--command"} <= set(given_flags)
-             and all(flag in FLAG_VALUES and value == FLAG_VALUES[flag][0]
-                     for flag, value, _ in items))
+    readable = (not bare and len(set(given_flags)) == len(given_flags)
+                and {"--spec", "--command"} <= set(given_flags)
+                and all(flag in FLAG_VALUES and value == FLAG_VALUES[flag][0]
+                        for flag, value, _ in items))
+    valid = readable and set(given_flags) <= set(CATALOG_FLAGS)
     named = any(flag == "--out" and value for flag, value, _ in items)
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -618,6 +628,12 @@ def test_every_argv_that_is_not_exactly_valid_exits_2(tmp_path, capsys, bare,
         return
     assert code == 2, argv
     assert list(report) == ["command", "error", "message"]
+    if readable:
+        unread = next(f for f in ("--parabolic-index", "--seed")
+                      if f in given_flags)
+        assert report == {"command": "catalog", "error": "ValidationError",
+                          "message": f"catalog does not read {unread}"}
+        return
     assert report["error"] == "ParseError"
     assert report["command"] in ("catalog", None)
     if ("--command", "catalog") not in {(f, v) for f, v, _ in items}:
@@ -667,6 +683,43 @@ def test_symmetric_takes_j_by_one_route(tmp_path):
     assert (code, rep) == (2, {
         "command": "symmetric", "error": "ValidationError",
         "message": "symmetric takes j or --parabolic-index, not both"})
+
+
+# which commands read each input beside --spec, --command, --out and the
+# spec's algebra and subalgebra; symmetric reads a j, or else the
+# parabolic --parabolic-index names and a j1
+READ_BY = {"--parabolic-index": {"construct", "symmetric"},
+           "--seed": {"verify"},
+           "j": {"check", "m", "decompose", "verify", "symmetric"},
+           "j1": {"construct", "symmetric"}}
+UNREAD = [(command, name) for name, readers in READ_BY.items()
+          for command in sorted(cli.COMMANDS) if command not in readers]
+
+
+@pytest.mark.parametrize("command,name", UNREAD,
+                         ids=[f"{c}-{n}" for c, n in UNREAD])
+def test_an_input_the_command_does_not_read_is_an_input_error(
+        tmp_path, capsys, command, name):
+    # classify --seed 5 and check --parabolic-index 3 ran as if the flag
+    # were absent
+    spec = {k: v for k, v in S2.items() if k != "j"}
+    extra = []
+    if name.startswith("--"):
+        extra = [name, "3" if name == "--parabolic-index" else "5"]
+    else:
+        spec[name] = S2["j"]
+    code, rep = run(tmp_path, spec, command, *extra)
+    assert (code, rep) == (2, {
+        "command": command, "error": "ValidationError",
+        "message": f"{command} does not read {name}"})
+    assert capsys.readouterr() == ("", "")
+
+
+def test_symmetric_with_a_j_reads_no_j1(tmp_path):
+    code, rep = run(tmp_path, dict(S2, j1=S2["j"]), "symmetric")
+    assert (code, rep) == (2, {
+        "command": "symmetric", "error": "ValidationError",
+        "message": "symmetric does not read j1"})
 
 
 # ---------------------------------------------------------------------------
