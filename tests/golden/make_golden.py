@@ -11,8 +11,9 @@ reports pin the construct/decompose round trip too. symmetric also runs
 without a j on a few instances, where it constructs J from the k-th
 parabolic itself, and gives its two verdicts that precede any certificate:
 not integrable, and not effective. On su(4)/u(3) (d = 15) only symmetric
-and verify run, with and without the J of construct, and on su(5)/t
-(d = 24) only symmetric without a j. validate, catalog and classify run on
+and verify run, with and without the J of construct, on su(4)/t (q = 12)
+only verify on the J of construct, and on su(5)/t (d = 24) only symmetric
+without a j. validate, catalog and classify run on
 perfbench's dense instances (catalog algebras in a random integer basis)
 where they finish. The classify reports of su(5)/t and so(8)/t (2.26 MB and
 4.97 MB), and of su(4)/t in perfbench's dense basis (242 KB, characteristic
@@ -107,6 +108,11 @@ CONSTRUCT_ERRORS = [
 SU4_U3 = {"algebra": {"kind": "su", "n": 4},
           "subalgebra": {"name": "block_u", "k": 3}}
 
+# su(4)/t, whose 66 basis pairs give verify's Nijenhuis trials 1,518
+# evaluations: only verify on the J of construct runs here
+SU4_T = {"algebra": {"kind": "su", "n": 4},
+         "subalgebra": {"name": "maximal_torus"}}
+
 # su(5)/t, whose isotropy commutant has dimension 10: only symmetric
 # without a j runs here
 SU5_T = {"algebra": {"kind": "su", "n": 5},
@@ -198,7 +204,9 @@ def main():
                   for name, spec, command, extra in cases_for(base, bad_j, j)]
     su4_u3_j = dict(SU4_U3, j=construct_k0(SU4_U3))
     cases += [("su4_u3__symmetric", su4_u3_j, "symmetric", []),
-              ("su4_u3__verify_seed0", su4_u3_j, "verify", ["--seed", "0"])]
+              ("su4_u3__verify_seed0", su4_u3_j, "verify", ["--seed", "0"]),
+              ("su4_t__verify_seed0", dict(SU4_T, j=construct_k0(SU4_T)),
+               "verify", ["--seed", "0"])]
     cases += [(name, spec, "construct", extra)
               for name, spec, extra in CONSTRUCT_ERRORS]
     specs = {inst: base for inst, (base, _) in INSTANCES.items()}
