@@ -229,13 +229,16 @@ def _resolve_problem(ps: ProblemSpec) -> Quotient:
     g, aspec = _build_algebra(ps)
     if aspec is None and not (res := g.validate()).ok:
         raise ValidationError(f"explicit table invalid: {res.first_failure()}")
-    sub = ps.sub
+    return make_quotient(g, _subalgebra(ps, g, aspec))
+
+
+def _subalgebra(ps: ProblemSpec, g, aspec):
+    """The spec's h, certified by the catalog, in a valid g."""
     try:
-        h = build_subalgebra(g, aspec, sub["name"], k=sub.get("k"),
-                             span=sub.get("vectors"))
+        return build_subalgebra(g, aspec, ps.sub["name"], k=ps.sub.get("k"),
+                                span=ps.sub.get("vectors"))
     except ExactError as e:
         raise ValidationError(str(e)) from None
-    return make_quotient(g, h)
 
 
 def _structure(ps, quot) -> ComplexStructure:
@@ -320,8 +323,10 @@ def cmd_catalog(ps, args):
 
 
 def cmd_validate(ps, args):
-    g, _ = _build_algebra(ps)
+    g, aspec = _build_algebra(ps)
     res = g.validate()
+    if res.ok:
+        _subalgebra(ps, g, aspec)
     rep = _base_report("validate", g)
     rep["ok"] = res.ok
     rep["failures"] = [str(f) for f in res.failures]

@@ -315,6 +315,30 @@ def test_validate_explicit_table_clean_no(tmp_path):
     assert code3 == 2
 
 
+@pytest.mark.parametrize("n, vectors, message", [
+    (2, [["1", "0"]], "vector of length 2 in ambient 3"),
+    (3, [[str(int(i == k)) for i in range(8)] for k in (0, 1)],
+     "subspace is not closed under the bracket")])
+def test_validate_builds_the_subalgebra_it_is_given(tmp_path, n, vectors,
+                                                    message):
+    # a valid g with an h that cannot be built: validate refuses it as
+    # catalog does
+    spec = {"algebra": {"kind": "su", "n": n},
+            "subalgebra": {"name": "span", "vectors": vectors}}
+    for command in ("validate", "catalog"):
+        assert run(tmp_path, spec, command) == (2, {
+            "command": command, "error": "ValidationError",
+            "message": message})
+
+
+def test_validate_reports_an_invalid_table_before_any_subalgebra(tmp_path):
+    bad = {"algebra": {"table": [[["0", "0"], ["1", "0"]],
+                                 [["1", "0"], ["0", "0"]]]},
+           "subalgebra": {"name": "span", "vectors": [["1", "0", "0"]]}}
+    code, rep = run(tmp_path, bad, "validate")
+    assert code == 1 and rep["ok"] is False and rep["failures"]
+
+
 @pytest.mark.parametrize("rows, cols", [(2, 3), (4, 3), (3, 2), (2, 2)])
 @pytest.mark.parametrize("command", ["validate", "classify"])
 def test_inner_product_of_the_wrong_shape_is_input_error(tmp_path, rows,

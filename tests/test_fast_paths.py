@@ -1636,6 +1636,97 @@ def test_g_plus_l_criterion_matches_realification_where_it_fails():
 
 
 # ---------------------------------------------------------------------------
+# verify's Nijenhuis trials against the fresh draws of every pair they
+# replaced
+
+def per_pair_perturbation_trials(J, seed=0):
+    """Perturb every lift by random h elements, PERTURBATION_TRIALS times
+    per basis pair, and require bit-identical Nijenhuis values; also checks
+    the antisymmetry and J-twist symmetries."""
+    rng = random.Random(seed)
+    quot = J.quotient
+    g = quot.algebra
+    q = quot.dim
+    hb = quot.h.basis_vectors()
+
+    def rand_h():
+        # coefficients a / d with a in -9..9 and d in 1..9, drawn in turn
+        parts = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in hb]
+        den = lcm(*(d for _, d in parts))
+        return lincomb(g.dim, ivec([a * (den // d) for a, d in parts],
+                                   None, den), hb)
+
+    failures = []
+    evaluations = 0
+    for a in range(q):
+        for b in range(a + 1, q):
+            ua, ub = vunit(q, a), vunit(q, b)
+            base = cx.nijenhuis(J, ua, ub)
+            evaluations += 1
+            if cx.nijenhuis(J, ub, ua) != vneg(base):
+                failures.append(f"antisymmetry fails at ({a},{b})")
+            tw = cx.nijenhuis(J, J.j.matvec(ua), ub)
+            if tw != vneg(J.j.matvec(base)):
+                failures.append(f"J-twist symmetry fails at ({a},{b})")
+            evaluations += 2
+            if hb:
+                base_lifts = [quot.lift(w) for w in
+                              (ua, ub, J.j.matvec(ua), J.j.matvec(ub))]
+                for _ in range(cx.PERTURBATION_TRIALS):
+                    lifts = tuple(vadd(x, rand_h()) for x in base_lifts)
+                    evaluations += 1
+                    if cx._nijenhuis_of_lifts(J, *lifts) != base:
+                        failures.append(
+                            f"lift perturbation changes N at ({a},{b})")
+                        break
+    return cx.LedgerEntry("nijenhuis_well_defined", not failures,
+                          f"{evaluations} evaluations"
+                          + ("" if not failures else "; " + failures[0])), \
+        evaluations
+
+
+def trial_outcome(trials, J, seed):
+    entry, evaluations = trials(J, seed=seed)
+    return entry.ok, entry.detail, evaluations
+
+
+@pytest.mark.parametrize("case", VERIFY_CASES,
+                         ids=[c["file"] for c in VERIFY_CASES])
+def test_shared_draws_match_per_pair_draws_on_golden_verify_js(tmp_path,
+                                                              case):
+    """Drawn once per call or afresh at every pair, the moves of h give the
+    same verdict and evaluation count, C(q,2)(3 + 20 [dim h > 0])."""
+    g, h, J = golden_structure(tmp_path, case)
+    q = g.dim - h.dim
+    count = q * (q - 1) // 2 * (3 + cx.PERTURBATION_TRIALS * (h.dim > 0))
+    for seed in range(3):
+        assert trial_outcome(cx.nijenhuis_perturbation_trials, J, seed) \
+            == trial_outcome(per_pair_perturbation_trials, J, seed) \
+            == (True, f"{count} evaluations", count)
+
+
+def test_shared_draws_catch_a_j_that_is_not_invariant(tmp_path,
+                                                      monkeypatch):
+    """On su(3)/u(2) with the sign pattern (1, -1), which u(2) does not
+    preserve, both trials, past the invariance gate, find the lift moves
+    changing N at the same first pair."""
+    specs = _perfbench_module("specs")
+    spec = {"algebra": {"kind": "su", "n": 3},
+            "subalgebra": {"name": "block_u", "k": 2},
+            "j": specs.sign_pattern_j((1, -1))}
+    g, h, J = golden_structure(tmp_path, {"spec": spec, "args": []})
+    assert not cx.is_invariant(J)
+    monkeypatch.setattr(cx, "_require_invariant", lambda J: None)
+    for seed in range(3):
+        shared, per_pair = (trial_outcome(trials, J, seed) for trials in (
+            cx.nijenhuis_perturbation_trials, per_pair_perturbation_trials))
+        assert shared[0] is per_pair[0] is False
+        assert shared[1].split("; ")[1] == per_pair[1].split("; ")[1]
+        assert shared[1].split("; ")[1].startswith(
+            "lift perturbation changes N at (")
+
+
+# ---------------------------------------------------------------------------
 # positive systems and parabolics on root indices against the sign-vector
 # product and the dense certificates they replaced
 
