@@ -2,7 +2,8 @@
 
 Each test compares a fast path with the formula it replaced: the dense
 loops, the divisor-based candidate roots, the Sturm bisection for integer
-roots, the d leading determinants, classify followed by a search, the
+roots, the Nijenhuis trials that drew their moves of h afresh at every
+basis pair, the d leading determinants, classify followed by a search, the
 matrix of theta, the real J mixed from e_k = w + tau(w), g + l realified,
 catalog bases as dense GQ matrices, catalog coordinates from the inverse
 of a GQ block, and subspaces put in RREF by a second elimination.  The
