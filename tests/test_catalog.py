@@ -11,6 +11,7 @@ from liecx.catalog import (
 )
 
 from conftest import ONE, ZERO, profiled
+from test_hygiene import _perfbench_module
 
 
 DIMS = [
@@ -41,6 +42,27 @@ def test_maximal_torus_rank(spec, rank):
     assert t.space.dim == rank
     assert t.is_abelian()
     assert centralizer(g, t.space) == t.space
+
+
+@pytest.mark.parametrize("parts,spec", [
+    ([("su", 5)], su(5)), ([("su", 6)], su(6)), ([("so", 7)], so(7)),
+    ([("so", 8)], so(8)), ([("su", 3), ("so", 5)], direct_sum(su(3), so(5))),
+], ids=["su5", "su6", "so7", "so8", "su3+so5"])
+def test_tables_match_the_benchmark_generator(parts, spec):
+    # perfbench/specs rebuilds the documented bases as matrices in Fractions,
+    # without liecx; its catalog tables are integral, which keeps its
+    # -kappa, a sum over d^4 products, fast in ints
+    specs = _perfbench_module("specs")
+    table, torus = specs.algebra_table(parts)
+    assert all(c.denominator == 1 for row in table for v in row for c in v)
+    table = [[[int(c) for c in v] for v in row] for row in table]
+    g = build(spec)
+    assert [[(v.den, v.re, v.im) for v in row] for row in g.table] \
+        == [[(1, tuple(v), None) for v in row] for row in table]
+    assert [(r.den, r.re, r.im) for r in g.inner_product.rows] \
+        == [(1, tuple(r), None) for r in specs.minus_killing(table)]
+    t = build_subalgebra(g, spec, "maximal_torus")
+    assert list(t.space.pivots) == torus
 
 
 def test_invalid_specs():
