@@ -460,8 +460,8 @@ FLIPPED_J1 = [["0", "1"], ["-1", "0"]]
 def test_construct_takes_j1_from_the_spec(tmp_path, spec_j1, j1):
     # the fiber of su(2)+su(2)/0 for k = 0 is spanned by the two Cartan
     # generators; with no j1, J1 pairs them in order
-    code, rep = run(tmp_path, dict(SU2SU2_0, j1=spec_j1), "construct",
-                    *K0)
+    spec = SU2SU2_0 if spec_j1 is None else dict(SU2SU2_0, j1=spec_j1)
+    code, rep = run(tmp_path, spec, "construct", *K0)
     assert code == 0
     assert rep["j1"] == j1
     assert rep["fiber_basis"] == [["1", "0", "0", "0", "0", "0"],
@@ -486,6 +486,15 @@ def test_a_bad_j1_is_an_input_error(tmp_path, j1, message):
 def test_the_removed_spec_routes_exit_2(tmp_path, spec):
     code, rep = run(tmp_path, dict(SU2SU2_0, **spec), "construct", *K0)
     assert (code, rep["error"]) == (2, "ParseError")
+
+
+# a null j or j1 is no second spelling of an absent one
+@pytest.mark.parametrize("field,command,flags", [
+    ("j", "classify", ()), ("j1", "construct", K0)], ids=["j", "j1"])
+def test_a_null_j_or_j1_is_an_input_error(tmp_path, field, command, flags):
+    code, rep = run(tmp_path, dict(SU3_T, **{field: None}), command, *flags)
+    assert (code, rep) == (2, {"command": command, "error": "ParseError",
+                               "message": f"{field}: expected a list of rows"})
 
 
 def run_flags(tmp_path, capsys, argv):
@@ -1198,11 +1207,11 @@ SPECS = st.fixed_dictionaries({"algebra": ALGEBRAS}, optional={
 REMOVED_ROUTES = mostly(st.just({}), st.one_of(
     st.fixed_dictionaries({"parabolic_index": st.integers(-1, 30)}),
     st.just({"j1": "default"})))
-# second spellings of a field: a key given twice, k or vectors on a
-# subalgebra name that takes neither, parts on an algebra that is no sum and
-# n on a sum; each replaces its field of the spec
+# second spellings of a field: a key given twice, a null j or j1, k or
+# vectors on a subalgebra name that takes neither, parts on an algebra that
+# is no sum and n on a sum; each replaces its field of the spec
 RESPELLED = mostly(st.none(), st.one_of(
-    st.just("repeated_key"),
+    st.just("repeated_key"), st.just({"j": None}), st.just({"j1": None}),
     st.fixed_dictionaries({"subalgebra": st.fixed_dictionaries({
         "name": st.sampled_from(["maximal_torus", "zero", "center", "span"]),
         "k": st.integers(1, 3)})}),
