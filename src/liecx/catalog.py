@@ -12,19 +12,23 @@ refers to coordinates in these bases:
 * torus(k): k commuting generators; so(2) is abelian too.
 * u(n) = torus(1) (+) su(n); sums are block diagonal in general.
 
-Each basis is held as realified integer matrices over one denominator.  A
-build flattens the spec into its su, so and torus factors, places their
-tables block-diagonally into one table and makes one LieAlgebra of it.  The
-invariant inner product is -kappa on each semisimple factor and the
-identity on the abelian ones, tori and so(2).
+A build flattens the spec into its su, so and torus factors, places their
+tables block-diagonally into one table and makes one LieAlgebra of it.
+su(2)'s table is eps_ijk = (i - j)(j - k)(k - i) / 2.  The others are read
+off their bases: each commutator of two basis matrices must lie in the
+algebra (anti-Hermitian, traceless, real on so(n)), and its coordinates are
+its entries where the basis puts its generators, re (j, k) for E_jk - E_kj
+and im (j, k) for i(E_jk + E_kj), and the partial sums of the diagonal's im
+parts for the diagonal generators.  The invariant inner product is -kappa
+on each semisimple factor and the identity on the abelian ones, tori and
+so(2).
 """
 
 from __future__ import annotations
 
-from .exact import (
-    Matrix, Subspace, ExactError, ivec, vcat, vunit, vzero, rref,
-    inverse,
-)
+from itertools import accumulate
+
+from .exact import Matrix, Subspace, ExactError, ivec, vunit, vzero
 from .liealg import LieAlgebra, Subalgebra, center
 
 
@@ -97,38 +101,33 @@ def direct_sum(*parts):
 # ---------------------------------------------------------------------------
 # matrix realizations: an n x n matrix read row by row and realified, the re
 # and im parts of entry (r, c) at positions 2(rn + c) and 2(rn + c) + 1, held
-# as a dict of its nonzero positions to integers; a basis is (D, dicts) over
-# one denominator D
+# as a dict of its nonzero positions to integers
 
 def _pos(size, r, c, im=0):
     return 2 * (r * size + c) + im
 
 
-def _su_basis(n):
-    """(D, basis) of su(n) in the documented order."""
-    if n == 2:
-        # e_k = -i sigma_k / 2 gives [e_i, e_j] = eps_ijk e_k
-        return 2, [{_pos(n, 0, 1, 1): -1, _pos(n, 1, 0, 1): -1},
-                   {_pos(n, 0, 1): -1, _pos(n, 1, 0): 1},
-                   {_pos(n, 0, 0, 1): -1, _pos(n, 1, 1, 1): 1}]
-    basis = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            basis.append({_pos(n, j, k): 1, _pos(n, k, j): -1})
+def _pairs(n):
+    """The pairs j < k, lexicographic."""
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
+def _basis(f):
+    """The documented basis of su(n), n >= 3, or so(n)."""
+    n, basis = f.n, []
+    for j, k in _pairs(n):
+        basis.append({_pos(n, j, k): 1, _pos(n, k, j): -1})
+        if f.kind == "su":
             basis.append({_pos(n, j, k, 1): 1, _pos(n, k, j, 1): 1})
-    basis.extend({_pos(n, j, j, 1): 1, _pos(n, j + 1, j + 1, 1): -1}
-                 for j in range(n - 1))
-    return 1, basis
-
-
-def _so_basis(n):
-    return 1, [{_pos(n, j, k): 1, _pos(n, k, j): -1}
-               for j in range(n) for k in range(j + 1, n)]
+    if f.kind == "su":
+        basis.extend({_pos(n, j, j, 1): 1, _pos(n, j + 1, j + 1, 1): -1}
+                     for j in range(n - 1))
+    return basis
 
 
 def _commutator(n, x, y):
     """XY - YX for n x n matrices given as realified integer coordinates,
-    in the same form over the product of the scales."""
+    in the same form."""
     out = {}
     for p, q, sign in ((x, y, 1), (y, x, -1)):
         for i, a in p.items():
@@ -143,82 +142,48 @@ def _commutator(n, x, y):
     return {pos: v for pos, v in out.items() if v}
 
 
-def _coordinates(den, basis):
-    """Coordinates in a linearly independent matrix basis, realified
-    integer matrices over den.
+def _reader(f):
+    """The coordinates in f's basis, su(n) with n >= 3 or so(n), of a
+    matrix given as above, read as the module docstring says; a matrix
+    outside f raises InvalidSpec."""
+    n, su = f.n, f.kind == "su"
+    slot = {_pos(n, j, k, im): (1 + su) * p + im
+            for p, (j, k) in enumerate(_pairs(n)) for im in range(1 + su)}
 
-    The returned function maps a matrix given the same way, t over t_den,
-    to its coefficient tuple, or to None if the matrix is not in the real
-    span.  The basis is factored once: d independent real coordinates (the
-    pivots) are located and the inverse of that d x d block held as A / D
-    with A an integer matrix, so each call is one integer matvec on the
-    pivots plus an exact re-expansion check in integers."""
-    used = sorted(set().union(*basis))
-    _, cols, _ = rref(Matrix([ivec([b.get(pos, 0) for pos in used])
-                              for b in basis]))
-    pivots = [used[c] for c in cols]
-    block = Matrix([ivec([b.get(pos, 0) for b in basis]) for pos in pivots])
-    big_d, a_rows, _ = inverse(block).integer_rows()
-    # column r of A, for the pivot pivots[r]
-    a_cols = {pos: [] for pos in pivots}
-    for k, row in enumerate(a_rows):
-        for r, a in enumerate(row):
-            if a:
-                a_cols[pivots[r]].append((k, a))
-
-    def coords(t_den, t):
-        c = [0] * len(basis)
+    def read(t):
+        coords, diag = [0] * len(slot), [0] * n
         for pos, x in t.items():
-            for k, a in a_cols.get(pos, ()):
-                c[k] += a * x
-        # sum_k c_k b_k == t, both sides times D t_den
-        expanded = {}
-        for ck, b in zip(c, basis):
-            if ck:
-                for pos, x in b.items():
-                    expanded[pos] = expanded.get(pos, 0) + ck * x
-        if {pos: v for pos, v in expanded.items() if v} != \
-                {pos: big_d * x for pos, x in t.items()}:
-            return None
-        return ivec([den * x for x in c], None, big_d * t_den)
-    return coords
-
-
-def _structure_from_matrices(n, den, basis, coords):
-    """Expand commutators of a basis of n x n matrices, realified integer
-    matrices over den, exactly in that basis; coords is the basis's
-    _coordinates."""
-    table = []
-    for a in basis:
-        row = []
-        for b in basis:
-            coeffs = coords(den * den, _commutator(n, a, b))
-            if coeffs is None:  # pragma: no cover
+            r, c = divmod(pos >> 1, n)
+            im = pos & 1
+            if im and not su or t.get(_pos(n, c, r, im)) != (x if im else -x):
                 raise InvalidSpec("matrix basis is not bracket-closed")
-            row.append(coeffs)
-        table.append(row)
-    return table
+            if r == c:
+                diag[r] = x
+            elif pos in slot:
+                coords[slot[pos]] = x
+        if sum(diag):
+            raise InvalidSpec("matrix basis is not bracket-closed")
+        return coords + list(accumulate(diag[:-1])) if su else coords
+    return read
 
 
-def _flatten(spec):
-    if spec.kind == "sum":
-        return [f for p in spec.parts for f in _flatten(p)]
-    if spec.kind == "u":
-        return [torus(1), su(spec.n)]
-    return [spec]
+def _block(f):
+    """The table of a simple factor as integer coordinate lists: su(2)'s
+    [e_i, e_j] = eps_ijk e_k with eps_ijk = (i - j)(j - k)(k - i) / 2, and
+    the others read off the commutators of their basis."""
+    if f.kind == "su" and f.n == 2:
+        return [[[(i - j) * (j - k) * (k - i) // 2 for k in range(3)]
+                 for j in range(3)] for i in range(3)]
+    basis, read = _basis(f), _reader(f)
+    return [[read(_commutator(f.n, a, b)) for b in basis] for a in basis]
 
 
 def _factors(spec):
-    """(factors, dim): each su, so and torus factor of spec in basis order
-    as (offset, factor, basis), basis None for a torus; u(n) is
-    torus(1) + su(n), and sums flatten."""
-    factors, dim = [], 0
-    for f in _flatten(spec):
-        basis = None if f.kind == "torus" else \
-            (_su_basis if f.kind == "su" else _so_basis)(f.n)
-        factors.append((dim, f, basis))
-        dim += f.dim()
-    return factors, dim
+    """[(offset, factor)]: each su, so and torus factor of spec in basis
+    order; u(n) is torus(1) + su(n), and a sum is one level deep."""
+    flat = [g for f in spec.parts or (spec,)
+            for g in ((torus(1), su(f.n)) if f.kind == "u" else (f,))]
+    return list(zip(accumulate((f.dim() for f in flat), initial=0), flat))
 
 
 def build(spec: AlgebraSpec) -> LieAlgebra:
@@ -227,23 +192,24 @@ def build(spec: AlgebraSpec) -> LieAlgebra:
     factors, tori and so(2) (kappa of the sum restricts to each simple
     factor's own and vanishes on the abelian ones)."""
     spec.validate()
-    if spec.dim() > MAX_DIM:
-        raise InvalidSpec(f"dim g = {spec.dim()} exceeds the limit {MAX_DIM}")
-    factors, d = _factors(spec)
+    d = spec.dim()
+    if d > MAX_DIM:
+        raise InvalidSpec(f"dim g = {d} exceeds the limit {MAX_DIM}")
     zero = vzero(d)
     table = [[zero] * d for _ in range(d)]
     central = set()
-    for off, f, basis in factors:
+    for off, f in _factors(spec):
         size = f.dim()
-        if basis is None or size == 1:
+        if f.kind == "torus" or size == 1:
             # abelian factors, torus(k) and so(2), on which kappa vanishes
             central.update(range(off, off + size))
             continue
-        block = _structure_from_matrices(f.n, *basis, _coordinates(*basis))
-        end = off + len(block)
-        left, right = zero[:off], zero[end:]
-        for i, row in enumerate(block):
-            table[off + i][off:end] = [vcat((left, v, right)) for v in row]
+        for i, row in enumerate(_block(f)):
+            for j, coords in enumerate(row):
+                if any(coords):
+                    re = [0] * d
+                    re[off:off + size] = coords
+                    table[off + i][off + j] = ivec(re)
     g = LieAlgebra(table, name=spec.label())
     g.inner_product = Matrix([vunit(d, i) if i in central else r
                               for i, r in enumerate((-g.killing_gram()).rows)])
@@ -256,16 +222,16 @@ def build(spec: AlgebraSpec) -> LieAlgebra:
 def _maximal_torus_indices(spec):
     """Basis indices of the standard maximal torus, factor by factor."""
     idx = []
-    for off, f, basis in _factors(spec)[0]:
+    for off, f in _factors(spec):
         n = f.n
-        if basis is None:
+        if f.kind == "torus":
             local = range(n)
         elif f.kind == "su":
             # the trailing n - 1 diagonal generators
-            local = range(len(basis[1]) - (n - 1), len(basis[1]))
+            local = range(f.dim() - (n - 1), f.dim())
         else:
             # commuting rotations in the planes (0,1), (2,3), ...
-            pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+            pairs = _pairs(n)
             local = [pairs.index((j, j + 1)) for j in range(0, n - 1, 2)]
         idx.extend(off + i for i in local)
     return idx
@@ -283,8 +249,8 @@ def _block_u_space(spec, k):
     n = spec.n
     if not 1 <= k < n:
         raise InvalidSpec(f"block_u({k}) needs 1 <= k < {n}")
-    ends = [l for j in range(n) for l in range(j + 1, n)]  # pairs (j, l)
-    idx = [2 * p + s for p, l in enumerate(ends) if l < k for s in (0, 1)]
+    idx = [2 * p + s for p, (_, l) in enumerate(_pairs(n)) if l < k
+           for s in (0, 1)]
     idx += [n * (n - 1) + j for j in range(k - 1)]
     diag = [(j + 1) * (n - k) if j < k else k * (n - 1 - j)
             for j in range(n - 1)]
