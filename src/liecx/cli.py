@@ -5,12 +5,11 @@ Each input has one route and one spelling: data (g, h, j, j1) in the spec,
 a UTF-8 JSON file, and the selector --parabolic-index and the run options
 --seed and --out as flags, read in one pass over argv, each once as --flag
 VALUE or --flag=VALUE (-h prints the usage).  Input errors include a spec
-field parabolic_index, a j1 "default", a null j or j1, a --j1 or
-abbreviated flag, an integer flag not in ASCII decimal digits after an
-optional minus, a JSON key given twice in one object, a subalgebra k or
-vectors on a name that takes none, and a flag or spec field that READS says
-the command does not read; a flag error's report goes to the --out argv
-names, else stdout.
+field parabolic_index, a j1 "default", a null j or j1, a --j1 or abbreviated
+flag, an integer flag not in ASCII decimal digits after an optional minus, a
+JSON key given twice in one object, a subalgebra k or vectors on a name that
+takes none, and a flag or spec field that READS says the command does not
+read; a flag error's report goes to the --out argv names, else stdout.
 
 Exit codes: 0 = success / yes-verdict, 1 = clean no-verdict, 2 = input error
 or a report that cannot be written, to a closed stdout too (one stderr line),
