@@ -181,9 +181,12 @@ def _block(f):
 def _factors(spec):
     """[(offset, factor)]: each su, so and torus factor of spec in basis
     order; u(n) is torus(1) + su(n), and a sum is one level deep."""
-    flat = [g for f in spec.parts or (spec,)
-            for g in ((torus(1), su(f.n)) if f.kind == "u" else (f,))]
-    return list(zip(accumulate((f.dim() for f in flat), initial=0), flat))
+    factors, dim = [], 0
+    for part in spec.parts or (spec,):
+        for f in (torus(1), su(part.n)) if part.kind == "u" else (part,):
+            factors.append((dim, f))
+            dim += f.dim()
+    return factors
 
 
 def build(spec: AlgebraSpec) -> LieAlgebra:
